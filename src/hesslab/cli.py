@@ -231,6 +231,9 @@ def cmd_solve(args):
     print(_header(args))
     print(f"rho_hat={field.rho_hat:.8g} residual={field.residual_norm:.3e} "
           f"margin={field.admissible:.3e}")
+    print(f"factorizations={field.factorizations} "
+          f"back_solves={field.back_solves} "
+          f"residual_evals={field.residual_evals}")
     print(f"wrote {path}")
     return EXIT_OK
 

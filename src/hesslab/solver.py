@@ -1,4 +1,4 @@
-"""Damped-Newton solver for the regularized exterior problem.
+"""Damped chord-Newton solver for the regularized exterior problem.
 
 Solves S_k(Hessian u) = f^eps outside an axisymmetric star-shaped body,
 with u = -1 on the body and a self-consistent decaying Dirichlet condition
@@ -15,10 +15,10 @@ from math import comb, log, pi
 import numpy as np
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
 from .errors import NewtonStall, NonStarShaped, PoorFit, TruncationTooClose
-from .fields import EpsilonRHS, Jet2, approx_rhs
+from .fields import Jet2
 from .surfaces import RevolutionBody
 
 __all__ = [
@@ -32,11 +32,6 @@ __all__ = [
 ]
 
 FIELD_HEADER = "# exterior-field v1"
-
-#: Newton keeps polishing below the acceptance tolerance down to this
-#: residual, so that S_k - f^eps stays within the admissibility margin
-#: even where f^eps is tiny.
-POLISH_TARGET = 1e-13
 
 
 @dataclass
@@ -283,8 +278,8 @@ def _sigma_levels(d, n, k):
 
 
 def _rhs_values(r, eps, n, cnk):
-    rhs = EpsilonRHS(eps=eps, n=n, cnk=cnk)
-    return approx_rhs(r.ravel(), rhs).reshape(r.shape)
+    """f^eps = cnk eps^2 (r^2 + eps^2)^(-n/2 - 1) at radii r, elementwise."""
+    return cnk * eps**2 * (r**2 + eps**2) ** (-n / 2.0 - 1.0)
 
 
 @dataclass
@@ -292,7 +287,10 @@ class ExteriorField:
     """Discrete solution of the approximating equation on an AxiGrid.
 
     u holds node values including both Dirichlet rows; treat a returned
-    field as immutable.
+    field as immutable.  The three counters record the work of the
+    solve_exterior call that produced the field (residual_evals includes
+    the evaluations inside Jacobian assembly); they are zero for sampled
+    or loaded fields and are not part of the checkpoint format.
     """
 
     grid: AxiGrid
@@ -304,6 +302,9 @@ class ExteriorField:
     residual_norm: float = float("nan")
     admissible: float = float("nan")
     pde_ghost: bool = True
+    factorizations: int = 0
+    back_solves: int = 0
+    residual_evals: int = 0
 
     def __post_init__(self):
         self._derived_cache = None
@@ -525,18 +526,48 @@ def _assemble_jacobian(residual, U_int):
     ).tocsr()
 
 
-def _newton_solve(grid, U_full, n, k, f_int, tol, max_iter):
-    """Damped Newton on the interior unknowns with admissibility guards.
+class _ChordFactor:
+    """The one sparse LU of a solve_exterior call, shared by every Newton
+    solve, Picard step and eps level, with counters of the work done."""
 
-    The accepted step is the largest in {1, 1/2, 1/4, ...} that decreases
-    the residual sup-norm while keeping the Gamma_k margin above a bound
-    that tightens with the residual itself.
+    def __init__(self):
+        self.lu = None
+        self.fresh = False  # factored at the current iterate
+        self.factorizations = 0
+        self.back_solves = 0
+        self.residual_evals = 0
+
+    def refactor(self, residual, U_int):
+        J = _assemble_jacobian(residual, U_int)
+        self.lu = splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        self.fresh = True
+        self.factorizations += 1
+
+    def step(self, res):
+        self.back_solves += 1
+        return self.lu.solve(-res.ravel()).reshape(res.shape)
+
+
+def _newton_solve(grid, U_full, n, k, f_int, tol, max_iter, chord):
+    """Chord Newton on the interior unknowns with admissibility guards.
+
+    Steps come from chord's LU, which may have been factored at an earlier
+    iterate, Picard step or eps level.  The accepted step is the largest in
+    {1, 1/2, 1/4, ...} that decreases the residual sup-norm while keeping
+    the Gamma_k margin above a bound that tightens with the residual
+    itself.  The Jacobian is assembled and factored again at the current
+    iterate when a step from a stale factor is rejected, or when it fails
+    to halve a residual above tol; a rejected step from a fresh factor
+    raises NewtonStall.  Once the residual is within tol only the full
+    step is tried, and the iteration stops at the first step that does
+    not halve the residual: the rounding floor has been reached.
     """
     top = U_full[0].copy()
     bot = U_full[-1].copy()
     s_col = grid.s[1:-1, None]
 
     def residual(U_int):
+        chord.residual_evals += 1
         U = np.vstack([top[None, :], U_int, bot[None, :]])
         Us, Uss, Uth, Usth, Uthth = _fd_all(U, grid.hs, grid.ht)
         d = _chain(
@@ -557,12 +588,12 @@ def _newton_solve(grid, U_full, n, k, f_int, tol, max_iter):
     res, _ = residual(U_int)
     rn = float(np.abs(res).max())
     for _ in range(max_iter):
-        if rn <= POLISH_TARGET:
-            break
-        J = _assemble_jacobian(residual, U_int)
-        step = spsolve(J, -res.ravel()).reshape(U_int.shape)
+        if chord.lu is None:
+            chord.refactor(residual, U_int)
+        step = chord.step(res)
+        at_floor = rn <= tol
         lam, accepted = 1.0, False
-        for _ in range(41):
+        for _ in range(1 if at_floor else 41):
             cand = U_int + lam * step
             res_c, margin_c = residual(cand)
             rn_c = float(np.abs(res_c).max())
@@ -570,14 +601,21 @@ def _newton_solve(grid, U_full, n, k, f_int, tol, max_iter):
                 accepted = True
                 break
             lam *= 0.5
+        halved = accepted and rn_c <= 0.5 * rn
+        if accepted:
+            U_int, res, rn = cand, res_c, rn_c
+        if at_floor and not halved:
+            break
         if not accepted:
-            if rn <= tol:
-                break  # at the rounding floor but within tolerance
-            raise NewtonStall(
-                f"no admissible decreasing step at residual {rn:.3e} "
-                f"(tolerance {tol:.1e}); eps too small for this grid?"
-            )
-        U_int, res, rn = cand, res_c, rn_c
+            if chord.fresh:
+                raise NewtonStall(
+                    f"no admissible decreasing step at residual {rn:.3e} "
+                    f"(tolerance {tol:.1e}); eps too small for this grid?"
+                )
+            chord.lu = None
+        elif not (halved or chord.fresh or rn <= tol):
+            chord.lu = None
+        chord.fresh = False
     if rn > tol:
         raise NewtonStall(f"Newton stopped at residual {rn:.3e} > {tol:.1e}")
     out = np.vstack([top[None, :], U_int, bot[None, :]])
@@ -601,6 +639,14 @@ def solve_exterior(
     alternates Newton solves with refreshes of the asymptotic constant
     rho_hat feeding the outer Dirichlet value -rho_hat R_out^(2 - n/k),
     until rho_hat is stable to 1e-8 relative.
+
+    Every Newton solve of the call is a chord iteration on one shared
+    sparse LU of the finite-difference Jacobian, factored again only when
+    its steps stop contracting (see _newton_solve).  S_1 is linear, so a
+    k = 1 solve factors once; for k >= 2 the Jacobian drifts slowly and a
+    few factorizations serve the whole continuation.  max_newton caps the
+    steps of each Newton solve.  The returned field carries the counts of
+    factorizations, back-solves and residual evaluations.
     """
     n, k = spec.n, spec.k
     if body.n != n:
@@ -623,6 +669,7 @@ def solve_exterior(
     U = -np.exp(-alpha * grid.s[:, None] * grid.D[None, :])
     rho_hat, _ = _fit_rho(grid, U, alpha)
 
+    chord = _ChordFactor()
     rn = float("nan")
     for eps in schedule:
         f_int = _rhs_values(grid.r_nodes[1:-1], eps, n, spec.cnk)
@@ -634,7 +681,9 @@ def solve_exterior(
             # admissible state
             ratio = (-rho_hat * R_out ** (-alpha)) / U[-1, :]
             U = U * ratio[None, :] ** grid.s[:, None]
-            U, rn = _newton_solve(grid, U, n, k, f_int, tol_newton, max_newton)
+            U, rn = _newton_solve(
+                grid, U, n, k, f_int, tol_newton, max_newton, chord
+            )
             rho_new, _ = _fit_rho(grid, U, alpha)
             drel = abs(rho_new - rho_hat) / abs(rho_new)
             hist.append(rho_new)
@@ -667,6 +716,9 @@ def solve_exterior(
         rho_hat=rho_hat,
         cnk=spec.cnk,
         residual_norm=rn,
+        factorizations=chord.factorizations,
+        back_solves=chord.back_solves,
+        residual_evals=chord.residual_evals,
     )
     field.admissible = admissibility_margin(field)
     return field

@@ -58,6 +58,19 @@ class TestSolve:
         header = (tmp_path / "field.txt").read_text().splitlines()[0]
         assert "config=" in header and "eps_min=" in header
 
+    def test_prints_solve_counters(self, tmp_path, capsys):
+        code = cli.run([
+            "solve", "--body", "sphere", "--R", "1", "--n", "3", "--k", "1",
+            "--N-s", "32", "--out", str(tmp_path),
+        ])
+        out = capsys.readouterr().out
+        assert code == cli.EXIT_OK
+        line = next(ln for ln in out.splitlines() if ln.startswith("factor"))
+        counts = dict(tok.split("=") for tok in line.split())
+        assert set(counts) == {"factorizations", "back_solves", "residual_evals"}
+        assert int(counts["factorizations"]) == 1
+        assert int(counts["back_solves"]) >= 1
+
     def test_unknown_body_exits_2(self, tmp_path, capsys):
         code = cli.run([
             "solve", "--body", "cube", "--n", "3", "--k", "1",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from math import comb, log2, sqrt
 
-from hesslab.errors import PoorFit
+from hesslab.errors import NewtonStall, PoorFit
 from hesslab.monotone import ProblemSpec
 from hesslab.radial import RadialSolution
 from hesslab.solver import (
@@ -204,3 +204,28 @@ class TestConvergenceOrder:
             ue = np.vectorize(sol.value)(fld.grid.r_nodes)
             errs[N] = float(np.max(np.abs(fld.u - ue)))
         assert log2(errs[32] / errs[64]) >= 1.8
+
+
+class TestChordNewton:
+    def test_k1_fixture_factors_once(self, prolate_field):
+        # S_1 is linear: one LU serves every Newton, Picard and eps step
+        assert prolate_field.factorizations == 1
+        assert prolate_field.back_solves >= 3
+        assert prolate_field.residual_evals > prolate_field.back_solves
+
+    def test_k2_fixture_few_factorizations(self, sphere_k2_field):
+        assert 1 <= sphere_k2_field.factorizations <= 4
+
+    def test_row_length_equal_to_dimension(self):
+        # N_theta + 1 == n: a grid row must not be read as a position vector
+        body = RevolutionBody.sphere(1.0, n=17)
+        spec = ProblemSpec(n=17, k=1, a=1.0)
+        fld = solve_exterior(body, spec, N_s=32, N_theta=16)
+        assert np.max(np.abs(equation_residual(fld))) <= 1e-9
+        assert admissibility_margin(fld) >= -1e-12
+
+    def test_iteration_cap_raises(self):
+        body = RevolutionBody.sphere(1.0, n=5)
+        spec = ProblemSpec(n=5, k=2, a=2.0)
+        with pytest.raises(NewtonStall):
+            solve_exterior(body, spec, N_s=32, max_newton=2)
