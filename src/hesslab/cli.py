@@ -15,6 +15,7 @@ All emitted files carry the configuration hash and the final epsilon.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -247,32 +248,31 @@ def cmd_monotone(args):
         return EXIT_CONFIG
     field = _solve(args, spec, body)
     ts = _t_grid(args, spec)
-    if args.tol_mono is not None:
-        tol = args.tol_mono
-    else:
-        # Richardson estimate from a half-resolution companion solve
+    report = monotonicity_audit(field, spec, args.tol_mono or 0.0, t_grid=ts)
+    if args.tol_mono is None:
+        # Richardson estimate from a half-resolution companion solve; the
+        # audit's F values are the fine half of the pair
         coarse_args = argparse.Namespace(**vars(args))
         coarse_args.N_s = max(32, args.N_s // 2)
         coarse_args.N_theta = (
             None if args.N_theta is None else max(16, args.N_theta // 2)
         )
         coarse = _solve(coarse_args, spec, body)
-        Ff = np.array([F_eval(field, t, spec).F for t in ts])
         Fc = np.array([F_eval(coarse, t, spec).F for t in ts])
-        tol = float(np.max(np.abs(Ff - Fc)) / 3.0)
-    report = monotonicity_audit(field, spec, tol, t_grid=ts)
+        tol = float(np.max(np.abs(report.F - Fc)) / 3.0)
+        report = dataclasses.replace(report, tol_mono=tol)
     out = _outdir(args)
     path = out / "monotone.csv"
     with open(path, "w") as fh:
         fh.write(_header(args) + "\n")
         fh.write("t,C1,C2,intHk,intHk1,F,violation,limit_gap\n")
         prev = None
-        for t, F in zip(report.t, report.F):
-            res = F_eval(field, t, spec)
+        for res in report.results:
+            F = res.F
             viol = max(F - prev, 0.0) if prev is not None else 0.0
             prev = F
             fh.write(
-                f"{t:.12g},{res.C1:.12g},{res.C2:.12g},{res.int_hk:.12g},"
+                f"{res.t:.12g},{res.C1:.12g},{res.C2:.12g},{res.int_hk:.12g},"
                 f"{res.int_hk1:.12g},{F:.12g},{viol:.3e},"
                 f"{F - report.limit_value:.12g}\n"
             )

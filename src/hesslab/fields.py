@@ -2,9 +2,13 @@
 
 Converts second-order jets of u into level-set curvatures H_k, H_{k-1} and
 evaluates the regularized right-hand side of the approximating equation.
+A single jet is a dense Jet2; jets of an axisymmetric field at many points
+are the arrays of an AxiJets, whose curvatures come in closed form from
+the axisymmetric split of the Hessian.
 """
 
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
@@ -13,11 +17,14 @@ from .symfunc import ConeSpec, gamma_cone_contains, sigma_grad, symmetrize
 
 __all__ = [
     "AdmissibilityReport",
+    "AxiJets",
     "EpsilonRHS",
     "Jet2",
     "admissibility_audit",
     "approx_rhs",
     "levelset_curvature",
+    "levelset_curvature_axisym",
+    "rhs_at_radius",
 ]
 
 #: Default gradient threshold below which curvature formulas refuse to run.
@@ -45,6 +52,49 @@ class Jet2:
     @property
     def n(self):
         return self.g.size
+
+
+@dataclass(frozen=True)
+class AxiJets:
+    """Second-order jets of an axisymmetric u at many points, as arrays.
+
+    In the frame (z, rho, x_3, ..., x_n) of each point the gradient is
+    (uz, urho, 0, ..., 0) and the Hessian is block diagonal: the meridian
+    block M = [[uzz, uzrho], [uzrho, urhorho]] and kappat = u_rho / rho
+    times the identity of size n - 2.
+    """
+
+    n: int
+    z: np.ndarray
+    rho: np.ndarray
+    u: np.ndarray
+    uz: np.ndarray
+    urho: np.ndarray
+    uzz: np.ndarray
+    uzrho: np.ndarray
+    urhorho: np.ndarray
+    kappat: np.ndarray
+
+    @property
+    def r(self):
+        return np.hypot(self.z, self.rho)
+
+    @property
+    def grad_norm(self):
+        return np.hypot(self.uz, self.urho)
+
+    def jet(self, i) -> Jet2:
+        """The dense n-dimensional Jet2 of point i."""
+        n = self.n
+        x = np.zeros(n)
+        x[0], x[1] = self.z[i], self.rho[i]
+        g = np.zeros(n)
+        g[0], g[1] = self.uz[i], self.urho[i]
+        H = np.diag(np.full(n, float(self.kappat[i])))
+        H[0, 0] = self.uzz[i]
+        H[0, 1] = H[1, 0] = self.uzrho[i]
+        H[1, 1] = self.urhorho[i]
+        return Jet2(x=x, u=float(self.u[i]), g=g, H=H)
 
 
 @dataclass(frozen=True)
@@ -83,6 +133,11 @@ def approx_rhs(x, rhs: EpsilonRHS):
     return float(val) if np.ndim(val) == 0 else val
 
 
+def rhs_at_radius(r, eps, n, cnk=1.0):
+    """f^eps = cnk eps^2 (r^2 + eps^2)^(-n/2 - 1) at radii r, elementwise."""
+    return cnk * eps**2 * (r**2 + eps**2) ** (-n / 2.0 - 1.0)
+
+
 def levelset_curvature(jet: Jet2, k, sk_value, tau_grad=TAU_GRAD):
     """Level-set curvatures (H_k, H_{k-1}) at a non-critical point.
 
@@ -101,6 +156,36 @@ def levelset_curvature(jet: Jet2, k, sk_value, tau_grad=TAU_GRAD):
     h_km1 = float(g @ skij @ g) / gnorm ** (k + 1)
     correction = float(g @ skij @ (jet.H @ g)) / gnorm**2
     h_k = (sk_value - correction) / gnorm**k
+    return h_k, h_km1
+
+
+def levelset_curvature_axisym(jets: AxiJets, k, sk_values, tau_grad=TAU_GRAD):
+    """Arrays (H_k, H_{k-1}) of levelset_curvature at every jet of an AxiJets.
+
+    S_k^{ij} of the block-diagonal Hessian is block diagonal too, and its
+    meridian block is B = sum_j C(n-2, j) kappat^j G_{k-j}(M) with
+    G_1 = I, G_2 = tr(M) I - M and G_m = 0 for m > 2, that is
+    B = (c1 + c2 tr M) I - c2 M with c1 = C(n-2, k-1) kappat^(k-1) and
+    c2 = C(n-2, k-2) kappat^(k-2).  The gradient lies in the meridian
+    plane, so only B enters and no n-by-n matrix is built.
+    """
+    gn = jets.grad_norm
+    if np.any(gn < tau_grad):
+        raise DegenerateGradient(
+            f"|grad u| = {float(gn.min()):.3e} < {tau_grad:.1e}: critical point"
+        )
+    n, kap = jets.n, jets.kappat
+    c1 = comb(n - 2, k - 1) * kap ** (k - 1)
+    c2 = comb(n - 2, k - 2) * kap ** (k - 2) if k >= 2 else 0.0
+    gx, gy = jets.uz, jets.urho
+    mgx = jets.uzz * gx + jets.uzrho * gy  # M g
+    mgy = jets.uzrho * gx + jets.urhorho * gy
+    diag = c1 + c2 * (jets.uzz + jets.urhorho)
+    g2 = gn * gn
+    gmg = gx * mgx + gy * mgy
+    h_km1 = (diag * g2 - c2 * gmg) / gn ** (k + 1)
+    correction = (diag * gmg - c2 * (mgx * mgx + mgy * mgy)) / g2
+    h_k = (sk_values - correction) / gn**k
     return h_k, h_km1
 
 

@@ -319,7 +319,7 @@ def inequality_ledger(solution, body=None, spec: ProblemSpec = None,
     # opposing classical bound needs convexity
     if k == 1 and spread <= _SPREAD_LIMIT:
         try:
-            gap_cvx = qiu_xia_gap(body)
+            qiu_xia_gap(body)  # raises NotConvex
             s = curvature_samples(body)
             lhs = volume(body) * s.integrate(s.h_k(1))
             rhs = (n - 1) / n * s.area**2
@@ -364,8 +364,9 @@ def certify_ball(solution, body=None, spec: ProblemSpec = None,
 
     between its two opposing bounds (k >= 2), or for k = 1 the
     area-volume-curvature combination against its convexity bound;
-    near-equality certifies the ball.  (iii) Cross-check against the
-    profile's deviation from its mean radius.
+    near-equality (squeeze_rel <= tol) certifies the ball, anything else
+    is inconclusive.  The profile's deviation from its mean radius is
+    reported alongside but does not enter the verdict.
     """
     if spec is None:
         raise ValueError("certify_ball needs a ProblemSpec")
@@ -402,16 +403,7 @@ def certify_ball(solution, body=None, spec: ProblemSpec = None,
         )
 
     squeeze_rel = abs(lhs - rhs) / _scale(lhs, rhs)
-    if squeeze_rel <= tol and profile_dev <= 10.0 * tau_od:
-        verdict = CERTIFIED_BALL
-    elif squeeze_rel > tol and profile_dev > tau_od:
-        # small gradient spread but geometry clearly not a ball: the
-        # inputs are inconsistent with the rigidity chain
-        verdict = INCONCLUSIVE
-    elif squeeze_rel <= tol:
-        verdict = CERTIFIED_BALL
-    else:
-        verdict = INCONCLUSIVE
+    verdict = CERTIFIED_BALL if squeeze_rel <= tol else INCONCLUSIVE
     return CertificationReport(
         verdict, spread, profile_dev, float(lhs), float(rhs), squeeze_rel
     )

@@ -22,7 +22,12 @@ from math import comb
 import numpy as np
 
 from .errors import CriticalPointOnLevel, LevelOutOfRange
-from .fields import TAU_GRAD, EpsilonRHS, Jet2, approx_rhs, levelset_curvature
+from .fields import (
+    TAU_GRAD,
+    AxiJets,
+    levelset_curvature_axisym,
+    rhs_at_radius,
+)
 from .surfaces import RevolutionBody, curvature_samples, sphere_measure
 
 __all__ = [
@@ -166,7 +171,7 @@ class LevelSetCurve:
     seg_rho: np.ndarray  # (nseg, 2) endpoint rho
     mid_s: np.ndarray
     mid_theta: np.ndarray
-    jets: list  # Jet2 at segment midpoints
+    jets: AxiJets  # jets at the segment midpoints
     weight: np.ndarray  # segment length * |S^(n-2)| rho^(n-2)
 
     @property
@@ -177,37 +182,41 @@ class LevelSetCurve:
         return float(np.sum(np.asarray(values) * self.weight))
 
 
-_EDGES = {  # marching-squares segment table: case -> list of edge pairs
-    1: [(3, 0)],
-    2: [(0, 1)],
-    3: [(3, 1)],
-    4: [(1, 2)],
-    5: [(3, 0), (1, 2)],
-    6: [(0, 2)],
-    7: [(3, 2)],
-    8: [(2, 3)],
-    9: [(2, 0)],
-    10: [(0, 1), (2, 3)],
-    11: [(2, 1)],
-    12: [(1, 3)],
-    13: [(1, 0)],
-    14: [(0, 3)],
-}
+# Marching squares.  Cell (i, j) has corners 0 = (i, j), 1 = (i+1, j),
+# 2 = (i+1, j+1), 3 = (i, j+1); its case code sets bit c when u - t > 0 at
+# corner c.  Edge e joins corners _EDGE_ENDS[e]; case c emits the segments
+# (_SEG_EDGES[c, m, 0], _SEG_EDGES[c, m, 1]) for m < _SEG_COUNT[c].
+_CORNERS = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
+_EDGE_ENDS = np.array([(0, 1), (1, 2), (3, 2), (0, 3)])
+_SEG_EDGES = np.array([
+    [(0, 0), (0, 0)],  # 0: no crossing
+    [(3, 0), (0, 0)],
+    [(0, 1), (0, 0)],
+    [(3, 1), (0, 0)],
+    [(1, 2), (0, 0)],
+    [(3, 0), (1, 2)],  # 5: saddle
+    [(0, 2), (0, 0)],
+    [(3, 2), (0, 0)],
+    [(2, 3), (0, 0)],
+    [(2, 0), (0, 0)],
+    [(0, 1), (2, 3)],  # 10: saddle
+    [(2, 1), (0, 0)],
+    [(1, 3), (0, 0)],
+    [(1, 0), (0, 0)],
+    [(0, 3), (0, 0)],
+    [(0, 0), (0, 0)],  # 15: no crossing
+])
+_SEG_COUNT = np.array([0, 1, 1, 1, 1, 2, 1, 1, 1, 1, 2, 1, 1, 1, 1, 0])
 
 
-def _edge_point(edge, i, j, f, hs, ht):
-    """Crossing point of a cell edge in (s, theta) coordinates.
-
-    Corners: 0=(i,j), 1=(i+1,j), 2=(i+1,j+1), 3=(i,j+1); f holds u - t.
-    """
-    corners = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
-    a, b = {0: (0, 1), 1: (1, 2), 2: (3, 2), 3: (0, 3)}[edge]
-    (ia, ja), (ib, jb) = corners[a], corners[b]
+def _crossings(edge, i, j, f, hs, ht):
+    """(s, theta) where u = t on edge `edge` of cell (i, j), all arrays."""
+    a, b = _CORNERS[_EDGE_ENDS[edge, 0]], _CORNERS[_EDGE_ENDS[edge, 1]]
+    ia, ja = i + a[:, 0], j + a[:, 1]
+    ib, jb = i + b[:, 0], j + b[:, 1]
     fa, fb = f[ia, ja], f[ib, jb]
     lam = fa / (fa - fb)
-    s = hs * (ia + lam * (ib - ia))
-    th = ht * (ja + lam * (jb - ja))
-    return s, th
+    return hs * (ia + lam * (ib - ia)), ht * (ja + lam * (jb - ja))
 
 
 def extract_levelset(field, t, tau_grad=TAU_GRAD) -> LevelSetCurve:
@@ -215,7 +224,7 @@ def extract_levelset(field, t, tau_grad=TAU_GRAD) -> LevelSetCurve:
 
     The level must sit strictly between the first interior grid row and the
     far-field row, so a full stencil separates the curve from both
-    boundaries.
+    boundaries.  Segments come in row-major cell order, two per saddle cell.
     """
     u = field.u
     if not (t > float(np.max(u[1, :])) and t < float(np.min(u[-1, :]))):
@@ -223,54 +232,44 @@ def extract_levelset(field, t, tau_grad=TAU_GRAD) -> LevelSetCurve:
             f"level {t} not strictly between boundary and far-field values"
         )
     grid = field.grid
-    ns, nt = u.shape
     hs = grid.s[1] - grid.s[0]
     ht = grid.theta[1] - grid.theta[0]
     f = u - t
-
-    pts_s, pts_t = [], []
-    for i in range(ns - 1):
-        block = f[i : i + 2, :]
-        if np.all(block > 0) or np.all(block < 0):
-            continue
-        for j in range(nt - 1):
-            case = (
-                (f[i, j] > 0) * 1
-                + (f[i + 1, j] > 0) * 2
-                + (f[i + 1, j + 1] > 0) * 4
-                + (f[i, j + 1] > 0) * 8
-            )
-            for e0, e1 in _EDGES.get(case, ()):
-                s0, th0 = _edge_point(e0, i, j, f, hs, ht)
-                s1, th1 = _edge_point(e1, i, j, f, hs, ht)
-                pts_s.append((s0, s1))
-                pts_t.append((th0, th1))
-    if not pts_s:
+    pos = f > 0
+    case = (
+        pos[:-1, :-1] * 1 + pos[1:, :-1] * 2 + pos[1:, 1:] * 4 + pos[:-1, 1:] * 8
+    )
+    ci, cj = np.nonzero((case > 0) & (case < 15))
+    if ci.size == 0:
         raise LevelOutOfRange(f"level {t} produced no contour segments")
+    code = case[ci, cj]
+    count = _SEG_COUNT[code]
+    cell = np.repeat(np.arange(code.size), count)
+    slot = np.arange(cell.size) - np.repeat(np.cumsum(count) - count, count)
+    edges = _SEG_EDGES[code[cell], slot]
+    i, j = ci[cell], cj[cell]
+    s0, th0 = _crossings(edges[:, 0], i, j, f, hs, ht)
+    s1, th1 = _crossings(edges[:, 1], i, j, f, hs, ht)
 
-    seg_s = np.array(pts_s)
-    seg_t = np.array(pts_t)
-    z0, rho0 = grid.to_physical(seg_s[:, 0], seg_t[:, 0])
-    z1, rho1 = grid.to_physical(seg_s[:, 1], seg_t[:, 1])
-    seg_z = np.stack([z0, z1], axis=1)
-    seg_rho = np.stack([rho0, rho1], axis=1)
+    z0, rho0 = grid.to_physical(s0, th0)
+    z1, rho1 = grid.to_physical(s1, th1)
     length = np.hypot(z1 - z0, rho1 - rho0)
-    mid_s = 0.5 * (seg_s[:, 0] + seg_s[:, 1])
-    mid_th = 0.5 * (seg_t[:, 0] + seg_t[:, 1])
+    mid_s = 0.5 * (s0 + s1)
+    mid_th = 0.5 * (th0 + th1)
     mid_rho = 0.5 * (rho0 + rho1)
 
-    jets = [field.jet_at(s, th) for s, th in zip(mid_s, mid_th)]
-    for jet in jets:
-        if jet.grad_norm < tau_grad:
-            raise CriticalPointOnLevel(
-                f"|grad u| = {jet.grad_norm:.3e} on level {t}"
-            )
+    jets = field.jets_at(mid_s, mid_th)
+    gn = jets.grad_norm
+    if np.any(gn < tau_grad):
+        raise CriticalPointOnLevel(
+            f"|grad u| = {float(gn.min()):.3e} on level {t}"
+        )
     weight = length * sphere_measure(field.n - 2) * mid_rho ** (field.n - 2)
     return LevelSetCurve(
         t=t,
         n=field.n,
-        seg_z=seg_z,
-        seg_rho=seg_rho,
+        seg_z=np.stack([z0, z1], axis=1),
+        seg_rho=np.stack([rho0, rho1], axis=1),
         mid_s=mid_s,
         mid_theta=mid_th,
         jets=jets,
@@ -289,16 +288,16 @@ class FResult:
 
 
 def F_eval(field, t, spec: ProblemSpec) -> FResult:
-    """Evaluate F(t) on an extracted level set of a solved field."""
+    """Evaluate F(t) on an extracted level set of a solved field.
+
+    All segments of the level at once: one batched jet evaluation at the
+    midpoints and H_k, H_{k-1} from the axisymmetric split.
+    """
     curve = extract_levelset(field, t, spec.tau_grad)
-    rhs = EpsilonRHS(eps=field.eps, n=spec.n, cnk=field.cnk)
-    hk = np.empty(curve.num_segments)
-    hk1 = np.empty(curve.num_segments)
-    gn = np.empty(curve.num_segments)
-    for idx, jet in enumerate(curve.jets):
-        sk_value = approx_rhs(float(np.linalg.norm(jet.x)), rhs)
-        hk[idx], hk1[idx] = levelset_curvature(jet, spec.k, sk_value, spec.tau_grad)
-        gn[idx] = jet.grad_norm
+    jets = curve.jets
+    sk = rhs_at_radius(jets.r, field.eps, spec.n, field.cnk)
+    hk, hk1 = levelset_curvature_axisym(jets, spec.k, sk, spec.tau_grad)
+    gn = jets.grad_norm
     int_hk = curve.integrate(hk * gn**spec.a)
     int_hk1 = curve.integrate(hk1 * gn ** (spec.a + 1))
     c1, c2 = weights(t, spec)
@@ -342,6 +341,7 @@ def F_boundary(field, body: RevolutionBody, spec: ProblemSpec) -> FResult:
 class MonotonicityReport:
     t: np.ndarray
     F: np.ndarray
+    results: tuple  # the FResult of each level, in t order
     upward_violation: float
     limit_value: float
     limit_gap_min: float
@@ -370,13 +370,15 @@ def monotonicity_audit(field, spec: ProblemSpec, tol_mono, t_grid=None):
     carries O(h^2) + O(eps^2) bias.
     """
     ts = np.asarray(t_grid if t_grid is not None else spec.t_grid, dtype=float)
-    Fs = np.array([F_eval(field, t, spec).F for t in ts])
+    results = tuple(F_eval(field, t, spec) for t in ts)
+    Fs = np.array([r.F for r in results])
     diffs = np.diff(Fs)
     upward = float(max(np.max(diffs, initial=0.0), 0.0))
     limit = limit_bound(spec, field.rho_hat)
     return MonotonicityReport(
         t=ts,
         F=Fs,
+        results=results,
         upward_violation=upward,
         limit_value=limit,
         limit_gap_min=float(np.min(Fs - limit)),

@@ -18,7 +18,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
 from .errors import NewtonStall, NonStarShaped, PoorFit, TruncationTooClose
-from .fields import Jet2
+from .fields import AxiJets, Jet2, rhs_at_radius
 from .surfaces import RevolutionBody
 
 __all__ = [
@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 FIELD_HEADER = "# exterior-field v1"
+
+#: The six meridian-jet arrays of _chain that are splined for off-node jets.
+_JET_KEYS = ("uz", "urho", "uzz", "uzrho", "urhorho", "kappat")
 
 
 @dataclass
@@ -130,7 +133,7 @@ def _ghost_row_residual(grid, U, v, which, n, k, eps, cnk):
     d = _chain(
         grid, np.array([[s_val]]), Us[None, :], Uss[None, :], Uth, Usth, Uthth
     )
-    f = _rhs_values(d["r"], eps, n, cnk)
+    f = rhs_at_radius(d["r"], eps, n, cnk)
     return _sigma_levels(d, n, k)[-1][0] - f[0]
 
 
@@ -277,11 +280,6 @@ def _sigma_levels(d, n, k):
     return out
 
 
-def _rhs_values(r, eps, n, cnk):
-    """f^eps = cnk eps^2 (r^2 + eps^2)^(-n/2 - 1) at radii r, elementwise."""
-    return cnk * eps**2 * (r**2 + eps**2) ** (-n / 2.0 - 1.0)
-
-
 @dataclass
 class ExteriorField:
     """Discrete solution of the approximating equation on an AxiGrid.
@@ -342,34 +340,28 @@ class ExteriorField:
         if self._spline_cache is None:
             grid = self.grid
             d = self._derived()
-            keys = ("uz", "urho", "uzz", "uzrho", "urhorho", "kappat")
             self._spline_cache = {
                 key: RectBivariateSpline(grid.s, grid.theta, d[key])
-                for key in keys
+                for key in _JET_KEYS
             }
             self._spline_cache["u"] = RectBivariateSpline(
                 grid.s, grid.theta, self.u
             )
         return self._spline_cache
 
-    def jet_at(self, s, theta) -> Jet2:
-        """Interpolated second-order jet at an off-node point (s, theta)."""
-        sp = self._splines()
+    def jets_at(self, s, theta) -> AxiJets:
+        """Interpolated jets at off-node points (s[i], theta[i]), in batch."""
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
         z, rho = self.grid.to_physical(s, theta)
-        n = self.n
-        x = np.zeros(n)
-        x[0], x[1] = float(z), float(rho)
-        g = np.zeros(n)
-        g[0] = sp["uz"](s, theta)[0, 0]
-        g[1] = sp["urho"](s, theta)[0, 0]
-        H = np.zeros((n, n))
-        H[0, 0] = sp["uzz"](s, theta)[0, 0]
-        H[0, 1] = H[1, 0] = sp["uzrho"](s, theta)[0, 0]
-        H[1, 1] = sp["urhorho"](s, theta)[0, 0]
-        kap = sp["kappat"](s, theta)[0, 0]
-        for idx in range(2, n):
-            H[idx, idx] = kap
-        return Jet2(x=x, u=float(sp["u"](s, theta)[0, 0]), g=g, H=H)
+        vals = {
+            key: sp(s, theta, grid=False) for key, sp in self._splines().items()
+        }
+        return AxiJets(n=self.n, z=z, rho=rho, **vals)
+
+    def jet_at(self, s, theta) -> Jet2:
+        """Interpolated second-order jet at one off-node point (s, theta)."""
+        return self.jets_at(s, theta).jet(0)
 
     def boundary_gradient(self, theta):
         """|grad u| on the body boundary, interpolated onto given angles."""
@@ -437,18 +429,12 @@ def hessian_axisym(field: ExteriorField, node) -> Jet2:
     """Second-order jet at a grid node (i, j), without interpolation."""
     i, j = node
     d = field._derived()
-    n = field.n
-    x = np.zeros(n)
-    x[0], x[1] = d["z"][i, j], d["rho"][i, j]
-    g = np.zeros(n)
-    g[0], g[1] = d["uz"][i, j], d["urho"][i, j]
-    H = np.zeros((n, n))
-    H[0, 0] = d["uzz"][i, j]
-    H[0, 1] = H[1, 0] = d["uzrho"][i, j]
-    H[1, 1] = d["urhorho"][i, j]
-    for idx in range(2, n):
-        H[idx, idx] = d["kappat"][i, j]
-    return Jet2(x=x, u=float(field.u[i, j]), g=g, H=H)
+    jets = AxiJets(
+        n=field.n,
+        u=field.u[i : i + 1, j],
+        **{key: d[key][i : i + 1, j] for key in ("z", "rho", *_JET_KEYS)},
+    )
+    return jets.jet(0)
 
 
 def equation_residual(field: ExteriorField):
@@ -458,7 +444,7 @@ def equation_residual(field: ExteriorField):
     sl = slice(1, -1)
     inner = {key: val[sl] for key, val in d.items()}
     Sk = _sigma_levels(inner, field.n, field.k)[-1]
-    return Sk - _rhs_values(inner["r"], field.eps, field.n, field.cnk)
+    return Sk - rhs_at_radius(inner["r"], field.eps, field.n, field.cnk)
 
 
 def admissibility_margin(field: ExteriorField):
@@ -672,7 +658,7 @@ def solve_exterior(
     chord = _ChordFactor()
     rn = float("nan")
     for eps in schedule:
-        f_int = _rhs_values(grid.r_nodes[1:-1], eps, n, spec.cnk)
+        f_int = rhs_at_radius(grid.r_nodes[1:-1], eps, n, spec.cnk)
         drel = float("inf")
         hist = [rho_hat]
         for _ in range(max_picard):

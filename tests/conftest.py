@@ -6,10 +6,19 @@ acceptance tests.
 """
 
 import pytest
+from hypothesis import settings
 
 from hesslab.monotone import ProblemSpec
 from hesslab.solver import solve_exterior
 from hesslab.surfaces import RevolutionBody
+
+# property tests draw the same examples on every run, keep no example
+# database and have no time limit per example, so the suite stays
+# deterministic on a loaded machine
+settings.register_profile(
+    "hesslab", derandomize=True, deadline=None, database=None
+)
+settings.load_profile("hesslab")
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hesslab import cli
+from hesslab import cli, monotone
 from hesslab.errors import NewtonStall
 from hesslab.solver import ExteriorField
 
@@ -104,6 +104,33 @@ class TestMonotone:
         assert all(b <= a + 1e-8 for a, b in zip(Fs, Fs[1:]))
         plot = (tmp_path / "monotone_plot.dat").read_text().splitlines()
         assert len(plot[1].split()) == 2
+
+    def test_one_F_eval_per_level_per_field(self, tmp_path, monkeypatch,
+                                            capsys):
+        calls = {}
+        real = monotone.F_eval
+
+        def counting(field, t, spec):
+            key = (field.grid.N_s, float(t))
+            calls[key] = calls.get(key, 0) + 1
+            return real(field, t, spec)
+
+        monkeypatch.setattr(monotone, "F_eval", counting)
+        monkeypatch.setattr(cli, "F_eval", counting)
+        ts = [-0.8, -0.6, -0.4, -0.3]
+        code = cli.run([
+            "monotone", "--body", "spheroid:1.5,1", "--n", "3", "--k", "1",
+            "--N-s", "64", "--t-grid=" + ",".join(map(str, ts)),
+            "--out", str(tmp_path),
+        ])
+        assert code == cli.EXIT_OK
+        # the fine field and its half-resolution Richardson companion
+        assert calls == {(N, t): 1 for N in (64, 32) for t in ts}
+        rows = (tmp_path / "monotone.csv").read_text().splitlines()[2:]
+        assert [float(row.split(",")[0]) for row in rows] == ts
+        for row in rows:
+            _, c1, c2, int_hk, int_hk1, F = map(float, row.split(",")[:6])
+            assert F == pytest.approx(c1 * int_hk + c2 * int_hk1, rel=1e-9)
 
 
 class TestIdentities:

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 from math import comb
 
 from hesslab.errors import DegenerateGradient
 from hesslab.fields import (
+    AxiJets,
     EpsilonRHS,
     Jet2,
     admissibility_audit,
     approx_rhs,
     levelset_curvature,
+    levelset_curvature_axisym,
 )
 from hesslab.radial import RadialSolution, radial_eval
 from hesslab.symfunc import sigma_matrix
@@ -99,6 +102,50 @@ class TestLevelsetSurfaceConsistency:
             want_k, want_k1 = spheroid_curvature_oracle(z, rho, a * s, b * s, n, k)
             assert hk == pytest.approx(want_k, rel=1e-6)
             assert hk1 == pytest.approx(want_k1, rel=1e-6)
+
+
+_entry = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+class TestAxisymmetricSplit:
+    """Closed-form H_k, H_{k-1} of AxiJets against the dense n x n route."""
+
+    @pytest.mark.parametrize("n,k", [(3, 1), (5, 2), (7, 3), (9, 4)])
+    @given(vals=st.tuples(*[_entry] * 7))
+    def test_matches_levelset_curvature(self, n, k, vals):
+        uz, urho, uzz, uzrho, urhorho, kap, f = vals
+        gn = np.hypot(uz, urho)
+        assume(gn >= 0.25)
+        g = np.zeros(n)
+        g[:2] = uz, urho
+        H = kap * np.eye(n)
+        H[:2, :2] = [[uzz, uzrho], [uzrho, urhorho]]
+        want_k, want_k1 = levelset_curvature(
+            Jet2(x=np.zeros(n), u=0.0, g=g, H=H), k, f
+        )
+        one = np.ones(1)
+        jets = AxiJets(
+            n=n, z=0 * one, rho=one, u=0 * one, uz=uz * one, urho=urho * one,
+            uzz=uzz * one, uzrho=uzrho * one, urhorho=urhorho * one,
+            kappat=kap * one,
+        )
+        hk, hk1 = levelset_curvature_axisym(jets, k, f)
+        # rounding is relative to the size of the terms, not of the result:
+        # S_k^{ij} is a sum of products of k - 1 Hessian entries
+        terms = comb(n, k - 1) * (1.0 + np.linalg.norm(H, 2)) ** (k - 1)
+        assert abs(hk1[0] - want_k1) <= 1e-10 * terms * gn ** (1 - k)
+        assert abs(hk[0] - want_k) <= 1e-10 * (
+            abs(f) + terms * np.linalg.norm(H, 2)
+        ) / gn**k
+
+    def test_degenerate_gradient_raises(self):
+        one = np.ones(3)
+        jets = AxiJets(
+            n=3, z=one, rho=one, u=one, uz=np.array([1.0, 0.0, 1.0]),
+            urho=np.zeros(3), uzz=one, uzrho=one, urhorho=one, kappat=one,
+        )
+        with pytest.raises(DegenerateGradient):
+            levelset_curvature_axisym(jets, 1, 0.0)
 
 
 class TestApproxRHS:

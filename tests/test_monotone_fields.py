@@ -10,6 +10,11 @@ import pytest
 from math import log2
 
 from hesslab.errors import LevelOutOfRange
+from hesslab.fields import (
+    levelset_curvature,
+    levelset_curvature_axisym,
+    rhs_at_radius,
+)
 from hesslab.monotone import (
     F_boundary,
     F_eval,
@@ -19,7 +24,7 @@ from hesslab.monotone import (
     monotonicity_audit,
 )
 from hesslab.radial import RadialSolution, radial_F
-from hesslab.solver import solve_exterior
+from hesslab.solver import AxiGrid, ExteriorField, solve_exterior
 from hesslab.surfaces import RevolutionBody, sphere_measure
 
 T_GRID_K1 = np.linspace(-0.9, -0.1, 9)
@@ -41,6 +46,93 @@ class TestExtractLevelset:
         # u(R_out) ~ -0.16 for the k=2 decay, so -0.05 is outside
         with pytest.raises(LevelOutOfRange):
             extract_levelset(sphere_k2_field, -0.05, 1e-8)
+
+    def test_meridian_half_circle_length(self, sphere_k1_field):
+        # the level t = -0.5 is the circle r = 2 of the meridian half-plane
+        curve = extract_levelset(sphere_k1_field, -0.5, 1e-8)
+        length = np.sum(np.hypot(np.diff(curve.seg_z, axis=1),
+                                 np.diff(curve.seg_rho, axis=1)))
+        g = sphere_k1_field.grid
+        h = max(g.ht, g.hs * float(np.max(g.D)))
+        assert abs(length - 2.0 * np.pi) <= 2.0 * np.pi * h**2
+
+
+def _scalar_marching_squares(f, hs, ht):
+    """Cell-by-cell reference contour of {f = 0}: (s0, th0, s1, th1) rows."""
+    table = {1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
+             5: [(3, 0), (1, 2)], 6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)],
+             9: [(2, 0)], 10: [(0, 1), (2, 3)], 11: [(2, 1)], 12: [(1, 3)],
+             13: [(1, 0)], 14: [(0, 3)]}
+    ends = {0: (0, 1), 1: (1, 2), 2: (3, 2), 3: (0, 3)}
+
+    def point(edge, i, j):
+        corners = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
+        (ia, ja), (ib, jb) = (corners[c] for c in ends[edge])
+        lam = f[ia, ja] / (f[ia, ja] - f[ib, jb])
+        return hs * (ia + lam * (ib - ia)), ht * (ja + lam * (jb - ja))
+
+    rows, saddles = [], 0
+    for i in range(f.shape[0] - 1):
+        for j in range(f.shape[1] - 1):
+            case = ((f[i, j] > 0) + 2 * (f[i + 1, j] > 0)
+                    + 4 * (f[i + 1, j + 1] > 0) + 8 * (f[i, j + 1] > 0))
+            saddles += case in (5, 10)
+            for e0, e1 in table.get(case, ()):
+                rows.append(point(e0, i, j) + point(e1, i, j))
+    return np.array(rows), saddles
+
+
+class TestMarchingSquaresReference:
+    def test_matches_cell_loop_with_saddles(self):
+        # a sampled field whose s-oscillation makes saddle cells at
+        # t = -0.7 and t = -0.4
+        grid = AxiGrid(body=RevolutionBody.sphere(1.0, n=3), R_out=40.0,
+                       N_s=64, N_theta=32)
+        s, th = grid.s[:, None], grid.theta[None, :]
+        u = -1.0 + 0.9 * s + 0.03 * np.sin(12 * np.pi * s) * np.cos(7 * th)
+        field = ExteriorField(grid=grid, u=u, k=1, eps=1e-8, rho_hat=1.0,
+                              pde_ghost=False)
+        saddles = 0
+        for t in (-0.7, -0.55, -0.4):
+            curve = extract_levelset(field, t, 0.0)
+            ref, n_saddle = _scalar_marching_squares(
+                u - t, grid.s[1] - grid.s[0], grid.theta[1] - grid.theta[0]
+            )
+            saddles += n_saddle
+            # same arithmetic in the same order: equal to the last bit
+            np.testing.assert_array_equal(curve.mid_s,
+                                          0.5 * (ref[:, 0] + ref[:, 2]))
+            np.testing.assert_array_equal(curve.mid_theta,
+                                          0.5 * (ref[:, 1] + ref[:, 3]))
+            z0, rho0 = grid.to_physical(ref[:, 0], ref[:, 1])
+            np.testing.assert_array_equal(curve.seg_z[:, 0], z0)
+            np.testing.assert_array_equal(curve.seg_rho[:, 0], rho0)
+        assert saddles > 0
+
+
+class TestArrayCurvatures:
+    """The closed-form split on all segments against the dense oracle."""
+
+    @pytest.mark.parametrize("fixture,k,levels", [
+        ("prolate_field", 1, (-0.8, -0.5, -0.2)),
+        ("sphere_k2_field", 2, (-0.8, -0.5, -0.3)),
+    ])
+    def test_matches_dense_levelset_curvature(self, request, fixture, k,
+                                              levels):
+        field = request.getfixturevalue(fixture)
+        n = field.n
+        for t in levels:
+            curve = extract_levelset(field, t, 1e-8)
+            jets = curve.jets
+            sk = rhs_at_radius(jets.r, field.eps, n, field.cnk)
+            hk, hk1 = levelset_curvature_axisym(jets, k, sk)
+            for i, (s, th) in enumerate(zip(curve.mid_s, curve.mid_theta)):
+                jet = field.jet_at(s, th)
+                f = rhs_at_radius(np.linalg.norm(jet.x), field.eps, n,
+                                  field.cnk)
+                want_k, want_k1 = levelset_curvature(jet, k, f)
+                assert hk[i] == pytest.approx(want_k, rel=1e-10)
+                assert hk1[i] == pytest.approx(want_k1, rel=1e-10)
 
 
 class TestFEvalOnFields:
