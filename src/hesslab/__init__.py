@@ -7,33 +7,27 @@ certification at desk scale.
 """
 
 from .errors import (
-    AxisDivision,
     CriticalPointOnLevel,
     DegenerateGradient,
     LevelOutOfRange,
     NewtonStall,
-    NonStarShaped,
     NotConvex,
     NotOverdetermined,
     OutOfDomain,
     PoorFit,
     StarShapeViolation,
-    TruncationTooClose,
 )
 
 __all__ = [
-    "AxisDivision",
     "CriticalPointOnLevel",
     "DegenerateGradient",
     "LevelOutOfRange",
     "NewtonStall",
-    "NonStarShaped",
     "NotConvex",
     "NotOverdetermined",
     "OutOfDomain",
     "PoorFit",
     "StarShapeViolation",
-    "TruncationTooClose",
 ]
 
 __version__ = "0.1.0"

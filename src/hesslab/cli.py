@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import HesslabError, NewtonStall, PoorFit, TruncationTooClose
+from .errors import HesslabError
 from .identities import (
     CERTIFIED_BALL,
     VIOLATED,
@@ -70,6 +70,11 @@ def _config_hash(args):
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
+def _config_error(message):
+    print(json.dumps({"config_errors": [message]}), file=sys.stderr)
+    raise SystemExit(EXIT_CONFIG)
+
+
 def _parse_body(args):
     """Builtin body specs: sphere, spheroid:a,b, cosper:amp,freq, or a
     revolution-profile file path prefixed with profile:."""
@@ -93,10 +98,17 @@ def _parse_body(args):
     )
 
 
-def _build_spec(args):
-    errors = []
+def _body(args):
+    """The body of args; an unknown or unreadable one is a config error."""
     try:
-        spec = ProblemSpec(
+        return _parse_body(args)
+    except (ValueError, OSError) as exc:
+        _config_error(str(exc))
+
+
+def _build_spec(args):
+    try:
+        return ProblemSpec(
             n=args.n,
             k=args.k,
             a=args.a,
@@ -106,12 +118,7 @@ def _build_spec(args):
             cnk=args.cnk,
         )
     except ValueError as exc:
-        errors.append(str(exc))
-        spec = None
-    if errors:
-        print(json.dumps({"config_errors": errors}), file=sys.stderr)
-        raise SystemExit(EXIT_CONFIG)
-    return spec
+        _config_error(str(exc))
 
 
 def _header(args):
@@ -124,7 +131,7 @@ def _outdir(args):
     return out
 
 
-def _t_grid(args, spec=None):
+def _t_grid(args):
     if args.t_grid:
         return np.asarray([float(v) for v in args.t_grid.split(",")])
     return np.linspace(-0.9, -0.25, 8)
@@ -140,12 +147,15 @@ def _solve(args, spec, body):
             N_s=args.N_s,
             N_theta=args.N_theta,
         )
-    except (NewtonStall, TruncationTooClose, PoorFit) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_SOLVER)
     except ValueError as exc:
-        print(json.dumps({"config_errors": [str(exc)]}), file=sys.stderr)
-        raise SystemExit(EXIT_CONFIG)
+        _config_error(str(exc))
+
+
+def _solution(args, spec, body):
+    """The closed-form radial solution on a sphere, a solved field otherwise."""
+    if args.body == "sphere":
+        return RadialSolution(n=args.n, k=args.k, R=args.R)
+    return _solve(args, spec, body)
 
 
 # -- subcommands -------------------------------------------------------
@@ -216,19 +226,11 @@ def cmd_radial(args):
 
 def cmd_solve(args):
     spec = _build_spec(args)
-    try:
-        body = _parse_body(args)
-    except (ValueError, OSError) as exc:
-        print(json.dumps({"config_errors": [str(exc)]}), file=sys.stderr)
-        return EXIT_CONFIG
+    body = _body(args)
     field = _solve(args, spec, body)
     out = _outdir(args)
     path = out / "field.txt"
-    field.save_checkpoint(path)
-    with open(path) as fh:
-        content = fh.read()
-    with open(path, "w") as fh:
-        fh.write(content.replace("\n", f" {_header(args)[2:]}\n", 1))
+    field.save_checkpoint(path, extra_header=_header(args)[2:])
     print(_header(args))
     print(f"rho_hat={field.rho_hat:.8g} residual={field.residual_norm:.3e} "
           f"margin={field.admissible:.3e}")
@@ -241,13 +243,9 @@ def cmd_solve(args):
 
 def cmd_monotone(args):
     spec = _build_spec(args)
-    try:
-        body = _parse_body(args)
-    except (ValueError, OSError) as exc:
-        print(json.dumps({"config_errors": [str(exc)]}), file=sys.stderr)
-        return EXIT_CONFIG
+    body = _body(args)
     field = _solve(args, spec, body)
-    ts = _t_grid(args, spec)
+    ts = _t_grid(args)
     report = monotonicity_audit(field, spec, args.tol_mono or 0.0, t_grid=ts)
     if args.tol_mono is None:
         # Richardson estimate from a half-resolution companion solve; the
@@ -301,15 +299,8 @@ def _ledger_rows(solution, body, spec):
 
 def cmd_identities(args):
     spec = _build_spec(args)
-    try:
-        body = _parse_body(args)
-    except (ValueError, OSError) as exc:
-        print(json.dumps({"config_errors": [str(exc)]}), file=sys.stderr)
-        return EXIT_CONFIG
-    if args.body == "sphere":
-        solution = RadialSolution(n=args.n, k=args.k, R=args.R)
-    else:
-        solution = _solve(args, spec, body)
+    body = _body(args)
+    solution = _solution(args, spec, body)
     rows = _ledger_rows(solution, body, spec)
     out = _outdir(args)
     path = out / "ledger.csv"
@@ -331,15 +322,8 @@ def cmd_identities(args):
 
 def cmd_certify(args):
     spec = _build_spec(args)
-    try:
-        body = _parse_body(args)
-    except (ValueError, OSError) as exc:
-        print(json.dumps({"config_errors": [str(exc)]}), file=sys.stderr)
-        return EXIT_CONFIG
-    if args.body == "sphere":
-        solution = RadialSolution(n=args.n, k=args.k, R=args.R)
-    else:
-        solution = _solve(args, spec, body)
+    body = _body(args)
+    solution = _solution(args, spec, body)
     report = certify_ball(solution, body, spec)
     print(_header(args))
     print(f"verdict={report.verdict} gradient_spread={report.gradient_spread:.3e} "
@@ -357,15 +341,8 @@ def cmd_report(args):
         sub = argparse.Namespace(**vars(args))
         sub.body = src
         spec = _build_spec(sub)
-        try:
-            body = _parse_body(sub)
-        except (ValueError, OSError) as exc:
-            print(json.dumps({"config_errors": [str(exc)]}), file=sys.stderr)
-            return EXIT_CONFIG
-        if src == "sphere":
-            solution = RadialSolution(n=sub.n, k=sub.k, R=sub.R)
-        else:
-            solution = _solve(sub, spec, body)
+        body = _body(sub)
+        solution = _solution(sub, spec, body)
         cert = certify_ball(solution, body, spec)
         rows = inequality_ledger(solution, body, spec)
         bad = [e.name for e in rows if e.verdict == VIOLATED]

@@ -9,16 +9,8 @@ class DegenerateGradient(HesslabError):
     """Gradient magnitude below threshold; level-set curvature undefined."""
 
 
-class AxisDivision(HesslabError):
-    """u_rho / rho evaluated at rho = 0 without the regularity substitution."""
-
-
 class StarShapeViolation(HesslabError):
     """<x, nu> <= 0 at a surface sample."""
-
-
-class PoleSingularity(HesslabError):
-    """Pole limit of the rotational curvature failed to converge."""
 
 
 class NotConvex(HesslabError):
@@ -31,14 +23,6 @@ class OutOfDomain(HesslabError):
 
 class NewtonStall(HesslabError):
     """No admissible residual-decreasing Newton step after maximal damping."""
-
-
-class NonStarShaped(HesslabError):
-    """Solver input body violates star-shapedness."""
-
-
-class TruncationTooClose(HesslabError):
-    """Fitted asymptotic constant oscillates; truncation radius too small."""
 
 
 class PoorFit(HesslabError):
@@ -55,7 +39,3 @@ class CriticalPointOnLevel(HesslabError):
 
 class NotOverdetermined(HesslabError):
     """Boundary |grad u| is not constant to tolerance; identity not asserted."""
-
-
-class ConfigError(HesslabError):
-    """Invalid run configuration; message lists every violated constraint."""

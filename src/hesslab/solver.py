@@ -17,7 +17,7 @@ from scipy.interpolate import CubicSpline, RectBivariateSpline
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
-from .errors import NewtonStall, NonStarShaped, PoorFit, TruncationTooClose
+from .errors import NewtonStall, PoorFit
 from .fields import AxiJets, Jet2, rhs_at_radius
 from .surfaces import RevolutionBody
 
@@ -142,7 +142,9 @@ def _solve_ghost_row(grid, U, which, n, k, eps, cnk):
 
     Per-node scalar Newton (simultaneous over the row, with a numerical
     slope); the weak theta-coupling through the mixed derivative is
-    folded into the slope and iterated out.
+    folded into the slope and iterated out.  Raises NewtonStall if the
+    row residual ends above 1e-10, the default Newton tolerance of the
+    solve.
     """
     if which == 0:
         v = 3 * U[0] - 3 * U[1] + U[2]
@@ -171,6 +173,12 @@ def _solve_ghost_row(grid, U, which, n, k, eps, cnk):
             break  # at the rounding floor
         v = v + lam * step
         phi = phi_new
+    worst = float(np.abs(phi).max())
+    if worst > 1e-10:
+        raise NewtonStall(
+            f"ghost row at s = {grid.s[which]:g} stopped at residual "
+            f"{worst:.3e} > 1e-10"
+        )
     return v
 
 
@@ -376,7 +384,9 @@ class ExteriorField:
 
     # -- checkpoint format --------------------------------------------
 
-    def save_checkpoint(self, path):
+    def save_checkpoint(self, path, extra_header=""):
+        """Write the field; extra_header holds further key=value tokens for
+        the header line (load_checkpoint reads and ignores them)."""
         grid = self.grid
         with open(path, "w") as fh:
             fh.write(
@@ -384,7 +394,9 @@ class ExteriorField:
                 f"cnk={self.cnk:.17g} rho_hat={self.rho_hat:.17g} "
                 f"residual_norm={self.residual_norm:.17g} "
                 f"admissible={self.admissible:.17g} "
-                f"R_out={grid.R_out:.17g} N_s={grid.N_s} N_theta={grid.N_theta}\n"
+                f"R_out={grid.R_out:.17g} N_s={grid.N_s} N_theta={grid.N_theta}"
+                + (f" {extra_header}" if extra_header else "")
+                + "\n"
             )
             fh.write("# theta gamma\n")
             for th, g in zip(grid.theta, grid.body.gamma):
@@ -453,14 +465,32 @@ def admissibility_margin(field: ExteriorField):
     return float(min(lvl.min() for lvl in levels))
 
 
+def _shell(grid: AxiGrid):
+    """Node radii and the mask of the far-field shell r in [0.6, 0.8] R_out.
+
+    The shell lies strictly between the Dirichlet rows (R_out is at least
+    ten body radii), so it covers interior nodes only.
+    """
+    r = grid.r_nodes
+    return r, (r >= 0.6 * grid.R_out) & (r <= 0.8 * grid.R_out)
+
+
 def _fit_rho(grid: AxiGrid, U, alpha):
     """Fit of -u r^alpha over the shell r in [0.6, 0.8] R_out."""
-    r = grid.r_nodes
-    mask = (r >= 0.6 * grid.R_out) & (r <= 0.8 * grid.R_out)
+    r, mask = _shell(grid)
     vals = -U[mask] * r[mask] ** alpha
     rho = float(vals.mean())
     spread = float(vals.std() / abs(rho))
     return rho, spread
+
+
+def _outer_weights(grid: AxiGrid, alpha):
+    """Weights c on the interior nodes with c . U_int = -rho_hat R_out^(-alpha),
+    rho_hat being the shell fit of U: the self-consistent outer Dirichlet
+    value is a linear functional of the interior unknowns."""
+    r, mask = _shell(grid)
+    c = np.where(mask, r**alpha, 0.0) * grid.R_out ** (-alpha) / mask.sum()
+    return c[1:-1]
 
 
 def estimate_rho(field: ExteriorField):
@@ -514,47 +544,72 @@ def _assemble_jacobian(residual, U_int):
 
 class _ChordFactor:
     """The one sparse LU of a solve_exterior call, shared by every Newton
-    solve, Picard step and eps level, with counters of the work done."""
+    step and eps level, with counters of the work done.
 
-    def __init__(self):
+    The outer Dirichlet row is the uniform value outer(U_int) = c . U_int
+    (see _outer_weights), so the Jacobian of the residual is J + b c^T.
+    J is the Jacobian with the outer row held fixed, banded like the
+    stencil; it is what gets factored.  b = d res / d(outer value) is
+    nonzero on the last interior row only.  Each factorization back-solves
+    z = J^(-1) b once, and a step then solves the bordered system by the
+    Sherman-Morrison formula, x - z (c . x) / (1 + c . z) with
+    x = -J^(-1) res.
+    """
+
+    def __init__(self, c):
+        self.c = c
         self.lu = None
         self.fresh = False  # factored at the current iterate
         self.factorizations = 0
         self.back_solves = 0
         self.residual_evals = 0
 
+    def outer(self, U_int):
+        return float(np.vdot(self.c, U_int))
+
     def refactor(self, residual, U_int):
-        J = _assemble_jacobian(residual, U_int)
+        bot = self.outer(U_int)
+        J = _assemble_jacobian(lambda V: residual(V, bot), U_int)
         self.lu = splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        delta = 1e-6 * max(1.0, abs(bot))
+        b = residual(U_int, bot + delta)[0] - residual(U_int, bot - delta)[0]
+        self.z = self._back_solve(b / (2 * delta))
+        self.denom = 1.0 + np.vdot(self.c, self.z)
         self.fresh = True
         self.factorizations += 1
 
-    def step(self, res):
+    def _back_solve(self, v):
         self.back_solves += 1
-        return self.lu.solve(-res.ravel()).reshape(res.shape)
+        return self.lu.solve(v.ravel()).reshape(v.shape)
+
+    def step(self, res):
+        x = self._back_solve(-res)
+        return x - self.z * (np.vdot(self.c, x) / self.denom)
 
 
 def _newton_solve(grid, U_full, n, k, f_int, tol, max_iter, chord):
     """Chord Newton on the interior unknowns with admissibility guards.
 
-    Steps come from chord's LU, which may have been factored at an earlier
-    iterate, Picard step or eps level.  The accepted step is the largest in
-    {1, 1/2, 1/4, ...} that decreases the residual sup-norm while keeping
-    the Gamma_k margin above a bound that tightens with the residual
-    itself.  The Jacobian is assembled and factored again at the current
-    iterate when a step from a stale factor is rejected, or when it fails
-    to halve a residual above tol; a rejected step from a fresh factor
-    raises NewtonStall.  Once the residual is within tol only the full
-    step is tried, and the iteration stops at the first step that does
-    not halve the residual: the rounding floor has been reached.
+    The outer Dirichlet row follows the unknowns as chord.outer(U_int),
+    so the solve lands on the self-consistent decay -rho_hat R_out^(-alpha)
+    with rho_hat the shell fit of its own result.  Steps come from chord's
+    LU, which may have been factored at an earlier iterate or eps level.
+    The accepted step is the largest in {1, 1/2, 1/4, ...} that decreases
+    the residual sup-norm while keeping the Gamma_k margin above a bound
+    that tightens with the residual itself.  The Jacobian is assembled and
+    factored again at the current iterate when a step from a stale factor
+    is rejected, or when it fails to halve a residual above tol; a
+    rejected step from a fresh factor raises NewtonStall.  Once the
+    residual is within tol only the full step is tried, and the iteration
+    stops at the first step that does not halve the residual: the
+    rounding floor has been reached.
     """
     top = U_full[0].copy()
-    bot = U_full[-1].copy()
     s_col = grid.s[1:-1, None]
 
-    def residual(U_int):
+    def residual(U_int, bot):
         chord.residual_evals += 1
-        U = np.vstack([top[None, :], U_int, bot[None, :]])
+        U = np.vstack([top[None, :], U_int, np.full_like(top, bot)[None, :]])
         Us, Uss, Uth, Usth, Uthth = _fd_all(U, grid.hs, grid.ht)
         d = _chain(
             grid,
@@ -571,7 +626,7 @@ def _newton_solve(grid, U_full, n, k, f_int, tol, max_iter, chord):
         return res, margin
 
     U_int = U_full[1:-1].copy()
-    res, _ = residual(U_int)
+    res, _ = residual(U_int, chord.outer(U_int))
     rn = float(np.abs(res).max())
     for _ in range(max_iter):
         if chord.lu is None:
@@ -581,7 +636,7 @@ def _newton_solve(grid, U_full, n, k, f_int, tol, max_iter, chord):
         lam, accepted = 1.0, False
         for _ in range(1 if at_floor else 41):
             cand = U_int + lam * step
-            res_c, margin_c = residual(cand)
+            res_c, margin_c = residual(cand, chord.outer(cand))
             rn_c = float(np.abs(res_c).max())
             if rn_c < rn and margin_c >= -max(1e-12, 1e-3 * rn_c):
                 accepted = True
@@ -604,6 +659,7 @@ def _newton_solve(grid, U_full, n, k, f_int, tol, max_iter, chord):
         chord.fresh = False
     if rn > tol:
         raise NewtonStall(f"Newton stopped at residual {rn:.3e} > {tol:.1e}")
+    bot = np.full_like(top, chord.outer(U_int))
     out = np.vstack([top[None, :], U_int, bot[None, :]])
     return out, rn
 
@@ -617,19 +673,20 @@ def solve_exterior(
     N_theta=None,
     tol_newton=1e-10,
     max_newton=60,
-    max_picard=15,
 ):
     """Solve the regularized exterior problem by eps-continuation.
 
-    For each eps in the (strictly decreasing) schedule, a Picard loop
-    alternates Newton solves with refreshes of the asymptotic constant
-    rho_hat feeding the outer Dirichlet value -rho_hat R_out^(2 - n/k),
-    until rho_hat is stable to 1e-8 relative.
+    The outer Dirichlet value is the decay -rho_hat R_out^(2 - n/k), with
+    rho_hat the far-field shell fit of the solution itself.  That fit is
+    linear in the node values, so the self-consistent outer value is part
+    of the Newton system, and each eps in the (strictly decreasing)
+    schedule takes exactly one Newton solve.
 
     Every Newton solve of the call is a chord iteration on one shared
-    sparse LU of the finite-difference Jacobian, factored again only when
-    its steps stop contracting (see _newton_solve).  S_1 is linear, so a
-    k = 1 solve factors once; for k >= 2 the Jacobian drifts slowly and a
+    sparse LU of the finite-difference Jacobian, with the outer value
+    folded in as a rank-one border (see _ChordFactor), factored again only
+    when its steps stop contracting (see _newton_solve).  S_1 is linear, so
+    a k = 1 solve factors once; for k >= 2 the Jacobian drifts slowly and a
     few factorizations serve the whole continuation.  max_newton caps the
     steps of each Newton solve.  The returned field carries the counts of
     factorizations, back-solves and residual evaluations.
@@ -637,9 +694,6 @@ def solve_exterior(
     n, k = spec.n, spec.k
     if body.n != n:
         raise ValueError(f"body dimension {body.n} != spec dimension {n}")
-    speed = np.sqrt(body.gamma**2 + body.dgamma**2)
-    if np.any(body.gamma**2 / speed <= 0):
-        raise NonStarShaped("<x, nu> <= 0 somewhere on the body profile")
     schedule = tuple(schedule if schedule is not None else spec.eps_schedule)
     if not all(a > b > 0 for a, b in zip(schedule, schedule[1:])) or not schedule:
         raise ValueError("eps schedule must be strictly decreasing and positive")
@@ -651,55 +705,25 @@ def solve_exterior(
     alpha = spec.decay_exponent
 
     # initial iterate: the pure decay power in the stretched coordinate,
-    # which matches u = -1 on the body exactly and is admissible
+    # which matches u = -1 on the body exactly, blended onto the uniform
+    # outer row of its own shell fit so that Newton starts from a smooth
+    # state (started from the raw power, the oblate n=5, k=2 spheroid
+    # 1,1.2 stalls)
     U = -np.exp(-alpha * grid.s[:, None] * grid.D[None, :])
     rho_hat, _ = _fit_rho(grid, U, alpha)
+    U = U * ((-rho_hat * R_out ** (-alpha)) / U[-1])[None, :] ** grid.s[:, None]
 
-    chord = _ChordFactor()
-    rn = float("nan")
+    chord = _ChordFactor(_outer_weights(grid, alpha))
     for eps in schedule:
         f_int = rhs_at_radius(grid.r_nodes[1:-1], eps, n, spec.cnk)
-        drel = float("inf")
-        hist = [rho_hat]
-        for _ in range(max_picard):
-            # blend the new outer value into the whole iterate instead of
-            # slamming the boundary row, so Newton restarts from a smooth
-            # admissible state
-            ratio = (-rho_hat * R_out ** (-alpha)) / U[-1, :]
-            U = U * ratio[None, :] ** grid.s[:, None]
-            U, rn = _newton_solve(
-                grid, U, n, k, f_int, tol_newton, max_newton, chord
-            )
-            rho_new, _ = _fit_rho(grid, U, alpha)
-            drel = abs(rho_new - rho_hat) / abs(rho_new)
-            hist.append(rho_new)
-            rho_hat = rho_new
-            if drel <= 1e-8:
-                break
-            # Aitken extrapolation: the fixed-point map is close to linear
-            # with a slow contraction factor for small decay exponents
-            if len(hist) >= 3:
-                d1 = hist[-2] - hist[-3]
-                d2 = hist[-1] - hist[-2]
-                denom = d2 - d1
-                if denom != 0.0:
-                    accel = hist[-1] - d2 * d2 / denom
-                    if 0.0 < accel < 10.0 * hist[-1]:
-                        rho_hat = accel
-                        hist = [rho_hat]
-        else:
-            if drel > 1e-4:
-                raise TruncationTooClose(
-                    f"rho_hat oscillation {drel:.2e} > 1e-4: R_out = {R_out} "
-                    "too small for the decay fit"
-                )
+        U, rn = _newton_solve(grid, U, n, k, f_int, tol_newton, max_newton, chord)
 
     field = ExteriorField(
         grid=grid,
         u=U,
         k=k,
         eps=schedule[-1],
-        rho_hat=rho_hat,
+        rho_hat=_fit_rho(grid, U, alpha)[0],
         cnk=spec.cnk,
         residual_norm=rn,
         factorizations=chord.factorizations,

@@ -30,11 +30,6 @@ __all__ = [
     "verify_matrix_identities",
 ]
 
-#: Dimension up to which sigma_matrix sums principal minors instead of
-#: using a symmetric eigendecomposition.
-MINOR_PATH_MAX_N = 6
-
-
 @dataclass(frozen=True)
 class ConeSpec:
     """Garding cone Gamma_k^+ in dimension n."""
@@ -106,8 +101,9 @@ def _sigma_eig(A, k):
 def sigma_matrix(A, k):
     """S_k(A) = S_k(eigenvalues of A) for symmetric A.
 
-    Uses principal-minor sums for n <= 6 and the eigendecomposition beyond;
-    the two paths agree to 1e-12 relative on well-scaled matrices.
+    _sigma_minors, the sum of principal minors, is the independent oracle
+    the tests compare against; the two agree to 1e-12 relative on
+    well-scaled matrices.
     """
     A = symmetrize(A)
     n = A.shape[0]
@@ -117,8 +113,6 @@ def sigma_matrix(A, k):
         return 1.0
     if k > n:
         return 0.0
-    if n <= MINOR_PATH_MAX_N:
-        return _sigma_minors(A, k)
     return _sigma_eig(A, k)
 
 

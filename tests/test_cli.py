@@ -58,6 +58,24 @@ class TestSolve:
         header = (tmp_path / "field.txt").read_text().splitlines()[0]
         assert "config=" in header and "eps_min=" in header
 
+    def test_checkpoint_bytes(self, tmp_path, capsys):
+        # the CLI header tokens go through save_checkpoint, whose output
+        # for a loaded field is the CLI's file byte for byte
+        code = cli.run([
+            "solve", "--body", "spheroid:1.5,1", "--n", "3", "--k", "1",
+            "--N-s", "32", "--out", str(tmp_path),
+        ])
+        assert code == cli.EXIT_OK
+        written = (tmp_path / "field.txt").read_text()
+        header = written.splitlines()[0].split()
+        assert header[-2].startswith("config=")
+        assert header[-1].startswith("eps_min=")
+        field = ExteriorField.load_checkpoint(tmp_path / "field.txt")
+        field.save_checkpoint(
+            tmp_path / "again.txt", extra_header=" ".join(header[-2:])
+        )
+        assert (tmp_path / "again.txt").read_text() == written
+
     def test_prints_solve_counters(self, tmp_path, capsys):
         code = cli.run([
             "solve", "--body", "sphere", "--R", "1", "--n", "3", "--k", "1",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from math import comb, log2, sqrt
 
+from hesslab import solver
 from hesslab.errors import NewtonStall, PoorFit
 from hesslab.monotone import ProblemSpec
 from hesslab.radial import RadialSolution
@@ -229,3 +230,64 @@ class TestChordNewton:
         spec = ProblemSpec(n=5, k=2, a=2.0)
         with pytest.raises(NewtonStall):
             solve_exterior(body, spec, N_s=32, max_newton=2)
+
+    @pytest.mark.parametrize("fixture,levels", [
+        ("sphere_k1_field", 4), ("prolate_field", 3), ("prolate_field_half", 3),
+        ("cosper_field", 3), ("cosper_field_half", 3),
+    ])
+    def test_k1_back_solves_per_eps_level(self, fixture, levels, request):
+        # the outer value is part of the linear system, so a k = 1 level
+        # takes one exact step and one step at the rounding floor
+        fld = request.getfixturevalue(fixture)
+        assert fld.back_solves <= 4 * levels
+
+    @pytest.mark.parametrize("fixture", [
+        "sphere_k1_field", "sphere_k2_field", "prolate_field",
+        "prolate_field_half", "cosper_field", "cosper_field_half",
+    ])
+    def test_outer_row_matches_rho_hat(self, fixture, request):
+        fld = request.getfixturevalue(fixture)
+        alpha = fld.n / fld.k - 2.0
+        outer = -fld.rho_hat * fld.grid.R_out ** (-alpha)
+        assert np.max(np.abs(fld.u[-1] - outer)) <= 1e-12 * abs(outer)
+
+    def test_one_newton_solve_per_eps_level(self, monkeypatch):
+        calls = []
+        real = solver._newton_solve
+
+        def counting(*args):
+            calls.append(args[4])
+            return real(*args)
+
+        monkeypatch.setattr(solver, "_newton_solve", counting)
+        body = RevolutionBody.spheroid(1.5, 1.0, n=3)
+        spec = ProblemSpec(n=3, k=1, a=1.0)
+        solve_exterior(body, spec, N_s=32)
+        assert len(calls) == len(spec.eps_schedule)
+
+    def test_oblate_k2_solves(self):
+        # started without the one-time blend onto a uniform outer row,
+        # this solve stalls at residual 0.37 on the first eps level
+        body = RevolutionBody.spheroid(1.0, 1.2, n=5)
+        spec = ProblemSpec(n=5, k=2, a=2.0)
+        fld = solve_exterior(body, spec, N_s=128)
+        assert fld.residual_norm <= 1e-10
+        assert fld.admissible >= -1e-12
+
+    def test_no_picard_option(self):
+        body = RevolutionBody.sphere(1.0, n=3)
+        spec = ProblemSpec(n=3, k=1, a=1.0)
+        with pytest.raises(TypeError):
+            solve_exterior(body, spec, N_s=32, max_picard=15)
+
+
+class TestGhostRows:
+    def test_unconverged_ghost_row_raises(self):
+        # u is not near any solution of the equation, so no ghost value
+        # makes S_2 = f^eps hold on the body row
+        body = RevolutionBody.sphere(1.0, n=5)
+        grid = AxiGrid(body=body, R_out=40.0, N_s=32, N_theta=16)
+        u = -1.0 - (grid.r_nodes - 1.0) ** 2 / 100.0
+        fld = ExteriorField(grid=grid, u=u, k=2, eps=0.02, rho_hat=1.0)
+        with pytest.raises(NewtonStall, match="ghost row"):
+            admissibility_margin(fld)
