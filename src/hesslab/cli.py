@@ -400,25 +400,16 @@ def build_parser():
     _add_common(p)
     p.set_defaults(func=cmd_radial)
 
-    p = sub.add_parser("solve", help="solve and save a field checkpoint")
-    _add_common(p, need_body=True)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("monotone", help="F(t) audit table")
-    _add_common(p, need_body=True)
-    p.set_defaults(func=cmd_monotone)
-
-    p = sub.add_parser("identities", help="identity and inequality ledger")
-    _add_common(p, need_body=True)
-    p.set_defaults(func=cmd_identities)
-
-    p = sub.add_parser("certify", help="ball certification verdict")
-    _add_common(p, need_body=True)
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("report", help="aggregate body battery")
-    _add_common(p, need_body=True)
-    p.set_defaults(func=cmd_report)
+    for name, func, help_text in (
+        ("solve", cmd_solve, "solve and save a field checkpoint"),
+        ("monotone", cmd_monotone, "F(t) audit table"),
+        ("identities", cmd_identities, "identity and inequality ledger"),
+        ("certify", cmd_certify, "ball certification verdict"),
+        ("report", cmd_report, "aggregate body battery"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p, need_body=True)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -8,12 +8,11 @@ the axisymmetric split of the Hessian.
 """
 
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
 
 from .errors import DegenerateGradient
-from .symfunc import ConeSpec, gamma_cone_contains, sigma_grad, symmetrize
+from .symfunc import ConeSpec, gamma_cone_contains, sigma_grad, sigma_split, symmetrize
 
 __all__ = [
     "AdmissibilityReport",
@@ -162,29 +161,27 @@ def levelset_curvature(jet: Jet2, k, sk_value, tau_grad=TAU_GRAD):
 def levelset_curvature_axisym(jets: AxiJets, k, sk_values, tau_grad=TAU_GRAD):
     """Arrays (H_k, H_{k-1}) of levelset_curvature at every jet of an AxiJets.
 
-    S_k^{ij} of the block-diagonal Hessian is block diagonal too, and its
-    meridian block is B = sum_j C(n-2, j) kappat^j G_{k-j}(M) with
-    G_1 = I, G_2 = tr(M) I - M and G_m = 0 for m > 2, that is
-    B = (c1 + c2 tr M) I - c2 M with c1 = C(n-2, k-1) kappat^(k-1) and
-    c2 = C(n-2, k-2) kappat^(k-2).  The gradient lies in the meridian
-    plane, so only B enters and no n-by-n matrix is built.
+    S_k^{ij} of the block-diagonal Hessian is block diagonal too.  The
+    gradient lies in the meridian plane, so only its meridian block
+    B = dS_k/dM enters, and sigma_split gives B in closed form; no n-by-n
+    matrix is built.
     """
     gn = jets.grad_norm
     if np.any(gn < tau_grad):
         raise DegenerateGradient(
             f"|grad u| = {float(gn.min()):.3e} < {tau_grad:.1e}: critical point"
         )
-    n, kap = jets.n, jets.kappat
-    c1 = comb(n - 2, k - 1) * kap ** (k - 1)
-    c2 = comb(n - 2, k - 2) * kap ** (k - 2) if k >= 2 else 0.0
+    b11, b12, b22, _ = sigma_split(
+        jets.uzz, jets.uzrho, jets.urhorho, jets.kappat, jets.n - 2, k, grad=True
+    ).grad
+    b12 = 0.5 * b12  # dS_k/duzrho counts both off-diagonal entries
     gx, gy = jets.uz, jets.urho
+    bgx = b11 * gx + b12 * gy  # B g
+    bgy = b12 * gx + b22 * gy
     mgx = jets.uzz * gx + jets.uzrho * gy  # M g
     mgy = jets.uzrho * gx + jets.urhorho * gy
-    diag = c1 + c2 * (jets.uzz + jets.urhorho)
-    g2 = gn * gn
-    gmg = gx * mgx + gy * mgy
-    h_km1 = (diag * g2 - c2 * gmg) / gn ** (k + 1)
-    correction = (diag * gmg - c2 * (mgx * mgx + mgy * mgy)) / g2
+    h_km1 = (gx * bgx + gy * bgy) / gn ** (k + 1)
+    correction = (bgx * mgx + bgy * mgy) / (gn * gn)
     h_k = (sk_values - correction) / gn**k
     return h_k, h_km1
 

@@ -21,7 +21,7 @@ from scipy.integrate import simpson
 from .errors import NotConvex, NotOverdetermined
 from .monotone import ProblemSpec
 from .radial import RadialSolution, exterior_skm1_grad2_integral
-from .solver import ExteriorField, _sigma_levels
+from .solver import ExteriorField
 from .surfaces import (
     RevolutionBody,
     af_gap,
@@ -31,6 +31,7 @@ from .surfaces import (
     sphere_measure,
     volume,
 )
+from .symfunc import sigma_split
 
 __all__ = [
     "CertificationReport",
@@ -146,7 +147,9 @@ def _gradient_energy_integral(solution, body):
     n, k = solution.n, solution.k
     d = solution._derived()
     grad2 = d["uz"] ** 2 + d["urho"] ** 2
-    skm1 = _sigma_levels(d, n, k - 1)[-1]
+    skm1 = sigma_split(
+        d["uzz"], d["uzrho"], d["urhorho"], d["kappat"], n - 2, k - 1
+    ).levels[-1]
     # density ~ r^(-(alpha+2)(k-1)) * r^(-2(alpha+1)) = r^(-(n + n/k - 2))
     decay = n + n / k - 2.0
     return _field_volume_integral(solution, skm1 * grad2, decay)

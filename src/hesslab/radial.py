@@ -15,6 +15,7 @@ from scipy.integrate import quad
 from .errors import OutOfDomain
 from .fields import Jet2
 from .monotone import ProblemSpec, sphere_measure, weights
+from .symfunc import sigma_split
 
 __all__ = [
     "RadialSolution",
@@ -159,9 +160,7 @@ def exterior_skm1_grad2_integral(sol: RadialSolution, r_cut_factor=10.0):
 
     def integrand(r):
         lam_t = sol.slope(r) / r
-        skm1 = comb(n - 1, k - 1) * lam_t ** (k - 1)
-        if k >= 2:
-            skm1 += comb(n - 1, k - 2) * sol.second(r) * lam_t ** (k - 2)
+        skm1 = sigma_split(sol.second(r), 0.0, 0.0, lam_t, n - 1, k - 1).levels[-1]
         return skm1 * sol.slope(r) ** 2 * sphere_measure(n - 1) * r ** (n - 1)
 
     r_cut = r_cut_factor * sol.R

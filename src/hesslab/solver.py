@@ -14,12 +14,14 @@ from math import comb, log, pi
 
 import numpy as np
 from scipy.interpolate import CubicSpline, RectBivariateSpline
-from scipy.sparse import coo_matrix
+from scipy.linalg import solve_banded
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .errors import NewtonStall, PoorFit
 from .fields import AxiJets, Jet2, rhs_at_radius
 from .surfaces import RevolutionBody
+from .symfunc import sigma_split
 
 __all__ = [
     "AxiGrid",
@@ -35,6 +37,7 @@ FIELD_HEADER = "# exterior-field v1"
 
 #: The six meridian-jet arrays of _chain that are splined for off-node jets.
 _JET_KEYS = ("uz", "urho", "uzz", "uzrho", "urhorho", "kappat")
+_SPLIT_KEYS = _JET_KEYS[2:]  # the jets S_k depends on
 
 
 @dataclass
@@ -69,6 +72,8 @@ class AxiGrid:
         self.d2lngam = self.body.d2gamma / g - self.dlngam**2
         self.D = log(self.R_out) - self.lngam
         self._g_spline = CubicSpline(self.theta, self.lngam, bc_type="clamped")
+        self._on_axis = np.abs(np.sin(self.theta)) < 1e-12
+        self._terms = None
 
     @property
     def r_nodes(self):
@@ -83,96 +88,218 @@ class AxiGrid:
         r = self.radius(s, theta)
         return r * np.cos(theta), r * np.sin(theta)
 
+    def _chain_terms(self):
+        """The chain rule, cached: (1/r on the grid, s - 1, terms).  Each
+        meridian jet is linear in F_q = (U_s, U_ss, U_theta, U_s theta,
+        U_theta theta): terms[jet] = (p, [(q, m, a(theta)), ...]) stands
+        for (1/r)^p sum a (s - 1)^m F_q.  kappat = u_rho / rho has zero
+        terms on the axis, where it is urhorho."""
+        if self._terms is None:
+            self._terms = (1.0 / self.r_nodes, self.s[:, None] - 1.0, _chain_rule(self))
+        return self._terms
 
-def _fd_all(U, hs, ht):
-    """All five (s, theta) derivatives of U on the full grid.
 
-    Interior rows use centered second-order stencils; the two Dirichlet
-    rows use one-sided stencils (third order for U_s, second for U_ss).
-    theta uses even-reflection ghosts at both poles throughout.
+def _poly_mul(x, y):
+    """Product of polynomials {(p, m): a(theta)} in 1/r and s - 1."""
+    out = {}
+    for (p1, m1), a in x.items():
+        for (p2, m2), b in y.items():
+            out[p1 + p2, m1 + m2] = out.get((p1 + p2, m1 + m2), 0.0) + a * b
+    return out
+
+
+def _chain_rule(grid: AxiGrid):
+    """The terms of AxiGrid._chain_terms: the radial map gives the polar
+    derivatives (u_r, u_t, u_rr, u_rt, u_tt) in the F_q, and the meridian
+    jets are the polar ones through the derivatives of (r, theta) in
+    (z, rho)."""
+    gp, iD = grid.dlngam, 1.0 / grid.D  # L = log(R_out / gamma) = D
+    sin, cos = np.sin(grid.theta), np.cos(grid.theta)
+    one = {(0, 0): 1.0}
+    s_r = {(1, 0): iD}
+    s_th = {(0, 1): gp * iD}
+    polar = (  # {q: polynomial} of u_r, u_t, u_rr, u_rt, u_tt
+        {0: s_r},
+        {0: s_th, 2: one},
+        {0: {(2, 0): -iD}, 1: _poly_mul(s_r, s_r)},
+        {0: {(1, 0): gp * iD**2}, 1: _poly_mul(s_r, s_th), 3: s_r},
+        {
+            0: {(0, 1): grid.d2lngam * iD + 2.0 * gp**2 * iD**2},
+            1: _poly_mul(s_th, s_th),
+            3: {(0, 1): 2.0 * gp * iD},
+            4: one,
+        },
+    )
+    sc = sin * cos
+    meridian = {  # coefficients of u_r, u_t, u_rr, u_rt, u_tt
+        "uz": ({(0, 0): cos}, {(1, 0): -sin}),
+        "urho": ({(0, 0): sin}, {(1, 0): cos}),
+        "uzz": ({(1, 0): sin**2}, {(2, 0): 2.0 * sc}, {(0, 0): cos**2},
+                {(1, 0): -2.0 * sc}, {(2, 0): sin**2}),
+        "uzrho": ({(1, 0): -sc}, {(2, 0): sin**2 - cos**2}, {(0, 0): sc},
+                  {(1, 0): cos**2 - sin**2}, {(2, 0): -sc}),
+        "urhorho": ({(1, 0): cos**2}, {(2, 0): -2.0 * sc}, {(0, 0): sin**2},
+                    {(1, 0): 2.0 * sc}, {(2, 0): cos**2}),
+    }
+    terms = {}
+    for key, weights in meridian.items():
+        acc = {}
+        for a, by_q in zip(weights, polar):
+            for q, poly in by_q.items():
+                for (p, m), c in _poly_mul(a, poly).items():
+                    acc[p, q, m] = acc.get((p, q, m), 0.0) + c
+        (p,) = {p for p, _, _ in acc}  # every term has the same power of 1/r
+        terms[key] = (p, [(q, m, c) for (_, q, m), c in sorted(acc.items())])
+    inv_sin = np.divide(1.0, sin, out=np.zeros_like(sin), where=~grid._on_axis)
+    terms["kappat"] = (2, [(q, m, c * inv_sin) for q, m, c in terms["urho"][1]])
+    return terms
+
+
+def _centered(U, hs, ht):
+    """The five (s, theta) derivatives F_q of U on its rows 1 .. -2.
+
+    Second-order centered stencils in both indices; theta uses
+    even-reflection ghosts at both poles.
     """
-    Us = np.empty_like(U)
-    Uss = np.empty_like(U)
-    Us[1:-1] = (U[2:] - U[:-2]) / (2 * hs)
-    Uss[1:-1] = (U[2:] - 2 * U[1:-1] + U[:-2]) / hs**2
-    Us[0] = (-11 * U[0] + 18 * U[1] - 9 * U[2] + 2 * U[3]) / (6 * hs)
-    Us[-1] = (11 * U[-1] - 18 * U[-2] + 9 * U[-3] - 2 * U[-4]) / (6 * hs)
-    Uss[0] = (2 * U[0] - 5 * U[1] + 4 * U[2] - U[3]) / hs**2
-    Uss[-1] = (2 * U[-1] - 5 * U[-2] + 4 * U[-3] - U[-4]) / hs**2
-
-    Uth, Uthth = _theta_derivs(U, ht)
+    Us = (U[2:] - U[:-2]) / (2 * hs)
+    Uss = (U[2:] - 2 * U[1:-1] + U[:-2]) / hs**2
+    Uth, Uthth = _theta_derivs(U[1:-1], ht)
     Usth = _theta_derivs(Us, ht)[0]
     return Us, Uss, Uth, Usth, Uthth
 
 
+def _fd_all(U, hs, ht):
+    """All five (s, theta) derivatives of U on the full grid: _centered on
+    the interior rows, one-sided stencils on the two Dirichlet rows (third
+    order for U_s, second for U_ss)."""
+    Us, Uss, Uth, _, Uthth = _centered(np.vstack([U[0], U, U[-1]]), hs, ht)
+    Us[0] = (-11 * U[0] + 18 * U[1] - 9 * U[2] + 2 * U[3]) / (6 * hs)
+    Us[-1] = (11 * U[-1] - 18 * U[-2] + 9 * U[-3] - 2 * U[-4]) / (6 * hs)
+    Uss[0] = (2 * U[0] - 5 * U[1] + 4 * U[2] - U[3]) / hs**2
+    Uss[-1] = (2 * U[-1] - 5 * U[-2] + 4 * U[-3] - U[-4]) / hs**2
+    return Us, Uss, Uth, _theta_derivs(Us, ht)[0], Uthth
+
+
 def _theta_derivs(A, ht):
     """Centered theta derivatives with even-reflection ghosts at the poles."""
-    A = np.atleast_2d(A)
-    G = np.empty((A.shape[0], A.shape[1] + 2))
-    G[:, 1:-1] = A
-    G[:, 0] = A[:, 1]
-    G[:, -1] = A[:, -2]
-    return (G[:, 2:] - G[:, :-2]) / (2 * ht), (
-        G[:, 2:] - 2 * A + G[:, :-2]
-    ) / ht**2
+    G = np.concatenate([A[:, 1:2], A, A[:, -2:-1]], axis=1)
+    return (G[:, 2:] - G[:, :-2]) / (2 * ht), (G[:, 2:] - 2 * A + G[:, :-2]) / ht**2
 
 
-def _ghost_row_residual(grid, U, v, which, n, k, eps, cnk):
-    """S_k - f^eps on a Dirichlet row, with ghost-row values v beyond it."""
+def _chain(grid: AxiGrid, rows, F, keys):
+    """The meridian jets named in keys (urhorho before kappat) on grid rows
+    `rows` (a slice), from the derivatives F = (U_s, U_ss, U_theta,
+    U_s theta, U_theta theta) there, by the cached AxiGrid._chain_terms."""
+    ir, t, terms = grid._chain_terms()
+    ir, t = ir[rows], t[rows]
+    moments = {}  # (s - 1)^m F_q
+    out = {}
+    for key in keys:
+        p, by_qm = terms[key]
+        for q, m, _ in by_qm:
+            if (q, m) not in moments:
+                moments[q, m] = F[q] if m == 0 else t**m * F[q]
+        (q, m, c), *rest = by_qm
+        acc = c * moments[q, m]
+        for q, m, c in rest:
+            acc += c * moments[q, m]
+        acc *= ir if p == 1 else ir * ir
+        out[key] = acc
+    out["kappat"][:, grid._on_axis] = out["urhorho"][:, grid._on_axis]
+    return out
+
+
+def _split(d, n, k, grad=False):
+    """S_0 .. S_k of the full Hessian of jets d, and with grad the partials
+    of S_k in (uzz, uzrho, urhorho, kappat)."""
+    return sigma_split(*(d[key] for key in _SPLIT_KEYS), n - 2, k, grad)
+
+
+def _margin(levels):
+    """min(S_1, ..., S_k) over the nodes."""
+    return float(min(lvl.min() for lvl in levels[1:]))
+
+
+def _stencil_weights(grid: AxiGrid, rows, partials):
+    """w_q = sum_c (dS_k/dc) C[c, q] on grid rows `rows`, C the chain-rule
+    coefficients: the linearization of S_k in the five F_q, from the
+    partials of _split.  On the axis kappat is urhorho."""
+    d_zz, d_zrho, d_rhorho, d_kap = partials
+    partials = (d_zz, d_zrho, d_rhorho + d_kap * grid._on_axis, d_kap)
+    ir, t, terms = grid._chain_terms()
+    ir2, t = ir[rows] ** 2, t[rows]
+    w = [0.0] * 5
+    for key, dS in zip(_SPLIT_KEYS, partials):
+        _, by_qm = terms[key]  # p = 2
+        dS = dS * ir2
+        for q, m, c in by_qm:
+            w[q] = w[q] + (dS * t**m) * c
+    return w
+
+
+def _jacobian_pattern(m, W):
+    """(indptr, indices, gather) of the CSC pattern of the 9-point stencil
+    on m interior rows of W nodes; entry e takes its value from the flat
+    index gather[e] of the _slots array.  Explicit zeros stay
+    in: without the zero mixed-derivative entries of a sphere, the
+    5-point pattern left is ordered far worse by MMD_AT_PLUS_A."""
+    col = np.arange(m * W, dtype=np.int32)[:, None]
+    slot = np.arange(8, -1, -1, dtype=np.int32)  # ascending rows in a column
+    ri, rj = col // W - (slot // 3 - 1), col % W - (slot % 3 - 1)
+    ok = (ri >= 0) & (ri < m) & (rj >= 0) & (rj < W)
+    indptr = np.concatenate([[0], np.cumsum(ok.sum(axis=1))]).astype(np.int32)
+    return indptr, (ri * W + rj)[ok], ((slot * m + ri) * W + rj)[ok]
+
+
+def _slots(grid: AxiGrid, w):
+    """V[di + 1, dj + 1, i, j] = d(sum_q w_q F_q)(i, j) / dU(i + di, j + dj)
+    for the centered stencils and weights w_q on rows i; at the poles the
+    reflected neighbour is folded onto the inner one."""
+    d1, d2, e = np.array([-0.5, 0.0, 0.5]), np.array([1.0, -2.0, 1.0]), np.eye(3)[1]
     hs, ht = grid.hs, grid.ht
-    if which == 0:
-        s_val, row, nbr = 0.0, U[0], U[1]
-        Us = (nbr - v) / (2 * hs)
-        Uss = (nbr - 2 * row + v) / hs**2
-    else:
-        s_val, row, nbr = 1.0, U[-1], U[-2]
-        Us = (v - nbr) / (2 * hs)
-        Uss = (v - 2 * row + nbr) / hs**2
-    Uth, Uthth = _theta_derivs(row[None, :], ht)
-    Usth = _theta_derivs(Us[None, :], ht)[0]
-    d = _chain(
-        grid, np.array([[s_val]]), Us[None, :], Uss[None, :], Uth, Usth, Uthth
-    )
-    f = rhs_at_radius(d["r"], eps, n, cnk)
-    return _sigma_levels(d, n, k)[-1][0] - f[0]
+    D = [np.outer(a, b) for a, b in ((d1 / hs, e), (d2 / hs**2, e), (e, d1 / ht),
+                                     (d1 / hs, d1 / ht), (e, d2 / ht**2))]
+    # not tensordot or einsum: they page in ~0.5 MB of new library code
+    V = sum(np.multiply.outer(Dq, wq) for Dq, wq in zip(D, w))
+    V[:, 2, :, 0] += V[:, 0, :, 0]
+    V[:, 0, :, -1] += V[:, 2, :, -1]
+    return V
 
 
-def _solve_ghost_row(grid, U, which, n, k, eps, cnk):
-    """Ghost-row values making the equation hold on a Dirichlet row.
+def _ghost_row_residual(grid, U, v, which, n, k, f, grad=False):
+    """S_k - f^eps on Dirichlet row `which` (0 or -1), with ghost values v
+    beyond it; with grad, also d/dv in solve_banded's (1, 1) layout, which
+    is tridiagonal: v enters the stencils as the row di = -1 or +1."""
+    ext = np.vstack([v, U[0], U[1]] if which == 0 else [U[-2], U[-1], v])
+    rows = slice(0, 1) if which == 0 else slice(-1, None)
+    d = _chain(grid, rows, _centered(ext, grid.hs, grid.ht), _SPLIT_KEYS)
+    split = _split(d, n, k, grad)
+    phi = split.levels[-1][0] - f
+    if not grad:
+        return phi
+    w = _stencil_weights(grid, rows, split.grad)
+    V = _slots(grid, w)[0 if which == 0 else 2, :, 0]
+    ab = np.zeros((3, v.size))
+    ab[0, 1:], ab[1], ab[2, :-1] = V[2, :-1], V[1], V[0, 1:]
+    return phi, ab
 
-    Per-node scalar Newton (simultaneous over the row, with a numerical
-    slope); the weak theta-coupling through the mixed derivative is
-    folded into the slope and iterated out.  Raises NewtonStall if the
-    row residual ends above 1e-10, the default Newton tolerance of the
-    solve.
-    """
-    if which == 0:
-        v = 3 * U[0] - 3 * U[1] + U[2]
-    else:
-        v = 3 * U[-1] - 3 * U[-2] + U[-3]
-    dv = 1e-6 * max(1.0, float(np.abs(v).max()))
-    phi = _ghost_row_residual(grid, U, v, which, n, k, eps, cnk)
+
+def _solve_ghost_row(field, which):
+    """Ghost values making the equation hold on Dirichlet row `which` of
+    a field: Newton with the exact tridiagonal Jacobian from cubic
+    extrapolation, until a step no longer lowers the row residual.  Raises
+    NewtonStall if it ends above 1e-10, the default Newton tolerance."""
+    grid, U, n, k = field.grid, field.u, field.n, field.k
+    i = 1 if which == 0 else -1
+    v = 3 * U[which] - 3 * U[which + i] + U[which + 2 * i]
+    f = rhs_at_radius(grid.r_nodes[which], field.eps, n, field.cnk)
+    phi, ab = _ghost_row_residual(grid, U, v, which, n, k, f, grad=True)
     for _ in range(60):
-        if np.abs(phi).max() <= 1e-14:
+        v_new = v - solve_banded((1, 1), ab, phi)
+        phi_new, ab_new = _ghost_row_residual(grid, U, v_new, which, n, k, f, True)
+        if not np.abs(phi_new).max() < np.abs(phi).max():
             break
-        slope = (
-            _ghost_row_residual(grid, U, v + dv, which, n, k, eps, cnk)
-            - _ghost_row_residual(grid, U, v - dv, which, n, k, eps, cnk)
-        ) / (2 * dv)
-        slope = np.where(np.abs(slope) > 1e-30, slope, 1e-30)
-        step = -phi / slope
-        lam = 1.0
-        for _ in range(30):
-            phi_new = _ghost_row_residual(
-                grid, U, v + lam * step, which, n, k, eps, cnk
-            )
-            if np.abs(phi_new).max() < np.abs(phi).max():
-                break
-            lam *= 0.5
-        else:
-            break  # at the rounding floor
-        v = v + lam * step
-        phi = phi_new
+        v, phi, ab = v_new, phi_new, ab_new
     worst = float(np.abs(phi).max())
     if worst > 1e-10:
         raise NewtonStall(
@@ -182,121 +309,16 @@ def _solve_ghost_row(grid, U, which, n, k, eps, cnk):
     return v
 
 
-def _derived_with_ghosts(grid, U, n, k, eps, cnk):
-    """Full-grid jets with centered stencils throughout, closing the two
-    Dirichlet rows by equation-consistent ghost rows."""
-    v0 = _solve_ghost_row(grid, U, 0, n, k, eps, cnk)
-    v1 = _solve_ghost_row(grid, U, -1, n, k, eps, cnk)
-    U_ext = np.vstack([v0[None, :], U, v1[None, :]])
-    hs, ht = grid.hs, grid.ht
-    Us = (U_ext[2:] - U_ext[:-2]) / (2 * hs)
-    Uss = (U_ext[2:] - 2 * U_ext[1:-1] + U_ext[:-2]) / hs**2
-    Uth, Uthth = _theta_derivs(U, ht)
-    Usth = _theta_derivs(Us, ht)[0]
-    return _chain(grid, grid.s[:, None], Us, Uss, Uth, Usth, Uthth)
-
-
-def _chain(grid: AxiGrid, s_col, Us, Uss, Uth, Usth, Uthth):
-    """Physical meridian derivatives from (s, theta) derivatives.
-
-    s_col is the column vector of s values for the rows being processed.
-    Returns per-node arrays of the gradient, meridian Hessian block and
-    transverse curvature eigenvalue kappa_t = u_rho / rho (u_rhorho on
-    the axis).
-    """
-    gp = grid.dlngam[None, :]
-    gpp = grid.d2lngam[None, :]
-    D = grid.D[None, :]
-    th = grid.theta[None, :]
-    sin, cos = np.sin(th), np.cos(th)
-
-    r = np.exp(grid.lngam[None, :] + s_col * D)
-    s_r = 1.0 / (r * D)
-    s_th = gp * (s_col - 1.0) / D
-    s_rr = -1.0 / (r**2 * D)
-    s_rth = gp / (r * D**2)
-    s_thth = (s_col - 1.0) * (gpp / D + 2.0 * gp**2 / D**2)
-
-    u_r = Us * s_r
-    u_t = Us * s_th + Uth
-    u_rr = Uss * s_r**2 + Us * s_rr
-    u_rt = Uss * s_r * s_th + Usth * s_r + Us * s_rth
-    u_tt = Uss * s_th**2 + 2.0 * Usth * s_th + Uthth + Us * s_thth
-
-    th_z = -sin / r
-    th_rho = cos / r
-    uz = u_r * cos + u_t * th_z
-    urho = u_r * sin + u_t * th_rho
-
-    r_zz = sin**2 / r
-    r_zrho = -sin * cos / r
-    r_rhorho = cos**2 / r
-    th_zz = 2.0 * sin * cos / r**2
-    th_zrho = (sin**2 - cos**2) / r**2
-    th_rhorho = -2.0 * sin * cos / r**2
-
-    uzz = (
-        u_rr * cos**2 + 2.0 * u_rt * cos * th_z + u_tt * th_z**2
-        + u_r * r_zz + u_t * th_zz
-    )
-    uzrho = (
-        u_rr * cos * sin + u_rt * (cos * th_rho + sin * th_z)
-        + u_tt * th_z * th_rho + u_r * r_zrho + u_t * th_zrho
-    )
-    urhorho = (
-        u_rr * sin**2 + 2.0 * u_rt * sin * th_rho + u_tt * th_rho**2
-        + u_r * r_rhorho + u_t * th_rhorho
-    )
-
-    rho = r * sin
-    on_axis = np.broadcast_to(np.abs(sin) < 1e-12, rho.shape)
-    safe_rho = np.where(on_axis, 1.0, rho)
-    kappat = np.where(on_axis, urhorho, urho / safe_rho)
-
-    return {
-        "r": r,
-        "z": r * cos,
-        "rho": rho,
-        "uz": uz,
-        "urho": urho,
-        "uzz": uzz,
-        "uzrho": uzrho,
-        "urhorho": urhorho,
-        "kappat": kappat,
-    }
-
-
-def _sigma_levels(d, n, k):
-    """Arrays S_1 .. S_k of the full Hessian via its axisymmetric split:
-
-    S_m(full) = sum_j C(n-2, j) kappa_t^j S_{m-j}(meridian block).
-    """
-    SM1 = d["uzz"] + d["urhorho"]
-    SM2 = d["uzz"] * d["urhorho"] - d["uzrho"] ** 2
-    kap = d["kappat"]
-    out = []
-    for m in range(1, k + 1):
-        acc = np.zeros_like(SM1)
-        for j in range(max(0, m - 2), min(m, n - 2) + 1):
-            term = comb(n - 2, j) * kap**j
-            if m - j == 1:
-                term = term * SM1
-            elif m - j == 2:
-                term = term * SM2
-            acc = acc + term
-        out.append(acc)
-    return out
-
-
 @dataclass
 class ExteriorField:
     """Discrete solution of the approximating equation on an AxiGrid.
 
     u holds node values including both Dirichlet rows; treat a returned
     field as immutable.  The three counters record the work of the
-    solve_exterior call that produced the field (residual_evals includes
-    the evaluations inside Jacobian assembly); they are zero for sampled
-    or loaded fields and are not part of the checkpoint format.
+    solve_exterior call that produced the field (the Jacobian is analytic,
+    so residual_evals counts only the iterates Newton tried); they are
+    zero for sampled or loaded fields and are not part of the checkpoint
+    format.
     """
 
     grid: AxiGrid
@@ -334,14 +356,14 @@ class ExteriorField:
         if self._derived_cache is None:
             grid = self.grid
             if self.pde_ghost:
-                self._derived_cache = _derived_with_ghosts(
-                    grid, self.u, self.n, self.k, self.eps, self.cnk
-                )
+                v0, v1 = _solve_ghost_row(self, 0), _solve_ghost_row(self, -1)
+                F = _centered(np.vstack([v0, self.u, v1]), grid.hs, grid.ht)
             else:
-                Us, Uss, Uth, Usth, Uthth = _fd_all(self.u, grid.hs, grid.ht)
-                self._derived_cache = _chain(
-                    grid, grid.s[:, None], Us, Uss, Uth, Usth, Uthth
-                )
+                F = _fd_all(self.u, grid.hs, grid.ht)
+            d = _chain(grid, slice(None), F, _JET_KEYS)
+            r = grid.r_nodes
+            d.update(r=r, z=r * np.cos(grid.theta), rho=r * np.sin(grid.theta))
+            self._derived_cache = d
         return self._derived_cache
 
     def _splines(self):
@@ -402,8 +424,8 @@ class ExteriorField:
             for th, g in zip(grid.theta, grid.body.gamma):
                 fh.write(f"{th:.17g} {g:.17g}\n")
             fh.write("# u\n")
-            for row in self.u:
-                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+            fmt = " ".join(["%.17g"] * self.u.shape[1]) + "\n"
+            fh.writelines(fmt % tuple(row.tolist()) for row in self.u)
 
     @classmethod
     def load_checkpoint(cls, path):
@@ -453,16 +475,13 @@ def equation_residual(field: ExteriorField):
     """S_k(Hessian u) - f^eps on the interior rows (same stencil as the
     Newton solve)."""
     d = field._derived()
-    sl = slice(1, -1)
-    inner = {key: val[sl] for key, val in d.items()}
-    Sk = _sigma_levels(inner, field.n, field.k)[-1]
-    return Sk - rhs_at_radius(inner["r"], field.eps, field.n, field.cnk)
+    Sk = _split(d, field.n, field.k).levels[-1][1:-1]
+    return Sk - rhs_at_radius(d["r"][1:-1], field.eps, field.n, field.cnk)
 
 
 def admissibility_margin(field: ExteriorField):
     """Worst min(S_1, ..., S_k) over every grid node, boundaries included."""
-    levels = _sigma_levels(field._derived(), field.n, field.k)
-    return float(min(lvl.min() for lvl in levels))
+    return _margin(_split(field._derived(), field.n, field.k).levels)
 
 
 def _shell(grid: AxiGrid):
@@ -505,59 +524,34 @@ def estimate_rho(field: ExteriorField):
     return rho
 
 
-def _assemble_jacobian(residual, U_int):
-    """Sparse FD Jacobian by 9-coloring of the 3x3 stencil.
-
-    Nodes three apart in each index never share a residual row (the theta
-    reflection at the poles only folds immediate neighbors), so each of
-    the nine perturbation patterns yields unambiguous columns.  Central
-    differences are essential here: S_k is polynomial in the node values,
-    so they give exact entries (up to rounding) where one-sided quotients
-    pick up a curvature error growing like the squared stencil weights.
-    """
-    m, W = U_int.shape
-    delta = 1e-6 * max(1.0, float(np.abs(U_int).max()))
-    rows, cols, vals = [], [], []
-    for di in range(3):
-        for dj in range(3):
-            mask = np.zeros((m, W), dtype=bool)
-            mask[di::3, dj::3] = True
-            Up = U_int.copy()
-            Up[mask] += delta
-            Um = U_int.copy()
-            Um[mask] -= delta
-            dres = (residual(Up)[0] - residual(Um)[0]) / (2 * delta)
-            ic, jc = np.nonzero(mask)
-            for oi in (-1, 0, 1):
-                for oj in (-1, 0, 1):
-                    ir, jr = ic + oi, jc + oj
-                    ok = (ir >= 0) & (ir < m) & (jr >= 0) & (jr < W)
-                    rows.append(ir[ok] * W + jr[ok])
-                    cols.append(ic[ok] * W + jc[ok])
-                    vals.append(dres[ir[ok], jr[ok]])
-    size = m * W
-    return coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size),
-    ).tocsr()
+def _linearization(grid, d, n, k, pattern):
+    """(J, b) at the interior jets d: J = sum_q diag(w_q) D_q, D_q the
+    stencil of F_q, with the outer row held fixed, in the CSC pattern of
+    _jacobian_pattern; b its derivative in the outer value (U_s and U_ss
+    of the last interior row)."""
+    w = _stencil_weights(grid, slice(1, -1), _split(d, n, k, grad=True).grad)
+    indptr, indices, gather = pattern
+    J = csc_matrix((_slots(grid, w).ravel()[gather], indices, indptr),
+                   shape=(w[0].size,) * 2)
+    b = np.zeros_like(w[0])
+    b[-1] = w[0][-1] / (2 * grid.hs) + w[1][-1] / grid.hs**2
+    return J, b
 
 
 class _ChordFactor:
     """The one sparse LU of a solve_exterior call, shared by every Newton
     step and eps level, with counters of the work done.
 
-    The outer Dirichlet row is the uniform value outer(U_int) = c . U_int
-    (see _outer_weights), so the Jacobian of the residual is J + b c^T.
-    J is the Jacobian with the outer row held fixed, banded like the
-    stencil; it is what gets factored.  b = d res / d(outer value) is
-    nonzero on the last interior row only.  Each factorization back-solves
-    z = J^(-1) b once, and a step then solves the bordered system by the
-    Sherman-Morrison formula, x - z (c . x) / (1 + c . z) with
-    x = -J^(-1) res.
+    The unknowns are the interior rows, below the body row top and above
+    the uniform outer row outer(U_int) = c . U_int (see _outer_weights), so
+    the Jacobian is J + b c^T (see _linearization).  J is factored, and a
+    step solves the bordered system by Sherman-Morrison,
+    x - z (c . x) / (1 + c . z) with x = -J^(-1) res and z = J^(-1) b.
     """
 
-    def __init__(self, c):
-        self.c = c
+    def __init__(self, grid, top, n, k, c):
+        self.grid, self.top, self.n, self.k, self.c = grid, top, n, k, c
+        self.pattern = _jacobian_pattern(grid.N_s - 1, grid.N_theta + 1)
         self.lu = None
         self.fresh = False  # factored at the current iterate
         self.factorizations = 0
@@ -567,13 +561,25 @@ class _ChordFactor:
     def outer(self, U_int):
         return float(np.vdot(self.c, U_int))
 
-    def refactor(self, residual, U_int):
-        bot = self.outer(U_int)
-        J = _assemble_jacobian(lambda V: residual(V, bot), U_int)
-        self.lu = splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
-        delta = 1e-6 * max(1.0, abs(bot))
-        b = residual(U_int, bot + delta)[0] - residual(U_int, bot - delta)[0]
-        self.z = self._back_solve(b / (2 * delta))
+    def full(self, U_int):
+        """The full grid: the body row, U_int and the outer row."""
+        return np.vstack([self.top, U_int, np.full_like(self.top, self.outer(U_int))])
+
+    def evaluate(self, U_int, f_int):
+        """(interior jets, residual, its sup-norm, Gamma_k margin) at U_int."""
+        self.residual_evals += 1
+        grid = self.grid
+        d = _chain(grid, slice(1, -1), _centered(self.full(U_int), grid.hs, grid.ht),
+                   _SPLIT_KEYS)
+        levels = _split(d, self.n, self.k).levels
+        res = levels[-1] - f_int
+        return d, res, float(np.abs(res).max()), _margin(levels)
+
+    def refactor(self, d):
+        """Factor the Jacobian at the iterate whose jets are d."""
+        J, b = _linearization(self.grid, d, self.n, self.k, self.pattern)
+        self.lu = splu(J, permc_spec="MMD_AT_PLUS_A")
+        self.z = self._back_solve(b)
         self.denom = 1.0 + np.vdot(self.c, self.z)
         self.fresh = True
         self.factorizations += 1
@@ -587,64 +593,37 @@ class _ChordFactor:
         return x - self.z * (np.vdot(self.c, x) / self.denom)
 
 
-def _newton_solve(grid, U_full, n, k, f_int, tol, max_iter, chord):
-    """Chord Newton on the interior unknowns with admissibility guards.
+def _newton_solve(chord, U_int, f_int, tol, max_iter):
+    """Chord Newton on the interior unknowns with admissibility guards;
+    returns the solution and its residual sup-norm rn.
 
-    The outer Dirichlet row follows the unknowns as chord.outer(U_int),
-    so the solve lands on the self-consistent decay -rho_hat R_out^(-alpha)
-    with rho_hat the shell fit of its own result.  Steps come from chord's
-    LU, which may have been factored at an earlier iterate or eps level.
-    The accepted step is the largest in {1, 1/2, 1/4, ...} that decreases
-    the residual sup-norm while keeping the Gamma_k margin above a bound
-    that tightens with the residual itself.  The Jacobian is assembled and
-    factored again at the current iterate when a step from a stale factor
-    is rejected, or when it fails to halve a residual above tol; a
-    rejected step from a fresh factor raises NewtonStall.  Once the
-    residual is within tol only the full step is tried, and the iteration
-    stops at the first step that does not halve the residual: the
-    rounding floor has been reached.
+    Steps come from chord's LU, maybe of an earlier iterate or eps level.
+    The accepted step is the largest in {1, 1/2, ...} that lowers rn and
+    keeps the Gamma_k margin >= min(current margin, -max(1e-12, 1e-3 rn)),
+    so a non-admissible start may move but the margin never drops.  A
+    step from a stale factor that is rejected, or fails to halve an rn
+    above tol, refactors; a rejected step from a fresh factor raises
+    NewtonStall.  Within tol only full steps are tried, and the first
+    that does not halve rn ends the solve at the rounding floor.  Ending
+    on a non-admissible root (margin below -max(1e-12, 1e-3 rn)) raises.
     """
-    top = U_full[0].copy()
-    s_col = grid.s[1:-1, None]
-
-    def residual(U_int, bot):
-        chord.residual_evals += 1
-        U = np.vstack([top[None, :], U_int, np.full_like(top, bot)[None, :]])
-        Us, Uss, Uth, Usth, Uthth = _fd_all(U, grid.hs, grid.ht)
-        d = _chain(
-            grid,
-            s_col,
-            Us[1:-1],
-            Uss[1:-1],
-            Uth[1:-1],
-            Usth[1:-1],
-            Uthth[1:-1],
-        )
-        levels = _sigma_levels(d, n, k)
-        res = levels[-1] - f_int
-        margin = float(min(lvl.min() for lvl in levels))
-        return res, margin
-
-    U_int = U_full[1:-1].copy()
-    res, _ = residual(U_int, chord.outer(U_int))
-    rn = float(np.abs(res).max())
+    d, res, rn, margin = chord.evaluate(U_int, f_int)
     for _ in range(max_iter):
         if chord.lu is None:
-            chord.refactor(residual, U_int)
+            chord.refactor(d)
         step = chord.step(res)
         at_floor = rn <= tol
         lam, accepted = 1.0, False
         for _ in range(1 if at_floor else 41):
             cand = U_int + lam * step
-            res_c, margin_c = residual(cand, chord.outer(cand))
-            rn_c = float(np.abs(res_c).max())
-            if rn_c < rn and margin_c >= -max(1e-12, 1e-3 * rn_c):
+            d_c, res_c, rn_c, margin_c = chord.evaluate(cand, f_int)
+            if rn_c < rn and margin_c >= min(margin, -max(1e-12, 1e-3 * rn_c)):
                 accepted = True
                 break
             lam *= 0.5
         halved = accepted and rn_c <= 0.5 * rn
         if accepted:
-            U_int, res, rn = cand, res_c, rn_c
+            U_int, d, res, rn, margin = cand, d_c, res_c, rn_c, margin_c
         if at_floor and not halved:
             break
         if not accepted:
@@ -659,9 +638,12 @@ def _newton_solve(grid, U_full, n, k, f_int, tol, max_iter, chord):
         chord.fresh = False
     if rn > tol:
         raise NewtonStall(f"Newton stopped at residual {rn:.3e} > {tol:.1e}")
-    bot = np.full_like(top, chord.outer(U_int))
-    out = np.vstack([top[None, :], U_int, bot[None, :]])
-    return out, rn
+    if margin < -max(1e-12, 1e-3 * rn):
+        raise NewtonStall(
+            f"Newton converged to a non-admissible root: Gamma_k margin "
+            f"{margin:.3e} at residual {rn:.3e}"
+        )
+    return U_int, rn
 
 
 def solve_exterior(
@@ -683,9 +665,9 @@ def solve_exterior(
     schedule takes exactly one Newton solve.
 
     Every Newton solve of the call is a chord iteration on one shared
-    sparse LU of the finite-difference Jacobian, with the outer value
-    folded in as a rank-one border (see _ChordFactor), factored again only
-    when its steps stop contracting (see _newton_solve).  S_1 is linear, so
+    sparse LU of the analytic Jacobian, with the outer value folded in as
+    a rank-one border (see _ChordFactor), factored again only when its
+    steps stop contracting (see _newton_solve).  S_1 is linear, so
     a k = 1 solve factors once; for k >= 2 the Jacobian drifts slowly and a
     few factorizations serve the whole continuation.  max_newton caps the
     steps of each Newton solve.  The returned field carries the counts of
@@ -713,10 +695,12 @@ def solve_exterior(
     rho_hat, _ = _fit_rho(grid, U, alpha)
     U = U * ((-rho_hat * R_out ** (-alpha)) / U[-1])[None, :] ** grid.s[:, None]
 
-    chord = _ChordFactor(_outer_weights(grid, alpha))
+    chord = _ChordFactor(grid, U[0], n, k, _outer_weights(grid, alpha))
+    U_int = U[1:-1]
     for eps in schedule:
         f_int = rhs_at_radius(grid.r_nodes[1:-1], eps, n, spec.cnk)
-        U, rn = _newton_solve(grid, U, n, k, f_int, tol_newton, max_newton, chord)
+        U_int, rn = _newton_solve(chord, U_int, f_int, tol_newton, max_newton)
+    U = chord.full(U_int)
 
     field = ExteriorField(
         grid=grid,

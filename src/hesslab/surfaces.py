@@ -7,12 +7,13 @@ and the Aleksandrov-Fenchel / Qiu-Xia inequality gaps.
 """
 
 from dataclasses import dataclass
-from math import comb, gamma as gamma_fn, pi
+from math import gamma as gamma_fn, pi
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import NotConvex, StarShapeViolation
+from .symfunc import sigma_split
 
 __all__ = [
     "RevolutionBody",
@@ -190,16 +191,7 @@ class SurfaceSampleSet:
 
 def surface_h_k(kappa_m, kappa_r, n, k):
     """H_k = S_k of (kappa_m, kappa_r * (n-2)); H_0 = 1."""
-    if k == 0:
-        return np.ones_like(np.asarray(kappa_m, dtype=float))
-    if k > n - 1:
-        return np.zeros_like(np.asarray(kappa_m, dtype=float))
-    val = np.zeros_like(np.asarray(kappa_m, dtype=float))
-    if k <= n - 2:
-        val = val + comb(n - 2, k) * kappa_r**k
-    if k - 1 <= n - 2:
-        val = val + comb(n - 2, k - 1) * kappa_m * kappa_r ** (k - 1)
-    return val
+    return sigma_split(kappa_m, 0.0, 0.0, kappa_r, n - 2, k).levels[k]
 
 
 def curvature_samples(body: RevolutionBody) -> SurfaceSampleSet:

@@ -26,6 +26,7 @@ __all__ = [
     "sigma_all",
     "sigma_grad",
     "sigma_matrix",
+    "sigma_split",
     "symmetrize",
     "verify_matrix_identities",
 ]
@@ -73,6 +74,39 @@ def sigma(v, k):
     if k > v.size:
         return 0.0
     return float(sigma_all(v, k)[k])
+
+
+class SigmaSplit(NamedTuple):
+    levels: list  # S_0 .. S_k
+    grad: tuple  # (dS_k/da, dS_k/db, dS_k/dc, dS_k/dkappa), or None
+
+
+def sigma_split(a, b, c, kappa, mult, k, grad=False) -> SigmaSplit:
+    """S_0 .. S_k of [[a, b], [b, c]] (+) kappa I_mult, elementwise.
+
+    S_m = sum_j C(mult, j) kappa^j S_{m-j}(M) needs only S_1(M) = a + c
+    and S_2(M) = ac - b^2 of the 2x2 block M.  With grad, the partials of
+    S_k too (constant ones may be scalars): with c1 = C(mult, k-1)
+    kappa^(k-1) and c2 = C(mult, k-2) kappa^(k-2) they are c1 + c2 c,
+    -2 c2 b, c1 + c2 a in (a, b, c), the meridian block of S_k^{ij}, and
+    sum_j j C(mult, j) kappa^(j-1) S_{k-j}(M) in kappa.
+    """
+    block = (1.0, a + c, a * c - b * b if k >= 2 else None)
+    pw = [kappa**j for j in range(k + 1)]
+
+    def expand(m, coef, j0):
+        """sum_j coef(j) S_{m-j}(M) over j0 <= j <= m."""
+        return sum(coef(j) * block[m - j] for j in range(max(j0, m - 2), m + 1))
+
+    levels = [np.ones(np.broadcast(a, kappa).shape)] + [
+        expand(m, lambda j: comb(mult, j) * pw[j], 0) for m in range(1, k + 1)
+    ]
+    if not grad:
+        return SigmaSplit(levels, None)
+    c1 = comb(mult, k - 1) * pw[k - 1]
+    c2 = comb(mult, k - 2) * pw[k - 2] if k >= 2 else 0.0
+    dkappa = expand(k, lambda j: j * comb(mult, j) * pw[j - 1], 1)
+    return SigmaSplit(levels, (c1 + c2 * c, -2.0 * c2 * b, c1 + c2 * a, dkappa))
 
 
 def symmetrize(A):

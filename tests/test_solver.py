@@ -291,3 +291,23 @@ class TestGhostRows:
         fld = ExteriorField(grid=grid, u=u, k=2, eps=0.02, rho_hat=1.0)
         with pytest.raises(NewtonStall, match="ghost row"):
             admissibility_margin(fld)
+
+
+class TestAdmissibilityGuard:
+    def test_prolate_k2_solves(self):
+        # the start is not admissible here: a guard demanding a margin of
+        # -max(1e-12, 1e-3 rn) from every step stalls at residual 0.53
+        body = RevolutionBody.spheroid(1.3, 1.0, n=5)
+        spec = ProblemSpec(n=5, k=2, a=2.0)
+        fld = solve_exterior(body, spec, N_s=128)
+        assert fld.residual_norm <= 1e-10
+        assert fld.admissible >= -1e-12
+        assert np.max(np.abs(equation_residual(fld))) <= 1e-9
+
+    def test_oblate_k2_raises(self):
+        # convex, so an admissible solution exists, but Newton from this
+        # start only finds a non-admissible one: the guard must stop it
+        body = RevolutionBody.spheroid(1.0, 1.5, n=5)
+        spec = ProblemSpec(n=5, k=2, a=2.0)
+        with pytest.raises(NewtonStall):
+            solve_exterior(body, spec, N_s=128)
