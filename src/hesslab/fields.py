@@ -17,10 +17,8 @@ from .symfunc import ConeSpec, gamma_cone_contains, sigma_grad, sigma_split, sym
 __all__ = [
     "AdmissibilityReport",
     "AxiJets",
-    "EpsilonRHS",
     "Jet2",
     "admissibility_audit",
-    "approx_rhs",
     "levelset_curvature",
     "levelset_curvature_axisym",
     "rhs_at_radius",
@@ -94,42 +92,6 @@ class AxiJets:
         H[0, 1] = H[1, 0] = self.uzrho[i]
         H[1, 1] = self.urhorho[i]
         return Jet2(x=x, u=float(self.u[i]), g=g, H=H)
-
-
-@dataclass(frozen=True)
-class EpsilonRHS:
-    """Regularized right-hand side c * eps^2 (|x|^2 + eps^2)^(-n/2 - 1).
-
-    The scale constant is configurable and defaults to 1; it only sets the
-    size of the eps-perturbation.
-    """
-
-    eps: float
-    n: int
-    cnk: float = 1.0
-
-    def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be > 0")
-        if self.cnk <= 0:
-            raise ValueError("cnk must be > 0")
-
-
-def approx_rhs(x, rhs: EpsilonRHS):
-    """Evaluate the regularized right-hand side at position(s) x.
-
-    A 1-d input of length n is a single position vector; a scalar or any
-    other shape is interpreted as |x| values.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1 and x.size == rhs.n:
-        r2 = float(x @ x)
-    elif x.ndim == 2:
-        r2 = np.sum(x * x, axis=-1)
-    else:
-        r2 = x * x
-    val = rhs.cnk * rhs.eps**2 * (r2 + rhs.eps**2) ** (-rhs.n / 2.0 - 1.0)
-    return float(val) if np.ndim(val) == 0 else val
 
 
 def rhs_at_radius(r, eps, n, cnk=1.0):

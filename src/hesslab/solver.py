@@ -603,7 +603,8 @@ def _newton_solve(chord, U_int, f_int, tol, max_iter):
     so a non-admissible start may move but the margin never drops.  A
     step from a stale factor that is rejected, or fails to halve an rn
     above tol, refactors; a rejected step from a fresh factor raises
-    NewtonStall.  Within tol only full steps are tried, and the first
+    NewtonStall, which names the guard's floor when the guard refused a
+    step that lowered rn.  Within tol only full steps are tried, and the first
     that does not halve rn ends the solve at the rounding floor.  Ending
     on a non-admissible root (margin below -max(1e-12, 1e-3 rn)) raises.
     """
@@ -613,13 +614,16 @@ def _newton_solve(chord, U_int, f_int, tol, max_iter):
             chord.refactor(d)
         step = chord.step(res)
         at_floor = rn <= tol
-        lam, accepted = 1.0, False
+        lam, accepted, refused = 1.0, False, None
         for _ in range(1 if at_floor else 41):
             cand = U_int + lam * step
             d_c, res_c, rn_c, margin_c = chord.evaluate(cand, f_int)
-            if rn_c < rn and margin_c >= min(margin, -max(1e-12, 1e-3 * rn_c)):
-                accepted = True
-                break
+            floor = min(margin, -max(1e-12, 1e-3 * rn_c))
+            if rn_c < rn:
+                accepted = margin_c >= floor
+                if accepted:
+                    break
+                refused = refused or (rn_c, margin_c, floor)
             lam *= 0.5
         halved = accepted and rn_c <= 0.5 * rn
         if accepted:
@@ -627,9 +631,15 @@ def _newton_solve(chord, U_int, f_int, tol, max_iter):
         if at_floor and not halved:
             break
         if not accepted:
+            if chord.fresh and refused:
+                raise NewtonStall(
+                    "no admissible decreasing step at residual {:.3e}: the "
+                    "admissibility guard refused a step to residual {:.3e}, "
+                    "Gamma_k margin {:.3e} below the floor {:.3e}".format(rn, *refused)
+                )
             if chord.fresh:
                 raise NewtonStall(
-                    f"no admissible decreasing step at residual {rn:.3e} "
+                    f"no decreasing step at residual {rn:.3e} "
                     f"(tolerance {tol:.1e}); eps too small for this grid?"
                 )
             chord.lu = None

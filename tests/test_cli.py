@@ -4,6 +4,7 @@ import pytest
 from hesslab import cli, monotone
 from hesslab.errors import NewtonStall
 from hesslab.solver import ExteriorField
+from hesslab.symfunc import newton_maclaurin_gap
 
 
 class TestMatrixSuite:
@@ -20,6 +21,38 @@ class TestMatrixSuite:
         cli.run(["matrix-suite", "--trials", "50", "--seed", "7"])
         second = capsys.readouterr().out
         assert first == second
+
+    @staticmethod
+    def draws(seed, trials):
+        """(n, k, lam, ell, m) of each trial, drawn in the battery's order."""
+        rng = np.random.default_rng(seed)
+        for _ in range(trials):
+            n = int(rng.integers(3, 7))
+            rng.standard_normal((n, n))
+            k = int(rng.integers(1, n))
+            rng.integers(0, n, size=2)
+            lam = np.abs(rng.standard_normal(n)) + 0.1
+            ell = int(rng.integers(1, n + 1))
+            yield n, k, lam, ell, int(rng.integers(1, ell + 1))
+
+    def test_newton_maclaurin_min_is_smallest_gap(self, capsys):
+        cli.run(["matrix-suite", "--trials", "300", "--seed", "11"])
+        out = capsys.readouterr().out
+        printed = float(out.split("newton_maclaurin_min=")[1].split()[0])
+        want = min(newton_maclaurin_gap(lam, m, ell)
+                   for _, _, lam, ell, m in self.draws(11, 300) if m < ell)
+        assert printed > 0.0
+        assert f"{printed:.3e}" == f"{want:.3e}"
+
+    def test_eigen_calls_per_group(self, capsys, monkeypatch):
+        calls = []
+        for name in ("eigvalsh", "eigh"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, fn=fn, **kw: calls.append(1) or fn(*a, **kw))
+        assert cli.run(["matrix-suite", "--trials", "200", "--seed", "3"]) == cli.EXIT_OK
+        groups = {(n, k) for n, k, *_ in self.draws(3, 200)}
+        assert 0 < len(calls) <= 5 * len(groups)
 
 
 class TestRadial:

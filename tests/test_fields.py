@@ -6,12 +6,11 @@ from math import comb
 from hesslab.errors import DegenerateGradient
 from hesslab.fields import (
     AxiJets,
-    EpsilonRHS,
     Jet2,
     admissibility_audit,
-    approx_rhs,
     levelset_curvature,
     levelset_curvature_axisym,
+    rhs_at_radius,
 )
 from hesslab.radial import RadialSolution, radial_eval
 from hesslab.symfunc import sigma_matrix
@@ -149,33 +148,24 @@ class TestAxisymmetricSplit:
 
 
 class TestApproxRHS:
+    """f^eps, the right-hand side of the approximating equation."""
+
     def test_origin_value(self):
-        rhs = EpsilonRHS(eps=1.0, n=4, cnk=1.0)
-        assert approx_rhs(0.0, rhs) == pytest.approx(1.0)
+        assert rhs_at_radius(0.0, 1.0, 4, 1.0) == pytest.approx(1.0)
 
     def test_unit_radius_value(self):
-        rhs = EpsilonRHS(eps=1.0, n=4, cnk=1.0)
-        assert approx_rhs(1.0, rhs) == pytest.approx(0.125)
-        assert approx_rhs(np.array([1.0, 0.0, 0.0, 0.0]), rhs) == pytest.approx(0.125)
+        assert rhs_at_radius(1.0, 1.0, 4, 1.0) == pytest.approx(0.125)
 
     def test_eps_to_zero_limit(self):
         for eps in (1e-2, 1e-4, 1e-6):
-            rhs = EpsilonRHS(eps=eps, n=4)
-            assert approx_rhs(1.0, rhs) <= eps**2
+            assert rhs_at_radius(1.0, eps, 4) <= eps**2
 
     def test_monotone_decreasing_and_order_eps2(self):
         r = np.linspace(0.5, 10.0, 200)
         for eps in (0.5, 0.1, 0.02):
-            rhs = EpsilonRHS(eps=eps, n=5)
-            vals = approx_rhs(r, rhs)
+            vals = rhs_at_radius(r, eps, 5)
             assert np.all(np.diff(vals) < 0)
             assert np.max(vals) <= eps**2 * (0.5**2) ** (-5 / 2 - 1)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            EpsilonRHS(eps=0.0, n=3)
-        with pytest.raises(ValueError):
-            EpsilonRHS(eps=0.1, n=3, cnk=-1.0)
 
 
 class TestAdmissibilityAudit:

@@ -311,3 +311,20 @@ class TestAdmissibilityGuard:
         spec = ProblemSpec(n=5, k=2, a=2.0)
         with pytest.raises(NewtonStall):
             solve_exterior(body, spec, N_s=128)
+
+
+def test_guard_stall_message_names_the_guard():
+    # on oblate 1,1.5 the halvings lower the residual and the guard refuses
+    # them; the stall must say so, not blame eps or the grid
+    body = RevolutionBody.spheroid(1.0, 1.5, n=5)
+    spec = ProblemSpec(n=5, k=2, a=2.0)
+    with pytest.raises(NewtonStall) as info:
+        solve_exterior(body, spec, N_s=128)
+    msg = str(info.value)
+    assert "admissibility guard refused" in msg
+    assert "eps too small" not in msg
+    margin = float(msg.split("margin ")[1].split()[0])
+    floor = float(msg.split("floor ")[1].split()[0])
+    residual = [float(w.split()[0].rstrip(":,")) for w in msg.split("residual ")[1:]]
+    assert margin < floor < 0.0
+    assert residual[1] < residual[0]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from itertools import combinations
 from math import comb
 
@@ -11,7 +12,6 @@ from hesslab.symfunc import (
     sigma_all,
     sigma_grad,
     sigma_matrix,
-    _sigma_eig,
     _sigma_minors,
     verify_matrix_identities,
 )
@@ -75,7 +75,7 @@ class TestSigmaMatrix:
             A = 0.5 * (A + A.T)
             for k in range(1, n + 1):
                 a = _sigma_minors(A, k)
-                b = _sigma_eig(A, k)
+                b = sigma_matrix(A, k)
                 assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
     def test_equals_sigma_of_eigenvalues(self):
@@ -202,3 +202,67 @@ class TestMatrixIdentities:
                 g = sigma_grad(A, k)
                 want = (n - k + 1) * sigma_matrix(A, k - 1)
                 assert np.trace(g) == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+def per_item(fn, X, core):
+    """fn applied to each core-dimensional item of the stack X, restacked."""
+    batch = X.shape[: X.ndim - core]
+    out = [fn(X[idx]) for idx in np.ndindex(batch)]
+    return np.array(out).reshape(batch + np.shape(out[0]))
+
+
+class TestStacked:
+    """Vectors (..., n) and matrices (..., n, n) with batch axes in front:
+    a stack gives what the per-item calls give."""
+
+    @settings(max_examples=30)
+    @given(n=st.integers(3, 6), batch=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stack_equals_per_item(self, n, batch, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((batch, 2, n, n))
+        A = 0.5 * (A + np.swapaxes(A, -1, -2))
+        V = rng.standard_normal((batch, 2, n))
+        P = np.abs(V) + 0.1  # inside every Gamma_l
+
+        def same(stacked, fn, X, core):
+            np.testing.assert_allclose(stacked, per_item(fn, X, core),
+                                       rtol=1e-13, atol=0)
+
+        assert np.array_equal(sigma_all(V), per_item(sigma_all, V, 1))
+        for k in range(n + 2):
+            same(sigma(V, k), lambda v: sigma(v, k), V, 1)
+            same(sigma_matrix(A, k), lambda a: sigma_matrix(a, k), A, 2)
+        for k in range(1, n + 1):
+            same(sigma_grad(A, k), lambda a: sigma_grad(a, k), A, 2)
+            same(np.stack(verify_matrix_identities(A, k), -1),
+                 lambda a: verify_matrix_identities(a, k), A, 2)
+            cone = gamma_cone_contains(V, ConeSpec(n, k))
+            assert np.array_equal(cone.contains, per_item(
+                lambda v: gamma_cone_contains(v, ConeSpec(n, k)).contains, V, 1))
+            same(cone.margin, lambda v: gamma_cone_contains(v, ConeSpec(n, k)).margin,
+                 V, 1)
+            for m in range(1, k + 1):
+                same(newton_maclaurin_gap(P, m, k),
+                     lambda v: newton_maclaurin_gap(v, m, k), P, 1)
+
+    def test_single_item_gives_python_floats(self):
+        rng = np.random.default_rng(41)
+        A = rng.standard_normal((4, 4))
+        v = np.abs(rng.standard_normal(4)) + 0.1
+        assert type(sigma(v, 2)) is float
+        assert type(sigma(v, 5)) is float
+        for k in (0, 2, 5):
+            assert type(sigma_matrix(A, k)) is float
+        r = verify_matrix_identities(A, 2)
+        assert type(r) is tuple and len(r) == 3
+        assert all(type(x) is float for x in r)
+        cone = gamma_cone_contains(v, ConeSpec(4, 3))
+        assert type(cone.contains) is bool and type(cone.margin) is float
+        assert type(newton_maclaurin_gap(v, 1, 3)) is float
+
+    def test_stacked_gap_rejects_any_row_outside_cone(self):
+        V = np.array([[1.0, 2.0, 3.0], [3.0, -1.0, 1.0], [2.0, 2.0, 1.0]])
+        assert newton_maclaurin_gap(V[[0, 2]], 1, 2).shape == (2,)
+        with pytest.raises(ValueError, match="Gamma_2"):
+            newton_maclaurin_gap(V, 1, 2)
