@@ -25,9 +25,7 @@ import numpy as np
 
 from .errors import HesslabError
 from .identities import (
-    CERTIFIED_BALL,
     VIOLATED,
-    c_formula,
     certify_ball,
     identity_lemma33,
     inequality_ledger,
@@ -35,18 +33,16 @@ from .identities import (
 )
 from .monotone import (
     F_eval,
+    T_GRID,
     ProblemSpec,
     limit_bound,
     monotonicity_audit,
     weights,
-    weights_ode_residual,
 )
 from .radial import RadialSolution, radial_F
-from .solver import ExteriorField, solve_exterior
+from .solver import solve_exterior
 from .surfaces import RevolutionBody
 from .symfunc import (
-    ConeSpec,
-    gamma_cone_contains,
     newton_maclaurin_gap,
     sigma_grad,
     sigma_matrix,
@@ -134,7 +130,7 @@ def _outdir(args):
 def _t_grid(args):
     if args.t_grid:
         return np.asarray([float(v) for v in args.t_grid.split(",")])
-    return np.linspace(-0.9, -0.25, 8)
+    return np.asarray(T_GRID)
 
 
 def _solve(args, spec, body):

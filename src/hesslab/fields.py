@@ -7,18 +7,16 @@ are the arrays of an AxiJets, whose curvatures come in closed form from
 the axisymmetric split of the Hessian.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateGradient
-from .symfunc import ConeSpec, gamma_cone_contains, sigma_grad, sigma_split, symmetrize
+from .symfunc import sigma_grad, sigma_split, symmetrize
 
 __all__ = [
-    "AdmissibilityReport",
     "AxiJets",
     "Jet2",
-    "admissibility_audit",
     "levelset_curvature",
     "levelset_curvature_axisym",
     "rhs_at_radius",
@@ -146,42 +144,3 @@ def levelset_curvature_axisym(jets: AxiJets, k, sk_values, tau_grad=TAU_GRAD):
     correction = (bgx * mgx + bgy * mgy) / (gn * gn)
     h_k = (sk_values - correction) / gn**k
     return h_k, h_km1
-
-
-@dataclass
-class AdmissibilityReport:
-    """Outcome of a k-admissibility audit over a list of jets."""
-
-    k: int
-    margins: np.ndarray
-    worst_margin: float
-    worst_index: int
-    failing: list = field(default_factory=list)
-    tol: float = 1e-10
-
-    @property
-    def all_admissible(self):
-        return not self.failing
-
-
-def admissibility_audit(jets, k, tol=1e-10):
-    """Test each jet's Hessian eigenvalues against the closure of Gamma_k.
-
-    Never raises; failures are recorded in the report (margin < -tol).
-    """
-    margins = np.empty(len(jets))
-    failing = []
-    for idx, jet in enumerate(jets):
-        lam = np.linalg.eigvalsh(jet.H)
-        margins[idx] = gamma_cone_contains(lam, ConeSpec(lam.size, k)).margin
-        if margins[idx] < -tol:
-            failing.append(idx)
-    worst = int(np.argmin(margins)) if len(jets) else 0
-    return AdmissibilityReport(
-        k=k,
-        margins=margins,
-        worst_margin=float(margins[worst]) if len(jets) else np.inf,
-        worst_index=worst,
-        failing=failing,
-        tol=tol,
-    )

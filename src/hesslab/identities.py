@@ -14,6 +14,7 @@ volume integrals use grid quadrature plus a closed-form power-law tail.
 
 from dataclasses import dataclass
 from math import comb
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import simpson
@@ -24,12 +25,12 @@ from .radial import RadialSolution, exterior_skm1_grad2_integral
 from .solver import ExteriorField
 from .surfaces import (
     RevolutionBody,
-    af_gap,
+    SurfaceSampleSet,
+    af_sides,
     curvature_samples,
-    qiu_xia_gap,
+    qiu_xia_sides,
     quermass,
     sphere_measure,
-    volume,
 )
 from .symfunc import sigma_split
 
@@ -57,6 +58,9 @@ TAU_OVERDETERMINED = 1e-3
 # under the overdetermined condition
 _SPREAD_LIMIT = 0.01
 
+# relative tolerance of every ledger verdict and of the certification squeeze
+_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class LedgerEntry:
@@ -79,36 +83,76 @@ def _scale(lhs, rhs):
     return max(abs(lhs), abs(rhs), 1.0)
 
 
-def _identity_entry(name, lhs, rhs, tol):
+def _identity_entry(name, lhs, rhs):
     gap = lhs - rhs
-    verdict = IDENTITY_OK if abs(gap) <= tol * _scale(lhs, rhs) else VIOLATED
-    return LedgerEntry(name, lhs, rhs, gap, verdict, tol)
+    verdict = IDENTITY_OK if abs(gap) <= _TOL * _scale(lhs, rhs) else VIOLATED
+    return LedgerEntry(name, lhs, rhs, gap, verdict, _TOL)
 
 
-def _inequality_entry(name, lhs, rhs, tol):
+def _inequality_entry(name, lhs, rhs):
     gap = lhs - rhs
-    verdict = INEQUALITY_OK if gap >= -tol * _scale(lhs, rhs) else VIOLATED
-    return LedgerEntry(name, lhs, rhs, gap, verdict, tol)
+    verdict = INEQUALITY_OK if gap >= -_TOL * _scale(lhs, rhs) else VIOLATED
+    return LedgerEntry(name, lhs, rhs, gap, verdict, _TOL)
 
 
-def _not_applicable(name, tol):
+def _not_applicable(name):
     return LedgerEntry(name, float("nan"), float("nan"), float("nan"),
-                       NOT_APPLICABLE, tol)
+                       NOT_APPLICABLE, _TOL)
 
 
-def _sphere_body(sol: RadialSolution):
-    return RevolutionBody.sphere(sol.R, n=sol.n)
+@dataclass(frozen=True)
+class _Boundary:
+    """The boundary data of one (solution, body) pair.
+
+    c is the area-weighted mean of |grad u| over the curvature samples and
+    spread its relative range; integral(a, m) is int |grad u|^a H_m over
+    the boundary.  A RadialSolution has c = c_bdry, spread 0 and closed-form
+    integrals on its sphere; its samples are those of the body (by default
+    the sphere itself).
+    """
+
+    body: RevolutionBody
+    samples: SurfaceSampleSet
+    c: float
+    spread: float
+    integral: Callable
 
 
-def _boundary_gradient_stats(solution, body):
-    """Mean boundary |grad u| (area-weighted) and its relative spread."""
+def _boundary(solution, body) -> _Boundary:
     if isinstance(solution, RadialSolution):
-        return solution.c_bdry, 0.0
+        n, R, c = solution.n, solution.R, solution.c_bdry
+        omega = sphere_measure(n - 1)
+        if body is None:
+            body = RevolutionBody.sphere(R, n=n)
+
+        def integral(a, m):
+            return c**a * comb(n - 1, m) * omega * R ** (n - 1 - m)
+
+        return _Boundary(body, curvature_samples(body), c, 0.0, integral)
+    if body is None:
+        body = solution.grid.body
     s = curvature_samples(body)
     grad = np.asarray(solution.boundary_gradient(s.theta), dtype=float)
     c = s.integrate(grad) / s.area
     spread = float((grad.max() - grad.min()) / abs(c))
-    return float(c), spread
+    return _Boundary(body, s, c, spread,
+                     lambda a, m: s.integrate(grad**a * s.h_k(m)))
+
+
+def _squeeze_sides(samples: SurfaceSampleSet, k):
+    """(lhs, rhs) of the ball squeeze, or None on a non-convex body.
+
+    k >= 2: the Aleksandrov-Fenchel sides.  k = 1: |body| int H_1 against
+    (n-1)/n |boundary|^2, the Qiu-Xia sides swapped, which is also the
+    ledger's area-volume-curvature bound.
+    """
+    try:
+        if k >= 2:
+            return af_sides(samples, k)
+        area_term, volume_term = qiu_xia_sides(samples)
+        return volume_term, area_term
+    except NotConvex:
+        return None
 
 
 def _field_volume_integral(field: ExteriorField, values, decay_power):
@@ -140,7 +184,7 @@ def _field_volume_integral(field: ExteriorField, values, decay_power):
     return float(bulk + tail)
 
 
-def _gradient_energy_integral(solution, body):
+def _gradient_energy_integral(solution):
     """int over the exterior of S_{k-1}(Hessian) |grad u|^2 dx."""
     if isinstance(solution, RadialSolution):
         return exterior_skm1_grad2_integral(solution)
@@ -155,73 +199,47 @@ def _gradient_energy_integral(solution, body):
     return _field_volume_integral(solution, skm1 * grad2, decay)
 
 
-def _quermass_fn(solution, body):
-    if isinstance(solution, RadialSolution):
-        omega = sphere_measure(solution.n - 1)
-
-        def q(m):
-            return (
-                comb(solution.n - 1, m)
-                * omega
-                * solution.R ** (solution.n - 1 - m)
-            )
-
-        return q
-    return lambda m: quermass(body, m)
-
-
-def _resolve_body(solution, body):
-    if body is None:
-        if isinstance(solution, RadialSolution):
-            return _sphere_body(solution)
-        return solution.grid.body
-    return body
-
-
-def _require_overdetermined(solution, body, limit=_SPREAD_LIMIT):
-    c, spread = _boundary_gradient_stats(solution, body)
-    if spread > limit:
+def _balance_terms(solution, body, what):
+    """(c, int H_{k-2}, int H_{k-1}, int S_{k-1} |grad u|^2 dx): the terms
+    of both balance identities, on an overdetermined solution with k >= 2."""
+    k = solution.k
+    if k < 2:
+        raise ValueError(f"the {what} needs k >= 2, got k={k}")
+    b = _boundary(solution, body)
+    if b.spread > _SPREAD_LIMIT:
         raise NotOverdetermined(
-            f"boundary gradient spread {spread:.3e} exceeds {limit:g}; "
-            "the balance identities presume constant boundary gradient"
+            f"boundary gradient spread {b.spread:.3e} exceeds "
+            f"{_SPREAD_LIMIT:g}; the balance identities presume constant "
+            "boundary gradient"
         )
-    return c, spread
+    return (b.c, b.integral(0, k - 2), b.integral(0, k - 1),
+            _gradient_energy_integral(solution))
 
 
-def identity_lemma33(solution, body=None, tol=1e-6) -> LedgerEntry:
+def identity_lemma33(solution, body=None) -> LedgerEntry:
     """Gradient-energy balance on an overdetermined solution, k >= 2:
 
         (k+1) int S_{k-1} |grad u|^2 dx + c^(k+1) int H_{k-2}
             = 2 c^k int H_{k-1}.
     """
-    n, k = solution.n, solution.k
-    if k < 2:
-        raise ValueError(f"the balance identity needs k >= 2, got k={k}")
-    body = _resolve_body(solution, body)
-    c, _ = _require_overdetermined(solution, body)
-    q = _quermass_fn(solution, body)
-    vol_int = _gradient_energy_integral(solution, body)
-    lhs = (k + 1) * vol_int + c ** (k + 1) * q(k - 2)
-    rhs = 2.0 * c**k * q(k - 1)
-    return _identity_entry("gradient-energy-balance", lhs, rhs, tol)
+    k = solution.k
+    c, q_km2, q_km1, vol_int = _balance_terms(solution, body, "balance identity")
+    lhs = (k + 1) * vol_int + c ** (k + 1) * q_km2
+    rhs = 2.0 * c**k * q_km1
+    return _identity_entry("gradient-energy-balance", lhs, rhs)
 
 
-def pohozaev_lemma34(solution, body=None, tol=1e-6) -> LedgerEntry:
+def pohozaev_lemma34(solution, body=None) -> LedgerEntry:
     """Rellich-Pohozaev balance on an overdetermined solution, k >= 2:
 
         (n-k+1) [int S_{k-1} |grad u|^2 dx + c^(k+1)/(k-1) int H_{k-2}]
             = 2 (n-k) c^k / k int H_{k-1}.
     """
     n, k = solution.n, solution.k
-    if k < 2:
-        raise ValueError(f"the Pohozaev balance needs k >= 2, got k={k}")
-    body = _resolve_body(solution, body)
-    c, _ = _require_overdetermined(solution, body)
-    q = _quermass_fn(solution, body)
-    vol_int = _gradient_energy_integral(solution, body)
-    lhs = (n - k + 1) * (vol_int + c ** (k + 1) / (k - 1) * q(k - 2))
-    rhs = 2.0 * (n - k) * c**k / k * q(k - 1)
-    return _identity_entry("rellich-pohozaev-balance", lhs, rhs, tol)
+    c, q_km2, q_km1, vol_int = _balance_terms(solution, body, "Pohozaev balance")
+    lhs = (n - k + 1) * (vol_int + c ** (k + 1) / (k - 1) * q_km2)
+    rhs = 2.0 * (n - k) * c**k / k * q_km1
+    return _identity_entry("rellich-pohozaev-balance", lhs, rhs)
 
 
 def c_formula(body: RevolutionBody, k):
@@ -235,7 +253,7 @@ def c_formula(body: RevolutionBody, k):
         raise ValueError(f"need 1 <= k < n/2, got n={n}, k={k}")
     if k == 1:
         s = curvature_samples(body)
-        return (n - 2) / n * s.area / volume(body)
+        return (n - 2) / n * s.area / s.volume
     return (
         (n - 2 * k) / k
         * (k - 1) / (n - k + 1)
@@ -243,24 +261,7 @@ def c_formula(body: RevolutionBody, k):
     )
 
 
-def _boundary_weighted_integrals(solution, body, exponents_orders):
-    """Integrals int_{boundary} |grad u|^a H_m for (a, m) pairs."""
-    if isinstance(solution, RadialSolution):
-        omega = sphere_measure(solution.n - 1)
-        c, R, n = solution.c_bdry, solution.R, solution.n
-        return [
-            c**a * comb(n - 1, m) * omega * R ** (n - 1 - m)
-            for a, m in exponents_orders
-        ]
-    s = curvature_samples(body)
-    grad = np.asarray(solution.boundary_gradient(s.theta), dtype=float)
-    return [
-        s.integrate(grad**a * s.h_k(m)) for a, m in exponents_orders
-    ]
-
-
-def inequality_ledger(solution, body=None, spec: ProblemSpec = None,
-                      tol=1e-6) -> list:
+def inequality_ledger(solution, body=None, spec: ProblemSpec = None) -> list:
     """Evaluate the inequality battery; every entry is oriented lhs >= rhs.
 
     Entries: the weighted curvature comparison with exponent a, the
@@ -271,70 +272,50 @@ def inequality_ledger(solution, body=None, spec: ProblemSpec = None,
     if spec is None:
         raise ValueError("inequality_ledger needs a ProblemSpec")
     n, k, a = spec.n, spec.k, spec.a
-    body = _resolve_body(solution, body)
+    b = _boundary(solution, body)
     omega = sphere_measure(n - 1)
-    ints = _boundary_weighted_integrals(
-        solution,
-        body,
-        [(a, k), (a + 1.0, k - 1), (n - k, k - 1), (n - k - 1.0, k), (0.0, k),
-         (0.0, k - 1)],
-    )
-    int_a_hk, int_a1_hkm1, int_nk_hkm1, int_nkm1_hk, q_k, q_km1 = ints
     entries = [
         _inequality_entry(
             "weighted-curvature-comparison",
-            int_a_hk,
-            (n - k) / (n - 2 * k) * int_a1_hkm1,
-            tol,
+            b.integral(a, k),
+            (n - k) / (n - 2 * k) * b.integral(a + 1.0, k - 1),
         ),
         _inequality_entry(
             "capacity-lower-bound",
-            int_nk_hkm1,
+            b.integral(n - k, k - 1),
             comb(n - 1, k - 1) * (n / k - 2.0) ** (n - k) * omega,
-            tol,
         ),
         _inequality_entry(
             "scale-invariant-combination",
-            int_nkm1_hk,
+            b.integral(n - k - 1.0, k),
             comb(n - 1, k - 1)
             * (n / k - 2.0) ** (n - k - 1)
             * (n - k) / k
             * omega,
-            tol,
         ),
     ]
 
     # the curvature-ratio bound presumes the overdetermined constant c
-    c, spread = _boundary_gradient_stats(solution, body)
-    if spread <= _SPREAD_LIMIT:
+    overdetermined = b.spread <= _SPREAD_LIMIT
+    if overdetermined:
         entries.append(
             _inequality_entry(
                 "curvature-ratio-lower-bound",
-                q_k / q_km1,
-                (n - k) / (n - 2 * k) * c,
-                tol,
+                b.integral(0.0, k) / b.integral(0.0, k - 1),
+                (n - k) / (n - 2 * k) * b.c,
             )
         )
     else:
-        entries.append(_not_applicable("curvature-ratio-lower-bound", tol))
+        entries.append(_not_applicable("curvature-ratio-lower-bound"))
 
     # k = 1 only; derived from the overdetermined condition, and the
     # opposing classical bound needs convexity
-    if k == 1 and spread <= _SPREAD_LIMIT:
-        try:
-            qiu_xia_gap(body)  # raises NotConvex
-            s = curvature_samples(body)
-            lhs = volume(body) * s.integrate(s.h_k(1))
-            rhs = (n - 1) / n * s.area**2
-            entries.append(
-                _inequality_entry(
-                    "area-volume-curvature-bound", lhs, rhs, tol
-                )
-            )
-        except NotConvex:
-            entries.append(_not_applicable("area-volume-curvature-bound", tol))
-    else:
-        entries.append(_not_applicable("area-volume-curvature-bound", tol))
+    name = "area-volume-curvature-bound"
+    sides = _squeeze_sides(b.samples, k) if k == 1 and overdetermined else None
+    entries.append(
+        _not_applicable(name) if sides is None
+        else _inequality_entry(name, *sides)
+    )
     return entries
 
 
@@ -355,58 +336,45 @@ CERTIFIED_NOT_OVERDETERMINED = "certified-not-overdetermined"
 INCONCLUSIVE = "inconclusive"
 
 
-def certify_ball(solution, body=None, spec: ProblemSpec = None,
-                 tau_od=TAU_OVERDETERMINED, tol=1e-6) -> CertificationReport:
+def certify_ball(solution, body=None,
+                 spec: ProblemSpec = None) -> CertificationReport:
     """Decide numerically whether the solved domain must be a round ball.
 
-    Chain: (i) measure the boundary-gradient spread; a spread above tau_od
-    rules out the overdetermined condition.  (ii) If the spread passes,
-    squeeze the quermassintegral combination
+    Chain: (i) measure the boundary-gradient spread; a spread above
+    TAU_OVERDETERMINED rules out the overdetermined condition.  (ii) If the
+    spread passes, squeeze the quermassintegral combination
 
         (n-k)(k-1) (int H_{k-1})^2  vs  (n-k+1) k int H_k int H_{k-2}
 
     between its two opposing bounds (k >= 2), or for k = 1 the
     area-volume-curvature combination against its convexity bound;
-    near-equality (squeeze_rel <= tol) certifies the ball, anything else
-    is inconclusive.  The profile's deviation from its mean radius is
-    reported alongside but does not enter the verdict.
+    near-equality (squeeze_rel <= 1e-6) certifies the ball, anything else
+    is inconclusive.  A non-convex body is inconclusive with NaN squeeze,
+    as the convexity bound does not apply to it.  The profile's deviation
+    from its mean radius is reported alongside but does not enter the
+    verdict.
     """
     if spec is None:
         raise ValueError("certify_ball needs a ProblemSpec")
-    n, k = spec.n, spec.k
-    body = _resolve_body(solution, body)
-    _, spread = _boundary_gradient_stats(solution, body)
-
-    gam = body.gamma
-    mean_r = body.mean_radius
-    profile_dev = float((gam.max() - gam.min()) / mean_r)
-
-    if spread > tau_od:
+    b = _boundary(solution, body)
+    gam = b.body.gamma
+    profile_dev = float((gam.max() - gam.min()) / b.body.mean_radius)
+    nan = float("nan")
+    if b.spread > TAU_OVERDETERMINED:
         return CertificationReport(
-            CERTIFIED_NOT_OVERDETERMINED, spread, profile_dev,
-            float("nan"), float("nan"), float("nan"),
+            CERTIFIED_NOT_OVERDETERMINED, b.spread, profile_dev, nan, nan, nan
         )
 
-    try:
-        if k >= 2:
-            lhs = (n - k) * (k - 1) * quermass(body, k - 1) ** 2
-            rhs = (n - k + 1) * k * quermass(body, k) * quermass(body, k - 2)
-            # af_gap asserts lhs >= rhs; the overdetermined chain asserts
-            # lhs <= rhs; both verified here via the squeeze
-            af_gap(body, k)
-        else:
-            s = curvature_samples(body)
-            lhs = volume(body) * s.integrate(s.h_k(1))
-            rhs = (n - 1) / n * s.area**2
-            qiu_xia_gap(body)
-    except NotConvex:
+    # the convexity bound asserts lhs >= rhs and the overdetermined chain
+    # lhs <= rhs; the squeeze checks both
+    sides = _squeeze_sides(b.samples, spec.k)
+    if sides is None:
         return CertificationReport(
-            INCONCLUSIVE, spread, profile_dev,
-            float("nan"), float("nan"), float("nan"),
+            INCONCLUSIVE, b.spread, profile_dev, nan, nan, nan
         )
-
+    lhs, rhs = sides
     squeeze_rel = abs(lhs - rhs) / _scale(lhs, rhs)
-    verdict = CERTIFIED_BALL if squeeze_rel <= tol else INCONCLUSIVE
+    verdict = CERTIFIED_BALL if squeeze_rel <= _TOL else INCONCLUSIVE
     return CertificationReport(
-        verdict, spread, profile_dev, float(lhs), float(rhs), squeeze_rel
+        verdict, b.spread, profile_dev, float(lhs), float(rhs), squeeze_rel
     )

@@ -16,7 +16,7 @@ is non-increasing on [-1, 0) and bounded below by the C3-weighted limit value,
 with equality exactly for balls.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -35,9 +35,9 @@ __all__ = [
     "LevelSetCurve",
     "MonotonicityReport",
     "ProblemSpec",
+    "T_GRID",
     "F_boundary",
     "F_eval",
-    "boundary_integrals",
     "extract_levelset",
     "limit_bound",
     "monotonicity_audit",
@@ -45,6 +45,11 @@ __all__ = [
     "weights_derivatives",
     "weights_ode_residual",
 ]
+
+#: Default levels of monotonicity_audit and the CLI.  They keep clear of
+#: both ends of [-1, 0), so they lie strictly between the first interior
+#: row and the far-field row of a field solved on the default grids.
+T_GRID = tuple(np.linspace(-0.9, -0.25, 8).tolist())
 
 
 @dataclass(frozen=True)
@@ -56,23 +61,20 @@ class ProblemSpec:
     a: float
     C3: float = 1.0
     C4: float = 0.0
-    t_grid: np.ndarray = dc_field(default=None)
     eps_schedule: tuple = (0.5, 0.1, 0.02)
     cnk: float = 1.0
-    tau_grad: float = TAU_GRAD
 
     def __post_init__(self):
         if not 1 <= self.k or not self.n > 2 * self.k:
             raise ValueError(f"need 1 <= k < n/2, got n={self.n}, k={self.k}")
         if self.a < self.a_min - 1e-12:
             raise ValueError(f"need a >= k(n-k-1)/(n-k) = {self.a_min:g}, got {self.a}")
-        if self.t_grid is None:
-            object.__setattr__(self, "t_grid", np.linspace(-1.0, -0.02, 50))
-        else:
-            object.__setattr__(self, "t_grid", np.asarray(self.t_grid, dtype=float))
-        c1, _ = weights(self.t_grid, self)
-        if np.any(c1 < -1e-12):
-            raise ValueError("C1(t) must be nonnegative on the t grid")
+        # C1(t) = (-t)^(-p) (C3 + (-t) C4) with 0 < -t <= 1
+        if self.C3 < 0 or self.C3 + self.C4 < 0:
+            raise ValueError(
+                "C1(t) must be nonnegative on [-1, 0): need C3 >= 0 and "
+                f"C3 + C4 >= 0, got C3={self.C3:g}, C4={self.C4:g}"
+            )
 
     @property
     def a_min(self):
@@ -293,10 +295,10 @@ def F_eval(field, t, spec: ProblemSpec) -> FResult:
     All segments of the level at once: one batched jet evaluation at the
     midpoints and H_k, H_{k-1} from the axisymmetric split.
     """
-    curve = extract_levelset(field, t, spec.tau_grad)
+    curve = extract_levelset(field, t)
     jets = curve.jets
     sk = rhs_at_radius(jets.r, field.eps, spec.n, field.cnk)
-    hk, hk1 = levelset_curvature_axisym(jets, spec.k, sk, spec.tau_grad)
+    hk, hk1 = levelset_curvature_axisym(jets, spec.k, sk)
     gn = jets.grad_norm
     int_hk = curve.integrate(hk * gn**spec.a)
     int_hk1 = curve.integrate(hk1 * gn ** (spec.a + 1))
@@ -311,8 +313,8 @@ def F_eval(field, t, spec: ProblemSpec) -> FResult:
     )
 
 
-def boundary_integrals(field, body: RevolutionBody, spec: ProblemSpec):
-    """The two surface integrals of F at t = -1, on the boundary itself.
+def F_boundary(field, body: RevolutionBody, spec: ProblemSpec) -> FResult:
+    """F at t = -1, with its two surface integrals taken on the boundary.
 
     Curvatures come from the body geometry; |grad u| is the one-sided
     normal derivative of the field (u is constant on the boundary).
@@ -321,11 +323,6 @@ def boundary_integrals(field, body: RevolutionBody, spec: ProblemSpec):
     gn = field.boundary_gradient(body.theta)
     int_hk = s.integrate(s.h_k(spec.k) * gn**spec.a)
     int_hk1 = s.integrate(s.h_k(spec.k - 1) * gn ** (spec.a + 1))
-    return int_hk, int_hk1
-
-
-def F_boundary(field, body: RevolutionBody, spec: ProblemSpec) -> FResult:
-    int_hk, int_hk1 = boundary_integrals(field, body, spec)
     c1, c2 = weights(-1.0, spec)
     return FResult(
         t=-1.0,
@@ -363,13 +360,14 @@ class MonotonicityReport:
 
 
 def monotonicity_audit(field, spec: ProblemSpec, tol_mono, t_grid=None):
-    """Evaluate F over the level grid and check the monotone contract.
+    """Evaluate F over the level grid (T_GRID by default) and check the
+    monotone contract.
 
     tol_mono should come from a Richardson error estimate on F itself
     (two grid levels); the continuum monotonicity is exact but discrete F
     carries O(h^2) + O(eps^2) bias.
     """
-    ts = np.asarray(t_grid if t_grid is not None else spec.t_grid, dtype=float)
+    ts = np.asarray(T_GRID if t_grid is None else t_grid, dtype=float)
     results = tuple(F_eval(field, t, spec) for t in ts)
     Fs = np.array([r.F for r in results])
     diffs = np.diff(Fs)

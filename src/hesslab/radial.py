@@ -19,7 +19,6 @@ from .symfunc import sigma_split
 
 __all__ = [
     "RadialSolution",
-    "asymptotic_predict",
     "exterior_skm1_grad2_integral",
     "radial_F",
     "radial_eval",
@@ -116,38 +115,6 @@ def radial_F(sol: RadialSolution, t, spec: ProblemSpec):
     _, int_hk, int_hk1 = _level_sphere_integrals(sol, t, spec.a)
     c1, c2 = weights(t, spec)
     return float(c1) * int_hk + float(c2) * int_hk1
-
-
-def asymptotic_predict(rho, t, spec: ProblemSpec):
-    """Leading-order level-set quantities for -u ~ rho |x|^(2 - n/k).
-
-    Returns (area, int H_k |grad u|^a, int H_{k-1} |grad u|^(a+1), radius),
-    dropping the (1 + o(1)) factors; exact at every level on balls.
-    """
-    n, k, a = spec.n, spec.k, spec.a
-    t = float(t)
-    mt = -t
-    omega = sphere_measure(n - 1)
-    area = omega * (mt / rho) ** (k * (n - 1) / (2 * k - n))
-    e1 = ((a - k) * (k - n) - k) / (n - 2 * k)
-    int_hk = (
-        comb(n - 1, k - 1)
-        * (n / k - 1.0)
-        * ((n / k - 2.0) * rho) ** a
-        * rho**e1
-        * omega
-        * mt**-e1
-    )
-    e2 = (a + 1 - k) * (n - k) / (n - 2 * k)
-    int_hk1 = (
-        comb(n - 1, k - 1)
-        * ((n / k - 2.0) * rho) ** (a + 1)
-        * rho**-e2
-        * omega
-        * mt**e2
-    )
-    radius = mt ** (k / (2 * k - n)) * rho ** (k / (n - 2 * k))
-    return area, int_hk, int_hk1, radius
 
 
 def exterior_skm1_grad2_integral(sol: RadialSolution, r_cut_factor=10.0):

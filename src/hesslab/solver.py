@@ -10,7 +10,7 @@ on the (s, theta) grid.
 """
 
 from dataclasses import dataclass
-from math import comb, log, pi
+from math import log, pi
 
 import numpy as np
 from scipy.interpolate import CubicSpline, RectBivariateSpline
@@ -29,7 +29,6 @@ __all__ = [
     "admissibility_margin",
     "equation_residual",
     "estimate_rho",
-    "hessian_axisym",
     "solve_exterior",
 ]
 
@@ -457,18 +456,6 @@ class ExteriorField:
             residual_norm=float(kv["residual_norm"]),
             admissible=float(kv["admissible"]),
         )
-
-
-def hessian_axisym(field: ExteriorField, node) -> Jet2:
-    """Second-order jet at a grid node (i, j), without interpolation."""
-    i, j = node
-    d = field._derived()
-    jets = AxiJets(
-        n=field.n,
-        u=field.u[i : i + 1, j],
-        **{key: d[key][i : i + 1, j] for key in ("z", "rho", *_JET_KEYS)},
-    )
-    return jets.jet(0)
 
 
 def equation_residual(field: ExteriorField):

@@ -3,7 +3,7 @@
 A surface is the rotation of a polar profile gamma(theta), theta in [0, pi],
 about the z-axis through S^(n-2) orbits.  Provides principal curvatures,
 quermassintegrals int H_k, enclosed volume, the Minkowski identity residual
-and the Aleksandrov-Fenchel / Qiu-Xia inequality gaps.
+and the two sides of the Aleksandrov-Fenchel and Qiu-Xia inequalities.
 """
 
 from dataclasses import dataclass
@@ -19,9 +19,11 @@ __all__ = [
     "RevolutionBody",
     "SurfaceSampleSet",
     "af_gap",
+    "af_sides",
     "curvature_samples",
     "minkowski_residual",
     "qiu_xia_gap",
+    "qiu_xia_sides",
     "quermass",
     "sphere_measure",
     "surface_h_k",
@@ -188,6 +190,11 @@ class SurfaceSampleSet:
     def area(self):
         return float(np.sum(self.area_weight))
 
+    @property
+    def volume(self):
+        """Enclosed volume by the divergence theorem: (1/n) int <x,nu>."""
+        return self.integrate(self.x_dot_nu) / self.n
+
 
 def surface_h_k(kappa_m, kappa_r, n, k):
     """H_k = S_k of (kappa_m, kappa_r * (n-2)); H_0 = 1."""
@@ -255,9 +262,8 @@ def minkowski_residual(body: RevolutionBody, k):
 
 
 def volume(body: RevolutionBody):
-    """Enclosed volume by the divergence theorem: (1/n) int <x,nu> dsigma."""
-    s = curvature_samples(body)
-    return s.integrate(s.x_dot_nu) / body.n
+    """Enclosed volume of the body (SurfaceSampleSet.volume)."""
+    return curvature_samples(body).volume
 
 
 def _require_convex(samples: SurfaceSampleSet, margin=1e-12):
@@ -266,29 +272,40 @@ def _require_convex(samples: SurfaceSampleSet, margin=1e-12):
         raise NotConvex(f"curvature sample {worst:.3e} <= convexity margin {margin:g}")
 
 
-def af_gap(body: RevolutionBody, k):
-    """Aleksandrov-Fenchel gap for convex bodies, k >= 2:
+def af_sides(samples: SurfaceSampleSet, k):
+    """The two sides of the Aleksandrov-Fenchel inequality, k >= 2:
 
-        (n-k)(k-1) (int H_{k-1})^2 - (n-k+1) k int H_k int H_{k-2}
+        (n-k)(k-1) (int H_{k-1})^2  >=  (n-k+1) k int H_k int H_{k-2}
 
-    Nonnegative for convex bodies; zero exactly for balls.
+    for convex bodies, with equality exactly for balls.
     """
-    n = body.n
+    n = samples.n
     if k < 2:
-        raise ValueError("af_gap needs k >= 2")
-    s = curvature_samples(body)
-    _require_convex(s)
-    q_km1 = s.integrate(s.h_k(k - 1))
-    q_k = s.integrate(s.h_k(k))
-    q_km2 = s.integrate(s.h_k(k - 2))
-    return (n - k) * (k - 1) * q_km1**2 - (n - k + 1) * k * q_k * q_km2
+        raise ValueError("the Aleksandrov-Fenchel inequality needs k >= 2")
+    _require_convex(samples)
+    q_km1 = samples.integrate(samples.h_k(k - 1))
+    q_k = samples.integrate(samples.h_k(k))
+    q_km2 = samples.integrate(samples.h_k(k - 2))
+    return (n - k) * (k - 1) * q_km1**2, (n - k + 1) * k * q_k * q_km2
+
+
+def af_gap(body: RevolutionBody, k):
+    """Aleksandrov-Fenchel gap, the difference of af_sides: nonnegative for
+    convex bodies, zero exactly for balls."""
+    lhs, rhs = af_sides(curvature_samples(body), k)
+    return lhs - rhs
+
+
+def qiu_xia_sides(samples: SurfaceSampleSet):
+    """The two sides of (n-1)/n |bdry|^2 >= |body| int H_1 for convex
+    bodies, with equality exactly for balls."""
+    _require_convex(samples)
+    n = samples.n
+    area_term = (n - 1) / n * samples.area**2
+    return area_term, samples.volume * samples.integrate(samples.h_k(1))
 
 
 def qiu_xia_gap(body: RevolutionBody):
     """Gap (n-1)/n |bdry|^2 - |body| int H_1; >= 0 for convex, 0 for balls."""
-    s = curvature_samples(body)
-    _require_convex(s)
-    area = s.area
-    vol = s.integrate(s.x_dot_nu) / body.n
-    int_h1 = s.integrate(s.h_k(1))
-    return (body.n - 1) / body.n * area**2 - vol * int_h1
+    lhs, rhs = qiu_xia_sides(curvature_samples(body))
+    return lhs - rhs

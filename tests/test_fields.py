@@ -7,7 +7,6 @@ from hesslab.errors import DegenerateGradient
 from hesslab.fields import (
     AxiJets,
     Jet2,
-    admissibility_audit,
     levelset_curvature,
     levelset_curvature_axisym,
     rhs_at_radius,
@@ -166,29 +165,3 @@ class TestApproxRHS:
             vals = rhs_at_radius(r, eps, 5)
             assert np.all(np.diff(vals) < 0)
             assert np.max(vals) <= eps**2 * (0.5**2) ** (-5 / 2 - 1)
-
-
-class TestAdmissibilityAudit:
-    def test_harmonic_radial_jets_admissible(self):
-        sol = RadialSolution(n=3, k=1, R=1.0)
-        jets = [radial_eval(sol, r) for r in np.linspace(1.0, 5.0, 20)]
-        report = admissibility_audit(jets, 1)
-        assert report.all_admissible
-        assert abs(report.worst_margin) <= 1e-12  # Laplacian is exactly zero
-
-    def test_k2_radial_jets_on_cone_boundary(self):
-        sol = RadialSolution(n=5, k=2, R=1.0)
-        jets = [radial_eval(sol, r) for r in np.linspace(1.0, 4.0, 20)]
-        report = admissibility_audit(jets, 2)
-        assert report.all_admissible
-        # S_1 > 0 strictly, S_2 = 0: margin is the S_2 value
-        assert abs(report.worst_margin) <= 1e-12
-
-    def test_concave_jets_flagged(self):
-        jets = [
-            Jet2(x=np.zeros(3), u=0.0, g=np.ones(3), H=-np.eye(3)) for _ in range(5)
-        ]
-        report = admissibility_audit(jets, 1)
-        assert not report.all_admissible
-        assert report.worst_margin == pytest.approx(-3.0)
-        assert len(report.failing) == 5

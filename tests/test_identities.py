@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from hesslab import identities, surfaces
 from hesslab.errors import NotOverdetermined
 from hesslab.identities import (
     CERTIFIED_BALL,
     CERTIFIED_NOT_OVERDETERMINED,
     IDENTITY_OK,
+    INCONCLUSIVE,
     INEQUALITY_OK,
     NOT_APPLICABLE,
     LedgerEntry,
@@ -17,6 +19,7 @@ from hesslab.identities import (
 )
 from hesslab.monotone import ProblemSpec
 from hesslab.radial import RadialSolution
+from hesslab.solver import ExteriorField
 from hesslab.surfaces import RevolutionBody, sphere_measure
 
 S4 = sphere_measure(4)
@@ -181,3 +184,88 @@ class TestCertifyBall:
     def test_missing_spec_rejected(self):
         with pytest.raises(ValueError):
             certify_ball(RadialSolution(n=3, k=1, R=1.0))
+
+    # a constant boundary gradient (spread 0) passes the overdetermined
+    # test, so these reach the convexity bounds and the squeeze
+
+    @pytest.mark.parametrize("n,k", [(3, 1), (5, 2)])
+    def test_non_convex_body_inconclusive(self, n, k):
+        stub = _GradientStub(n=n, k=k, spread=0.0)
+        body = RevolutionBody.cos_perturbed(n, 0.2, 4)
+        spec = ProblemSpec(n=n, k=k, a=float(k + 1))
+        report = certify_ball(stub, body, spec)
+        assert report.verdict == INCONCLUSIVE
+        assert report.gradient_spread == 0.0
+        assert np.isnan(report.squeeze_lhs)
+        assert np.isnan(report.squeeze_rhs)
+        assert np.isnan(report.squeeze_rel)
+
+    @pytest.mark.parametrize("n,k,squeeze", [(3, 1, 0.023), (5, 2, 0.0094)])
+    def test_convex_non_ball_inconclusive(self, n, k, squeeze):
+        stub = _GradientStub(n=n, k=k, spread=0.0)
+        body = RevolutionBody.spheroid(1.5, 1.0, n=n)
+        spec = ProblemSpec(n=n, k=k, a=float(k + 1))
+        report = certify_ball(stub, body, spec)
+        assert report.verdict == INCONCLUSIVE
+        assert np.isfinite(report.squeeze_lhs)
+        assert np.isfinite(report.squeeze_rhs)
+        assert report.squeeze_rel == pytest.approx(squeeze, rel=0.02)
+
+    def test_non_convex_k1_area_volume_not_applicable(self):
+        stub = _GradientStub(n=3, k=1, spread=0.0)
+        body = RevolutionBody.cos_perturbed(3, 0.2, 4)
+        spec = ProblemSpec(n=3, k=1, a=2.0)
+        entries = {e.name: e for e in inequality_ledger(stub, body, spec)}
+        assert entries["area-volume-curvature-bound"].verdict == NOT_APPLICABLE
+        # the overdetermined entry still applies: only convexity is missing
+        assert entries["curvature-ratio-lower-bound"].verdict != NOT_APPLICABLE
+
+
+class TestOneBoundaryEvaluation:
+    """A public call samples the boundary curvature and |grad u| once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"samples": 0, "gradient": 0}
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        samples = counted(surfaces.curvature_samples, "samples")
+        monkeypatch.setattr(surfaces, "curvature_samples", samples)
+        monkeypatch.setattr(identities, "curvature_samples", samples)
+        monkeypatch.setattr(
+            ExteriorField, "boundary_gradient",
+            counted(ExteriorField.boundary_gradient, "gradient"),
+        )
+        return counts
+
+    @staticmethod
+    def _calls(solution, n, k):
+        spec = ProblemSpec(n=n, k=k, a=float(k + 1))
+        calls = [lambda: inequality_ledger(solution, spec=spec),
+                 lambda: certify_ball(solution, spec=spec)]
+        if k >= 2:
+            calls += [lambda: identity_lemma33(solution),
+                      lambda: pohozaev_lemma34(solution)]
+        return calls
+
+    def _check(self, counts, solution, n, k):
+        for call in self._calls(solution, n, k):
+            counts.update(samples=0, gradient=0)
+            call()
+            assert counts["samples"] <= 1
+            assert counts["gradient"] <= 1
+
+    def test_fields(self, counts, sphere_k2_field, prolate_field):
+        self._check(counts, sphere_k2_field, 5, 2)
+        self._check(counts, prolate_field, 3, 1)
+        # the field path reads |grad u| from the field itself
+        assert counts["gradient"] == 1
+
+    @pytest.mark.parametrize("n,k", [(5, 2), (3, 1)])
+    def test_radial(self, counts, n, k):
+        self._check(counts, RadialSolution(n=n, k=k, R=1.0), n, k)

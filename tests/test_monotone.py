@@ -17,8 +17,6 @@ class TestProblemSpec:
         spec = ProblemSpec(n=5, k=2, a=2.0)
         assert spec.C3 == 1.0
         assert spec.C4 == 0.0
-        assert spec.t_grid.size == 50
-        assert spec.t_grid[0] == pytest.approx(-1.0)
         assert spec.eps_schedule == (0.5, 0.1, 0.02)
 
     def test_exponents(self):
@@ -96,11 +94,7 @@ class TestWeightsDerivatives:
          (7, 3, 3.0, 2.0, -0.5), (9, 2, 2.0, 1.0, 1.0)],
     )
     def test_matches_finite_differences(self, n, k, a, C3, C4):
-        spec = ProblemSpec(n=n, k=k, a=a, C3=C3, C4=max(C4, 0.0))
-        # bypass the C1 >= 0 guard for the mixed-sign case via replace
-        if C4 < 0:
-            spec = ProblemSpec(n=n, k=k, a=a, C3=C3, C4=C4,
-                               t_grid=np.linspace(-0.5, -0.05, 10))
+        spec = ProblemSpec(n=n, k=k, a=a, C3=C3, C4=C4)
         t = np.linspace(-0.9, -0.1, 17)
         h = 1e-6
         c1p, c2p = weights_derivatives(t, spec)

@@ -18,6 +18,7 @@ from hesslab.fields import (
 from hesslab.monotone import (
     F_boundary,
     F_eval,
+    T_GRID,
     ProblemSpec,
     extract_levelset,
     limit_bound,
@@ -231,6 +232,22 @@ class TestMonotonicityAudit:
         assert report.limit_respected
         drop = report.F[0] - report.F[-1]
         assert drop > 10.0 * tol
+
+    def test_default_levels(self, prolate_field, prolate_field_half,
+                            sphere_k2_field):
+        # without t_grid the audit runs on T_GRID, whose levels lie inside
+        # the range of a solved field
+        spec = ProblemSpec(n=3, k=1, a=1.0)
+        tol = self._richardson_tol(prolate_field, prolate_field_half, spec,
+                                   T_GRID)
+        report = monotonicity_audit(prolate_field, spec, tol)
+        assert np.array_equal(report.t, T_GRID)
+        assert report.non_increasing
+        assert report.limit_respected
+        report = monotonicity_audit(sphere_k2_field,
+                                    ProblemSpec(n=5, k=2, a=2.0), 1e-3)
+        assert np.array_equal(report.t, T_GRID)
+        assert report.constant_flag
 
     def test_radial_constancy_flag(self, sphere_k2_field):
         spec = ProblemSpec(n=5, k=2, a=2.0)

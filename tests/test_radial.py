@@ -7,7 +7,6 @@ from hesslab.monotone import ProblemSpec, limit_bound, sphere_measure, weights
 from hesslab.radial import (
     RadialSolution,
     _level_sphere_integrals,
-    asymptotic_predict,
     exterior_skm1_grad2_integral,
     radial_F,
     radial_eval,
@@ -147,36 +146,6 @@ class TestRadialF:
         spec = ProblemSpec(n=3, k=1, a=1.0)
         with pytest.raises(ValueError):
             radial_F(sol, 0.5, spec)
-
-
-class TestAsymptoticPredict:
-    def test_harmonic_area_and_radius(self):
-        # n=3, k=1, rho=2: level t=-0.5 is the sphere of radius 4
-        spec = ProblemSpec(n=3, k=1, a=1.0)
-        area, _, _, radius = asymptotic_predict(2.0, -0.5, spec)
-        assert radius == pytest.approx(4.0, rel=1e-13)
-        assert area == pytest.approx(64 * pi, rel=1e-13)
-
-    def test_harmonic_hk1_integral(self):
-        # n=3, k=1, rho=2, a=2: int H_0 |grad|^3 at t=-0.5 is pi/8
-        spec = ProblemSpec(n=3, k=1, a=2.0)
-        _, _, int_hk1, _ = asymptotic_predict(2.0, -0.5, spec)
-        assert int_hk1 == pytest.approx(pi / 8, rel=1e-13)
-
-    @pytest.mark.parametrize(
-        "n,k,a,R",
-        [(3, 1, 1.0, 1.0), (3, 1, 2.0, 2.0), (5, 2, 2.0, 1.0), (7, 3, 3.0, 1.3)],
-    )
-    def test_exact_on_balls_at_every_level(self, n, k, a, R):
-        sol = RadialSolution(n=n, k=k, R=R)
-        spec = ProblemSpec(n=n, k=k, a=a)
-        for t in (-1.0, -0.6, -0.3, -0.05):
-            area, int_hk, int_hk1 = _level_sphere_integrals(sol, t, a)
-            p_area, p_hk, p_hk1, p_rad = asymptotic_predict(sol.rho, t, spec)
-            assert p_rad == pytest.approx(float(sol.level_radius(t)), rel=1e-12)
-            assert p_area == pytest.approx(area, rel=1e-12)
-            assert p_hk == pytest.approx(int_hk, rel=1e-12)
-            assert p_hk1 == pytest.approx(int_hk1, rel=1e-12)
 
 
 class TestExteriorIntegral:

@@ -4,6 +4,7 @@ from math import comb, log2, sqrt
 
 from hesslab import solver
 from hesslab.errors import NewtonStall, PoorFit
+from hesslab.fields import AxiJets
 from hesslab.monotone import ProblemSpec
 from hesslab.radial import RadialSolution
 from hesslab.solver import (
@@ -12,7 +13,6 @@ from hesslab.solver import (
     admissibility_margin,
     equation_residual,
     estimate_rho,
-    hessian_axisym,
     solve_exterior,
 )
 from hesslab.surfaces import RevolutionBody
@@ -44,6 +44,14 @@ class TestAxiGrid:
         grid = AxiGrid(body=body, R_out=40.0, N_s=32, N_theta=16)
         z, rho = grid.to_physical(0.5, np.pi / 3)
         assert np.hypot(z, rho) == pytest.approx(grid.radius(0.5, np.pi / 3))
+
+
+def hessian_axisym(field, node):
+    """The Jet2 of grid node (i, j), read off the field's per-node jets."""
+    d = field._derived()
+    jets = AxiJets(n=field.n, u=field.u,
+                   **{key: val for key, val in d.items() if key != "r"})
+    return jets.jet(node)
 
 
 class TestHessianAxisym:
