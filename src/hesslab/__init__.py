@@ -7,24 +7,20 @@ certification at desk scale.
 """
 
 from .errors import (
-    CriticalPointOnLevel,
     DegenerateGradient,
     LevelOutOfRange,
     NewtonStall,
     NotConvex,
-    NotOverdetermined,
     OutOfDomain,
     PoorFit,
     StarShapeViolation,
 )
 
 __all__ = [
-    "CriticalPointOnLevel",
     "DegenerateGradient",
     "LevelOutOfRange",
     "NewtonStall",
     "NotConvex",
-    "NotOverdetermined",
     "OutOfDomain",
     "PoorFit",
     "StarShapeViolation",

@@ -9,6 +9,7 @@ Subcommands
     certify        ball certification verdict
     report         aggregate run over a builtin body battery
 
+Each subcommand takes only the options it reads (see _SUBCOMMANDS).
 Exit codes: 0 success, 2 invalid configuration, 3 solver failure,
 4 audit violation (an invariant or inequality failed numerically).
 All emitted files carry the configuration hash and the final epsilon.
@@ -58,8 +59,10 @@ EXIT_AUDIT = 4
 
 
 def _config_hash(args):
+    """Hash of the settings that determine the computation: every option
+    but --out, and the subcommand."""
     payload = json.dumps(
-        {k: v for k, v in sorted(vars(args).items()) if k != "func"},
+        {k: v for k, v in vars(args).items() if k not in ("func", "out")},
         default=str,
         sort_keys=True,
     )
@@ -103,16 +106,13 @@ def _body(args):
 
 
 def _build_spec(args):
+    """The ProblemSpec of args: a defaults to k + 1, and the fields that a
+    subcommand takes no option for keep ProblemSpec's defaults."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(ProblemSpec)
+             if getattr(args, f.name, None) is not None}
+    given.setdefault("a", args.k + 1.0)
     try:
-        return ProblemSpec(
-            n=args.n,
-            k=args.k,
-            a=args.a,
-            C3=args.C3,
-            C4=args.C4,
-            eps_schedule=tuple(args.eps_schedule),
-            cnk=args.cnk,
-        )
+        return ProblemSpec(**given)
     except ValueError as exc:
         _config_error(str(exc))
 
@@ -136,12 +136,7 @@ def _t_grid(args):
 def _solve(args, spec, body):
     try:
         return solve_exterior(
-            body,
-            spec,
-            schedule=spec.eps_schedule,
-            R_out=args.R_out,
-            N_s=args.N_s,
-            N_theta=args.N_theta,
+            body, spec, R_out=args.R_out, N_s=args.N_s, N_theta=args.N_theta
         )
     except ValueError as exc:
         _config_error(str(exc))
@@ -202,7 +197,7 @@ def cmd_matrix_suite(args):
         gaps = newton_maclaurin_gap(np.array(lams), m, ell)
         worst_nm = min(worst_nm, float(np.min(gaps)))
     ok = worst_identity <= 1e-10 and worst_grad <= 1e-5 and worst_nm >= -1e-12
-    print(_header(args))
+    print(f"# config={_config_hash(args)}")
     print(f"trials={trials} identity_residual={worst_identity:.3e} "
           f"gradient_fd_error={worst_grad:.3e} newton_maclaurin_min={worst_nm:.3e}")
     print("matrix-suite:", "ok" if ok else "VIOLATION")
@@ -372,24 +367,55 @@ def cmd_report(args):
 # -- parser ------------------------------------------------------------
 
 
-def _add_common(p, need_body=False):
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--C3", type=float, default=1.0)
-    p.add_argument("--C4", type=float, default=0.0)
-    p.add_argument("--R", type=float, default=1.0)
-    p.add_argument("--cnk", type=float, default=1.0)
-    p.add_argument("--eps-schedule", type=lambda s: [float(v) for v in s.split(",")],
-                   default=[0.5, 0.1, 0.02], dest="eps_schedule")
-    p.add_argument("--N-s", type=int, default=128, dest="N_s")
-    p.add_argument("--N-theta", type=int, default=None, dest="N_theta")
-    p.add_argument("--R-out", type=float, default=None, dest="R_out")
-    p.add_argument("--t-grid", type=str, default=None, dest="t_grid")
-    p.add_argument("--tol-mono", type=float, default=None, dest="tol_mono")
-    p.add_argument("--out", type=str, default="hesslab-out")
-    if need_body:
-        p.add_argument("--body", type=str, default="sphere")
+def _floats(text):
+    return tuple(float(v) for v in text.split(","))
+
+
+#: argparse settings of every option; ProblemSpec owns the defaults of its
+#: fields.
+_OPTIONS = {
+    "--trials": dict(type=int, default=10000),
+    "--seed": dict(type=int, default=0),
+    "--n": dict(type=int, required=True),
+    "--k": dict(type=int, required=True),
+    "--R": dict(type=float, default=1.0),
+    "--eps-schedule": dict(type=_floats, default=ProblemSpec.eps_schedule),
+    "--a": dict(type=float, default=None),
+    "--C3": dict(type=float, default=ProblemSpec.C3),
+    "--C4": dict(type=float, default=ProblemSpec.C4),
+    "--body": dict(type=str, default="sphere"),
+    "--cnk": dict(type=float, default=ProblemSpec.cnk),
+    "--N-s": dict(type=int, default=128),
+    "--N-theta": dict(type=int, default=None),
+    "--R-out": dict(type=float, default=None),
+    "--t-grid": dict(type=str, default=None),
+    "--tol-mono": dict(type=float, default=None),
+    "--out": dict(type=str, default="hesslab-out"),
+}
+
+_PROBLEM = ("--n", "--k", "--R", "--eps-schedule")
+_WEIGHTS = ("--a", "--C3", "--C4")
+_GRID = ("--cnk", "--N-s", "--N-theta", "--R-out")
+
+#: (name, handler, help, options) of each subcommand: the options are the
+#: ones its computation or its header reads.
+_SUBCOMMANDS = (
+    ("matrix-suite", cmd_matrix_suite, "symmetric-function battery",
+     ("--trials", "--seed")),
+    ("radial", cmd_radial, "radial oracle table",
+     _PROBLEM + _WEIGHTS + ("--t-grid", "--out")),
+    ("solve", cmd_solve, "solve and save a field checkpoint",
+     _PROBLEM + ("--body",) + _GRID + ("--out",)),
+    ("monotone", cmd_monotone, "F(t) audit table",
+     _PROBLEM + _WEIGHTS + ("--body",) + _GRID
+     + ("--t-grid", "--tol-mono", "--out")),
+    ("identities", cmd_identities, "identity and inequality ledger",
+     _PROBLEM + ("--a", "--body") + _GRID + ("--out",)),
+    ("certify", cmd_certify, "ball certification verdict",
+     _PROBLEM + ("--body",) + _GRID),
+    ("report", cmd_report, "aggregate body battery",
+     _PROBLEM + ("--a",) + _GRID + ("--out",)),
+)
 
 
 def build_parser():
@@ -398,27 +424,10 @@ def build_parser():
         description="Exterior k-Hessian potential laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("matrix-suite", help="symmetric-function battery")
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps-schedule", type=lambda s: [float(v) for v in s.split(",")],
-                   default=[0.5, 0.1, 0.02], dest="eps_schedule")
-    p.set_defaults(func=cmd_matrix_suite)
-
-    p = sub.add_parser("radial", help="radial oracle table")
-    _add_common(p)
-    p.set_defaults(func=cmd_radial)
-
-    for name, func, help_text in (
-        ("solve", cmd_solve, "solve and save a field checkpoint"),
-        ("monotone", cmd_monotone, "F(t) audit table"),
-        ("identities", cmd_identities, "identity and inequality ledger"),
-        ("certify", cmd_certify, "ball certification verdict"),
-        ("report", cmd_report, "aggregate body battery"),
-    ):
+    for name, func, help_text, options in _SUBCOMMANDS:
         p = sub.add_parser(name, help=help_text)
-        _add_common(p, need_body=True)
+        for flag in options:
+            p.add_argument(flag, **_OPTIONS[flag])
         p.set_defaults(func=func)
     return parser
 
@@ -426,8 +435,6 @@ def build_parser():
 def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "a", None) is None and args.command != "matrix-suite":
-        args.a = float(args.k + 1)
     try:
         return args.func(args)
     except SystemExit as exc:

@@ -31,11 +31,3 @@ class PoorFit(HesslabError):
 
 class LevelOutOfRange(HesslabError):
     """Requested level not strictly between boundary and far-field values."""
-
-
-class CriticalPointOnLevel(HesslabError):
-    """A level-set sample fell below the gradient threshold."""
-
-
-class NotOverdetermined(HesslabError):
-    """Boundary |grad u| is not constant to tolerance; identity not asserted."""

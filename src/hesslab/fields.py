@@ -22,7 +22,7 @@ __all__ = [
     "rhs_at_radius",
 ]
 
-#: Default gradient threshold below which curvature formulas refuse to run.
+#: Gradient threshold below which the curvature formulas refuse to run.
 TAU_GRAD = 1e-8
 
 
@@ -97,7 +97,7 @@ def rhs_at_radius(r, eps, n, cnk=1.0):
     return cnk * eps**2 * (r**2 + eps**2) ** (-n / 2.0 - 1.0)
 
 
-def levelset_curvature(jet: Jet2, k, sk_value, tau_grad=TAU_GRAD):
+def levelset_curvature(jet: Jet2, k, sk_value):
     """Level-set curvatures (H_k, H_{k-1}) at a non-critical point.
 
     H_{k-1} = S_k^{ij} u_i u_j / |grad u|^{k+1}; H_k is recovered from
@@ -106,9 +106,9 @@ def levelset_curvature(jet: Jet2, k, sk_value, tau_grad=TAU_GRAD):
     homogeneous problem or f^eps(x) for the regularized one.
     """
     gnorm = jet.grad_norm
-    if gnorm < tau_grad:
+    if gnorm < TAU_GRAD:
         raise DegenerateGradient(
-            f"|grad u| = {gnorm:.3e} < {tau_grad:.1e}: critical point"
+            f"|grad u| = {gnorm:.3e} < {TAU_GRAD:.1e}: critical point"
         )
     skij = sigma_grad(jet.H, k)
     g = jet.g
@@ -118,7 +118,7 @@ def levelset_curvature(jet: Jet2, k, sk_value, tau_grad=TAU_GRAD):
     return h_k, h_km1
 
 
-def levelset_curvature_axisym(jets: AxiJets, k, sk_values, tau_grad=TAU_GRAD):
+def levelset_curvature_axisym(jets: AxiJets, k, sk_values):
     """Arrays (H_k, H_{k-1}) of levelset_curvature at every jet of an AxiJets.
 
     S_k^{ij} of the block-diagonal Hessian is block diagonal too.  The
@@ -127,9 +127,9 @@ def levelset_curvature_axisym(jets: AxiJets, k, sk_values, tau_grad=TAU_GRAD):
     matrix is built.
     """
     gn = jets.grad_norm
-    if np.any(gn < tau_grad):
+    if np.any(gn < TAU_GRAD):
         raise DegenerateGradient(
-            f"|grad u| = {float(gn.min()):.3e} < {tau_grad:.1e}: critical point"
+            f"|grad u| = {float(gn.min()):.3e} < {TAU_GRAD:.1e}: critical point"
         )
     b11, b12, b22, _ = sigma_split(
         jets.uzz, jets.uzrho, jets.urhorho, jets.kappat, jets.n - 2, k, grad=True

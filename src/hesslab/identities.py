@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import simpson
 
-from .errors import NotConvex, NotOverdetermined
+from .errors import NotConvex
 from .monotone import ProblemSpec
 from .radial import RadialSolution, exterior_skm1_grad2_integral
 from .solver import ExteriorField
@@ -201,17 +201,14 @@ def _gradient_energy_integral(solution):
 
 def _balance_terms(solution, body, what):
     """(c, int H_{k-2}, int H_{k-1}, int S_{k-1} |grad u|^2 dx): the terms
-    of both balance identities, on an overdetermined solution with k >= 2."""
+    of both balance identities, for k >= 2; None when the boundary gradient
+    spread exceeds _SPREAD_LIMIT, as the identities presume it constant."""
     k = solution.k
     if k < 2:
         raise ValueError(f"the {what} needs k >= 2, got k={k}")
     b = _boundary(solution, body)
     if b.spread > _SPREAD_LIMIT:
-        raise NotOverdetermined(
-            f"boundary gradient spread {b.spread:.3e} exceeds "
-            f"{_SPREAD_LIMIT:g}; the balance identities presume constant "
-            "boundary gradient"
-        )
+        return None
     return (b.c, b.integral(0, k - 2), b.integral(0, k - 1),
             _gradient_energy_integral(solution))
 
@@ -220,10 +217,15 @@ def identity_lemma33(solution, body=None) -> LedgerEntry:
     """Gradient-energy balance on an overdetermined solution, k >= 2:
 
         (k+1) int S_{k-1} |grad u|^2 dx + c^(k+1) int H_{k-2}
-            = 2 c^k int H_{k-1}.
+            = 2 c^k int H_{k-1};
+
+    not applicable when the boundary gradient is not constant.
     """
     k = solution.k
-    c, q_km2, q_km1, vol_int = _balance_terms(solution, body, "balance identity")
+    terms = _balance_terms(solution, body, "balance identity")
+    if terms is None:
+        return _not_applicable("gradient-energy-balance")
+    c, q_km2, q_km1, vol_int = terms
     lhs = (k + 1) * vol_int + c ** (k + 1) * q_km2
     rhs = 2.0 * c**k * q_km1
     return _identity_entry("gradient-energy-balance", lhs, rhs)
@@ -233,10 +235,15 @@ def pohozaev_lemma34(solution, body=None) -> LedgerEntry:
     """Rellich-Pohozaev balance on an overdetermined solution, k >= 2:
 
         (n-k+1) [int S_{k-1} |grad u|^2 dx + c^(k+1)/(k-1) int H_{k-2}]
-            = 2 (n-k) c^k / k int H_{k-1}.
+            = 2 (n-k) c^k / k int H_{k-1};
+
+    not applicable when the boundary gradient is not constant.
     """
     n, k = solution.n, solution.k
-    c, q_km2, q_km1, vol_int = _balance_terms(solution, body, "Pohozaev balance")
+    terms = _balance_terms(solution, body, "Pohozaev balance")
+    if terms is None:
+        return _not_applicable("rellich-pohozaev-balance")
+    c, q_km2, q_km1, vol_int = terms
     lhs = (n - k + 1) * (vol_int + c ** (k + 1) / (k - 1) * q_km2)
     rhs = 2.0 * (n - k) * c**k / k * q_km1
     return _identity_entry("rellich-pohozaev-balance", lhs, rhs)

@@ -21,13 +21,8 @@ from math import comb
 
 import numpy as np
 
-from .errors import CriticalPointOnLevel, LevelOutOfRange
-from .fields import (
-    TAU_GRAD,
-    AxiJets,
-    levelset_curvature_axisym,
-    rhs_at_radius,
-)
+from .errors import LevelOutOfRange
+from .fields import AxiJets, levelset_curvature_axisym, rhs_at_radius
 from .surfaces import RevolutionBody, curvature_samples, sphere_measure
 
 __all__ = [
@@ -75,6 +70,9 @@ class ProblemSpec:
                 "C1(t) must be nonnegative on [-1, 0): need C3 >= 0 and "
                 f"C3 + C4 >= 0, got C3={self.C3:g}, C4={self.C4:g}"
             )
+        eps = tuple(self.eps_schedule)
+        if not eps or min(eps) <= 0 or any(a <= b for a, b in zip(eps, eps[1:])):
+            raise ValueError("eps schedule must be strictly decreasing and positive")
 
     @property
     def a_min(self):
@@ -221,12 +219,14 @@ def _crossings(edge, i, j, f, hs, ht):
     return hs * (ia + lam * (ib - ia)), ht * (ja + lam * (jb - ja))
 
 
-def extract_levelset(field, t, tau_grad=TAU_GRAD) -> LevelSetCurve:
+def extract_levelset(field, t) -> LevelSetCurve:
     """Marching-squares contour of {u = t} with midpoint jets.
 
     The level must sit strictly between the first interior grid row and the
     far-field row, so a full stencil separates the curve from both
     boundaries.  Segments come in row-major cell order, two per saddle cell.
+    The jets are not checked for a critical point here; F_eval's curvatures
+    are (see fields.levelset_curvature_axisym).
     """
     u = field.u
     if not (t > float(np.max(u[1, :])) and t < float(np.min(u[-1, :]))):
@@ -261,11 +261,6 @@ def extract_levelset(field, t, tau_grad=TAU_GRAD) -> LevelSetCurve:
     mid_rho = 0.5 * (rho0 + rho1)
 
     jets = field.jets_at(mid_s, mid_th)
-    gn = jets.grad_norm
-    if np.any(gn < tau_grad):
-        raise CriticalPointOnLevel(
-            f"|grad u| = {float(gn.min()):.3e} on level {t}"
-        )
     weight = length * sphere_measure(field.n - 2) * mid_rho ** (field.n - 2)
     return LevelSetCurve(
         t=t,

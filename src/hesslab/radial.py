@@ -95,14 +95,14 @@ def radial_eval(sol: RadialSolution, r, direction=None) -> Jet2:
 
 
 def _level_sphere_integrals(sol: RadialSolution, t, a):
-    """(area, int H_k |grad|^a, int H_{k-1} |grad|^(a+1)) on {u = t}."""
+    """(int H_k |grad|^a, int H_{k-1} |grad|^(a+1)) on {u = t}."""
     n, k = sol.n, sol.k
     r = float(sol.level_radius(t))
     gn = float(sol.slope(r))
     area = sphere_measure(n - 1) * r ** (n - 1)
     int_hk = area * comb(n - 1, k) * r ** (-k) * gn**a
     int_hk1 = area * comb(n - 1, k - 1) * r ** (-(k - 1)) * gn ** (a + 1)
-    return area, int_hk, int_hk1
+    return int_hk, int_hk1
 
 
 def radial_F(sol: RadialSolution, t, spec: ProblemSpec):
@@ -112,7 +112,7 @@ def radial_F(sol: RadialSolution, t, spec: ProblemSpec):
     t = float(t)
     if not -1.0 <= t < 0.0:
         raise ValueError("level must lie in [-1, 0)")
-    _, int_hk, int_hk1 = _level_sphere_integrals(sol, t, spec.a)
+    int_hk, int_hk1 = _level_sphere_integrals(sol, t, spec.a)
     c1, c2 = weights(t, spec)
     return float(c1) * int_hk + float(c2) * int_hk1
 

@@ -38,6 +38,11 @@ FIELD_HEADER = "# exterior-field v1"
 _JET_KEYS = ("uz", "urho", "uzz", "uzrho", "urhorho", "kappat")
 _SPLIT_KEYS = _JET_KEYS[2:]  # the jets S_k depends on
 
+#: Residual sup-norm that a Newton solve, and the ghost rows of a solved
+#: field, must reach; and the step cap of each.
+TOL_NEWTON = 1e-10
+MAX_NEWTON = 60
+
 
 @dataclass
 class AxiGrid:
@@ -287,23 +292,23 @@ def _solve_ghost_row(field, which):
     """Ghost values making the equation hold on Dirichlet row `which` of
     a field: Newton with the exact tridiagonal Jacobian from cubic
     extrapolation, until a step no longer lowers the row residual.  Raises
-    NewtonStall if it ends above 1e-10, the default Newton tolerance."""
+    NewtonStall if it ends above TOL_NEWTON."""
     grid, U, n, k = field.grid, field.u, field.n, field.k
     i = 1 if which == 0 else -1
     v = 3 * U[which] - 3 * U[which + i] + U[which + 2 * i]
     f = rhs_at_radius(grid.r_nodes[which], field.eps, n, field.cnk)
     phi, ab = _ghost_row_residual(grid, U, v, which, n, k, f, grad=True)
-    for _ in range(60):
+    for _ in range(MAX_NEWTON):
         v_new = v - solve_banded((1, 1), ab, phi)
         phi_new, ab_new = _ghost_row_residual(grid, U, v_new, which, n, k, f, True)
         if not np.abs(phi_new).max() < np.abs(phi).max():
             break
         v, phi, ab = v_new, phi_new, ab_new
     worst = float(np.abs(phi).max())
-    if worst > 1e-10:
+    if worst > TOL_NEWTON:
         raise NewtonStall(
             f"ghost row at s = {grid.s[which]:g} stopped at residual "
-            f"{worst:.3e} > 1e-10"
+            f"{worst:.3e} > {TOL_NEWTON:g}"
         )
     return v
 
@@ -580,27 +585,29 @@ class _ChordFactor:
         return x - self.z * (np.vdot(self.c, x) / self.denom)
 
 
-def _newton_solve(chord, U_int, f_int, tol, max_iter):
-    """Chord Newton on the interior unknowns with admissibility guards;
-    returns the solution and its residual sup-norm rn.
+def _newton_solve(chord, U_int, f_int):
+    """Chord Newton on the interior unknowns with admissibility guards, at
+    most MAX_NEWTON steps; returns the solution and its residual sup-norm
+    rn, which must reach TOL_NEWTON.
 
     Steps come from chord's LU, maybe of an earlier iterate or eps level.
     The accepted step is the largest in {1, 1/2, ...} that lowers rn and
     keeps the Gamma_k margin >= min(current margin, -max(1e-12, 1e-3 rn)),
     so a non-admissible start may move but the margin never drops.  A
     step from a stale factor that is rejected, or fails to halve an rn
-    above tol, refactors; a rejected step from a fresh factor raises
-    NewtonStall, which names the guard's floor when the guard refused a
-    step that lowered rn.  Within tol only full steps are tried, and the first
-    that does not halve rn ends the solve at the rounding floor.  Ending
-    on a non-admissible root (margin below -max(1e-12, 1e-3 rn)) raises.
+    above TOL_NEWTON, refactors; a rejected step from a fresh factor
+    raises NewtonStall, which names the guard's floor when the guard
+    refused a step that lowered rn.  Within TOL_NEWTON only full steps are
+    tried, and the first that does not halve rn ends the solve at the
+    rounding floor.  Ending on a non-admissible root (margin below
+    -max(1e-12, 1e-3 rn)) raises.
     """
     d, res, rn, margin = chord.evaluate(U_int, f_int)
-    for _ in range(max_iter):
+    for _ in range(MAX_NEWTON):
         if chord.lu is None:
             chord.refactor(d)
         step = chord.step(res)
-        at_floor = rn <= tol
+        at_floor = rn <= TOL_NEWTON
         lam, accepted, refused = 1.0, False, None
         for _ in range(1 if at_floor else 41):
             cand = U_int + lam * step
@@ -627,14 +634,14 @@ def _newton_solve(chord, U_int, f_int, tol, max_iter):
             if chord.fresh:
                 raise NewtonStall(
                     f"no decreasing step at residual {rn:.3e} "
-                    f"(tolerance {tol:.1e}); eps too small for this grid?"
+                    f"(tolerance {TOL_NEWTON:.1e}); eps too small for this grid?"
                 )
             chord.lu = None
-        elif not (halved or chord.fresh or rn <= tol):
+        elif not (halved or chord.fresh or rn <= TOL_NEWTON):
             chord.lu = None
         chord.fresh = False
-    if rn > tol:
-        raise NewtonStall(f"Newton stopped at residual {rn:.3e} > {tol:.1e}")
+    if rn > TOL_NEWTON:
+        raise NewtonStall(f"Newton stopped at residual {rn:.3e} > {TOL_NEWTON:.1e}")
     if margin < -max(1e-12, 1e-3 * rn):
         raise NewtonStall(
             f"Newton converged to a non-admissible root: Gamma_k margin "
@@ -643,39 +650,28 @@ def _newton_solve(chord, U_int, f_int, tol, max_iter):
     return U_int, rn
 
 
-def solve_exterior(
-    body: RevolutionBody,
-    spec,
-    schedule=None,
-    R_out=None,
-    N_s=256,
-    N_theta=None,
-    tol_newton=1e-10,
-    max_newton=60,
-):
+def solve_exterior(body: RevolutionBody, spec, R_out=None, N_s=256, N_theta=None):
     """Solve the regularized exterior problem by eps-continuation.
 
     The outer Dirichlet value is the decay -rho_hat R_out^(2 - n/k), with
     rho_hat the far-field shell fit of the solution itself.  That fit is
     linear in the node values, so the self-consistent outer value is part
-    of the Newton system, and each eps in the (strictly decreasing)
-    schedule takes exactly one Newton solve.
+    of the Newton system, and each eps in spec.eps_schedule takes exactly
+    one Newton solve.  The returned rho_hat is estimate_rho of the
+    solution, so a far field that has not settled raises PoorFit.
 
     Every Newton solve of the call is a chord iteration on one shared
     sparse LU of the analytic Jacobian, with the outer value folded in as
     a rank-one border (see _ChordFactor), factored again only when its
     steps stop contracting (see _newton_solve).  S_1 is linear, so
     a k = 1 solve factors once; for k >= 2 the Jacobian drifts slowly and a
-    few factorizations serve the whole continuation.  max_newton caps the
-    steps of each Newton solve.  The returned field carries the counts of
-    factorizations, back-solves and residual evaluations.
+    few factorizations serve the whole continuation.  The returned field
+    carries the counts of factorizations, back-solves and residual
+    evaluations.
     """
     n, k = spec.n, spec.k
     if body.n != n:
         raise ValueError(f"body dimension {body.n} != spec dimension {n}")
-    schedule = tuple(schedule if schedule is not None else spec.eps_schedule)
-    if not all(a > b > 0 for a, b in zip(schedule, schedule[1:])) or not schedule:
-        raise ValueError("eps schedule must be strictly decreasing and positive")
     if N_theta is None:
         N_theta = max(16, N_s // 2)
     if R_out is None:
@@ -694,22 +690,22 @@ def solve_exterior(
 
     chord = _ChordFactor(grid, U[0], n, k, _outer_weights(grid, alpha))
     U_int = U[1:-1]
-    for eps in schedule:
+    for eps in spec.eps_schedule:
         f_int = rhs_at_radius(grid.r_nodes[1:-1], eps, n, spec.cnk)
-        U_int, rn = _newton_solve(chord, U_int, f_int, tol_newton, max_newton)
-    U = chord.full(U_int)
+        U_int, rn = _newton_solve(chord, U_int, f_int)
 
     field = ExteriorField(
         grid=grid,
-        u=U,
+        u=chord.full(U_int),
         k=k,
-        eps=schedule[-1],
-        rho_hat=_fit_rho(grid, U, alpha)[0],
+        eps=spec.eps_schedule[-1],
+        rho_hat=float("nan"),
         cnk=spec.cnk,
         residual_norm=rn,
         factorizations=chord.factorizations,
         back_solves=chord.back_solves,
         residual_evals=chord.residual_evals,
     )
+    field.rho_hat = estimate_rho(field)
     field.admissible = admissibility_margin(field)
     return field

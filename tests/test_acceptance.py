@@ -5,10 +5,9 @@ pass/fail lines; printed summaries carry the measured numbers.
 """
 
 import time
-from math import comb, log2, pi
+from math import log2, pi
 
 import numpy as np
-import pytest
 
 from test_fields import spheroid_curvature_oracle, spheroidal_jet
 
@@ -16,7 +15,6 @@ from hesslab.fields import levelset_curvature
 from hesslab.identities import (
     CERTIFIED_BALL,
     CERTIFIED_NOT_OVERDETERMINED,
-    IDENTITY_OK,
     c_formula,
     certify_ball,
     identity_lemma33,

@@ -1,3 +1,5 @@
+import argparse
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,46 @@ from hesslab import cli, monotone
 from hesslab.errors import NewtonStall
 from hesslab.solver import ExteriorField
 from hesslab.symfunc import newton_maclaurin_gap
+
+
+#: The options of each subcommand: the ones its computation or its header
+#: reads, 66 in all.
+PROBLEM = {"--n", "--k", "--R", "--eps-schedule"}
+GRID = {"--cnk", "--N-s", "--N-theta", "--R-out"}
+OPTIONS = {
+    "matrix-suite": {"--trials", "--seed"},
+    "radial": PROBLEM | {"--a", "--C3", "--C4", "--t-grid", "--out"},
+    "solve": PROBLEM | GRID | {"--body", "--out"},
+    "monotone": PROBLEM | GRID | {"--a", "--C3", "--C4", "--body", "--t-grid",
+                                  "--tol-mono", "--out"},
+    "identities": PROBLEM | GRID | {"--a", "--body", "--out"},
+    "certify": PROBLEM | GRID | {"--body"},
+    "report": PROBLEM | GRID | {"--a", "--out"},
+}
+
+
+class TestOptions:
+    def test_each_subcommand_registers_what_it_reads(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        got = {
+            name: {flag for action in p._actions if action.dest != "help"
+                   for flag in action.option_strings}
+            for name, p in sub.choices.items()
+        }
+        assert got == OPTIONS
+        assert sum(map(len, got.values())) == 66
+
+    def test_hash_does_not_depend_on_out(self, tmp_path, capsys):
+        # the same run in two directories, and a run with another a
+        heads = []
+        for a, sub in (("2", "one"), ("2", "two"), ("3", "one")):
+            code = cli.run(["radial", "--n", "5", "--k", "2", "--R", "1",
+                            "--a", a, "--out", str(tmp_path / sub)])
+            assert code == cli.EXIT_OK
+            heads.append((tmp_path / sub / "radial.csv").read_text().splitlines()[0])
+        assert heads[0] == heads[1] != heads[2]
 
 
 class TestMatrixSuite:
@@ -195,6 +237,19 @@ class TestIdentities:
         assert "gradient-energy-balance: identity-ok" in out
         csv = (tmp_path / "ledger.csv").read_text()
         assert "name,lhs,rhs,gap,verdict,tolerance" in csv
+
+    def test_spheroid_k2_ledger(self, tmp_path, capsys):
+        # |grad u| varies by 14% on the boundary: the balances do not apply,
+        # and the rest of the ledger still prints
+        code = cli.run([
+            "identities", "--body", "spheroid:1.2,1", "--n", "5", "--k", "2",
+            "--N-s", "64", "--out", str(tmp_path),
+        ])
+        out = capsys.readouterr().out
+        assert code == cli.EXIT_OK
+        assert "gradient-energy-balance: not-applicable" in out
+        assert "rellich-pohozaev-balance: not-applicable" in out
+        assert "capacity-lower-bound: inequality-ok" in out
 
 
 class TestCertify:

@@ -1,4 +1,5 @@
-"""Every name a hesslab module imports is used there or listed in __all__."""
+"""Every name a hesslab module or a test module imports is used there or,
+in a hesslab module, listed in __all__."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from hesslab import errors
 
 SRC = Path(errors.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def _unused_imports(source):
@@ -40,4 +42,9 @@ def test_detector():
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_tests_have_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []

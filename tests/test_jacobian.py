@@ -189,11 +189,11 @@ def test_non_admissible_root_raises():
     # same equation with S_1 < 0: Newton starts there converged and must
     # refuse it rather than return it
     body = RevolutionBody.sphere(1.0, n=5)
-    spec = ProblemSpec(n=5, k=2, a=2.0)
-    fld = solve_exterior(body, spec, N_s=32, schedule=(EPS,))
+    spec = ProblemSpec(n=5, k=2, a=2.0, eps_schedule=(EPS,))
+    fld = solve_exterior(body, spec, N_s=32)
     grid, U = fld.grid, -fld.u
     chord = solver._ChordFactor(grid, U[0], 5, 2,
                                 solver._outer_weights(grid, spec.decay_exponent))
     f_int = rhs_at_radius(grid.r_nodes[1:-1], EPS, 5, spec.cnk)
     with pytest.raises(NewtonStall, match="non-admissible"):
-        solver._newton_solve(chord, U[1:-1], f_int, 1e-10, 60)
+        solver._newton_solve(chord, U[1:-1], f_int)

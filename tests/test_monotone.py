@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from math import comb, pi
+from math import pi
 
 from hesslab.monotone import (
     ProblemSpec,

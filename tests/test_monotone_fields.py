@@ -21,12 +21,11 @@ from hesslab.monotone import (
     T_GRID,
     ProblemSpec,
     extract_levelset,
-    limit_bound,
     monotonicity_audit,
 )
 from hesslab.radial import RadialSolution, radial_F
 from hesslab.solver import AxiGrid, ExteriorField, solve_exterior
-from hesslab.surfaces import RevolutionBody, sphere_measure
+from hesslab.surfaces import RevolutionBody
 
 T_GRID_K1 = np.linspace(-0.9, -0.1, 9)
 T_GRID_K2 = np.linspace(-0.9, -0.25, 8)
@@ -35,22 +34,22 @@ T_GRID_K2 = np.linspace(-0.9, -0.25, 8)
 class TestExtractLevelset:
     def test_radial_circle_radius(self, sphere_k1_field):
         # u = -1/r, so the t level sits at r = 1/(-t)
-        curve = extract_levelset(sphere_k1_field, -0.5, 1e-8)
+        curve = extract_levelset(sphere_k1_field, -0.5)
         radii = np.hypot(curve.seg_z, curve.seg_rho)
         assert np.allclose(radii, 2.0, atol=2e-3)
 
     def test_boundary_level_rejected(self, sphere_k1_field):
         with pytest.raises(LevelOutOfRange):
-            extract_levelset(sphere_k1_field, -1.0 + 1e-12, 1e-8)
+            extract_levelset(sphere_k1_field, -1.0 + 1e-12)
 
     def test_far_level_rejected(self, sphere_k2_field):
         # u(R_out) ~ -0.16 for the k=2 decay, so -0.05 is outside
         with pytest.raises(LevelOutOfRange):
-            extract_levelset(sphere_k2_field, -0.05, 1e-8)
+            extract_levelset(sphere_k2_field, -0.05)
 
     def test_meridian_half_circle_length(self, sphere_k1_field):
         # the level t = -0.5 is the circle r = 2 of the meridian half-plane
-        curve = extract_levelset(sphere_k1_field, -0.5, 1e-8)
+        curve = extract_levelset(sphere_k1_field, -0.5)
         length = np.sum(np.hypot(np.diff(curve.seg_z, axis=1),
                                  np.diff(curve.seg_rho, axis=1)))
         g = sphere_k1_field.grid
@@ -95,7 +94,7 @@ class TestMarchingSquaresReference:
                               pde_ghost=False)
         saddles = 0
         for t in (-0.7, -0.55, -0.4):
-            curve = extract_levelset(field, t, 0.0)
+            curve = extract_levelset(field, t)
             ref, n_saddle = _scalar_marching_squares(
                 u - t, grid.s[1] - grid.s[0], grid.theta[1] - grid.theta[0]
             )
@@ -123,7 +122,7 @@ class TestArrayCurvatures:
         field = request.getfixturevalue(fixture)
         n = field.n
         for t in levels:
-            curve = extract_levelset(field, t, 1e-8)
+            curve = extract_levelset(field, t)
             jets = curve.jets
             sk = rhs_at_radius(jets.r, field.eps, n, field.cnk)
             hk, hk1 = levelset_curvature_axisym(jets, k, sk)

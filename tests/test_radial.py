@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from math import comb, pi
+from math import pi
 
 from hesslab.errors import OutOfDomain
 from hesslab.monotone import ProblemSpec, limit_bound, sphere_measure, weights
@@ -176,8 +176,8 @@ class TestWeightsAgainstLevelIntegrals:
         # is t-independent on balls
         sol = RadialSolution(n=5, k=2, R=1.0)
         spec = ProblemSpec(n=5, k=2, a=2.0)
-        _, hk_a, hk1_a = _level_sphere_integrals(sol, -0.9, spec.a)
-        _, hk_b, hk1_b = _level_sphere_integrals(sol, -0.1, spec.a)
+        hk_a, hk1_a = _level_sphere_integrals(sol, -0.9, spec.a)
+        hk_b, hk1_b = _level_sphere_integrals(sol, -0.1, spec.a)
         c1a, c2a = weights(-0.9, spec)
         c1b, c2b = weights(-0.1, spec)
         assert float(c1a) * hk_a + float(c2a) * hk1_a == pytest.approx(

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from math import comb, log2, sqrt
@@ -167,6 +169,22 @@ class TestEstimateRho:
         assert abs(estimate_rho(f1) - estimate_rho(f2)) <= 1e-6
 
 
+class TestPoorFit:
+    """solve_exterior returns rho_hat only from a settled far field."""
+
+    @pytest.mark.parametrize("body,n,kwargs", [
+        # shell spread 2.0e-3: the far field of the long axis has not
+        # settled at R_out = 10 body radii
+        (RevolutionBody.spheroid(3.0, 1.0, n=3), 3, dict(N_s=32, R_out=30.0)),
+        # decay r^(-15) on steps of 0.115 in log r: rho_hat was 8.7e-9 on
+        # the unit sphere, spread 0.18
+        (RevolutionBody.sphere(1.0, n=17), 17, dict(N_s=32, N_theta=16)),
+    ], ids=["spheroid-3-1", "sphere-n17"])
+    def test_unsettled_far_field_raises(self, body, n, kwargs):
+        with pytest.raises(PoorFit):
+            solve_exterior(body, ProblemSpec(n=n, k=1, a=1.0), **kwargs)
+
+
 class TestCheckpoint:
     def test_roundtrip(self, sphere_k2_field, tmp_path):
         path = tmp_path / "field.txt"
@@ -194,12 +212,10 @@ class TestSolveValidation:
             solve_exterior(body, spec, N_s=32)
 
     def test_bad_schedule(self):
-        body = RevolutionBody.sphere(1.0, n=3)
-        spec = ProblemSpec(n=3, k=1, a=1.0)
         with pytest.raises(ValueError):
-            solve_exterior(body, spec, N_s=32, schedule=(0.1, 0.5))
+            ProblemSpec(n=3, k=1, a=1.0, eps_schedule=(0.1, 0.5))
         with pytest.raises(ValueError):
-            solve_exterior(body, spec, N_s=32, schedule=(0.1, -0.5))
+            ProblemSpec(n=3, k=1, a=1.0, eps_schedule=(0.1, -0.5))
 
 
 class TestConvergenceOrder:
@@ -226,18 +242,21 @@ class TestChordNewton:
         assert 1 <= sphere_k2_field.factorizations <= 4
 
     def test_row_length_equal_to_dimension(self):
-        # N_theta + 1 == n: a grid row must not be read as a position vector
+        # N_theta + 1 == n: a grid row must not be read as a position
+        # vector.  k = 5 keeps the decay r^(-1.4) resolved on this grid;
+        # k = 1 decays like r^(-15) and raises PoorFit (TestPoorFit).
         body = RevolutionBody.sphere(1.0, n=17)
-        spec = ProblemSpec(n=17, k=1, a=1.0)
+        spec = ProblemSpec(n=17, k=5, a=6.0)
         fld = solve_exterior(body, spec, N_s=32, N_theta=16)
         assert np.max(np.abs(equation_residual(fld))) <= 1e-9
         assert admissibility_margin(fld) >= -1e-12
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_NEWTON", 2)
         body = RevolutionBody.sphere(1.0, n=5)
         spec = ProblemSpec(n=5, k=2, a=2.0)
         with pytest.raises(NewtonStall):
-            solve_exterior(body, spec, N_s=32, max_newton=2)
+            solve_exterior(body, spec, N_s=32)
 
     @pytest.mark.parametrize("fixture,levels", [
         ("sphere_k1_field", 4), ("prolate_field", 3), ("prolate_field_half", 3),
@@ -264,7 +283,7 @@ class TestChordNewton:
         real = solver._newton_solve
 
         def counting(*args):
-            calls.append(args[4])
+            calls.append(args)
             return real(*args)
 
         monkeypatch.setattr(solver, "_newton_solve", counting)
@@ -281,6 +300,12 @@ class TestChordNewton:
         fld = solve_exterior(body, spec, N_s=128)
         assert fld.residual_norm <= 1e-10
         assert fld.admissible >= -1e-12
+
+    def test_keyword_options(self):
+        # the eps schedule comes from the spec, the Newton tolerance and
+        # step cap are TOL_NEWTON and MAX_NEWTON
+        params = inspect.signature(solve_exterior).parameters
+        assert list(params) == ["body", "spec", "R_out", "N_s", "N_theta"]
 
     def test_no_picard_option(self):
         body = RevolutionBody.sphere(1.0, n=3)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from itertools import combinations
-from math import comb
 
 from hesslab.symfunc import (
     ConeSpec,
