@@ -20,11 +20,12 @@ import dataclasses
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .errors import HesslabError
+from .errors import HesslabError, LevelOutOfRange
 from .identities import (
     VIOLATED,
     certify_ball,
@@ -142,6 +143,17 @@ def _solve(args, spec, body):
         _config_error(str(exc))
 
 
+@contextmanager
+def _levels_on(field, what):
+    """A level that the grid of field cannot hold is a config error that
+    names the grid."""
+    try:
+        yield
+    except LevelOutOfRange as exc:
+        g = field.grid
+        _config_error(f"{what} (N_s={g.N_s}, N_theta={g.N_theta}): {exc}")
+
+
 def _solution(args, spec, body):
     """The closed-form radial solution on a sphere, a solved field otherwise."""
     if args.body == "sphere":
@@ -251,7 +263,8 @@ def cmd_monotone(args):
     body = _body(args)
     field = _solve(args, spec, body)
     ts = _t_grid(args)
-    report = monotonicity_audit(field, spec, args.tol_mono or 0.0, t_grid=ts)
+    with _levels_on(field, "the field"):
+        report = monotonicity_audit(field, spec, args.tol_mono or 0.0, t_grid=ts)
     if args.tol_mono is None:
         # Richardson estimate from a half-resolution companion solve; the
         # audit's F values are the fine half of the pair
@@ -261,7 +274,8 @@ def cmd_monotone(args):
             None if args.N_theta is None else max(16, args.N_theta // 2)
         )
         coarse = _solve(coarse_args, spec, body)
-        Fc = np.array([F_eval(coarse, t, spec).F for t in ts])
+        with _levels_on(coarse, "the N_s/2 Richardson companion"):
+            Fc = np.array([F_eval(coarse, t, spec).F for t in ts])
         tol = float(np.max(np.abs(report.F - Fc)) / 3.0)
         report = dataclasses.replace(report, tol_mono=tol)
     out = _outdir(args)

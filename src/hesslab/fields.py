@@ -78,6 +78,12 @@ class AxiJets:
     def grad_norm(self):
         return np.hypot(self.uz, self.urho)
 
+    def split(self, k, grad=False):
+        """S_0 .. S_k of the Hessian at every point by sigma_split, and with
+        grad the partials of S_k in (uzz, uzrho, urhorho, kappat)."""
+        return sigma_split(self.uzz, self.uzrho, self.urhorho, self.kappat,
+                           self.n - 2, k, grad)
+
     def jet(self, i) -> Jet2:
         """The dense n-dimensional Jet2 of point i."""
         n = self.n
@@ -131,9 +137,7 @@ def levelset_curvature_axisym(jets: AxiJets, k, sk_values):
         raise DegenerateGradient(
             f"|grad u| = {float(gn.min()):.3e} < {TAU_GRAD:.1e}: critical point"
         )
-    b11, b12, b22, _ = sigma_split(
-        jets.uzz, jets.uzrho, jets.urhorho, jets.kappat, jets.n - 2, k, grad=True
-    ).grad
+    b11, b12, b22, _ = jets.split(k, grad=True).grad
     b12 = 0.5 * b12  # dS_k/duzrho counts both off-diagonal entries
     gx, gy = jets.uz, jets.urho
     bgx = b11 * gx + b12 * gy  # B g

@@ -32,7 +32,6 @@ from .surfaces import (
     quermass,
     sphere_measure,
 )
-from .symfunc import sigma_split
 
 __all__ = [
     "CertificationReport",
@@ -189,11 +188,9 @@ def _gradient_energy_integral(solution):
     if isinstance(solution, RadialSolution):
         return exterior_skm1_grad2_integral(solution)
     n, k = solution.n, solution.k
-    d = solution._derived()
-    grad2 = d["uz"] ** 2 + d["urho"] ** 2
-    skm1 = sigma_split(
-        d["uzz"], d["uzrho"], d["urhorho"], d["kappat"], n - 2, k - 1
-    ).levels[-1]
+    jets = solution._node_jets()
+    grad2 = jets.uz ** 2 + jets.urho ** 2
+    skm1 = jets.split(k - 1).levels[-1]
     # density ~ r^(-(alpha+2)(k-1)) * r^(-2(alpha+1)) = r^(-(n + n/k - 2))
     decay = n + n / k - 2.0
     return _field_volume_integral(solution, skm1 * grad2, decay)

@@ -43,7 +43,9 @@ __all__ = [
 
 #: Default levels of monotonicity_audit and the CLI.  They keep clear of
 #: both ends of [-1, 0), so they lie strictly between the first interior
-#: row and the far-field row of a field solved on the default grids.
+#: row and the far-field row of a field solved on the default grids, which
+#: needs N_s >= 128: at N_s = 32 the first interior row of a prolate 1.5,1
+#: reaches -0.83 and that of a cosper 0.05,2 -0.879.
 T_GRID = tuple(np.linspace(-0.9, -0.25, 8).tolist())
 
 
@@ -229,9 +231,11 @@ def extract_levelset(field, t) -> LevelSetCurve:
     are (see fields.levelset_curvature_axisym).
     """
     u = field.u
-    if not (t > float(np.max(u[1, :])) and t < float(np.min(u[-1, :]))):
+    lo, hi = float(np.max(u[1, :])), float(np.min(u[-1, :]))
+    if not (t > lo and t < hi):
         raise LevelOutOfRange(
-            f"level {t} not strictly between boundary and far-field values"
+            f"level {t} not strictly between boundary and far-field values: "
+            f"this grid holds the levels in ({lo:.6g}, {hi:.6g})"
         )
     grid = field.grid
     hs = grid.s[1] - grid.s[0]
@@ -311,8 +315,9 @@ def F_eval(field, t, spec: ProblemSpec) -> FResult:
 def F_boundary(field, body: RevolutionBody, spec: ProblemSpec) -> FResult:
     """F at t = -1, with its two surface integrals taken on the boundary.
 
-    Curvatures come from the body geometry; |grad u| is the one-sided
-    normal derivative of the field (u is constant on the boundary).
+    Curvatures come from the body geometry; |grad u| is the field's
+    gradient on the boundary row, from the centered stencils through the
+    PDE ghost rows (u is constant on the boundary).
     """
     s = curvature_samples(body)
     gn = field.boundary_gradient(body.theta)

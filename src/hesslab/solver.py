@@ -19,9 +19,8 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .errors import NewtonStall, PoorFit
-from .fields import AxiJets, Jet2, rhs_at_radius
+from .fields import AxiJets, rhs_at_radius
 from .surfaces import RevolutionBody
-from .symfunc import sigma_split
 
 __all__ = [
     "AxiGrid",
@@ -32,13 +31,16 @@ __all__ = [
     "solve_exterior",
 ]
 
-FIELD_HEADER = "# exterior-field v1"
+FIELD_HEADER = "# exterior-field v2"
+#: Headers load_checkpoint reads.  A v1 file stores the grid body's gamma
+#: alone, and its derivatives are re-splined on load.
+_FIELD_HEADERS = ("# exterior-field v1", FIELD_HEADER)
 
-#: The six meridian-jet arrays of _chain that are splined for off-node jets.
+#: The six meridian jets of an AxiJets, in the order _chain computes them;
+#: S_k depends on the last four.
 _JET_KEYS = ("uz", "urho", "uzz", "uzrho", "urhorho", "kappat")
-_SPLIT_KEYS = _JET_KEYS[2:]  # the jets S_k depends on
 
-#: Residual sup-norm that a Newton solve, and the ghost rows of a solved
+#: Residual sup-norm that a Newton solve, and the ghost rows of a
 #: field, must reach; and the step cap of each.
 TOL_NEWTON = 1e-10
 MAX_NEWTON = 60
@@ -93,13 +95,15 @@ class AxiGrid:
         return r * np.cos(theta), r * np.sin(theta)
 
     def _chain_terms(self):
-        """The chain rule, cached: (1/r on the grid, s - 1, terms).  Each
-        meridian jet is linear in F_q = (U_s, U_ss, U_theta, U_s theta,
-        U_theta theta): terms[jet] = (p, [(q, m, a(theta)), ...]) stands
-        for (1/r)^p sum a (s - 1)^m F_q.  kappat = u_rho / rho has zero
-        terms on the axis, where it is urhorho."""
+        """The chain rule, cached: (1/r, s - 1, z, rho on the grid, terms).
+        Each meridian jet is linear in F_q = (U_s, U_ss, U_theta,
+        U_s theta, U_theta theta): terms[jet] = (p, [(q, m, a(theta)), ...])
+        stands for (1/r)^p sum a (s - 1)^m F_q.  kappat = u_rho / rho has
+        zero terms on the axis, where it is urhorho."""
         if self._terms is None:
-            self._terms = (1.0 / self.r_nodes, self.s[:, None] - 1.0, _chain_rule(self))
+            r = self.r_nodes
+            self._terms = (1.0 / r, self.s[:, None] - 1.0, r * np.cos(self.theta),
+                           r * np.sin(self.theta), _chain_rule(self))
         return self._terms
 
 
@@ -172,33 +176,21 @@ def _centered(U, hs, ht):
     return Us, Uss, Uth, Usth, Uthth
 
 
-def _fd_all(U, hs, ht):
-    """All five (s, theta) derivatives of U on the full grid: _centered on
-    the interior rows, one-sided stencils on the two Dirichlet rows (third
-    order for U_s, second for U_ss)."""
-    Us, Uss, Uth, _, Uthth = _centered(np.vstack([U[0], U, U[-1]]), hs, ht)
-    Us[0] = (-11 * U[0] + 18 * U[1] - 9 * U[2] + 2 * U[3]) / (6 * hs)
-    Us[-1] = (11 * U[-1] - 18 * U[-2] + 9 * U[-3] - 2 * U[-4]) / (6 * hs)
-    Uss[0] = (2 * U[0] - 5 * U[1] + 4 * U[2] - U[3]) / hs**2
-    Uss[-1] = (2 * U[-1] - 5 * U[-2] + 4 * U[-3] - U[-4]) / hs**2
-    return Us, Uss, Uth, _theta_derivs(Us, ht)[0], Uthth
-
-
 def _theta_derivs(A, ht):
     """Centered theta derivatives with even-reflection ghosts at the poles."""
     G = np.concatenate([A[:, 1:2], A, A[:, -2:-1]], axis=1)
     return (G[:, 2:] - G[:, :-2]) / (2 * ht), (G[:, 2:] - 2 * A + G[:, :-2]) / ht**2
 
 
-def _chain(grid: AxiGrid, rows, F, keys):
-    """The meridian jets named in keys (urhorho before kappat) on grid rows
-    `rows` (a slice), from the derivatives F = (U_s, U_ss, U_theta,
-    U_s theta, U_theta theta) there, by the cached AxiGrid._chain_terms."""
-    ir, t, terms = grid._chain_terms()
+def _chain(grid: AxiGrid, rows, F, u) -> AxiJets:
+    """The AxiJets of grid rows `rows` (a slice), where the node values
+    are u, from the derivatives F = (U_s, U_ss, U_theta, U_s theta,
+    U_theta theta) there, by the cached AxiGrid._chain_terms."""
+    ir, t, z, rho, terms = grid._chain_terms()
     ir, t = ir[rows], t[rows]
     moments = {}  # (s - 1)^m F_q
-    out = {}
-    for key in keys:
+
+    def jet(key):
         p, by_qm = terms[key]
         for q, m, _ in by_qm:
             if (q, m) not in moments:
@@ -208,15 +200,12 @@ def _chain(grid: AxiGrid, rows, F, keys):
         for q, m, c in rest:
             acc += c * moments[q, m]
         acc *= ir if p == 1 else ir * ir
-        out[key] = acc
-    out["kappat"][:, grid._on_axis] = out["urhorho"][:, grid._on_axis]
-    return out
+        return acc
 
-
-def _split(d, n, k, grad=False):
-    """S_0 .. S_k of the full Hessian of jets d, and with grad the partials
-    of S_k in (uzz, uzrho, urhorho, kappat)."""
-    return sigma_split(*(d[key] for key in _SPLIT_KEYS), n - 2, k, grad)
+    uz, urho, uzz, uzrho, urhorho, kappat = map(jet, _JET_KEYS)
+    kappat[:, grid._on_axis] = urhorho[:, grid._on_axis]
+    return AxiJets(grid.body.n, z[rows], rho[rows], u, uz, urho, uzz, uzrho,
+                   urhorho, kappat)
 
 
 def _margin(levels):
@@ -227,13 +216,13 @@ def _margin(levels):
 def _stencil_weights(grid: AxiGrid, rows, partials):
     """w_q = sum_c (dS_k/dc) C[c, q] on grid rows `rows`, C the chain-rule
     coefficients: the linearization of S_k in the five F_q, from the
-    partials of _split.  On the axis kappat is urhorho."""
+    partials of AxiJets.split.  On the axis kappat is urhorho."""
     d_zz, d_zrho, d_rhorho, d_kap = partials
     partials = (d_zz, d_zrho, d_rhorho + d_kap * grid._on_axis, d_kap)
-    ir, t, terms = grid._chain_terms()
+    ir, t, _, _, terms = grid._chain_terms()
     ir2, t = ir[rows] ** 2, t[rows]
     w = [0.0] * 5
-    for key, dS in zip(_SPLIT_KEYS, partials):
+    for key, dS in zip(_JET_KEYS[2:], partials):
         _, by_qm = terms[key]  # p = 2
         dS = dS * ir2
         for q, m, c in by_qm:
@@ -270,14 +259,14 @@ def _slots(grid: AxiGrid, w):
     return V
 
 
-def _ghost_row_residual(grid, U, v, which, n, k, f, grad=False):
+def _ghost_row_residual(grid, U, v, which, k, f, grad=False):
     """S_k - f^eps on Dirichlet row `which` (0 or -1), with ghost values v
     beyond it; with grad, also d/dv in solve_banded's (1, 1) layout, which
     is tridiagonal: v enters the stencils as the row di = -1 or +1."""
     ext = np.vstack([v, U[0], U[1]] if which == 0 else [U[-2], U[-1], v])
     rows = slice(0, 1) if which == 0 else slice(-1, None)
-    d = _chain(grid, rows, _centered(ext, grid.hs, grid.ht), _SPLIT_KEYS)
-    split = _split(d, n, k, grad)
+    jets = _chain(grid, rows, _centered(ext, grid.hs, grid.ht), ext[1:2])
+    split = jets.split(k, grad)
     phi = split.levels[-1][0] - f
     if not grad:
         return phi
@@ -297,10 +286,10 @@ def _solve_ghost_row(field, which):
     i = 1 if which == 0 else -1
     v = 3 * U[which] - 3 * U[which + i] + U[which + 2 * i]
     f = rhs_at_radius(grid.r_nodes[which], field.eps, n, field.cnk)
-    phi, ab = _ghost_row_residual(grid, U, v, which, n, k, f, grad=True)
+    phi, ab = _ghost_row_residual(grid, U, v, which, k, f, grad=True)
     for _ in range(MAX_NEWTON):
         v_new = v - solve_banded((1, 1), ab, phi)
-        phi_new, ab_new = _ghost_row_residual(grid, U, v_new, which, n, k, f, True)
+        phi_new, ab_new = _ghost_row_residual(grid, U, v_new, which, k, f, True)
         if not np.abs(phi_new).max() < np.abs(phi).max():
             break
         v, phi, ab = v_new, phi_new, ab_new
@@ -333,54 +322,37 @@ class ExteriorField:
     cnk: float = 1.0
     residual_norm: float = float("nan")
     admissible: float = float("nan")
-    pde_ghost: bool = True
     factorizations: int = 0
     back_solves: int = 0
     residual_evals: int = 0
 
     def __post_init__(self):
-        self._derived_cache = None
+        self._jets_cache = None
         self._spline_cache = None
 
     @property
     def n(self):
         return self.grid.body.n
 
-    def _derived(self):
-        """Per-node jets on the full grid.
-
-        Interior rows use centered stencils.  With pde_ghost on (the
-        default for solved fields), the two Dirichlet rows get centered
-        stencils through ghost rows chosen so that S_k = f^eps holds at
-        the boundary nodes themselves, keeping their jets both
-        second-order and admissible; with it off they fall back to
-        one-sided stencils (for fields sampled from arbitrary functions
-        that do not satisfy the equation).
-        """
-        if self._derived_cache is None:
+    def _node_jets(self):
+        """The AxiJets of every grid node, by centered stencils.  The two
+        Dirichlet rows take theirs through ghost rows chosen so that
+        S_k = f^eps holds at the boundary nodes themselves, keeping their
+        jets both second-order and admissible."""
+        if self._jets_cache is None:
             grid = self.grid
-            if self.pde_ghost:
-                v0, v1 = _solve_ghost_row(self, 0), _solve_ghost_row(self, -1)
-                F = _centered(np.vstack([v0, self.u, v1]), grid.hs, grid.ht)
-            else:
-                F = _fd_all(self.u, grid.hs, grid.ht)
-            d = _chain(grid, slice(None), F, _JET_KEYS)
-            r = grid.r_nodes
-            d.update(r=r, z=r * np.cos(grid.theta), rho=r * np.sin(grid.theta))
-            self._derived_cache = d
-        return self._derived_cache
+            v0, v1 = _solve_ghost_row(self, 0), _solve_ghost_row(self, -1)
+            F = _centered(np.vstack([v0, self.u, v1]), grid.hs, grid.ht)
+            self._jets_cache = _chain(grid, slice(None), F, self.u)
+        return self._jets_cache
 
     def _splines(self):
         if self._spline_cache is None:
-            grid = self.grid
-            d = self._derived()
+            grid, jets = self.grid, self._node_jets()
             self._spline_cache = {
-                key: RectBivariateSpline(grid.s, grid.theta, d[key])
-                for key in _JET_KEYS
+                key: RectBivariateSpline(grid.s, grid.theta, getattr(jets, key))
+                for key in ("u",) + _JET_KEYS
             }
-            self._spline_cache["u"] = RectBivariateSpline(
-                grid.s, grid.theta, self.u
-            )
         return self._spline_cache
 
     def jets_at(self, s, theta) -> AxiJets:
@@ -393,14 +365,9 @@ class ExteriorField:
         }
         return AxiJets(n=self.n, z=z, rho=rho, **vals)
 
-    def jet_at(self, s, theta) -> Jet2:
-        """Interpolated second-order jet at one off-node point (s, theta)."""
-        return self.jets_at(s, theta).jet(0)
-
     def boundary_gradient(self, theta):
         """|grad u| on the body boundary, interpolated onto given angles."""
-        d = self._derived()
-        gn = np.hypot(d["uz"][0], d["urho"][0])
+        gn = self._node_jets().grad_norm[0]
         return CubicSpline(self.grid.theta, gn, bc_type="clamped")(theta)
 
     def interior_range(self):
@@ -424,23 +391,26 @@ class ExteriorField:
                 + (f" {extra_header}" if extra_header else "")
                 + "\n"
             )
-            fh.write("# theta gamma\n")
-            for th, g in zip(grid.theta, grid.body.gamma):
-                fh.write(f"{th:.17g} {g:.17g}\n")
+            fh.write("# theta gamma dgamma d2gamma\n")
+            body = grid.body
+            for row in zip(body.theta, body.gamma, body.dgamma, body.d2gamma):
+                fh.write("%.17g %.17g %.17g %.17g\n" % row)
             fh.write("# u\n")
             fmt = " ".join(["%.17g"] * self.u.shape[1]) + "\n"
             fh.writelines(fmt % tuple(row.tolist()) for row in self.u)
 
     @classmethod
     def load_checkpoint(cls, path):
+        """Read a field of save_checkpoint.  A v2 file rebuilds the grid body
+        exactly from its stored derivatives; a v1 file splines its radii."""
         with open(path) as fh:
             header = fh.readline().strip()
-            if not header.startswith(FIELD_HEADER):
+            if " ".join(header.split()[:3]) not in _FIELD_HEADERS:
                 raise ValueError(f"not an exterior-field file: {path}")
             kv = dict(tok.split("=") for tok in header.split()[3:])
             n, k = int(kv["n"]), int(kv["k"])
             N_s, N_theta = int(kv["N_s"]), int(kv["N_theta"])
-            fh.readline()  # theta gamma marker
+            fh.readline()  # theta gamma [dgamma d2gamma] marker
             prof = np.array(
                 [
                     [float(v) for v in fh.readline().split()]
@@ -449,7 +419,10 @@ class ExteriorField:
             )
             fh.readline()  # u marker
             u = np.loadtxt(fh)
-        body = RevolutionBody.from_samples(n, prof[:, 0], prof[:, 1])
+        if prof.shape[1] == 4:
+            body = RevolutionBody(n, *np.ascontiguousarray(prof.T))
+        else:
+            body = RevolutionBody.from_samples(n, prof[:, 0], prof[:, 1])
         grid = AxiGrid(body, float(kv["R_out"]), N_s, N_theta)
         return cls(
             grid=grid,
@@ -466,14 +439,13 @@ class ExteriorField:
 def equation_residual(field: ExteriorField):
     """S_k(Hessian u) - f^eps on the interior rows (same stencil as the
     Newton solve)."""
-    d = field._derived()
-    Sk = _split(d, field.n, field.k).levels[-1][1:-1]
-    return Sk - rhs_at_radius(d["r"][1:-1], field.eps, field.n, field.cnk)
+    Sk = field._node_jets().split(field.k).levels[-1][1:-1]
+    return Sk - rhs_at_radius(field.grid.r_nodes[1:-1], field.eps, field.n, field.cnk)
 
 
 def admissibility_margin(field: ExteriorField):
     """Worst min(S_1, ..., S_k) over every grid node, boundaries included."""
-    return _margin(_split(field._derived(), field.n, field.k).levels)
+    return _margin(field._node_jets().split(field.k).levels)
 
 
 def _shell(grid: AxiGrid):
@@ -516,12 +488,12 @@ def estimate_rho(field: ExteriorField):
     return rho
 
 
-def _linearization(grid, d, n, k, pattern):
-    """(J, b) at the interior jets d: J = sum_q diag(w_q) D_q, D_q the
-    stencil of F_q, with the outer row held fixed, in the CSC pattern of
-    _jacobian_pattern; b its derivative in the outer value (U_s and U_ss
-    of the last interior row)."""
-    w = _stencil_weights(grid, slice(1, -1), _split(d, n, k, grad=True).grad)
+def _linearization(grid, jets, k, pattern):
+    """(J, b) at the interior AxiJets jets: J = sum_q diag(w_q) D_q, D_q
+    the stencil of F_q, with the outer row held fixed, in the CSC pattern
+    of _jacobian_pattern; b its derivative in the outer value (U_s and
+    U_ss of the last interior row)."""
+    w = _stencil_weights(grid, slice(1, -1), jets.split(k, grad=True).grad)
     indptr, indices, gather = pattern
     J = csc_matrix((_slots(grid, w).ravel()[gather], indices, indptr),
                    shape=(w[0].size,) * 2)
@@ -541,8 +513,8 @@ class _ChordFactor:
     x - z (c . x) / (1 + c . z) with x = -J^(-1) res and z = J^(-1) b.
     """
 
-    def __init__(self, grid, top, n, k, c):
-        self.grid, self.top, self.n, self.k, self.c = grid, top, n, k, c
+    def __init__(self, grid, top, k, c):
+        self.grid, self.top, self.k, self.c = grid, top, k, c
         self.pattern = _jacobian_pattern(grid.N_s - 1, grid.N_theta + 1)
         self.lu = None
         self.fresh = False  # factored at the current iterate
@@ -561,15 +533,15 @@ class _ChordFactor:
         """(interior jets, residual, its sup-norm, Gamma_k margin) at U_int."""
         self.residual_evals += 1
         grid = self.grid
-        d = _chain(grid, slice(1, -1), _centered(self.full(U_int), grid.hs, grid.ht),
-                   _SPLIT_KEYS)
-        levels = _split(d, self.n, self.k).levels
+        jets = _chain(grid, slice(1, -1),
+                      _centered(self.full(U_int), grid.hs, grid.ht), U_int)
+        levels = jets.split(self.k).levels
         res = levels[-1] - f_int
-        return d, res, float(np.abs(res).max()), _margin(levels)
+        return jets, res, float(np.abs(res).max()), _margin(levels)
 
-    def refactor(self, d):
-        """Factor the Jacobian at the iterate whose jets are d."""
-        J, b = _linearization(self.grid, d, self.n, self.k, self.pattern)
+    def refactor(self, jets):
+        """Factor the Jacobian at the iterate whose jets are given."""
+        J, b = _linearization(self.grid, jets, self.k, self.pattern)
         self.lu = splu(J, permc_spec="MMD_AT_PLUS_A")
         self.z = self._back_solve(b)
         self.denom = 1.0 + np.vdot(self.c, self.z)
@@ -602,16 +574,16 @@ def _newton_solve(chord, U_int, f_int):
     rounding floor.  Ending on a non-admissible root (margin below
     -max(1e-12, 1e-3 rn)) raises.
     """
-    d, res, rn, margin = chord.evaluate(U_int, f_int)
+    jets, res, rn, margin = chord.evaluate(U_int, f_int)
     for _ in range(MAX_NEWTON):
         if chord.lu is None:
-            chord.refactor(d)
+            chord.refactor(jets)
         step = chord.step(res)
         at_floor = rn <= TOL_NEWTON
         lam, accepted, refused = 1.0, False, None
         for _ in range(1 if at_floor else 41):
             cand = U_int + lam * step
-            d_c, res_c, rn_c, margin_c = chord.evaluate(cand, f_int)
+            jets_c, res_c, rn_c, margin_c = chord.evaluate(cand, f_int)
             floor = min(margin, -max(1e-12, 1e-3 * rn_c))
             if rn_c < rn:
                 accepted = margin_c >= floor
@@ -621,7 +593,7 @@ def _newton_solve(chord, U_int, f_int):
             lam *= 0.5
         halved = accepted and rn_c <= 0.5 * rn
         if accepted:
-            U_int, d, res, rn, margin = cand, d_c, res_c, rn_c, margin_c
+            U_int, jets, res, rn, margin = cand, jets_c, res_c, rn_c, margin_c
         if at_floor and not halved:
             break
         if not accepted:
@@ -688,7 +660,7 @@ def solve_exterior(body: RevolutionBody, spec, R_out=None, N_s=256, N_theta=None
     rho_hat, _ = _fit_rho(grid, U, alpha)
     U = U * ((-rho_hat * R_out ** (-alpha)) / U[-1])[None, :] ** grid.s[:, None]
 
-    chord = _ChordFactor(grid, U[0], n, k, _outer_weights(grid, alpha))
+    chord = _ChordFactor(grid, U[0], k, _outer_weights(grid, alpha))
     U_int = U[1:-1]
     for eps in spec.eps_schedule:
         f_int = rhs_at_radius(grid.r_nodes[1:-1], eps, n, spec.cnk)

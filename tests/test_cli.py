@@ -6,6 +6,7 @@ import pytest
 from hesslab import cli, monotone
 from hesslab.errors import NewtonStall
 from hesslab.solver import ExteriorField
+from hesslab.surfaces import RevolutionBody
 from hesslab.symfunc import newton_maclaurin_gap
 
 
@@ -171,6 +172,43 @@ class TestSolve:
         ])
         assert code == cli.EXIT_CONFIG
 
+    def test_eps_schedule_option(self, tmp_path, capsys):
+        code = cli.run([
+            "solve", "--body", "sphere", "--n", "3", "--k", "1", "--N-s", "32",
+            "--eps-schedule", "0.5,0.1", "--out", str(tmp_path),
+        ])
+        assert code == cli.EXIT_OK
+        assert "eps_min=0.1" in capsys.readouterr().out.splitlines()[0]
+
+    def test_increasing_eps_schedule_exits_2(self, tmp_path, capsys):
+        code = cli.run([
+            "solve", "--body", "sphere", "--n", "3", "--k", "1", "--N-s", "32",
+            "--eps-schedule", "0.1,0.5", "--out", str(tmp_path),
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert "config_errors" in capsys.readouterr().err
+
+    def test_short_truncation_exits_2(self, tmp_path, capsys):
+        code = cli.run([
+            "solve", "--body", "sphere", "--n", "3", "--k", "1", "--N-s", "32",
+            "--R-out", "5", "--out", str(tmp_path),
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert "R_out = 5.0 below 10 * max profile radius" in capsys.readouterr().err
+
+    def test_profile_body(self, tmp_path, capsys):
+        # a saved spheroid profile solves to the prolate capacity
+        path = tmp_path / "profile.txt"
+        RevolutionBody.spheroid(1.5, 1.0, n=3).save_profile(path)
+        code = cli.run([
+            "solve", "--body", f"profile:{path}", "--n", "3", "--k", "1",
+            "--N-s", "64", "--out", str(tmp_path),
+        ])
+        assert code == cli.EXIT_OK
+        f = np.sqrt(1.5**2 - 1.0)
+        field = ExteriorField.load_checkpoint(tmp_path / "field.txt")
+        assert field.rho_hat == pytest.approx(f / np.arctanh(f / 1.5), abs=1e-2)
+
     def test_solver_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise NewtonStall("no admissible step")
@@ -197,6 +235,18 @@ class TestMonotone:
         assert all(b <= a + 1e-8 for a, b in zip(Fs, Fs[1:]))
         plot = (tmp_path / "monotone_plot.dat").read_text().splitlines()
         assert len(plot[1].split()) == 2
+
+    def test_level_outside_companion_grid_exits_2(self, tmp_path, capsys):
+        # the default levels start at -0.9; at N_s = 64 the field holds it,
+        # but the first interior row of its N_s = 32 companion is at -0.879
+        code = cli.run([
+            "monotone", "--body", "cosper:0.05,2", "--n", "3", "--k", "1",
+            "--N-s", "64", "--out", str(tmp_path),
+        ])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert "Richardson companion (N_s=32, N_theta=16)" in err
+        assert "level -0.9 " in err and "holds the levels in (-0.87" in err
 
     def test_one_F_eval_per_level_per_field(self, tmp_path, monkeypatch,
                                             capsys):

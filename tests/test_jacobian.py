@@ -17,7 +17,6 @@ from hesslab.solver import (
     AxiGrid,
     ExteriorField,
     admissibility_margin,
-    equation_residual,
     solve_exterior,
 )
 from hesslab.surfaces import RevolutionBody
@@ -63,11 +62,14 @@ def fd_jacobian(residual, U_int):
 
 
 def interior_residual(grid, top, U_int, bot, k):
-    """S_k - f^eps on the interior rows through the public field path."""
+    """S_k - f^eps on the interior rows, by the stencils of
+    equation_residual (a sampled u need not solve the equation, so the
+    ghost rows of the Dirichlet rows are not asked for)."""
     u = np.vstack([top[None, :], U_int, np.full_like(top, bot)[None, :]])
-    fld = ExteriorField(grid=grid, u=u, k=k, eps=EPS, rho_hat=1.0,
-                        pde_ghost=False)
-    return equation_residual(fld)
+    jets = solver._chain(grid, slice(1, -1), solver._centered(u, grid.hs, grid.ht),
+                         U_int)
+    return jets.split(k).levels[-1] - rhs_at_radius(grid.r_nodes[1:-1], EPS,
+                                                    grid.body.n)
 
 
 def iterate(body, k, N_s=32, N_theta=16):
@@ -98,11 +100,11 @@ def relative(a, b):
 def test_newton_jacobian_matches_fd(body, k):
     grid, U, alpha = iterate(body, k)
     top, U_int = U[0], U[1:-1]
-    chord = solver._ChordFactor(grid, top, body.n, k,
+    chord = solver._ChordFactor(grid, top, k,
                                 solver._outer_weights(grid, alpha))
     bot = chord.outer(U_int)
     d = chord.evaluate(U_int, 0.0)[0]
-    J, b = solver._linearization(grid, d, body.n, k, chord.pattern)
+    J, b = solver._linearization(grid, d, k, chord.pattern)
     want = fd_jacobian(lambda V: interior_residual(grid, top, V, bot, k), U_int)
     assert relative(J.toarray(), want.toarray()) <= 1e-8
 
@@ -121,7 +123,7 @@ def test_ghost_row_jacobian_matches_fd(body, k, which):
     n = body.n
     f = rhs_at_radius(grid.r_nodes[which], EPS, n)
     v = 3 * U[which] - 3 * U[1 if which == 0 else -2] + U[2 if which == 0 else -3]
-    _, ab = solver._ghost_row_residual(grid, U, v, which, n, k, f, grad=True)
+    _, ab = solver._ghost_row_residual(grid, U, v, which, k, f, grad=True)
     banded = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
     delta = 1e-6 * max(1.0, float(np.abs(v).max()))
     fd = np.empty((v.size, v.size))
@@ -129,8 +131,8 @@ def test_ghost_row_jacobian_matches_fd(body, k, which):
         dv = np.zeros_like(v)
         dv[j] = delta
         fd[:, j] = (
-            solver._ghost_row_residual(grid, U, v + dv, which, n, k, f)
-            - solver._ghost_row_residual(grid, U, v - dv, which, n, k, f)
+            solver._ghost_row_residual(grid, U, v + dv, which, k, f)
+            - solver._ghost_row_residual(grid, U, v - dv, which, k, f)
         ) / (2 * delta)
     assert relative(banded, fd) <= 1e-8
 
@@ -192,7 +194,7 @@ def test_non_admissible_root_raises():
     spec = ProblemSpec(n=5, k=2, a=2.0, eps_schedule=(EPS,))
     fld = solve_exterior(body, spec, N_s=32)
     grid, U = fld.grid, -fld.u
-    chord = solver._ChordFactor(grid, U[0], 5, 2,
+    chord = solver._ChordFactor(grid, U[0], 2,
                                 solver._outer_weights(grid, spec.decay_exponent))
     f_int = rhs_at_radius(grid.r_nodes[1:-1], EPS, 5, spec.cnk)
     with pytest.raises(NewtonStall, match="non-admissible"):

@@ -90,8 +90,7 @@ class TestMarchingSquaresReference:
                        N_s=64, N_theta=32)
         s, th = grid.s[:, None], grid.theta[None, :]
         u = -1.0 + 0.9 * s + 0.03 * np.sin(12 * np.pi * s) * np.cos(7 * th)
-        field = ExteriorField(grid=grid, u=u, k=1, eps=1e-8, rho_hat=1.0,
-                              pde_ghost=False)
+        field = ExteriorField(grid=grid, u=u, k=1, eps=1e-8, rho_hat=1.0)
         saddles = 0
         for t in (-0.7, -0.55, -0.4):
             curve = extract_levelset(field, t)
@@ -126,8 +125,8 @@ class TestArrayCurvatures:
             jets = curve.jets
             sk = rhs_at_radius(jets.r, field.eps, n, field.cnk)
             hk, hk1 = levelset_curvature_axisym(jets, k, sk)
-            for i, (s, th) in enumerate(zip(curve.mid_s, curve.mid_theta)):
-                jet = field.jet_at(s, th)
+            for i in range(curve.mid_s.size):
+                jet = jets.jet(i)
                 f = rhs_at_radius(np.linalg.norm(jet.x), field.eps, n,
                                   field.cnk)
                 want_k, want_k1 = levelset_curvature(jet, k, f)

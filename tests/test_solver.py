@@ -6,8 +6,7 @@ from math import comb, log2, sqrt
 
 from hesslab import solver
 from hesslab.errors import NewtonStall, PoorFit
-from hesslab.fields import AxiJets
-from hesslab.monotone import ProblemSpec
+from hesslab.monotone import F_eval, ProblemSpec
 from hesslab.radial import RadialSolution
 from hesslab.solver import (
     AxiGrid,
@@ -21,12 +20,10 @@ from hesslab.surfaces import RevolutionBody
 
 
 def sampled_field(radial_fn, body, k, R_out, N_s, N_theta, eps=1e-8, rho_hat=1.0):
-    """Field with u sampled from a radial profile; no ghost rows."""
+    """Field with u sampled from a radial profile."""
     grid = AxiGrid(body=body, R_out=R_out, N_s=N_s, N_theta=N_theta)
     u = radial_fn(grid.r_nodes)
-    return ExteriorField(
-        grid=grid, u=u, k=k, eps=eps, rho_hat=rho_hat, pde_ghost=False
-    )
+    return ExteriorField(grid=grid, u=u, k=k, eps=eps, rho_hat=rho_hat)
 
 
 class TestAxiGrid:
@@ -49,11 +46,14 @@ class TestAxiGrid:
 
 
 def hessian_axisym(field, node):
-    """The Jet2 of grid node (i, j), read off the field's per-node jets."""
-    d = field._derived()
-    jets = AxiJets(n=field.n, u=field.u,
-                   **{key: val for key, val in d.items() if key != "r"})
-    return jets.jet(node)
+    """The Jet2 of interior grid node (i, j), from the centered stencils of
+    the interior rows (a sampled u need not solve the equation, so the
+    ghost rows of the Dirichlet rows are not asked for)."""
+    grid, u = field.grid, field.u
+    jets = solver._chain(grid, slice(1, -1), solver._centered(u, grid.hs, grid.ht),
+                         u[1:-1])
+    i, j = node
+    return jets.jet((i - 1, j))
 
 
 class TestHessianAxisym:
@@ -155,9 +155,7 @@ class TestEstimateRho:
         body = RevolutionBody.sphere(1.0, n=3)
         grid = AxiGrid(body=body, R_out=40.0, N_s=64, N_theta=32)
         u = -1.0 / grid.r_nodes * (1.0 + 0.01 * np.cos(grid.theta)[None, :])
-        fld = ExteriorField(
-            grid=grid, u=u, k=1, eps=1e-8, rho_hat=1.0, pde_ghost=False
-        )
+        fld = ExteriorField(grid=grid, u=u, k=1, eps=1e-8, rho_hat=1.0)
         with pytest.raises(PoorFit):
             estimate_rho(fld)
 
@@ -196,6 +194,41 @@ class TestCheckpoint:
         assert loaded.rho_hat == sphere_k2_field.rho_hat
         assert loaded.grid.R_out == sphere_k2_field.grid.R_out
         assert np.allclose(loaded.grid.body.gamma, sphere_k2_field.grid.body.gamma)
+
+    def test_v2_reload_is_exact(self, tmp_path):
+        # the stored derivatives rebuild the solver's grid body, so the
+        # reloaded margin and F are the solver's to the last bit; splined
+        # from the radii alone, the margin reads -3.6e-3 and F(-0.5) is off
+        # by 1.9e-4
+        spec = ProblemSpec(n=3, k=1, a=2.0)
+        field = solve_exterior(RevolutionBody.spheroid(1.5, 1.0, n=3), spec, N_s=64)
+        path = tmp_path / "field.txt"
+        field.save_checkpoint(path)
+        assert path.read_text().startswith("# exterior-field v2 ")
+        loaded = ExteriorField.load_checkpoint(path)
+        assert admissibility_margin(loaded) == field.admissible
+        assert F_eval(loaded, -0.5, spec).F == F_eval(field, -0.5, spec).F
+
+    def test_v1_file_loads(self, tmp_path):
+        # a v1 file stores theta and gamma only; its body is splined
+        body = RevolutionBody.spheroid(1.5, 1.0, n=3)
+        sol = RadialSolution(n=3, k=1, R=1.0)
+        field = sampled_field(np.vectorize(sol.value), body, 1, 40.0, 32, 16)
+        path = tmp_path / "field.txt"
+        field.save_checkpoint(path)
+        grid = field.grid
+        lines = path.read_text().splitlines()
+        lines[0] = lines[0].replace("v2", "v1", 1)
+        lines[1] = "# theta gamma"
+        prof = slice(2, grid.N_theta + 3)
+        lines[prof] = [" ".join(line.split()[:2]) for line in lines[prof]]
+        path.write_text("\n".join(lines) + "\n")
+        loaded = ExteriorField.load_checkpoint(path)
+        splined = RevolutionBody.from_samples(3, grid.theta, grid.body.gamma)
+        np.testing.assert_array_equal(loaded.u, field.u)
+        np.testing.assert_array_equal(loaded.grid.body.gamma, splined.gamma)
+        np.testing.assert_array_equal(loaded.grid.body.d2gamma, splined.d2gamma)
+        assert loaded.rho_hat == field.rho_hat
 
     def test_header_validated(self, tmp_path):
         path = tmp_path / "junk.txt"
@@ -250,6 +283,34 @@ class TestChordNewton:
         fld = solve_exterior(body, spec, N_s=32, N_theta=16)
         assert np.max(np.abs(equation_residual(fld))) <= 1e-9
         assert admissibility_margin(fld) >= -1e-12
+
+    def test_refactor_after_rejected_stale_step(self, monkeypatch):
+        # spheroid 2,1 at n=5, k=2 with eps 1 -> 0.02: a step from the
+        # factor of an earlier iterate finds no admissible decrease, so the
+        # same residual is stepped again from a fresh factor
+        events = []
+        step, refactor = solver._ChordFactor.step, solver._ChordFactor.refactor
+
+        def recording_step(chord, res):
+            events.append(("step", res, chord.fresh))
+            return step(chord, res)
+
+        def recording_refactor(chord, jets):
+            events.append(("refactor", None, None))
+            return refactor(chord, jets)
+
+        monkeypatch.setattr(solver._ChordFactor, "step", recording_step)
+        monkeypatch.setattr(solver._ChordFactor, "refactor", recording_refactor)
+        body = RevolutionBody.spheroid(2.0, 1.0, n=5)
+        spec = ProblemSpec(n=5, k=2, a=3.0, eps_schedule=(1.0, 0.02))
+        fld = solve_exterior(body, spec, N_s=64)
+        assert fld.residual_norm <= solver.TOL_NEWTON
+        assert fld.admissible >= -1e-12
+        assert any(
+            a[0] == "step" and not a[2] and b[0] == "refactor"
+            and c[0] == "step" and c[1] is a[1]
+            for a, b, c in zip(events, events[1:], events[2:])
+        )
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(solver, "MAX_NEWTON", 2)
