@@ -26,13 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import HesslabError, LevelOutOfRange
-from .identities import (
-    VIOLATED,
-    certify_ball,
-    identity_lemma33,
-    inequality_ledger,
-    pohozaev_lemma34,
-)
+from .identities import VIOLATED, certify_ball, inequality_ledger, ledger
 from .monotone import (
     F_eval,
     T_GRID,
@@ -307,20 +301,11 @@ def cmd_monotone(args):
     return EXIT_OK if ok else EXIT_AUDIT
 
 
-def _ledger_rows(solution, body, spec):
-    rows = []
-    if spec.k >= 2:
-        rows.append(identity_lemma33(solution, body))
-        rows.append(pohozaev_lemma34(solution, body))
-    rows.extend(inequality_ledger(solution, body, spec))
-    return rows
-
-
 def cmd_identities(args):
     spec = _build_spec(args)
     body = _body(args)
     solution = _solution(args, spec, body)
-    rows = _ledger_rows(solution, body, spec)
+    rows = ledger(solution, body, spec)
     out = _outdir(args)
     path = out / "ledger.csv"
     with open(path, "w") as fh:

@@ -17,7 +17,6 @@ from math import comb
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import NotConvex
 from .monotone import ProblemSpec
@@ -26,6 +25,7 @@ from .solver import ExteriorField
 from .surfaces import (
     RevolutionBody,
     SurfaceSampleSet,
+    _simpson_weights,
     af_sides,
     curvature_samples,
     qiu_xia_sides,
@@ -41,6 +41,7 @@ __all__ = [
     "certify_ball",
     "identity_lemma33",
     "inequality_ledger",
+    "ledger",
     "pohozaev_lemma34",
 ]
 
@@ -167,19 +168,16 @@ def _field_volume_integral(field: ExteriorField, values, decay_power):
     if decay_power <= n:
         raise ValueError(f"tail diverges: decay power {decay_power} <= n={n}")
     r = g.r_nodes
-    sin = np.sin(g.theta)[None, :]
-    jac = sphere_measure(n - 2) * (r * sin) ** (n - 2) * r**2 * g.D[None, :]
-    bulk = simpson(simpson(values * jac, x=g.theta, axis=1), x=g.s)
+    sin = np.sin(g.theta)
+    jac = sphere_measure(n - 2) * (r * sin) ** (n - 2) * r**2 * g.D
+    w_s = _simpson_weights(g.s.size, g.hs)
+    w_theta = _simpson_weights(g.theta.size, g.ht)
+    bulk = w_s @ (values * jac) @ w_theta
 
     # sphere average of the density on the outer rim, then a power tail
-    rim_weight = sin[0, :] ** (n - 2)
-    rim_mean = simpson(values[-1, :] * rim_weight, x=g.theta) / simpson(
-        rim_weight, x=g.theta
-    )
-    r_out = g.R_out
-    tail = (
-        rim_mean * sphere_measure(n - 1) * r_out**n / (decay_power - n)
-    )
+    rim_weight = sin ** (n - 2)
+    rim_mean = (values[-1] * rim_weight) @ w_theta / (rim_weight @ w_theta)
+    tail = rim_mean * sphere_measure(n - 1) * g.R_out**n / (decay_power - n)
     return float(bulk + tail)
 
 
@@ -196,14 +194,13 @@ def _gradient_energy_integral(solution):
     return _field_volume_integral(solution, skm1 * grad2, decay)
 
 
-def _balance_terms(solution, body, what):
+def _balance_terms(solution, b: _Boundary, what):
     """(c, int H_{k-2}, int H_{k-1}, int S_{k-1} |grad u|^2 dx): the terms
     of both balance identities, for k >= 2; None when the boundary gradient
     spread exceeds _SPREAD_LIMIT, as the identities presume it constant."""
     k = solution.k
     if k < 2:
         raise ValueError(f"the {what} needs k >= 2, got k={k}")
-    b = _boundary(solution, body)
     if b.spread > _SPREAD_LIMIT:
         return None
     return (b.c, b.integral(0, k - 2), b.integral(0, k - 1),
@@ -218,8 +215,12 @@ def identity_lemma33(solution, body=None) -> LedgerEntry:
 
     not applicable when the boundary gradient is not constant.
     """
+    return _lemma33(solution, _boundary(solution, body))
+
+
+def _lemma33(solution, b: _Boundary) -> LedgerEntry:
     k = solution.k
-    terms = _balance_terms(solution, body, "balance identity")
+    terms = _balance_terms(solution, b, "balance identity")
     if terms is None:
         return _not_applicable("gradient-energy-balance")
     c, q_km2, q_km1, vol_int = terms
@@ -236,8 +237,12 @@ def pohozaev_lemma34(solution, body=None) -> LedgerEntry:
 
     not applicable when the boundary gradient is not constant.
     """
+    return _lemma34(solution, _boundary(solution, body))
+
+
+def _lemma34(solution, b: _Boundary) -> LedgerEntry:
     n, k = solution.n, solution.k
-    terms = _balance_terms(solution, body, "Pohozaev balance")
+    terms = _balance_terms(solution, b, "Pohozaev balance")
     if terms is None:
         return _not_applicable("rellich-pohozaev-balance")
     c, q_km2, q_km1, vol_int = terms
@@ -275,8 +280,19 @@ def inequality_ledger(solution, body=None, spec: ProblemSpec = None) -> list:
     """
     if spec is None:
         raise ValueError("inequality_ledger needs a ProblemSpec")
-    n, k, a = spec.n, spec.k, spec.a
+    return _inequalities(_boundary(solution, body), spec)
+
+
+def ledger(solution, body, spec: ProblemSpec) -> list:
+    """The entries of identity_lemma33 and pohozaev_lemma34 (for k >= 2)
+    and of inequality_ledger, all from one boundary record."""
     b = _boundary(solution, body)
+    balances = [_lemma33(solution, b), _lemma34(solution, b)] if spec.k >= 2 else []
+    return balances + _inequalities(b, spec)
+
+
+def _inequalities(b: _Boundary, spec: ProblemSpec) -> list:
+    n, k, a = spec.n, spec.k, spec.a
     omega = sphere_measure(n - 1)
     entries = [
         _inequality_entry(

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import OutOfDomain
 from .fields import Jet2
@@ -117,21 +116,17 @@ def radial_F(sol: RadialSolution, t, spec: ProblemSpec):
     return float(c1) * int_hk + float(c2) * int_hk1
 
 
-def exterior_skm1_grad2_integral(sol: RadialSolution, r_cut_factor=10.0):
-    """int over the exterior of S_{k-1}(Hessian) |grad u|^2 dx.
+def exterior_skm1_grad2_integral(sol: RadialSolution):
+    """int over the exterior of S_{k-1}(Hessian) |grad u|^2 dx, in closed form.
 
-    Adaptive quadrature out to a cut radius; beyond it the integrand is the
-    pure power c r^(-(n-k)/k) whose tail is added in closed form.
+    The integrand over the radius is the pure power c r^(-p), p = (n-k)/k
+    > 1 since k < n/2: S_{k-1} of the Hessian scales like r^(-(alpha+2)(k-1)),
+    |grad u|^2 like r^(-2(alpha+1)) and the sphere area like r^(n-1).  So
+    the integral from R to infinity is integrand(R) R / (p - 1).
     """
-    n, k = sol.n, sol.k
-
-    def integrand(r):
-        lam_t = sol.slope(r) / r
-        skm1 = sigma_split(sol.second(r), 0.0, 0.0, lam_t, n - 1, k - 1).levels[-1]
-        return skm1 * sol.slope(r) ** 2 * sphere_measure(n - 1) * r ** (n - 1)
-
-    r_cut = r_cut_factor * sol.R
-    bulk, _ = quad(integrand, sol.R, r_cut, limit=200)
-    p = (n - k) / k  # integrand ~ c r^(-p), p > 1 since k < n/2
-    tail = integrand(r_cut) * r_cut / (p - 1.0)
-    return bulk + tail
+    n, k, R = sol.n, sol.k, sol.R
+    lam_t = sol.slope(R) / R
+    skm1 = sigma_split(sol.second(R), 0.0, 0.0, lam_t, n - 1, k - 1).levels[-1]
+    integrand = skm1 * sol.slope(R) ** 2 * sphere_measure(n - 1) * R ** (n - 1)
+    p = (n - k) / k
+    return float(integrand * R / (p - 1.0))

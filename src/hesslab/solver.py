@@ -13,14 +13,14 @@ from dataclasses import dataclass
 from math import log, pi
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RectBivariateSpline
+from numpy.linalg import LinAlgError
 from scipy.linalg import solve_banded
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .errors import NewtonStall, PoorFit
 from .fields import AxiJets, rhs_at_radius
-from .surfaces import RevolutionBody
+from .surfaces import RevolutionBody, _ClampedSpline, _spline_slopes
 
 __all__ = [
     "AxiGrid",
@@ -77,7 +77,7 @@ class AxiGrid:
         self.dlngam = self.body.dgamma / g
         self.d2lngam = self.body.d2gamma / g - self.dlngam**2
         self.D = log(self.R_out) - self.lngam
-        self._g_spline = CubicSpline(self.theta, self.lngam, bc_type="clamped")
+        self._g_spline = _ClampedSpline(self.theta, self.lngam)
         self._on_axis = np.abs(np.sin(self.theta)) < 1e-12
         self._terms = None
 
@@ -281,14 +281,21 @@ def _solve_ghost_row(field, which):
     """Ghost values making the equation hold on Dirichlet row `which` of
     a field: Newton with the exact tridiagonal Jacobian from cubic
     extrapolation, until a step no longer lowers the row residual.  Raises
-    NewtonStall if it ends above TOL_NEWTON."""
+    NewtonStall if it ends above TOL_NEWTON or meets a singular Jacobian
+    (as on a constant u)."""
     grid, U, n, k = field.grid, field.u, field.n, field.k
     i = 1 if which == 0 else -1
     v = 3 * U[which] - 3 * U[which + i] + U[which + 2 * i]
     f = rhs_at_radius(grid.r_nodes[which], field.eps, n, field.cnk)
     phi, ab = _ghost_row_residual(grid, U, v, which, k, f, grad=True)
     for _ in range(MAX_NEWTON):
-        v_new = v - solve_banded((1, 1), ab, phi)
+        try:
+            v_new = v - solve_banded((1, 1), ab, phi)
+        except LinAlgError as exc:
+            raise NewtonStall(
+                f"ghost row at s = {grid.s[which]:g}: singular Jacobian at "
+                f"residual {np.abs(phi).max():.3e}"
+            ) from exc
         phi_new, ab_new = _ghost_row_residual(grid, U, v_new, which, k, f, True)
         if not np.abs(phi_new).max() < np.abs(phi).max():
             break
@@ -300,6 +307,62 @@ def _solve_ghost_row(field, which):
             f"{worst:.3e} > {TOL_NEWTON:g}"
         )
     return v
+
+
+#: The cubic Hermite basis on [0, 1]: row p holds the coefficients of a^p
+#: in the weights of the values at 0 and 1 and of the slopes at 0 and 1.
+_HERMITE = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                     [-3.0, 3.0, -2.0, -1.0], [2.0, -2.0, 1.0, 1.0]])
+
+
+class _Bicubic:
+    """The tensor not-a-knot bicubic splines through stacked node values
+    Z[q] on the grid x (axis 1) by y (axis 2), which is the s = 0 fit of
+    FITPACK's regrid (scipy's RectBivariateSpline).  It is held in bicubic
+    Hermite form: each node stores the value and the x-, y- and mixed
+    slopes of every spline (the y-slopes of Z by one banded solve, the
+    x-slopes of Z and of its y-slopes together by another), and a point
+    reads the sixteen numbers at the corners of its cell.  Points outside
+    the grid extrapolate its edge cells."""
+
+    def __init__(self, x, y, Z):
+        m, nx = Z.shape[0], x.size
+        values = np.empty((2, m, y.size, nx))  # [d/dy, q, j, i]: x last
+        values[0] = Z.swapaxes(1, 2)
+        values[1] = _spline_slopes(y, Z, clamped=False).swapaxes(1, 2)
+        # node-major, so that the corners of a cell are a few cache lines
+        table = np.empty((y.size, nx, 2, 2, m))  # [j, i, d/dx, d/dy, q]
+        table[:, :, 0] = values.transpose(2, 3, 0, 1)
+        table[:, :, 1] = _spline_slopes(x, values, clamped=False).transpose(2, 3, 0, 1)
+        self.table = table.reshape(y.size * nx, -1)
+        self.axes = ((x, x[1:-1], np.diff(x)), (y, y[1:-1], np.diff(y)))
+        self.nx = nx
+        self.corners = np.array([[0, nx], [1, nx + 1]])  # node offsets [di, dj]
+
+    def __call__(self, xp, yp):
+        """The splines at the points (xp[p], yp[p]), as an array [q, p]."""
+        (i, wx), (j, wy) = (_hermite_weights(*axis, pts)
+                            for axis, pts in zip(self.axes, (xp, yp)))
+        # cells[p, di, dj, d/dx, d/dy, q] and its weights w[p, di, dj, d/dx, d/dy]
+        cells = self.table.take((j * self.nx + i)[:, None, None] + self.corners,
+                                axis=0)
+        w = wx[:, :, None, :, None] * wy[:, None, :, None, :]
+        return (w.reshape(-1, 1, 16) @ cells.reshape(xp.size, 16, -1))[:, 0].T
+
+
+def _hermite_weights(nodes, inner, steps, pts):
+    """Cell index i of each point, nodes[i] <= pt < nodes[i + 1] (the last
+    cell closed), and its Hermite weights w[p, corner, value or slope]."""
+    i = inner.searchsorted(pts, side="right")
+    h = steps.take(i)
+    powers = np.empty((pts.size, 4))
+    powers[:, 0] = 1.0
+    powers[:, 1] = (pts - nodes.take(i)) / h
+    powers[:, 2] = powers[:, 1] ** 2
+    powers[:, 3] = powers[:, 2] * powers[:, 1]
+    w = powers @ _HERMITE
+    w[:, 2:] *= h[:, None]
+    return i, w.reshape(-1, 2, 2).swapaxes(1, 2)
 
 
 @dataclass
@@ -346,13 +409,12 @@ class ExteriorField:
             self._jets_cache = _chain(grid, slice(None), F, self.u)
         return self._jets_cache
 
-    def _splines(self):
+    def _spline(self):
+        """The not-a-knot bicubic splines of u and the six node jets."""
         if self._spline_cache is None:
             grid, jets = self.grid, self._node_jets()
-            self._spline_cache = {
-                key: RectBivariateSpline(grid.s, grid.theta, getattr(jets, key))
-                for key in ("u",) + _JET_KEYS
-            }
+            values = np.stack([getattr(jets, key) for key in ("u",) + _JET_KEYS])
+            self._spline_cache = _Bicubic(grid.s, grid.theta, values)
         return self._spline_cache
 
     def jets_at(self, s, theta) -> AxiJets:
@@ -360,15 +422,12 @@ class ExteriorField:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         z, rho = self.grid.to_physical(s, theta)
-        vals = {
-            key: sp(s, theta, grid=False) for key, sp in self._splines().items()
-        }
-        return AxiJets(n=self.n, z=z, rho=rho, **vals)
+        return AxiJets(self.n, z, rho, *self._spline()(s, theta))
 
     def boundary_gradient(self, theta):
         """|grad u| on the body boundary, interpolated onto given angles."""
         gn = self._node_jets().grad_norm[0]
-        return CubicSpline(self.grid.theta, gn, bc_type="clamped")(theta)
+        return _ClampedSpline(self.grid.theta, gn)(theta)
 
     def interior_range(self):
         """(min, max) of u strictly between the Dirichlet rows."""

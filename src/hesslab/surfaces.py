@@ -7,10 +7,10 @@ and the two sides of the Aleksandrov-Fenchel and Qiu-Xia inequalities.
 """
 
 from dataclasses import dataclass
-from math import gamma as gamma_fn, pi
+from math import gamma as gamma_fn, perm, pi
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from .errors import NotConvex, StarShapeViolation
 from .symfunc import sigma_split
@@ -39,12 +39,111 @@ def sphere_measure(m):
 
 
 def _simpson_weights(num_nodes, h):
-    if num_nodes < 3 or num_nodes % 2 == 0:
-        raise ValueError("composite Simpson needs an odd node count >= 3")
-    w = np.ones(num_nodes)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)
+    """Weights of the composite Simpson rule on num_nodes >= 3 nodes of
+    step h.  An even count takes Simpson on all but the last interval and
+    closes with the three-point rule for that interval (h/12) (-1, 8, 5),
+    as scipy's simpson does."""
+    if num_nodes < 3:
+        raise ValueError("composite Simpson needs a node count >= 3")
+    odd = num_nodes - 1 + num_nodes % 2  # the nodes under composite Simpson
+    w = np.zeros(num_nodes)
+    w[:odd:2] = 2.0
+    w[1:odd:2] = 4.0
+    w[0] = w[odd - 1] = 1.0
+    w *= h / 3.0
+    if odd < num_nodes:
+        w[-3:] += np.array([-1.0, 8.0, 5.0]) * (h / 12.0)
+    return w
+
+
+def _spline_slopes(x, y, clamped):
+    """Slopes at the nodes x of the cubic splines through the values y along
+    their last axis (any leading shape): zero end slopes if clamped,
+    not-a-knot ends otherwise.  The tridiagonal system and its arithmetic
+    are those of scipy's CubicSpline, so a clamped spline matches it bit
+    for bit.  The right-hand sides reach LAPACK in Fortran order, one
+    column per spline, and are solved in place.
+
+    Raises ValueError on nodes that are not finite and strictly increasing,
+    on values that are not finite, and on fewer than 2 (clamped) or 4
+    (not-a-knot) nodes; the system is then nonsingular.
+    """
+    dx = np.diff(x)
+    if not (np.all(np.isfinite(x)) and np.all(dx > 0)):
+        raise ValueError("spline nodes x must be finite and strictly increasing")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("spline values must be finite")
+    n = x.size
+    if n < (2 if clamped else 4):
+        raise ValueError(f"a cubic spline needs more than {n} nodes")
+    A = np.zeros((3, n))  # solve_banded's (1, 1) layout
+    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    # the right-hand side with as few full-size temporaries as possible:
+    # b[i] = 3 (dx[i] slope[i-1] + dx[i-1] slope[i]) inside
+    slope = np.diff(y)
+    slope /= dx
+    b = np.empty(y.shape)
+    if clamped:
+        A[1, 0] = A[1, -1] = 1.0
+        b[..., 0] = b[..., -1] = 0.0
+    else:
+        d = x[2] - x[0]
+        A[1, 0], A[0, 1] = dx[1], d
+        b[..., 0] = ((dx[0] + 2 * d) * dx[1] * slope[..., 0]
+                     + dx[0] ** 2 * slope[..., 1]) / d
+        d = x[-1] - x[-3]
+        A[1, -1], A[-1, -2] = dx[-2], d
+        b[..., -1] = (dx[-1] ** 2 * slope[..., -2]
+                      + (2 * d + dx[-1]) * dx[-2] * slope[..., -1]) / d
+    inner = np.multiply(slope[..., :-1], dx[1:], out=b[..., 1:-1])
+    slope[..., 1:] *= dx[:-1]
+    inner += slope[..., 1:]
+    inner *= 3
+    s = solve_banded((1, 1), A, b.reshape(-1, n).T, overwrite_ab=True,
+                     overwrite_b=True, check_finite=False)
+    return s.T.reshape(y.shape)
+
+
+class _ClampedSpline:
+    """The cubic spline through (x, y) with zero end slopes.
+
+    Equal bit for bit to scipy's CubicSpline(x, y, bc_type="clamped"): the
+    same slopes (_spline_slopes), the same power-basis coefficients on each
+    interval [x_i, x_(i+1)) (the last one closed) and the same evaluation
+    order; points outside [x_0, x_-1] extrapolate the end intervals.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        s = _spline_slopes(x, y, clamped=True)
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x, self._inner = x, x[1:-1]
+        # row i: the coefficients of (x - x_i)^0 .. (x - x_i)^3
+        self.c = np.stack([y[:-1], s[:-1], (slope - s[:-1]) / dx - t, t / dx], axis=1)
+
+    def __call__(self, xi, nu=0):
+        """The spline (nu = 0) or its derivative of order nu <= 2 at xi."""
+        xi = np.asarray(xi, dtype=float)
+        i = self._inner.searchsorted(xi, side="right")
+        d = xi - self.x.take(i)
+        c = self.c.take(i, axis=0)
+        res = np.add(0.0, c[..., nu])  # scipy sums from 0.0, so -0.0 -> 0.0
+        if nu == 2:
+            res *= 2.0  # 2! c_2
+        z = d  # d^(m - nu), by repeated products
+        for m in range(nu + 1, 4):
+            term = c[..., m] * z
+            if nu:
+                term *= perm(m, nu)
+            res += term
+            if m < 3:
+                z = z * d
+        return res
 
 
 @dataclass
@@ -129,8 +228,9 @@ class RevolutionBody:
 
     @classmethod
     def from_samples(cls, n, theta, gamma, samples=None):
-        """Spline a sampled profile; derivatives from the clamped spline."""
-        spline = CubicSpline(theta, gamma, bc_type="clamped")
+        """Spline a sampled profile; derivatives from the clamped spline.
+        Raises ValueError unless theta is strictly increasing."""
+        spline = _ClampedSpline(theta, gamma)
         if samples is None:
             th = np.asarray(theta, dtype=float)
         else:

@@ -5,7 +5,7 @@ import pytest
 
 from hesslab import cli, monotone
 from hesslab.errors import NewtonStall
-from hesslab.solver import ExteriorField
+from hesslab.solver import AxiGrid, ExteriorField
 from hesslab.surfaces import RevolutionBody
 from hesslab.symfunc import newton_maclaurin_gap
 
@@ -209,6 +209,17 @@ class TestSolve:
         field = ExteriorField.load_checkpoint(tmp_path / "field.txt")
         assert field.rho_hat == pytest.approx(f / np.arctanh(f / 1.5), abs=1e-2)
 
+    def test_unordered_profile_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "profile.txt"
+        path.write_text("# revolution-profile v1 n=3\n0 1\n1 1\n1 1\n"
+                        "3.141592653589793 1\n")
+        code = cli.run([
+            "solve", "--body", f"profile:{path}", "--n", "3", "--k", "1",
+            "--N-s", "32", "--out", str(tmp_path),
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert "strictly increasing" in capsys.readouterr().err
+
     def test_solver_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise NewtonStall("no admissible step")
@@ -319,6 +330,21 @@ class TestCertify:
         out = capsys.readouterr().out
         assert code == cli.EXIT_OK
         assert "verdict=certified-not-overdetermined" in out
+
+    def test_singular_ghost_row_exits_3(self, monkeypatch, capsys):
+        # a constant u makes the ghost-row Jacobian singular
+        def constant_field(body, spec, R_out=None, N_s=256, N_theta=None):
+            grid = AxiGrid(body, 40.0, N_s, N_theta)
+            return ExteriorField(grid=grid, u=np.full((N_s + 1, N_theta + 1), -1.0),
+                                 k=spec.k, eps=0.02, rho_hat=1.0)
+
+        monkeypatch.setattr(cli, "solve_exterior", constant_field)
+        code = cli.run([
+            "certify", "--body", "spheroid:1.2,1", "--n", "5", "--k", "2",
+            "--N-s", "32", "--N-theta", "16",
+        ])
+        assert code == cli.EXIT_SOLVER
+        assert "ghost row at s = 0: singular" in capsys.readouterr().err
 
 
 class TestReport:

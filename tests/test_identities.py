@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hesslab import identities, surfaces
+from hesslab import cli, identities, surfaces
 from hesslab.identities import (
     CERTIFIED_BALL,
     CERTIFIED_NOT_OVERDETERMINED,
@@ -273,3 +273,13 @@ class TestOneBoundaryEvaluation:
     @pytest.mark.parametrize("n,k", [(5, 2), (3, 1)])
     def test_radial(self, counts, n, k):
         self._check(counts, RadialSolution(n=n, k=k, R=1.0), n, k)
+
+    def test_cli_ledger(self, counts, tmp_path, capsys):
+        # both balances and the inequality battery of one CLI run share
+        # one record
+        code = cli.run([
+            "identities", "--body", "spheroid:1.2,1", "--n", "5", "--k", "2",
+            "--N-s", "32", "--out", str(tmp_path),
+        ])
+        assert code == cli.EXIT_OK
+        assert counts == {"samples": 1, "gradient": 1}

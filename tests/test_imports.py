@@ -1,8 +1,11 @@
 """Every name a hesslab module or a test module imports is used there or,
 in a hesslab module, listed in __all__; every parameter of a hesslab
-function is read."""
+function is read; and hesslab leaves out the scipy subpackages whose
+import costs more than the few routines it would take from them."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,3 +89,50 @@ def test_no_unused_parameters(path):
 @pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_tests_have_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+#: scipy subpackages that hesslab must not import, directly or through
+#: another: the splines, quadratures and special functions it needs are
+#: its own (surfaces._ClampedSpline, solver._Bicubic,
+#: surfaces._simpson_weights).
+HEAVY = ("scipy.interpolate", "scipy.integrate", "scipy.special", "scipy.optimize")
+
+
+def _heavy_imports(source):
+    """The HEAVY packages that the import statements of source reach, at
+    any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.update(h for h in HEAVY for m in names
+                     if m == h or m.startswith(h + "."))
+    return sorted(found)
+
+
+def test_heavy_import_detector():
+    source = (
+        "import scipy.linalg\nfrom scipy import integrate, sparse\n"
+        "def f():\n    from scipy.interpolate import CubicSpline\n"
+        "    import scipy.special._ufuncs\n"
+    )
+    assert _heavy_imports(source) == [
+        "scipy.integrate", "scipy.interpolate", "scipy.special",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_heavy_scipy_imports(path):
+    assert _heavy_imports(path.read_text()) == []
+
+
+def test_cli_import_footprint():
+    probe = ("import sys, hesslab.cli; "
+             f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], cwd=SRC.parent,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == []

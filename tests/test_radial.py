@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from math import pi
+from math import comb, pi
+from scipy.integrate import quad
 
 from hesslab.errors import OutOfDomain
 from hesslab.monotone import ProblemSpec, limit_bound, sphere_measure, weights
@@ -163,11 +164,21 @@ class TestExteriorIntegral:
             got = exterior_skm1_grad2_integral(sol)
             assert got == pytest.approx(4 * pi * R, rel=1e-9)
 
-    def test_cut_radius_insensitive(self):
-        sol = RadialSolution(n=7, k=3, R=1.2)
-        a = exterior_skm1_grad2_integral(sol, r_cut_factor=5.0)
-        b = exterior_skm1_grad2_integral(sol, r_cut_factor=50.0)
-        assert a == pytest.approx(b, rel=1e-8)
+    @pytest.mark.parametrize("n,k", [(3, 1), (5, 2), (7, 3)])
+    def test_matches_quadrature(self, n, k):
+        # the closed form against adaptive quadrature of the density:
+        # S_{k-1} of the Hessian eigenvalues u'' (once) and u'/r (n-1 times)
+        sol = RadialSolution(n=n, k=k, R=1.2)
+
+        def density(r):
+            up, upp = float(sol.slope(r)), float(sol.second(r))
+            skm1 = comb(n - 1, k - 1) * (up / r) ** (k - 1)
+            if k >= 2:
+                skm1 += upp * comb(n - 1, k - 2) * (up / r) ** (k - 2)
+            return skm1 * up**2 * sphere_measure(n - 1) * r ** (n - 1)
+
+        ref, _ = quad(density, sol.R, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)
+        assert exterior_skm1_grad2_integral(sol) == pytest.approx(ref, rel=1e-10)
 
 
 class TestWeightsAgainstLevelIntegrals:

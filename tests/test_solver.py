@@ -3,6 +3,7 @@ import inspect
 import numpy as np
 import pytest
 from math import comb, log2, sqrt
+from scipy.interpolate import RectBivariateSpline
 
 from hesslab import solver
 from hesslab.errors import NewtonStall, PoorFit
@@ -385,6 +386,41 @@ class TestGhostRows:
         fld = ExteriorField(grid=grid, u=u, k=2, eps=0.02, rho_hat=1.0)
         with pytest.raises(NewtonStall, match="ghost row"):
             admissibility_margin(fld)
+
+    def test_singular_ghost_row_raises(self):
+        # on a constant u every partial of S_2 vanishes, so the ghost-row
+        # Jacobian is singular: a typed stall, not LAPACK's LinAlgError
+        body = RevolutionBody.sphere(1.0, n=5)
+        fld = sampled_field(lambda r: np.full_like(r, -1.0), body, 2, 40.0, 32, 16)
+        with pytest.raises(NewtonStall, match="ghost row at s = 0: singular"):
+            admissibility_margin(fld)
+
+
+class TestBicubic:
+    """_Bicubic is the interpolant of scipy's RectBivariateSpline (s = 0)."""
+
+    @staticmethod
+    def _check(x, y, Z, rng):
+        xp = np.concatenate([rng.uniform(x[0], x[-1], 200), x, x[[0, -1, 0, -1]],
+                             np.full(y.size, x[-1])])
+        yp = np.concatenate([rng.uniform(y[0], y[-1], 200), rng.choice(y, x.size),
+                             y[[0, 0, -1, -1]], y])
+        got = solver._Bicubic(x, y, Z)(xp, yp)
+        for q, Zq in enumerate(Z):
+            ref = RectBivariateSpline(x, y, Zq)(xp, yp, grid=False)
+            assert np.max(np.abs(got[q] - ref)) <= 1e-14 * np.max(np.abs(Zq))
+
+    def test_node_jets_of_a_field(self, prolate_field):
+        grid, jets = prolate_field.grid, prolate_field._node_jets()
+        Z = np.stack([getattr(jets, key) for key in ("u",) + solver._JET_KEYS])
+        self._check(grid.s, grid.theta, Z, np.random.default_rng(0))
+
+    def test_nonuniform_grid(self):
+        rng = np.random.default_rng(1)
+        x = np.cumsum(rng.uniform(0.1, 1.0, 9))
+        y = np.cumsum(rng.uniform(0.1, 1.0, 6))
+        Z = np.sin(x[:, None] + 2.0 * y[None, :]) + rng.standard_normal((3, 9, 6))
+        self._check(x, y, Z, rng)
 
 
 class TestAdmissibilityGuard:

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from math import pi
+from scipy.integrate import simpson
+from scipy.interpolate import CubicSpline
 
 from hesslab.errors import NotConvex
 from hesslab.surfaces import (
     RevolutionBody,
+    _ClampedSpline,
+    _simpson_weights,
     af_gap,
     curvature_samples,
     minkowski_residual,
@@ -178,3 +183,48 @@ class TestProfileIO:
         path.write_text("# not a profile\n0 1\n")
         with pytest.raises(ValueError):
             RevolutionBody.load_profile(path)
+
+
+class TestClampedSpline:
+    """_ClampedSpline is scipy's CubicSpline(bc_type="clamped") bit for bit:
+    values and both derivatives at the nodes, between them, at both ends
+    and beyond them."""
+
+    @staticmethod
+    def _check(x, y):
+        ref, ours = CubicSpline(x, y, bc_type="clamped"), _ClampedSpline(x, y)
+        dx = np.diff(x)
+        pts = np.concatenate([x, x[:-1] + 0.5 * dx, x[:-1] + 0.3 * dx,
+                              [x[0] - 0.1, x[-1] + 0.1]])
+        for nu in (0, 1, 2):
+            assert ours(pts, nu).tobytes() == ref(pts, nu).tobytes()
+        assert ours(x[1]).tobytes() == ref(x[1]).tobytes()  # a scalar point
+
+    @pytest.mark.parametrize("samples", [16, 64, 512])
+    def test_uniform_profiles(self, samples):
+        th = np.linspace(0.0, pi, samples + 1)
+        for body in (RevolutionBody.spheroid(1.5, 1.0, 3, samples),
+                     RevolutionBody.cos_perturbed(3, 0.2, 4, samples=samples),
+                     RevolutionBody.sphere(1.0, 3, samples)):
+            self._check(th, body.gamma)
+            self._check(th, np.log(body.gamma))
+
+    @given(st.lists(st.floats(0.01, 2.0), min_size=1, max_size=40),
+           st.integers(0, 2**32 - 1))
+    def test_nonuniform_nodes(self, steps, seed):
+        x = np.concatenate([[-1.0], -1.0 + np.cumsum(steps)])
+        self._check(x, np.random.default_rng(seed).standard_normal(x.size))
+
+    @pytest.mark.parametrize("theta", [[0.0, 1.0, 1.0, pi], [0.0, 2.0, 1.0, pi]])
+    def test_profile_not_increasing_raises(self, theta):
+        # checked before any division by a zero or negative step
+        with pytest.raises(ValueError, match="strictly increasing"):
+            RevolutionBody.from_samples(3, np.array(theta), np.ones(4))
+
+
+@pytest.mark.parametrize("num_nodes", [3, 4, 5, 8, 9, 64, 65])
+def test_simpson_weights_match_scipy(num_nodes):
+    x = np.linspace(0.0, 2.0, num_nodes)
+    y = np.exp(x) * np.cos(3.0 * x)
+    got = _simpson_weights(num_nodes, x[1] - x[0]) @ y
+    assert got == pytest.approx(simpson(y, x=x), rel=1e-13)
