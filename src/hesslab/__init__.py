@@ -11,7 +11,6 @@ from .errors import (
     LevelOutOfRange,
     NewtonStall,
     NotConvex,
-    OutOfDomain,
     PoorFit,
     StarShapeViolation,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "LevelOutOfRange",
     "NewtonStall",
     "NotConvex",
-    "OutOfDomain",
     "PoorFit",
     "StarShapeViolation",
 ]

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import HesslabError, LevelOutOfRange
-from .identities import VIOLATED, certify_ball, inequality_ledger, ledger
+from .identities import VIOLATED, certify_ball, ledger, report
 from .monotone import (
     F_eval,
     T_GRID,
@@ -347,8 +347,7 @@ def cmd_report(args):
         spec = _build_spec(sub)
         body = _body(sub)
         solution = _solution(sub, spec, body)
-        cert = certify_ball(solution, body, spec)
-        rows = inequality_ledger(solution, body, spec)
+        cert, rows = report(solution, body, spec)
         bad = [e.name for e in rows if e.verdict == VIOLATED]
         if bad:
             status = EXIT_AUDIT

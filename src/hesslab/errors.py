@@ -17,10 +17,6 @@ class NotConvex(HesslabError):
     """A convexity-requiring inequality was invoked on a non-convex body."""
 
 
-class OutOfDomain(HesslabError):
-    """Radius below the inner boundary of a radial solution."""
-
-
 class NewtonStall(HesslabError):
     """No admissible residual-decreasing Newton step after maximal damping."""
 

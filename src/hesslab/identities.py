@@ -29,7 +29,6 @@ from .surfaces import (
     af_sides,
     curvature_samples,
     qiu_xia_sides,
-    quermass,
     sphere_measure,
 )
 
@@ -37,12 +36,12 @@ __all__ = [
     "CertificationReport",
     "LedgerEntry",
     "TAU_OVERDETERMINED",
-    "c_formula",
     "certify_ball",
     "identity_lemma33",
     "inequality_ledger",
     "ledger",
     "pohozaev_lemma34",
+    "report",
 ]
 
 IDENTITY_OK = "identity-ok"
@@ -251,25 +250,6 @@ def _lemma34(solution, b: _Boundary) -> LedgerEntry:
     return _identity_entry("rellich-pohozaev-balance", lhs, rhs)
 
 
-def c_formula(body: RevolutionBody, k):
-    """Boundary gradient constant forced by the quermassintegral ratios:
-
-        c = (n-2k)/k * (k-1)/(n-k+1) * int H_{k-1} / int H_{k-2}   (k >= 2)
-        c = (n-2)/n * |boundary| / |body|                          (k = 1)
-    """
-    n = body.n
-    if k < 1 or n <= 2 * k:
-        raise ValueError(f"need 1 <= k < n/2, got n={n}, k={k}")
-    if k == 1:
-        s = curvature_samples(body)
-        return (n - 2) / n * s.area / s.volume
-    return (
-        (n - 2 * k) / k
-        * (k - 1) / (n - k + 1)
-        * quermass(body, k - 1) / quermass(body, k - 2)
-    )
-
-
 def inequality_ledger(solution, body=None, spec: ProblemSpec = None) -> list:
     """Evaluate the inequality battery; every entry is oriented lhs >= rhs.
 
@@ -376,7 +356,17 @@ def certify_ball(solution, body=None,
     """
     if spec is None:
         raise ValueError("certify_ball needs a ProblemSpec")
+    return _certify(_boundary(solution, body), spec)
+
+
+def report(solution, body, spec: ProblemSpec) -> tuple:
+    """(certify_ball, inequality_ledger) of one (solution, body), both from
+    one boundary record: the rows of hesslab report."""
     b = _boundary(solution, body)
+    return _certify(b, spec), _inequalities(b, spec)
+
+
+def _certify(b: _Boundary, spec: ProblemSpec) -> CertificationReport:
     gam = b.body.gamma
     profile_dev = float((gam.max() - gam.min()) / b.body.mean_radius)
     nan = float("nan")

@@ -37,8 +37,6 @@ __all__ = [
     "limit_bound",
     "monotonicity_audit",
     "weights",
-    "weights_derivatives",
-    "weights_ode_residual",
 ]
 
 #: Default levels of monotonicity_audit and the CLI.  They keep clear of
@@ -111,39 +109,6 @@ def weights(t, spec: ProblemSpec):
     return c1, c2
 
 
-def weights_derivatives(t, spec: ProblemSpec):
-    """Analytic t-derivatives (C1'(t), C2'(t)) of the closed forms."""
-    t = np.asarray(t, dtype=float)
-    mt = -t
-    n, k, a = spec.n, spec.k, spec.a
-    p, q = spec.p_exponent, spec.q_exponent
-    # d/dt (-t)^m = -m (-t)^(m-1)
-    c1p = p * mt ** (-p - 1) * spec.C3 - (1 - p) * mt ** (-p) * spec.C4
-    c2p = -(p / (a + 1 - k)) * spec.C3 * q * mt ** (-q - 1) + (n - k) / (
-        n - 2 * k
-    ) * spec.C4 * (1 - q) * mt ** (-q)
-    return c1p, c2p
-
-
-def weights_ode_residual(t, spec: ProblemSpec):
-    """Residuals of the two weight ODEs, normalized by their largest term."""
-    t = np.asarray(t, dtype=float)
-    n, k, a = spec.n, spec.k, spec.a
-    b = a - k * (n - k - 1) / (n - k)
-    c1, c2 = weights(t, spec)
-    c1p, c2p = weights_derivatives(t, spec)
-    coef = (n - k) / ((n - 2 * k) * t)
-    term1a, term1b = c2p, b * coef**2 * c1
-    res1 = term1a + term1b
-    scale1 = np.maximum(np.maximum(np.abs(term1a), np.abs(term1b)), 1.0)
-    term2a, term2b, term2c = c1p, -(a + 1 - k) * c2, 2 * coef * b * c1
-    res2 = term2a + term2b + term2c
-    scale2 = np.maximum.reduce(
-        [np.abs(term2a), np.abs(term2b), np.abs(term2c), np.ones_like(res2)]
-    )
-    return res1 / scale1, res2 / scale2
-
-
 def limit_bound(spec: ProblemSpec, rho):
     """Lower bound of F(t): the t -> 0 limit, attained exactly for balls."""
     n, k, a = spec.n, spec.k, spec.a
@@ -175,10 +140,6 @@ class LevelSetCurve:
     mid_theta: np.ndarray
     jets: AxiJets  # jets at the segment midpoints
     weight: np.ndarray  # segment length * |S^(n-2)| rho^(n-2)
-
-    @property
-    def num_segments(self):
-        return self.seg_z.shape[0]
 
     def integrate(self, values):
         return float(np.sum(np.asarray(values) * self.weight))

@@ -11,8 +11,6 @@ from math import comb
 
 import numpy as np
 
-from .errors import OutOfDomain
-from .fields import Jet2
 from .monotone import ProblemSpec, sphere_measure, weights
 from .symfunc import sigma_split
 
@@ -20,7 +18,6 @@ __all__ = [
     "RadialSolution",
     "exterior_skm1_grad2_integral",
     "radial_F",
-    "radial_eval",
 ]
 
 
@@ -53,9 +50,6 @@ class RadialSolution:
         """|grad u| on the boundary sphere: (n/k - 2)/R."""
         return self.alpha / self.R
 
-    def value(self, r):
-        return -((self.R / np.asarray(r, dtype=float)) ** self.alpha)
-
     def slope(self, r):
         """u'(r) = alpha rho r^(-alpha-1) > 0."""
         r = np.asarray(r, dtype=float)
@@ -69,28 +63,6 @@ class RadialSolution:
         """Radius of the level sphere {u = t}: solves -(R/r)^alpha = t."""
         t = np.asarray(t, dtype=float)
         return self.R * (-t) ** (-1.0 / self.alpha)
-
-
-def radial_eval(sol: RadialSolution, r, direction=None) -> Jet2:
-    """Second-order jet of the radial solution at radius r.
-
-    Hessian eigenvalues are u'' (radially, once) and u'/r (n-1 times);
-    S_k of the Hessian vanishes identically for r >= R.
-    """
-    r = float(r)
-    if r < sol.R:
-        raise OutOfDomain(f"r = {r} below ball radius {sol.R}")
-    if direction is None:
-        direction = np.zeros(sol.n)
-        direction[0] = 1.0
-    e = np.asarray(direction, dtype=float)
-    e = e / np.linalg.norm(e)
-    x = r * e
-    up = float(sol.slope(r))
-    upp = float(sol.second(r))
-    proj = np.outer(e, e)
-    H = upp * proj + (up / r) * (np.eye(sol.n) - proj)
-    return Jet2(x=x, u=float(sol.value(r)), g=up * e, H=H)
 
 
 def _level_sphere_integrals(sol: RadialSolution, t, a):

@@ -26,7 +26,6 @@ __all__ = [
     "AxiGrid",
     "ExteriorField",
     "admissibility_margin",
-    "equation_residual",
     "estimate_rho",
     "solve_exterior",
 ]
@@ -429,11 +428,6 @@ class ExteriorField:
         gn = self._node_jets().grad_norm[0]
         return _ClampedSpline(self.grid.theta, gn)(theta)
 
-    def interior_range(self):
-        """(min, max) of u strictly between the Dirichlet rows."""
-        inner = self.u[1:-1]
-        return float(inner.min()), float(inner.max())
-
     # -- checkpoint format --------------------------------------------
 
     def save_checkpoint(self, path, extra_header=""):
@@ -493,13 +487,6 @@ class ExteriorField:
             residual_norm=float(kv["residual_norm"]),
             admissible=float(kv["admissible"]),
         )
-
-
-def equation_residual(field: ExteriorField):
-    """S_k(Hessian u) - f^eps on the interior rows (same stencil as the
-    Newton solve)."""
-    Sk = field._node_jets().split(field.k).levels[-1][1:-1]
-    return Sk - rhs_at_radius(field.grid.r_nodes[1:-1], field.eps, field.n, field.cnk)
 
 
 def admissibility_margin(field: ExteriorField):

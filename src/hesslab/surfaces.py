@@ -2,8 +2,8 @@
 
 A surface is the rotation of a polar profile gamma(theta), theta in [0, pi],
 about the z-axis through S^(n-2) orbits.  Provides principal curvatures,
-quermassintegrals int H_k, enclosed volume, the Minkowski identity residual
-and the two sides of the Aleksandrov-Fenchel and Qiu-Xia inequalities.
+the surface quadrature of int H_k and of the enclosed volume, and the two
+sides of the Aleksandrov-Fenchel and Qiu-Xia inequalities.
 """
 
 from dataclasses import dataclass
@@ -18,16 +18,11 @@ from .symfunc import sigma_split
 __all__ = [
     "RevolutionBody",
     "SurfaceSampleSet",
-    "af_gap",
     "af_sides",
     "curvature_samples",
-    "minkowski_residual",
-    "qiu_xia_gap",
     "qiu_xia_sides",
-    "quermass",
     "sphere_measure",
     "surface_h_k",
-    "volume",
 ]
 
 PROFILE_HEADER = "# revolution-profile v1"
@@ -243,12 +238,6 @@ class RevolutionBody:
 
     # -- profile file format ------------------------------------------
 
-    def save_profile(self, path):
-        with open(path, "w") as fh:
-            fh.write(f"{PROFILE_HEADER} n={self.n}\n")
-            for th, g in zip(self.theta, self.gamma):
-                fh.write(f"{th:.17g} {g:.17g}\n")
-
     @classmethod
     def load_profile(cls, path, samples=None):
         with open(path) as fh:
@@ -271,10 +260,6 @@ class SurfaceSampleSet:
 
     n: int
     theta: np.ndarray
-    z: np.ndarray
-    rho: np.ndarray
-    nu_z: np.ndarray
-    nu_rho: np.ndarray
     kappa_m: np.ndarray
     kappa_r: np.ndarray
     x_dot_nu: np.ndarray
@@ -312,9 +297,7 @@ def curvature_samples(body: RevolutionBody) -> SurfaceSampleSet:
     speed = np.sqrt(g**2 + gp**2)
     sin, cos = np.sin(th), np.cos(th)
 
-    z = g * cos
     rho = g * sin
-    nu_z = (g * cos + gp * sin) / speed
     nu_rho = (g * sin - gp * cos) / speed
     x_dot_nu = g**2 / speed
     if np.any(x_dot_nu <= 0):
@@ -332,38 +315,11 @@ def curvature_samples(body: RevolutionBody) -> SurfaceSampleSet:
     return SurfaceSampleSet(
         n=body.n,
         theta=th,
-        z=z,
-        rho=rho,
-        nu_z=nu_z,
-        nu_rho=nu_rho,
         kappa_m=kappa_m,
         kappa_r=kappa_r,
         x_dot_nu=x_dot_nu,
         area_weight=area_weight,
     )
-
-
-def quermass(body: RevolutionBody, k):
-    """Quermassintegral int_{boundary} H_k dsigma."""
-    if not 0 <= k <= body.n - 1:
-        raise ValueError(f"need 0 <= k <= n-1, got k={k}")
-    s = curvature_samples(body)
-    return s.integrate(s.h_k(k))
-
-
-def minkowski_residual(body: RevolutionBody, k):
-    """Residual of int <x,nu> H_k = ((n-k)/k) int H_{k-1}; -> 0 on refinement."""
-    if not 1 <= k <= body.n - 1:
-        raise ValueError(f"need 1 <= k <= n-1, got k={k}")
-    s = curvature_samples(body)
-    lhs = s.integrate(s.x_dot_nu * s.h_k(k))
-    rhs = (body.n - k) / k * s.integrate(s.h_k(k - 1))
-    return lhs - rhs
-
-
-def volume(body: RevolutionBody):
-    """Enclosed volume of the body (SurfaceSampleSet.volume)."""
-    return curvature_samples(body).volume
 
 
 def _require_convex(samples: SurfaceSampleSet, margin=1e-12):
@@ -389,13 +345,6 @@ def af_sides(samples: SurfaceSampleSet, k):
     return (n - k) * (k - 1) * q_km1**2, (n - k + 1) * k * q_k * q_km2
 
 
-def af_gap(body: RevolutionBody, k):
-    """Aleksandrov-Fenchel gap, the difference of af_sides: nonnegative for
-    convex bodies, zero exactly for balls."""
-    lhs, rhs = af_sides(curvature_samples(body), k)
-    return lhs - rhs
-
-
 def qiu_xia_sides(samples: SurfaceSampleSet):
     """The two sides of (n-1)/n |bdry|^2 >= |body| int H_1 for convex
     bodies, with equality exactly for balls."""
@@ -403,9 +352,3 @@ def qiu_xia_sides(samples: SurfaceSampleSet):
     n = samples.n
     area_term = (n - 1) / n * samples.area**2
     return area_term, samples.volume * samples.integrate(samples.h_k(1))
-
-
-def qiu_xia_gap(body: RevolutionBody):
-    """Gap (n-1)/n |bdry|^2 - |body| int H_1; >= 0 for convex, 0 for balls."""
-    lhs, rhs = qiu_xia_sides(curvature_samples(body))
-    return lhs - rhs

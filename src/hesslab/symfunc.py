@@ -1,7 +1,7 @@
 """Elementary symmetric functions of vectors and symmetric matrices.
 
-Provides S_k, its derivative matrix S_k^{ij}, the Garding cone test, the
-Newton-MacLaurin gap and the classical matrix identities
+Provides S_k, its derivative matrix S_k^{ij}, the Newton-MacLaurin gap
+and the classical matrix identities
 
     S_k^{ij} = S_{k-1} d_ij - sum_l S_{k-1}^{il} a_jl,
     S_k^{ij} a_il a_lj = S_1 S_k - (k+1) S_{k+1},
@@ -12,19 +12,13 @@ take one vector (n,) or matrix (n, n), or a stack (..., n) or
 (..., n, n) with the batch axes in front, as numpy's gufuncs do.
 """
 
-from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "ConeSpec",
-    "ConeTest",
-    "gamma_cone_contains",
     "newton_maclaurin_gap",
-    "sigma",
     "sigma_all",
     "sigma_grad",
     "sigma_matrix",
@@ -32,22 +26,6 @@ __all__ = [
     "symmetrize",
     "verify_matrix_identities",
 ]
-
-@dataclass(frozen=True)
-class ConeSpec:
-    """Garding cone Gamma_k^+ in dimension n."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-
-
-class ConeTest(NamedTuple):
-    contains: bool
-    margin: float  # min over 1 <= i <= k of S_i; positive inside the cone
 
 
 def sigma_all(v, kmax=None):
@@ -68,17 +46,6 @@ def sigma_all(v, kmax=None):
 def _scalar(x):
     """A 0-d result as a Python float; a stacked one stays an array."""
     return float(x) if np.ndim(x) == 0 else x
-
-
-def sigma(v, k):
-    """k-th elementary symmetric function S_k(v) of a vector or a stack
-    (..., n); S_0 = 1, S_k = 0 for k > n."""
-    v = np.asarray(v, dtype=float)
-    if k < 0:
-        raise ValueError("order k must be >= 0")
-    if k > v.shape[-1]:
-        return _scalar(np.zeros(v.shape[:-1]))
-    return _scalar(sigma_all(v, k)[..., k])
 
 
 class SigmaSplit(NamedTuple):
@@ -120,26 +87,12 @@ def symmetrize(A):
     return 0.5 * (A + np.swapaxes(A, -1, -2))
 
 
-def _sigma_minors(A, k):
-    """Sum of k-by-k principal minors; exact structure, O(C(n,k)) dets."""
-    n = A.shape[0]
-    if k == 0:
-        return 1.0
-    if k > n:
-        return 0.0
-    total = 0.0
-    for idx in combinations(range(n), k):
-        sub = A[np.ix_(idx, idx)]
-        total += float(np.linalg.det(sub))
-    return total
-
-
 def sigma_matrix(A, k):
     """S_k(A) = S_k(eigenvalues of A) for a symmetric A or a stack
     (..., n, n) of them, from one eigvalsh call.
 
-    _sigma_minors, the sum of principal minors, is the independent oracle
-    the tests compare against; the two agree to 1e-12 relative on
+    The sum of principal minors in tests/oracles.py is the independent
+    oracle the tests compare against; the two agree to 1e-12 relative on
     well-scaled matrices.
     """
     A = symmetrize(A)
@@ -175,20 +128,6 @@ def sigma_grad(A, k):
     return _grad_recursion(A, levels, k)
 
 
-def gamma_cone_contains(v, spec: ConeSpec) -> ConeTest:
-    """Whether v, or each vector of a stack (..., n), lies in the (open)
-    Garding cone Gamma_k^+.
-
-    The companion margin is min over 1 <= i <= k of S_i(v); boundary cases
-    show up as margin approximately zero.  A stack gives arrays.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.shape[-1] != spec.n:
-        raise ValueError(f"vector length {v.shape[-1]} != cone dimension {spec.n}")
-    margin = _scalar(np.min(sigma_all(v, spec.k)[..., 1:], axis=-1))
-    return ConeTest(contains=margin > 0.0, margin=margin)
-
-
 def newton_maclaurin_gap(v, m, l):
     """Gap (S_m/C(n,m))^(1/m) - (S_l/C(n,l))^(1/l) of v or of each vector
     of a stack (..., n); >= 0 on Gamma_l.
@@ -200,13 +139,14 @@ def newton_maclaurin_gap(v, m, l):
     n = v.shape[-1]
     if not 1 <= m <= l <= n:
         raise ValueError(f"need 1 <= m <= l <= n, got m={m}, l={l}, n={n}")
-    test = gamma_cone_contains(v, ConeSpec(n, l))
-    if not np.all(test.contains):
+    e = sigma_all(v, l)
+    # the Garding margin min(S_1, ..., S_l), positive inside Gamma_l
+    margin = np.min(e[..., 1:], axis=-1)
+    if not np.all(margin > 0.0):
         raise ValueError(
-            f"vector not in Gamma_{l}^+ (margin {np.min(test.margin):g}); "
+            f"vector not in Gamma_{l}^+ (margin {np.min(margin):g}); "
             "fractional powers undefined"
         )
-    e = sigma_all(v, l)
     # np.power, not **: one vector then takes a stack's pow loop, not libm's
     lhs = np.power(e[..., m] / comb(n, m), 1.0 / m)
     rhs = np.power(e[..., l] / comb(n, l), 1.0 / l)

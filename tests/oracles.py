@@ -1,0 +1,301 @@
+"""Independent referees that only the tests read.
+
+Each definition here computes a quantity a second way, densely or in
+closed form, so that a test can hold hesslab's own implementation against
+it: dense second-order jets and their level-set curvatures, the radial
+jets of a ball, the sum of principal minors, the Garding cone test, the
+weight ODE residuals, the quermassintegral and Minkowski checks, the
+boundary constant formula and the equation residual of a solved field.
+"""
+
+from dataclasses import dataclass
+from itertools import combinations
+from typing import NamedTuple
+
+import numpy as np
+
+from hesslab.errors import DegenerateGradient
+from hesslab.fields import TAU_GRAD, AxiJets, rhs_at_radius
+from hesslab.monotone import ProblemSpec, weights
+from hesslab.radial import RadialSolution
+from hesslab.solver import ExteriorField
+from hesslab.surfaces import (
+    PROFILE_HEADER,
+    RevolutionBody,
+    af_sides,
+    curvature_samples,
+    qiu_xia_sides,
+)
+from hesslab.symfunc import _scalar, sigma_all, sigma_grad, symmetrize
+
+
+class OutOfDomain(ValueError):
+    """Radius below the inner boundary of a radial solution."""
+
+
+# -- dense jets and their level-set curvatures ----------------------------
+
+
+@dataclass(frozen=True)
+class Jet2:
+    """Second-order jet of u at a point: value, gradient, symmetric Hessian."""
+
+    x: np.ndarray
+    u: float
+    g: np.ndarray
+    H: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
+        object.__setattr__(self, "g", np.asarray(self.g, dtype=float))
+        object.__setattr__(self, "H", symmetrize(self.H))
+
+    @property
+    def grad_norm(self):
+        return float(np.linalg.norm(self.g))
+
+    @property
+    def n(self):
+        return self.g.size
+
+
+def dense_jet(jets: AxiJets, i) -> Jet2:
+    """The dense n-dimensional Jet2 of point i of an AxiJets."""
+    n = jets.n
+    x = np.zeros(n)
+    x[0], x[1] = jets.z[i], jets.rho[i]
+    g = np.zeros(n)
+    g[0], g[1] = jets.uz[i], jets.urho[i]
+    H = np.diag(np.full(n, float(jets.kappat[i])))
+    H[0, 0] = jets.uzz[i]
+    H[0, 1] = H[1, 0] = jets.uzrho[i]
+    H[1, 1] = jets.urhorho[i]
+    return Jet2(x=x, u=float(jets.u[i]), g=g, H=H)
+
+
+def levelset_curvature(jet: Jet2, k, sk_value):
+    """Level-set curvatures (H_k, H_{k-1}) at a non-critical point.
+
+    H_{k-1} = S_k^{ij} u_i u_j / |grad u|^{k+1}; H_k is recovered from
+    S_k(Hessian) = H_k |grad u|^k + S_k^{ij} u_i u_l u_lj / |grad u|^2
+    with S_k supplied by the equation: pass sk_value = 0 for the
+    homogeneous problem or f^eps(x) for the regularized one.
+    """
+    gnorm = jet.grad_norm
+    if gnorm < TAU_GRAD:
+        raise DegenerateGradient(
+            f"|grad u| = {gnorm:.3e} < {TAU_GRAD:.1e}: critical point"
+        )
+    skij = sigma_grad(jet.H, k)
+    g = jet.g
+    h_km1 = float(g @ skij @ g) / gnorm ** (k + 1)
+    correction = float(g @ skij @ (jet.H @ g)) / gnorm**2
+    h_k = (sk_value - correction) / gnorm**k
+    return h_k, h_km1
+
+
+# -- radial solutions -----------------------------------------------------
+
+
+def radial_value(sol: RadialSolution, r):
+    """u(r) = -(R/r)^alpha."""
+    return -((sol.R / np.asarray(r, dtype=float)) ** sol.alpha)
+
+
+def radial_eval(sol: RadialSolution, r, direction=None) -> Jet2:
+    """Second-order jet of the radial solution at radius r.
+
+    Hessian eigenvalues are u'' (radially, once) and u'/r (n-1 times);
+    S_k of the Hessian vanishes identically for r >= R.
+    """
+    r = float(r)
+    if r < sol.R:
+        raise OutOfDomain(f"r = {r} below ball radius {sol.R}")
+    if direction is None:
+        direction = np.zeros(sol.n)
+        direction[0] = 1.0
+    e = np.asarray(direction, dtype=float)
+    e = e / np.linalg.norm(e)
+    x = r * e
+    up = float(sol.slope(r))
+    upp = float(sol.second(r))
+    proj = np.outer(e, e)
+    H = upp * proj + (up / r) * (np.eye(sol.n) - proj)
+    return Jet2(x=x, u=float(radial_value(sol, r)), g=up * e, H=H)
+
+
+# -- symmetric functions --------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ConeSpec:
+    """Garding cone Gamma_k^+ in dimension n."""
+
+    n: int
+    k: int
+
+    def __post_init__(self):
+        if not 1 <= self.k <= self.n:
+            raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
+
+
+class ConeTest(NamedTuple):
+    contains: bool
+    margin: float  # min over 1 <= i <= k of S_i; positive inside the cone
+
+
+def sigma(v, k):
+    """k-th elementary symmetric function S_k(v) of a vector or a stack
+    (..., n); S_0 = 1, S_k = 0 for k > n."""
+    v = np.asarray(v, dtype=float)
+    if k < 0:
+        raise ValueError("order k must be >= 0")
+    if k > v.shape[-1]:
+        return _scalar(np.zeros(v.shape[:-1]))
+    return _scalar(sigma_all(v, k)[..., k])
+
+
+def _sigma_minors(A, k):
+    """Sum of k-by-k principal minors; exact structure, O(C(n,k)) dets."""
+    n = A.shape[0]
+    if k == 0:
+        return 1.0
+    if k > n:
+        return 0.0
+    total = 0.0
+    for idx in combinations(range(n), k):
+        sub = A[np.ix_(idx, idx)]
+        total += float(np.linalg.det(sub))
+    return total
+
+
+def gamma_cone_contains(v, spec: ConeSpec) -> ConeTest:
+    """Whether v, or each vector of a stack (..., n), lies in the (open)
+    Garding cone Gamma_k^+.
+
+    The companion margin is min over 1 <= i <= k of S_i(v); boundary cases
+    show up as margin approximately zero.  A stack gives arrays.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1] != spec.n:
+        raise ValueError(f"vector length {v.shape[-1]} != cone dimension {spec.n}")
+    margin = _scalar(np.min(sigma_all(v, spec.k)[..., 1:], axis=-1))
+    return ConeTest(contains=margin > 0.0, margin=margin)
+
+
+# -- weights of F(t) ------------------------------------------------------
+
+
+def weights_derivatives(t, spec: ProblemSpec):
+    """Analytic t-derivatives (C1'(t), C2'(t)) of the closed forms."""
+    t = np.asarray(t, dtype=float)
+    mt = -t
+    n, k, a = spec.n, spec.k, spec.a
+    p, q = spec.p_exponent, spec.q_exponent
+    # d/dt (-t)^m = -m (-t)^(m-1)
+    c1p = p * mt ** (-p - 1) * spec.C3 - (1 - p) * mt ** (-p) * spec.C4
+    c2p = -(p / (a + 1 - k)) * spec.C3 * q * mt ** (-q - 1) + (n - k) / (
+        n - 2 * k
+    ) * spec.C4 * (1 - q) * mt ** (-q)
+    return c1p, c2p
+
+
+def weights_ode_residual(t, spec: ProblemSpec):
+    """Residuals of the two weight ODEs, normalized by their largest term."""
+    t = np.asarray(t, dtype=float)
+    n, k, a = spec.n, spec.k, spec.a
+    b = a - k * (n - k - 1) / (n - k)
+    c1, c2 = weights(t, spec)
+    c1p, c2p = weights_derivatives(t, spec)
+    coef = (n - k) / ((n - 2 * k) * t)
+    term1a, term1b = c2p, b * coef**2 * c1
+    res1 = term1a + term1b
+    scale1 = np.maximum(np.maximum(np.abs(term1a), np.abs(term1b)), 1.0)
+    term2a, term2b, term2c = c1p, -(a + 1 - k) * c2, 2 * coef * b * c1
+    res2 = term2a + term2b + term2c
+    scale2 = np.maximum.reduce(
+        [np.abs(term2a), np.abs(term2b), np.abs(term2c), np.ones_like(res2)]
+    )
+    return res1 / scale1, res2 / scale2
+
+
+# -- surfaces -------------------------------------------------------------
+
+
+def save_profile(body: RevolutionBody, path):
+    """Write the body's samples in the format RevolutionBody.load_profile reads."""
+    with open(path, "w") as fh:
+        fh.write(f"{PROFILE_HEADER} n={body.n}\n")
+        for th, g in zip(body.theta, body.gamma):
+            fh.write(f"{th:.17g} {g:.17g}\n")
+
+
+def quermass(body: RevolutionBody, k):
+    """Quermassintegral int_{boundary} H_k dsigma."""
+    if not 0 <= k <= body.n - 1:
+        raise ValueError(f"need 0 <= k <= n-1, got k={k}")
+    s = curvature_samples(body)
+    return s.integrate(s.h_k(k))
+
+
+def minkowski_residual(body: RevolutionBody, k):
+    """Residual of int <x,nu> H_k = ((n-k)/k) int H_{k-1}; -> 0 on refinement."""
+    if not 1 <= k <= body.n - 1:
+        raise ValueError(f"need 1 <= k <= n-1, got k={k}")
+    s = curvature_samples(body)
+    lhs = s.integrate(s.x_dot_nu * s.h_k(k))
+    rhs = (body.n - k) / k * s.integrate(s.h_k(k - 1))
+    return lhs - rhs
+
+
+def volume(body: RevolutionBody):
+    """Enclosed volume of the body (SurfaceSampleSet.volume)."""
+    return curvature_samples(body).volume
+
+
+def af_gap(body: RevolutionBody, k):
+    """Aleksandrov-Fenchel gap, the difference of af_sides: nonnegative for
+    convex bodies, zero exactly for balls."""
+    lhs, rhs = af_sides(curvature_samples(body), k)
+    return lhs - rhs
+
+
+def qiu_xia_gap(body: RevolutionBody):
+    """Gap (n-1)/n |bdry|^2 - |body| int H_1; >= 0 for convex, 0 for balls."""
+    lhs, rhs = qiu_xia_sides(curvature_samples(body))
+    return lhs - rhs
+
+
+def c_formula(body: RevolutionBody, k):
+    """Boundary gradient constant forced by the quermassintegral ratios:
+
+        c = (n-2k)/k * (k-1)/(n-k+1) * int H_{k-1} / int H_{k-2}   (k >= 2)
+        c = (n-2)/n * |boundary| / |body|                          (k = 1)
+    """
+    n = body.n
+    if k < 1 or n <= 2 * k:
+        raise ValueError(f"need 1 <= k < n/2, got n={n}, k={k}")
+    if k == 1:
+        s = curvature_samples(body)
+        return (n - 2) / n * s.area / s.volume
+    return (
+        (n - 2 * k) / k
+        * (k - 1) / (n - k + 1)
+        * quermass(body, k - 1) / quermass(body, k - 2)
+    )
+
+
+# -- solved fields --------------------------------------------------------
+
+
+def equation_residual(field: ExteriorField):
+    """S_k(Hessian u) - f^eps on the interior rows (same stencil as the
+    Newton solve)."""
+    Sk = field._node_jets().split(field.k).levels[-1][1:-1]
+    return Sk - rhs_at_radius(field.grid.r_nodes[1:-1], field.eps, field.n, field.cnk)
+
+
+def interior_range(field: ExteriorField):
+    """(min, max) of u strictly between the Dirichlet rows."""
+    inner = field.u[1:-1]
+    return float(inner.min()), float(inner.max())

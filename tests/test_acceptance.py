@@ -5,17 +5,23 @@ pass/fail lines; printed summaries carry the measured numbers.
 """
 
 import time
+from functools import partial
 from math import log2, pi
 
 import numpy as np
 
+from oracles import (
+    c_formula,
+    levelset_curvature,
+    minkowski_residual,
+    radial_value,
+    weights_ode_residual,
+)
 from test_fields import spheroid_curvature_oracle, spheroidal_jet
 
-from hesslab.fields import levelset_curvature
 from hesslab.identities import (
     CERTIFIED_BALL,
     CERTIFIED_NOT_OVERDETERMINED,
-    c_formula,
     certify_ball,
     identity_lemma33,
     inequality_ledger,
@@ -27,11 +33,10 @@ from hesslab.monotone import (
     ProblemSpec,
     limit_bound,
     monotonicity_audit,
-    weights_ode_residual,
 )
 from hesslab.radial import RadialSolution, radial_F
 from hesslab.solver import admissibility_margin
-from hesslab.surfaces import RevolutionBody, minkowski_residual, sphere_measure
+from hesslab.surfaces import RevolutionBody, sphere_measure
 from hesslab.symfunc import (
     newton_maclaurin_gap,
     sigma_grad,
@@ -227,7 +232,7 @@ def test_ac05_solver_prolate_oracle(prolate_field):
 
 def test_ac06_solver_k2_radial_recovery(sphere_k2_field):
     sol = RadialSolution(n=5, k=2, R=1.0)
-    exact = np.vectorize(sol.value)(sphere_k2_field.grid.r_nodes)
+    exact = np.vectorize(partial(radial_value, sol))(sphere_k2_field.grid.r_nodes)
     sup = float(np.max(np.abs(sphere_k2_field.u - exact)))
     margin = admissibility_margin(sphere_k2_field)
     ok = sup <= 5e-5 and margin >= -1e-12 and sphere_k2_field.eps == 0.02

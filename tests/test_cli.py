@@ -8,6 +8,7 @@ from hesslab.errors import NewtonStall
 from hesslab.solver import AxiGrid, ExteriorField
 from hesslab.surfaces import RevolutionBody
 from hesslab.symfunc import newton_maclaurin_gap
+from oracles import save_profile
 
 
 #: The options of each subcommand: the ones its computation or its header
@@ -199,7 +200,7 @@ class TestSolve:
     def test_profile_body(self, tmp_path, capsys):
         # a saved spheroid profile solves to the prolate capacity
         path = tmp_path / "profile.txt"
-        RevolutionBody.spheroid(1.5, 1.0, n=3).save_profile(path)
+        save_profile(RevolutionBody.spheroid(1.5, 1.0, n=3), path)
         code = cli.run([
             "solve", "--body", f"profile:{path}", "--n", "3", "--k", "1",
             "--N-s", "64", "--out", str(tmp_path),

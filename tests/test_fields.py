@@ -4,15 +4,10 @@ from hypothesis import assume, given, strategies as st
 from math import comb
 
 from hesslab.errors import DegenerateGradient
-from hesslab.fields import (
-    AxiJets,
-    Jet2,
-    levelset_curvature,
-    levelset_curvature_axisym,
-    rhs_at_radius,
-)
-from hesslab.radial import RadialSolution, radial_eval
+from hesslab.fields import AxiJets, levelset_curvature_axisym, rhs_at_radius
+from hesslab.radial import RadialSolution
 from hesslab.symfunc import sigma_matrix
+from oracles import Jet2, levelset_curvature, radial_eval
 
 
 class TestLevelsetCurvature:

@@ -9,7 +9,6 @@ from hesslab.identities import (
     INCONCLUSIVE,
     INEQUALITY_OK,
     NOT_APPLICABLE,
-    c_formula,
     certify_ball,
     identity_lemma33,
     inequality_ledger,
@@ -19,6 +18,7 @@ from hesslab.monotone import ProblemSpec
 from hesslab.radial import RadialSolution
 from hesslab.solver import ExteriorField
 from hesslab.surfaces import RevolutionBody, sphere_measure
+from oracles import c_formula
 
 S4 = sphere_measure(4)
 
@@ -283,3 +283,13 @@ class TestOneBoundaryEvaluation:
         ])
         assert code == cli.EXIT_OK
         assert counts == {"samples": 1, "gradient": 1}
+
+    def test_cli_report(self, counts, tmp_path, capsys):
+        # the certification and the inequality rows of each body share one
+        # record: one per body, and |grad u| once per solved (non-sphere) body
+        code = cli.run([
+            "report", "--n", "3", "--k", "1", "--N-s", "64",
+            "--out", str(tmp_path),
+        ])
+        assert code == cli.EXIT_OK
+        assert counts == {"samples": 3, "gradient": 2}

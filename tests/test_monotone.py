@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 from math import pi
 
-from hesslab.monotone import (
-    ProblemSpec,
-    limit_bound,
-    sphere_measure,
-    weights,
-    weights_derivatives,
-    weights_ode_residual,
-)
+from hesslab.monotone import ProblemSpec, limit_bound, sphere_measure, weights
+from oracles import weights_derivatives, weights_ode_residual
 
 
 class TestProblemSpec:

@@ -10,11 +10,7 @@ import pytest
 from math import log2
 
 from hesslab.errors import LevelOutOfRange
-from hesslab.fields import (
-    levelset_curvature,
-    levelset_curvature_axisym,
-    rhs_at_radius,
-)
+from hesslab.fields import levelset_curvature_axisym, rhs_at_radius
 from hesslab.monotone import (
     F_boundary,
     F_eval,
@@ -26,6 +22,7 @@ from hesslab.monotone import (
 from hesslab.radial import RadialSolution, radial_F
 from hesslab.solver import AxiGrid, ExteriorField, solve_exterior
 from hesslab.surfaces import RevolutionBody
+from oracles import dense_jet, levelset_curvature
 
 T_GRID_K1 = np.linspace(-0.9, -0.1, 9)
 T_GRID_K2 = np.linspace(-0.9, -0.25, 8)
@@ -126,7 +123,7 @@ class TestArrayCurvatures:
             sk = rhs_at_radius(jets.r, field.eps, n, field.cnk)
             hk, hk1 = levelset_curvature_axisym(jets, k, sk)
             for i in range(curve.mid_s.size):
-                jet = jets.jet(i)
+                jet = dense_jet(jets, i)
                 f = rhs_at_radius(np.linalg.norm(jet.x), field.eps, n,
                                   field.cnk)
                 want_k, want_k1 = levelset_curvature(jet, k, f)

@@ -4,16 +4,13 @@ from hypothesis import given, settings, strategies as st
 from itertools import combinations
 
 from hesslab.symfunc import (
-    ConeSpec,
-    gamma_cone_contains,
     newton_maclaurin_gap,
-    sigma,
     sigma_all,
     sigma_grad,
     sigma_matrix,
-    _sigma_minors,
     verify_matrix_identities,
 )
+from oracles import ConeSpec, _sigma_minors, gamma_cone_contains, sigma
 
 
 def subset_sum_oracle(v, k):
