@@ -141,9 +141,6 @@ class LevelSetCurve:
     jets: AxiJets  # jets at the segment midpoints
     weight: np.ndarray  # segment length * |S^(n-2)| rho^(n-2)
 
-    def integrate(self, values):
-        return float(np.sum(np.asarray(values) * self.weight))
-
 
 # Marching squares.  Cell (i, j) has corners 0 = (i, j), 1 = (i+1, j),
 # 2 = (i+1, j+1), 3 = (i, j+1); its case code sets bit c when u - t > 0 at
@@ -253,15 +250,24 @@ def F_eval(field, t, spec: ProblemSpec) -> FResult:
     """Evaluate F(t) on an extracted level set of a solved field.
 
     All segments of the level at once: one batched jet evaluation at the
-    midpoints and H_k, H_{k-1} from the axisymmetric split.
+    midpoints and H_k, H_{k-1} from the axisymmetric split.  None of this
+    depends on the weights, so the field keeps the segment quadrature
+    weights, H_k, H_{k-1} and |grad u| of each (t, n, k) it has seen: a
+    family of weights costs one level-set extraction per level, and each
+    further member only its weights and two sums.
     """
-    curve = extract_levelset(field, t)
-    jets = curve.jets
-    sk = rhs_at_radius(jets.r, field.eps, spec.n, field.cnk)
-    hk, hk1 = levelset_curvature_axisym(jets, spec.k, sk)
-    gn = jets.grad_norm
-    int_hk = curve.integrate(hk * gn**spec.a)
-    int_hk1 = curve.integrate(hk1 * gn ** (spec.a + 1))
+    key = (float(t), spec.n, spec.k)
+    level = field._level_cache.get(key)
+    if level is None:
+        curve = extract_levelset(field, t)
+        jets = curve.jets
+        sk = rhs_at_radius(jets.r, field.eps, spec.n, field.cnk)
+        hk, hk1 = levelset_curvature_axisym(jets, spec.k, sk)
+        level = (curve.weight, hk, hk1, jets.grad_norm)
+        field._level_cache[key] = level
+    weight, hk, hk1, gn = level
+    int_hk = float(np.sum(hk * gn**spec.a * weight))
+    int_hk1 = float(np.sum(hk1 * gn ** (spec.a + 1) * weight))
     c1, c2 = weights(t, spec)
     return FResult(
         t=t,

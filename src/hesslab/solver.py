@@ -369,11 +369,15 @@ class ExteriorField:
     """Discrete solution of the approximating equation on an AxiGrid.
 
     u holds node values including both Dirichlet rows; treat a returned
-    field as immutable.  The three counters record the work of the
-    solve_exterior call that produced the field (the Jacobian is analytic,
-    so residual_evals counts only the iterates Newton tried); they are
-    zero for sampled or loaded fields and are not part of the checkpoint
-    format.
+    field as immutable.  Three post-solve caches rely on that and are never
+    invalidated: the node jets (_node_jets), their bicubic splines
+    (_spline) and, filled by monotone.F_eval, the weight-free part of F(t)
+    at each level.  A new, reloaded or dataclasses.replace'd field starts
+    with all three empty.  The counters factorizations, back_solves and
+    residual_evals record the work of the solve_exterior call that
+    produced the field (the Jacobian is analytic, so residual_evals counts
+    only the iterates Newton tried); they are zero for sampled or loaded
+    fields and are not part of the checkpoint format.
     """
 
     grid: AxiGrid
@@ -391,6 +395,7 @@ class ExteriorField:
     def __post_init__(self):
         self._jets_cache = None
         self._spline_cache = None
+        self._level_cache = {}
 
     @property
     def n(self):

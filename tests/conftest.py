@@ -67,3 +67,31 @@ def cosper_field_half():
     body = RevolutionBody.cos_perturbed(n=3, amplitude=0.05, frequency=2)
     spec = ProblemSpec(n=3, k=1, a=1.0)
     return solve_exterior(body, spec, N_s=128, R_out=40.0)
+
+
+@pytest.fixture(scope="session")
+def prolate_k2_field():
+    """Prolate spheroid (1.5, 1), n=5, k=2: the paper's k >= 2 on a non-ball."""
+    body = RevolutionBody.spheroid(1.5, 1.0, n=5)
+    return solve_exterior(body, ProblemSpec(n=5, k=2, a=2.0), N_s=128)
+
+
+@pytest.fixture(scope="session")
+def prolate_k2_field_half():
+    """Half-resolution companion to prolate_k2_field."""
+    body = RevolutionBody.spheroid(1.5, 1.0, n=5)
+    return solve_exterior(body, ProblemSpec(n=5, k=2, a=2.0), N_s=64)
+
+
+@pytest.fixture(scope="session")
+def cosper_k2_field():
+    """Cosine-perturbed sphere r = 1 + 0.1 cos(2 theta), n=5, k=2."""
+    body = RevolutionBody.cos_perturbed(n=5, amplitude=0.1, frequency=2)
+    return solve_exterior(body, ProblemSpec(n=5, k=2, a=2.0), N_s=128)
+
+
+@pytest.fixture(scope="session")
+def cosper_k2_field_half():
+    """Half-resolution companion to cosper_k2_field."""
+    body = RevolutionBody.cos_perturbed(n=5, amplitude=0.1, frequency=2)
+    return solve_exterior(body, ProblemSpec(n=5, k=2, a=2.0), N_s=64)

@@ -225,6 +225,25 @@ class TestCertifyBall:
         assert entries["curvature-ratio-lower-bound"].verdict != NOT_APPLICABLE
 
 
+class TestPaperCaseK2:
+    """n=5, k=2 off the ball: the ledger gaps are strict and the
+    certification rejects a ball.  Measured gaps at N_s=128 (comparison,
+    capacity, scale-invariant): prolate 0.84, 0.13, 1.23; cosper 0.24,
+    0.030, 0.33."""
+
+    @pytest.mark.parametrize("fixture", ["prolate_k2_field", "cosper_k2_field"])
+    def test_ledger_and_certification(self, request, fixture):
+        fld = request.getfixturevalue(fixture)
+        body, spec = fld.grid.body, ProblemSpec(n=5, k=2, a=2.0)
+        entries = {e.name: e for e in inequality_ledger(fld, body, spec)}
+        for name in ("weighted-curvature-comparison", "capacity-lower-bound",
+                     "scale-invariant-combination"):
+            assert entries[name].verdict == INEQUALITY_OK
+            assert entries[name].residual_or_gap > 0.0
+        report = certify_ball(fld, body, spec)
+        assert report.verdict == CERTIFIED_NOT_OVERDETERMINED
+
+
 class TestOneBoundaryEvaluation:
     """A public call samples the boundary curvature and |grad u| once."""
 

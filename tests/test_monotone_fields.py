@@ -5,10 +5,13 @@ here the solver fixtures feed extract_levelset, F_eval and the
 monotonicity audit.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from math import log2
 
+from hesslab import monotone
 from hesslab.errors import LevelOutOfRange
 from hesslab.fields import levelset_curvature_axisym, rhs_at_radius
 from hesslab.monotone import (
@@ -244,6 +247,23 @@ class TestMonotonicityAudit:
         assert np.array_equal(report.t, T_GRID)
         assert report.constant_flag
 
+    @pytest.mark.parametrize("body", ["prolate", "cosper"])
+    @pytest.mark.parametrize("a", [2.0, 3.0])
+    @pytest.mark.parametrize("C3,C4", [(1.0, 0.0), (0.0, 1.0)])
+    def test_k2_non_balls_non_increasing(self, request, body, a, C3, C4):
+        # the paper's case k >= 2 off the ball: n=5, k=2 on prolate 1.5,1
+        # and cosper 0.1,2.  Measured upward moves are at most 2.3e-4
+        # against tol_mono of 1.4e-3 to 1.2e-2.  limit_gap_min is not
+        # asserted: for C3 = 1 it is negative and passes only within
+        # tol_mono (cosper a=2: -1.142e-2 against 1.157e-2), a verdict that
+        # waits for the error bars of ROADMAP item 3.
+        fine = request.getfixturevalue(f"{body}_k2_field")
+        half = request.getfixturevalue(f"{body}_k2_field_half")
+        spec = ProblemSpec(n=5, k=2, a=a, C3=C3, C4=C4)
+        tol = self._richardson_tol(fine, half, spec, T_GRID)
+        report = monotonicity_audit(fine, spec, tol)
+        assert report.upward_violation <= report.tol_mono
+
     def test_radial_constancy_flag(self, sphere_k2_field):
         spec = ProblemSpec(n=5, k=2, a=2.0)
         report = monotonicity_audit(sphere_k2_field, spec, 1e-3,
@@ -254,3 +274,86 @@ class TestMonotonicityAudit:
         assert abs(report.F[-1] - report.limit_value) <= 1e-3 * abs(
             report.limit_value
         )
+
+
+def _cold(field):
+    """A new field on the same arrays, so with empty post-solve caches."""
+    return ExteriorField(grid=field.grid, u=field.u, k=field.k, eps=field.eps,
+                         rho_hat=field.rho_hat, cnk=field.cnk)
+
+
+def _hex(res):
+    return tuple(float(x).hex()
+                 for x in (res.C1, res.C2, res.int_hk, res.int_hk1, res.F))
+
+
+class TestLevelCache:
+    """F_eval keeps the weight-free part of each level on the field.
+
+    Each test builds its own fields: the session fixtures are warmed by
+    the other tests.
+    """
+
+    LEVELS = (-0.8, -0.6, -0.4, -0.3)
+    SPECS = tuple(ProblemSpec(n=3, k=1, a=a, C3=C3, C4=C4)
+                  for a in (1.0, 2.0) for C3, C4 in ((1.0, 0.0), (0.0, 1.0)))
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        body = RevolutionBody.spheroid(1.5, 1.0, n=3)
+        spec = ProblemSpec(n=3, k=1, a=1.0)
+        return (solve_exterior(body, spec, N_s=64),
+                solve_exterior(body, spec, N_s=32))
+
+    @pytest.fixture
+    def extractions(self, monkeypatch):
+        """Counts extract_levelset calls per (field, level)."""
+        calls = {}
+        real = monotone.extract_levelset
+
+        def counting(field, t):
+            key = (id(field), float(t))
+            calls[key] = calls.get(key, 0) + 1
+            return real(field, t)
+
+        monkeypatch.setattr(monotone, "extract_levelset", counting)
+        return calls
+
+    def test_one_extraction_per_field_and_level(self, solved, extractions):
+        fine, half = map(_cold, solved)
+        for spec in self.SPECS:
+            Ff = np.array([F_eval(fine, t, spec).F for t in self.LEVELS])
+            Fc = np.array([F_eval(half, t, spec).F for t in self.LEVELS])
+            tol = float(np.max(np.abs(Ff - Fc)) / 3.0)
+            report = monotonicity_audit(fine, spec, tol, t_grid=self.LEVELS)
+            assert np.array_equal(report.F, Ff)
+        assert extractions == {(id(f), t): 1
+                               for f in (fine, half) for t in self.LEVELS}
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_warm_equals_cold(self, solved, order):
+        warm = _cold(solved[0])
+        for spec in self.SPECS[::order]:
+            for t in self.LEVELS:
+                got = F_eval(warm, t, spec)
+                assert _hex(got) == _hex(F_eval(_cold(solved[0]), t, spec))
+
+    def test_reloaded_and_replaced_start_empty(self, solved, extractions,
+                                               tmp_path):
+        warm = _cold(solved[0])
+        spec, t = self.SPECS[0], self.LEVELS[0]
+        want = _hex(F_eval(warm, t, spec))
+        warm.save_checkpoint(tmp_path / "field.txt")
+        copies = (dataclasses.replace(warm),
+                  ExteriorField.load_checkpoint(tmp_path / "field.txt"))
+        for fresh in copies:
+            assert _hex(F_eval(fresh, t, spec)) == want
+            assert extractions[(id(fresh), t)] == 1
+        assert extractions[(id(warm), t)] == 1
+
+    def test_out_of_range_is_not_cached(self, solved, extractions):
+        field = _cold(solved[0])
+        for _ in range(2):
+            with pytest.raises(LevelOutOfRange):
+                F_eval(field, -0.999, self.SPECS[0])
+        assert extractions == {(id(field), -0.999): 2}

@@ -198,18 +198,26 @@ class TestCheckpoint:
         assert np.allclose(loaded.grid.body.gamma, sphere_k2_field.grid.body.gamma)
 
     def test_v2_reload_is_exact(self, tmp_path):
-        # the stored derivatives rebuild the solver's grid body, so the
-        # reloaded margin and F are the solver's to the last bit; splined
-        # from the radii alone, the margin reads -3.6e-3 and F(-0.5) is off
-        # by 1.9e-4
-        spec = ProblemSpec(n=3, k=1, a=2.0)
-        field = solve_exterior(RevolutionBody.spheroid(1.5, 1.0, n=3), spec, N_s=64)
-        path = tmp_path / "field.txt"
-        field.save_checkpoint(path)
-        assert path.read_text().startswith("# exterior-field v2 ")
-        loaded = ExteriorField.load_checkpoint(path)
-        assert admissibility_margin(loaded) == field.admissible
-        assert F_eval(loaded, -0.5, spec).F == F_eval(field, -0.5, spec).F
+        # the stored derivatives rebuild the solver's grid body, so save then
+        # load gives back u, the body and every quantity computed from them
+        # to the last bit; splined from the radii alone, the k=1 margin reads
+        # -3.6e-3 and F(-0.5) is off by 1.9e-4
+        for body, k in ((RevolutionBody.spheroid(1.5, 1.0, n=3), 1),
+                        (RevolutionBody.cos_perturbed(n=5, amplitude=0.1), 2)):
+            spec = ProblemSpec(n=body.n, k=k, a=float(k + 1))
+            field = solve_exterior(body, spec, N_s=64)
+            path = tmp_path / f"field-k{k}.txt"
+            field.save_checkpoint(path)
+            assert path.read_text().startswith("# exterior-field v2 ")
+            loaded = ExteriorField.load_checkpoint(path)
+            assert np.array_equal(loaded.u, field.u)
+            for key in ("theta", "gamma", "dgamma", "d2gamma"):
+                assert np.array_equal(getattr(loaded.grid.body, key),
+                                      getattr(field.grid.body, key))
+            assert admissibility_margin(loaded).hex() == field.admissible.hex()
+            for t in (-0.8, -0.5, -0.3):
+                assert (F_eval(loaded, t, spec).F.hex()
+                        == F_eval(field, t, spec).F.hex())
 
     def test_v1_file_loads(self, tmp_path):
         # a v1 file stores theta and gamma only; its body is splined
