@@ -14,13 +14,11 @@ from math import log, pi
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import solve_banded
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
 
 from .errors import NewtonStall, PoorFit
 from .fields import AxiJets, rhs_at_radius
-from .surfaces import RevolutionBody, _ClampedSpline, _spline_slopes
+from .surfaces import (RevolutionBody, _ClampedSpline, _solve_tridiagonal,
+                       _spline_slopes)
 
 __all__ = [
     "AxiGrid",
@@ -260,8 +258,9 @@ def _slots(grid: AxiGrid, w):
 
 def _ghost_row_residual(grid, U, v, which, k, f, grad=False):
     """S_k - f^eps on Dirichlet row `which` (0 or -1), with ghost values v
-    beyond it; with grad, also d/dv in solve_banded's (1, 1) layout, which
-    is tridiagonal: v enters the stencils as the row di = -1 or +1."""
+    beyond it; with grad, also d/dv in the (1, 1) band layout of
+    surfaces._solve_tridiagonal, which is tridiagonal: v enters the
+    stencils as the row di = -1 or +1."""
     ext = np.vstack([v, U[0], U[1]] if which == 0 else [U[-2], U[-1], v])
     rows = slice(0, 1) if which == 0 else slice(-1, None)
     jets = _chain(grid, rows, _centered(ext, grid.hs, grid.ht), ext[1:2])
@@ -289,7 +288,7 @@ def _solve_ghost_row(field, which):
     phi, ab = _ghost_row_residual(grid, U, v, which, k, f, grad=True)
     for _ in range(MAX_NEWTON):
         try:
-            v_new = v - solve_banded((1, 1), ab, phi)
+            v_new = v - _solve_tridiagonal(ab, phi.copy())
         except LinAlgError as exc:
             raise NewtonStall(
                 f"ghost row at s = {grid.s[which]:g}: singular Jacobian at "
@@ -544,6 +543,8 @@ def _linearization(grid, jets, k, pattern):
     the stencil of F_q, with the outer row held fixed, in the CSC pattern
     of _jacobian_pattern; b its derivative in the outer value (U_s and
     U_ss of the last interior row)."""
+    from scipy.sparse import csc_matrix  # scipy loads only for a Newton solve
+
     w = _stencil_weights(grid, slice(1, -1), jets.split(k, grad=True).grad)
     indptr, indices, gather = pattern
     J = csc_matrix((_slots(grid, w).ravel()[gather], indices, indptr),
@@ -592,6 +593,8 @@ class _ChordFactor:
 
     def refactor(self, jets):
         """Factor the Jacobian at the iterate whose jets are given."""
+        from scipy.sparse.linalg import splu
+
         J, b = _linearization(self.grid, jets, self.k, self.pattern)
         self.lu = splu(J, permc_spec="MMD_AT_PLUS_A")
         self.z = self._back_solve(b)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from math import gamma as gamma_fn, perm, pi
 
 import numpy as np
-from scipy.linalg import solve_banded
+from numpy.linalg import LinAlgError
 
 from .errors import NotConvex, StarShapeViolation
 from .symfunc import sigma_split
@@ -51,13 +51,90 @@ def _simpson_weights(num_nodes, h):
     return w
 
 
+def _solve_tridiagonal(ab, b):
+    """Solve the tridiagonal system in (1, 1) band layout ab (ab[0, 1:] the
+    superdiagonal, ab[1] the diagonal, ab[2, :-1] the subdiagonal) for the
+    right-hand sides b, of shape (n,) or (n, m).  b is overwritten with the
+    solution, which is returned; ab is left as it is.
+
+    A port of LAPACK's dgtsv (Gaussian elimination with partial pivoting),
+    operation by operation, so the result equals scipy's
+    solve_banded((1, 1), ab, b) bit for bit; the back-substitution keeps
+    the term of the second superdiagonal where no interchange filled it.
+    A single right-hand side is solved in Python floats, a stack row by
+    row in place, each step one vector operation over its columns.
+    Raises numpy's LinAlgError on a zero pivot.
+    """
+    du, d, dl = ab[0, 1:].tolist(), ab[1].tolist(), ab[2, :-1].tolist()
+    n = len(d)
+    # the factorization: dl[i] ends as the second superdiagonal (zero where
+    # row i was not interchanged), and row i + 1 of b takes
+    # b[i + 1] - fact[i] b[i], after swapping rows i and i + 1 if swap[i]
+    fact, swap = [0.0] * (n - 1), [False] * (n - 1)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise LinAlgError("singular matrix")
+            fact[i] = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact[i] * du[i]
+            dl[i] = 0.0
+        else:
+            fact[i], swap[i] = d[i] / dl[i], True
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact[i] * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact[i] * dl[i]
+            du[i] = temp
+    if d[-1] == 0.0:
+        raise LinAlgError("singular matrix")
+    if b.size == n:
+        x = b.ravel().tolist()
+        for i in range(n - 1):
+            if swap[i]:
+                x[i], x[i + 1] = x[i + 1], x[i] - fact[i] * x[i + 1]
+            else:
+                x[i + 1] = x[i + 1] - fact[i] * x[i]
+        x[-1] = x[-1] / d[-1]
+        if n > 1:
+            x[-2] = (x[-2] - du[-1] * x[-1]) / d[-2]
+        for i in range(n - 3, -1, -1):
+            x[i] = (x[i] - du[i] * x[i + 1] - dl[i] * x[i + 2]) / d[i]
+        b[...] = np.reshape(x, b.shape)
+        return b
+    rows, t = list(b), np.empty(b.shape[1:])
+    for i in range(n - 1):
+        if swap[i]:
+            np.multiply(rows[i + 1], fact[i], out=t)
+            np.subtract(rows[i], t, out=t)
+            rows[i][...] = rows[i + 1]
+            rows[i + 1][...] = t
+        else:
+            np.multiply(rows[i], fact[i], out=t)
+            np.subtract(rows[i + 1], t, out=rows[i + 1])
+    np.divide(rows[-1], d[-1], out=rows[-1])
+    if n > 1:
+        np.multiply(rows[-1], du[-1], out=t)
+        np.subtract(rows[-2], t, out=rows[-2])
+        np.divide(rows[-2], d[-2], out=rows[-2])
+    for i in range(n - 3, -1, -1):
+        np.multiply(rows[i + 1], du[i], out=t)
+        np.subtract(rows[i], t, out=rows[i])
+        np.multiply(rows[i + 2], dl[i], out=t)
+        np.subtract(rows[i], t, out=rows[i])
+        np.divide(rows[i], d[i], out=rows[i])
+    return b
+
+
 def _spline_slopes(x, y, clamped):
     """Slopes at the nodes x of the cubic splines through the values y along
     their last axis (any leading shape): zero end slopes if clamped,
     not-a-knot ends otherwise.  The tridiagonal system and its arithmetic
     are those of scipy's CubicSpline, so a clamped spline matches it bit
-    for bit.  The right-hand sides reach LAPACK in Fortran order, one
-    column per spline, and are solved in place.
+    for bit.  The right-hand sides are built node-major, one C-order row
+    per node, and solved in place by _solve_tridiagonal; the slopes come
+    back as a view with the node axis last.
 
     Raises ValueError on nodes that are not finite and strictly increasing,
     on values that are not finite, and on fewer than 2 (clamped) or 4
@@ -71,34 +148,34 @@ def _spline_slopes(x, y, clamped):
     n = x.size
     if n < (2 if clamped else 4):
         raise ValueError(f"a cubic spline needs more than {n} nodes")
-    A = np.zeros((3, n))  # solve_banded's (1, 1) layout
+    A = np.zeros((3, n))  # _solve_tridiagonal's (1, 1) layout
     A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
     A[0, 2:] = dx[:-1]
     A[-1, :-2] = dx[1:]
     # the right-hand side with as few full-size temporaries as possible:
     # b[i] = 3 (dx[i] slope[i-1] + dx[i-1] slope[i]) inside
-    slope = np.diff(y)
-    slope /= dx
-    b = np.empty(y.shape)
+    yt = np.moveaxis(y, -1, 0)
+    col = (slice(None),) + (None,) * (y.ndim - 1)  # dx against the node axis
+    slope = np.empty((n - 1,) + yt.shape[1:])
+    np.subtract(yt[1:], yt[:-1], out=slope)
+    slope /= dx[col]
+    b = np.empty(yt.shape)
     if clamped:
         A[1, 0] = A[1, -1] = 1.0
-        b[..., 0] = b[..., -1] = 0.0
+        b[0] = b[-1] = 0.0
     else:
         d = x[2] - x[0]
         A[1, 0], A[0, 1] = dx[1], d
-        b[..., 0] = ((dx[0] + 2 * d) * dx[1] * slope[..., 0]
-                     + dx[0] ** 2 * slope[..., 1]) / d
+        b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
         d = x[-1] - x[-3]
         A[1, -1], A[-1, -2] = dx[-2], d
-        b[..., -1] = (dx[-1] ** 2 * slope[..., -2]
-                      + (2 * d + dx[-1]) * dx[-2] * slope[..., -1]) / d
-    inner = np.multiply(slope[..., :-1], dx[1:], out=b[..., 1:-1])
-    slope[..., 1:] *= dx[:-1]
-    inner += slope[..., 1:]
+        b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    inner = np.multiply(slope[:-1], dx[1:][col], out=b[1:-1])
+    slope[1:] *= dx[:-1][col]
+    inner += slope[1:]
     inner *= 3
-    s = solve_banded((1, 1), A, b.reshape(-1, n).T, overwrite_ab=True,
-                     overwrite_b=True, check_finite=False)
-    return s.T.reshape(y.shape)
+    _solve_tridiagonal(A, b.reshape(n, -1))
+    return np.moveaxis(b, 0, -1)
 
 
 class _ClampedSpline:

@@ -6,6 +6,8 @@ from math import comb
 from hesslab.errors import DegenerateGradient
 from hesslab.fields import AxiJets, levelset_curvature_axisym, rhs_at_radius
 from hesslab.radial import RadialSolution
+from hesslab.solver import AxiGrid, _centered, _chain
+from hesslab.surfaces import RevolutionBody
 from hesslab.symfunc import sigma_matrix
 from oracles import Jet2, levelset_curvature, radial_eval
 
@@ -139,6 +141,33 @@ class TestAxisymmetricSplit:
         )
         with pytest.raises(DegenerateGradient):
             levelset_curvature_axisym(jets, 1, 0.0)
+
+
+class TestAxiJetScaling:
+    """S_m of the Hessian is homogeneous of degree m in u and of degree
+    -2m in space: the jets of lam u on the grid of the body scaled by mu
+    split into lam^m mu^(-2m) S_m, for any node values."""
+
+    @given(lam=st.floats(0.2, 5.0), mu=st.floats(0.25, 4.0),
+           n=st.sampled_from([3, 5, 7]), seed=st.integers(0, 2**32 - 1))
+    def test_split_scales(self, lam, mu, n, seed):
+        N_s, N_theta = 12, 16
+
+        def grid(scale):
+            body = RevolutionBody.cos_perturbed(n, 0.1, 2, R=scale, samples=N_theta)
+            return AxiGrid(body, 20.0 * scale, N_s, N_theta)
+
+        U = -1.0 - np.random.default_rng(seed).random((N_s + 1, N_theta + 1))
+        rows = slice(1, -1)
+        split = []
+        for g, V in ((grid(1.0), U), (grid(mu), lam * U)):
+            jets = _chain(g, rows, _centered(V, g.hs, g.ht), V[rows])
+            split.append(jets.split(n).levels)
+        for m in range(1, n + 1):
+            want = lam**m * mu ** (-2 * m) * split[0][m]
+            # rounding is relative to the largest S_m (measured: 5e-15)
+            size = lam**m * mu ** (-2 * m) * np.abs(split[0][m]).max()
+            np.testing.assert_allclose(split[1][m], want, rtol=0, atol=1e-12 * size)
 
 
 class TestApproxRHS:

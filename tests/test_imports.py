@@ -1,8 +1,9 @@
 """Every name a hesslab module or a test module imports is used there or,
 in a hesslab module, listed in __all__; every parameter of a hesslab
 function is read; every hesslab definition is reached from the CLI or the
-benchmark; and hesslab leaves out the scipy subpackages whose import costs
-more than the few routines it would take from them."""
+benchmark; hesslab leaves out the scipy subpackages whose import costs
+more than the few routines it would take from them; and it loads scipy at
+all only to factor a Newton Jacobian."""
 
 import ast
 import subprocess
@@ -229,3 +230,120 @@ def test_cli_import_footprint():
     out = subprocess.run([sys.executable, "-c", probe], cwd=SRC.parent,
                          capture_output=True, text=True, check=True).stdout
     assert out.split() == []
+
+
+#: The only definitions in src/ that import scipy: the Newton Jacobian is
+#: a scipy.sparse CSC matrix and is factored by scipy.sparse.linalg.splu.
+#: The post-solve pipeline (checkpoints, splines, ghost rows, F, ledger,
+#: certification) and the matrix battery run on numpy alone.
+NEWTON_FACTOR = ("solver._linearization", "solver._ChordFactor.refactor")
+
+
+def _scipy_imports(module, source):
+    """(where, name) for each scipy module or name that an import statement
+    of source binds, where being module.qualname of the innermost enclosing
+    def or class, or the module at top level."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.module:
+                names = [f"{child.module}.{alias.name}" for alias in child.names]
+            else:
+                names = []
+            found.extend((where, m) for m in names
+                         if m == "scipy" or m.startswith("scipy."))
+            visit(child, where)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def _scipy_misplaced(module, source):
+    """The scipy imports of source that are scipy.linalg or lie outside
+    NEWTON_FACTOR."""
+    return [(where, m) for where, m in _scipy_imports(module, source)
+            if where not in NEWTON_FACTOR or m == "scipy.linalg"
+            or m.startswith("scipy.linalg.")]
+
+
+def test_scipy_import_detector():
+    source = (
+        "import numpy as np\nfrom scipy import linalg\n"
+        "def _linearization():\n    from scipy.sparse import csc_matrix\n"
+        "class _ChordFactor:\n"
+        "    def refactor(self):\n"
+        "        from scipy.sparse.linalg import splu\n"
+        "        import scipy.linalg.lapack\n"
+        "    def step(self):\n        import scipy.sparse\n"
+    )
+    assert _scipy_imports("solver", source) == [
+        ("solver", "scipy.linalg"),
+        ("solver._linearization", "scipy.sparse.csc_matrix"),
+        ("solver._ChordFactor.refactor", "scipy.sparse.linalg.splu"),
+        ("solver._ChordFactor.refactor", "scipy.linalg.lapack"),
+        ("solver._ChordFactor.step", "scipy.sparse"),
+    ]
+    assert _scipy_misplaced("solver", source) == [
+        ("solver", "scipy.linalg"),
+        ("solver._ChordFactor.refactor", "scipy.linalg.lapack"),
+        ("solver._ChordFactor.step", "scipy.sparse"),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_scipy_only_in_newton_factor(path):
+    assert _scipy_misplaced(path.stem, path.read_text()) == []
+
+
+def _scipy_loaded_after(code):
+    """The scipy modules in sys.modules after a fresh interpreter runs code."""
+    probe = code + (
+        "\nimport sys\nprint(' '.join(m for m in sys.modules"
+        " if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], cwd=SRC.parent,
+                         capture_output=True, text=True, check=True).stdout
+    return out.splitlines()[-1].split()
+
+
+def test_cli_import_loads_no_scipy():
+    assert _scipy_loaded_after("import hesslab.cli") == []
+
+
+def test_matrix_suite_loads_no_scipy():
+    code = ("from hesslab import cli\n"
+            "assert cli.run(['matrix-suite', '--trials', '50']) == 0\n")
+    assert _scipy_loaded_after(code) == []
+
+
+def test_post_solve_loads_no_scipy(prolate_field_half, tmp_path):
+    # a reloaded field: its splined body, the ghost rows, the bicubic
+    # splines of its jets, the margin and F(t)
+    path = tmp_path / "prolate.txt"
+    prolate_field_half.save_checkpoint(path)
+    code = (
+        "from hesslab.monotone import F_eval, ProblemSpec\n"
+        "from hesslab.solver import ExteriorField, admissibility_margin\n"
+        f"field = ExteriorField.load_checkpoint({str(path)!r})\n"
+        "assert admissibility_margin(field) > -1e-12\n"
+        "F_eval(field, -0.5, ProblemSpec(n=3, k=1, a=1.0))\n"
+    )
+    assert _scipy_loaded_after(code) == []
+
+
+def test_newton_solve_loads_sparse_lu():
+    code = (
+        "from hesslab.monotone import ProblemSpec\n"
+        "from hesslab.solver import solve_exterior\n"
+        "from hesslab.surfaces import RevolutionBody\n"
+        "solve_exterior(RevolutionBody.sphere(1.0, n=3),"
+        " ProblemSpec(n=3, k=1, a=1.0), N_s=32, N_theta=16)\n"
+    )
+    assert "scipy.sparse.linalg" in _scipy_loaded_after(code)

@@ -7,6 +7,7 @@ compared with central differences of the residual it linearizes.
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.sparse import coo_matrix
 
 from hesslab import solver
@@ -141,13 +142,13 @@ def test_sphere_jacobian_keeps_full_stencil(monkeypatch):
     # on a sphere the k = 1 mixed-derivative weights vanish; dropped from
     # the pattern they leave a 5-point stencil that MMD orders far worse
     factored = []
-    real = solver.splu
+    real = scipy.sparse.linalg.splu
 
     def capturing(A, **kwargs):
         factored.append(A)
         return real(A, **kwargs)
 
-    monkeypatch.setattr(solver, "splu", capturing)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", capturing)
     N_s, N_theta = 32, 16
     solve_exterior(RevolutionBody.sphere(1.0, n=3), ProblemSpec(n=3, k=1, a=1.0),
                    N_s=N_s, N_theta=N_theta)

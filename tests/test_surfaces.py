@@ -4,12 +4,14 @@ from hypothesis import given, strategies as st
 from math import pi
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from hesslab.errors import NotConvex
 from hesslab.surfaces import (
     RevolutionBody,
     _ClampedSpline,
     _simpson_weights,
+    _solve_tridiagonal,
     curvature_samples,
     sphere_measure,
 )
@@ -223,6 +225,66 @@ class TestClampedSpline:
         # checked before any division by a zero or negative step
         with pytest.raises(ValueError, match="strictly increasing"):
             RevolutionBody.from_samples(3, np.array(theta), np.ones(4))
+
+
+class TestSolveTridiagonal:
+    """_solve_tridiagonal is scipy's solve_banded((1, 1), ...) bit for bit,
+    which is LAPACK's dgtsv, with and without row interchanges."""
+
+    @staticmethod
+    def _system(n, shape, seed, pivot):
+        rng = np.random.default_rng(seed)
+        ab = rng.standard_normal((3, n))
+        if pivot:  # a small diagonal: most rows are interchanged
+            ab[1] *= 1e-2
+        else:  # diagonally dominant: no row is interchanged
+            ab[1] = np.abs(ab[1]) + 2.5
+        return ab, rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("pivot", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 4, 65, 257])
+    def test_matches_solve_banded(self, n, pivot):
+        for seed in range(5):
+            for shape in ((n,), (n, 1), (n, 2 + 7 * seed)):
+                ab, b = self._system(n, shape, seed, pivot)
+                # the first elimination step interchanges rows 0 and 1 or not
+                assert (abs(ab[1, 0]) < abs(ab[2, 0])) == pivot
+                ref = solve_banded((1, 1), ab, b)
+                ab_in, b_in = ab.copy(), b.copy()
+                got = _solve_tridiagonal(ab_in, b_in)
+                assert got is b_in and got.shape == shape
+                assert got.tobytes() == ref.tobytes()
+                assert np.array_equal(ab_in, ab)
+
+    @given(st.integers(2, 40), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_random_systems(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        ab = rng.standard_normal((3, n)) * rng.choice([1e-3, 1.0, 1e3], (3, n))
+        b = rng.standard_normal((n, m))
+        ref = solve_banded((1, 1), ab, b)
+        assert _solve_tridiagonal(ab, b.copy()).tobytes() == ref.tobytes()
+        ref = solve_banded((1, 1), ab, b[:, 0])
+        assert _solve_tridiagonal(ab, b[:, 0].copy()).tobytes() == ref.tobytes()
+
+    #: singular matrices whose elimination meets an exact zero pivot: in
+    #: column 0, in a middle column (after one elimination step, with a
+    #: zero below it, so no interchange helps) and in the last column
+    SINGULAR = {
+        "first": [[0, 1, 0, 0], [0, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]],
+        "middle": [[1, 1, 0, 0], [1, 1, 1, 0], [0, 0, 2, 1], [0, 0, 1, 2]],
+        "last": [[1, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 1]],
+    }
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 1), (4, 3)])
+    @pytest.mark.parametrize("where", sorted(SINGULAR))
+    def test_zero_pivot_raises(self, where, shape):
+        A = np.array(self.SINGULAR[where], dtype=float)
+        ab = np.zeros((3, 4))
+        ab[0, 1:], ab[1], ab[2, :-1] = A.diagonal(1), A.diagonal(), A.diagonal(-1)
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_banded((1, 1), ab, np.ones(shape))
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve_tridiagonal(ab, np.ones(shape))
 
 
 @pytest.mark.parametrize("num_nodes", [3, 4, 5, 8, 9, 64, 65])

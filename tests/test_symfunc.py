@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from itertools import combinations
+from math import comb
 
 from hesslab.symfunc import (
     newton_maclaurin_gap,
@@ -262,3 +263,82 @@ class TestStacked:
         assert newton_maclaurin_gap(V[[0, 2]], 1, 2).shape == (2,)
         with pytest.raises(ValueError, match="Gamma_2"):
             newton_maclaurin_gap(V, 1, 2)
+
+
+_vector = st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
+    min_size=n, max_size=n)).map(np.array)
+
+
+def _deleted(v):
+    """S_0..S_n of v with entry i deleted (S_n = 0), as row i."""
+    return np.array([sigma_all(np.delete(v, i), v.size) for i in range(v.size)])
+
+
+def _size(v):
+    """The largest S_k of |v|: a bound on the products that any S_k of v
+    sums, to which its rounding is relative."""
+    return 1.0 + float(sigma_all(np.abs(v)).max())
+
+
+def _margin(v, k):
+    """The Garding margin min(S_1, ..., S_k) of v, positive on Gamma_k."""
+    return float(np.min(sigma_all(v, k)[1:]))
+
+
+class TestIdentityProperties:
+    """The S_k identities of vectors (the diagonal case of the matrix
+    identities) and the Garding cone facts on hypothesis-drawn vectors."""
+
+    @given(_vector)
+    def test_deletion_identities(self, v):
+        n, e, d = v.size, sigma_all(v), _deleted(v)
+        tol = 1e-13 * _size(v) * (1.0 + np.abs(v).max()) ** 2
+        for k in range(1, n + 1):
+            # S_k = S_k(v|i) + v_i S_(k-1)(v|i), and the three contractions
+            # sum_i v_i^p S_(k-1)(v|i) for p = 0, 1, 2
+            assert np.abs(d[:, k] + v * d[:, k - 1] - e[k]).max() <= tol
+            assert abs(d[:, k - 1].sum() - (n - k + 1) * e[k - 1]) <= tol
+            assert abs((v * d[:, k - 1]).sum() - k * e[k]) <= tol
+            s_next = e[k + 1] if k < n else 0.0
+            assert abs((v * v * d[:, k - 1]).sum()
+                       - (e[1] * e[k] - (k + 1) * s_next)) <= tol
+
+    @given(_vector, st.floats(-3.0, 3.0))
+    def test_homogeneity(self, v, lam):
+        e, scaled = sigma_all(v), sigma_all(lam * v)
+        powers = lam ** np.arange(v.size + 1)
+        tol = 1e-13 * _size(lam * v)
+        assert np.abs(scaled - powers * e).max() <= tol
+
+    @given(_vector)
+    def test_newton_inequalities(self, v):
+        # (S_k / C(n,k))^2 >= S_(k-1) S_(k+1) / (C(n,k-1) C(n,k+1)) for
+        # every real vector
+        n, e = v.size, sigma_all(v)
+        q = e / np.array([comb(n, k) for k in range(n + 1)])
+        tol = 1e-13 * _size(v) ** 2
+        for k in range(1, n):
+            assert q[k] ** 2 - q[k - 1] * q[k + 1] >= -tol
+
+    @given(_vector, st.floats(0.0, 2.5), st.integers(1, 7), st.data())
+    def test_garding_cone(self, w, shift, k, data):
+        # Gamma_k is an open convex cone containing the positive cone, on
+        # which every dS_k/dv_i = S_(k-1)(v|i) is positive and S_k^(1/k)
+        # is concave (Garding)
+        n = w.size
+        assume(k <= n)
+        v = w + shift
+        assume(_margin(v, k) > 1e-6)
+        assert np.all(_deleted(v)[:, k - 1] > 0.0)
+        plus = v + data.draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
+        assert _margin(plus, k) >= _margin(v, k) - 1e-12
+        other = v + data.draw(st.lists(st.floats(-0.5, 0.5), min_size=n,
+                                       max_size=n))
+        assume(_margin(other, k) > 1e-6)
+        mid = 0.5 * (v + other)
+        assert _margin(mid, k) > 0.0
+        root = [sigma_all(x, k)[k] ** (1.0 / k) for x in (v, other, mid)]
+        assert root[2] >= 0.5 * (root[0] + root[1]) - 1e-12
+        for m in range(1, k + 1):
+            assert newton_maclaurin_gap(v, m, k) >= -1e-12
