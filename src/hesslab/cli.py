@@ -248,6 +248,10 @@ def cmd_solve(args):
     print(f"factorizations={field.factorizations} "
           f"back_solves={field.back_solves} "
           f"residual_evals={field.residual_evals}")
+    eps, back_solves, residuals = zip(*field.eps_levels)
+    print(f"eps_levels={','.join(f'{e:g}' for e in eps)} "
+          f"level_back_solves={','.join(map(str, back_solves))} "
+          f"level_residuals={','.join(f'{r:.3e}' for r in residuals)}")
     print(f"wrote {path}")
     return EXIT_OK
 

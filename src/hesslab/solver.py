@@ -42,6 +42,11 @@ _JET_KEYS = ("uz", "urho", "uzz", "uzrho", "urhorho", "kappat")
 TOL_NEWTON = 1e-10
 MAX_NEWTON = 60
 
+#: theta of the inexact eps-continuation: every eps level but the last
+#: stops once rn <= max(TOL_NEWTON, theta * jump), jump = max |f^eps' - f^eps|
+#: the change of the right-hand side to the next level (see solve_exterior).
+THETA_CONTINUATION = 1e-2
+
 
 @dataclass
 class AxiGrid:
@@ -375,8 +380,10 @@ class ExteriorField:
     with all three empty.  The counters factorizations, back_solves and
     residual_evals record the work of the solve_exterior call that
     produced the field (the Jacobian is analytic, so residual_evals counts
-    only the iterates Newton tried); they are zero for sampled or loaded
-    fields and are not part of the checkpoint format.
+    only the iterates Newton tried), and eps_levels holds (eps, back-solves,
+    residual stopped at) for each of its eps levels; they are zero and
+    empty for sampled or loaded fields and are not part of the checkpoint
+    format.
     """
 
     grid: AxiGrid
@@ -390,6 +397,7 @@ class ExteriorField:
     factorizations: int = 0
     back_solves: int = 0
     residual_evals: int = 0
+    eps_levels: tuple = ()
 
     def __post_init__(self):
         self._jets_cache = None
@@ -611,10 +619,15 @@ class _ChordFactor:
         return x - self.z * (np.vdot(self.c, x) / self.denom)
 
 
-def _newton_solve(chord, U_int, f_int):
+def _newton_solve(chord, U_int, f_int, stop=None, eps=None):
     """Chord Newton on the interior unknowns with admissibility guards, at
     most MAX_NEWTON steps; returns the solution and its residual sup-norm
-    rn, which must reach TOL_NEWTON.
+    rn, which must reach TOL_NEWTON, or the level's stop when one is given.
+
+    A given stop (>= TOL_NEWTON; the eps level's, for the message) ends the
+    solve at the first iterate with rn <= stop, before any step at the
+    rounding floor: solve_exterior gives one to every eps level but the
+    last.  stop=None polishes as follows.
 
     Steps come from chord's LU, maybe of an earlier iterate or eps level.
     The accepted step is the largest in {1, 1/2, ...} that lowers rn and
@@ -630,6 +643,8 @@ def _newton_solve(chord, U_int, f_int):
     """
     jets, res, rn, margin = chord.evaluate(U_int, f_int)
     for _ in range(MAX_NEWTON):
+        if stop is not None and rn <= stop:
+            break
         if chord.lu is None:
             chord.refactor(jets)
         step = chord.step(res)
@@ -666,7 +681,10 @@ def _newton_solve(chord, U_int, f_int):
         elif not (halved or chord.fresh or rn <= TOL_NEWTON):
             chord.lu = None
         chord.fresh = False
-    if rn > TOL_NEWTON:
+    if stop is not None and rn > stop:
+        raise NewtonStall(f"Newton stopped at residual {rn:.3e} > the stop "
+                          f"{stop:.3e} of the eps = {eps:g} level")
+    if stop is None and rn > TOL_NEWTON:
         raise NewtonStall(f"Newton stopped at residual {rn:.3e} > {TOL_NEWTON:.1e}")
     if margin < -max(1e-12, 1e-3 * rn):
         raise NewtonStall(
@@ -691,9 +709,21 @@ def solve_exterior(body: RevolutionBody, spec, R_out=None, N_s=256, N_theta=None
     a rank-one border (see _ChordFactor), factored again only when its
     steps stop contracting (see _newton_solve).  S_1 is linear, so
     a k = 1 solve factors once; for k >= 2 the Jacobian drifts slowly and a
-    few factorizations serve the whole continuation.  The returned field
+    few factorizations serve the whole continuation.
+
+    Only the last eps level's field is returned, so the continuation is
+    inexact: every earlier level stops at its first iterate with
+    rn <= max(TOL_NEWTON, THETA_CONTINUATION * jump), jump the sup over the
+    interior nodes of the change f^eps' - f^eps to the next level, and
+    only the last level polishes to the rounding floor.  A leftover
+    residual of 1% of the next level's jump is buried in the first step
+    there, and steps at the floor of an intermediate level buy nothing:
+    this is the loose-corrector, tight-final-corrector rule of
+    predictor-corrector continuation (Allgower & Georg 1990, Deuflhard
+    2004).  theta = 1 is too loose (cosper 0.1,2 at n=5, k=2 ends a level
+    non-admissible), and 1e-1 .. 1e-3 cost the same.  The returned field
     carries the counts of factorizations, back-solves and residual
-    evaluations.
+    evaluations, and the eps, back-solves and residual of each level.
     """
     n, k = spec.n, spec.k
     if body.n != n:
@@ -716,9 +746,15 @@ def solve_exterior(body: RevolutionBody, spec, R_out=None, N_s=256, N_theta=None
 
     chord = _ChordFactor(grid, U[0], k, _outer_weights(grid, alpha))
     U_int = U[1:-1]
-    for eps in spec.eps_schedule:
-        f_int = rhs_at_radius(grid.r_nodes[1:-1], eps, n, spec.cnk)
-        U_int, rn = _newton_solve(chord, U_int, f_int)
+    rhs = [rhs_at_radius(grid.r_nodes[1:-1], eps, n, spec.cnk)
+           for eps in spec.eps_schedule]
+    levels = []
+    for eps, f_int, f_next in zip(spec.eps_schedule, rhs, rhs[1:] + [None]):
+        stop = None if f_next is None else max(
+            TOL_NEWTON, THETA_CONTINUATION * float(np.abs(f_next - f_int).max()))
+        back_solves = chord.back_solves
+        U_int, rn = _newton_solve(chord, U_int, f_int, stop, eps)
+        levels.append((eps, chord.back_solves - back_solves, rn))
 
     field = ExteriorField(
         grid=grid,
@@ -731,6 +767,7 @@ def solve_exterior(body: RevolutionBody, spec, R_out=None, N_s=256, N_theta=None
         factorizations=chord.factorizations,
         back_solves=chord.back_solves,
         residual_evals=chord.residual_evals,
+        eps_levels=tuple(levels),
     )
     field.rho_hat = estimate_rho(field)
     field.admissible = admissibility_margin(field)

@@ -166,6 +166,22 @@ class TestSolve:
         assert int(counts["factorizations"]) == 1
         assert int(counts["back_solves"]) >= 1
 
+    def test_prints_eps_levels(self, tmp_path, capsys):
+        code = cli.run([
+            "solve", "--body", "sphere", "--R", "1", "--n", "5", "--k", "2",
+            "--N-s", "32", "--eps-schedule", "0.5,0.02", "--out", str(tmp_path),
+        ])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == cli.EXIT_OK
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("factor"))
+        counts = dict(tok.split("=") for tok in lines[i].split())
+        record = dict(tok.split("=") for tok in lines[i + 1].split())
+        assert record["eps_levels"] == "0.5,0.02"
+        back_solves = [int(b) for b in record["level_back_solves"].split(",")]
+        assert sum(back_solves) == int(counts["back_solves"])
+        residuals = [float(r) for r in record["level_residuals"].split(",")]
+        assert residuals[-1] <= 1e-10 < residuals[0]
+
     def test_unknown_body_exits_2(self, tmp_path, capsys):
         code = cli.run([
             "solve", "--body", "cube", "--n", "3", "--k", "1",

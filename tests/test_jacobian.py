@@ -163,8 +163,9 @@ def test_sphere_jacobian_keeps_full_stencil(monkeypatch):
     ("cosper_field", 3), ("cosper_field_half", 3),
 ])
 def test_k1_residual_evals(fixture, levels, request):
-    # no evaluations inside the Jacobian: per eps level one for its start,
-    # one for the exact step and one or two at the rounding floor
+    # no evaluations inside the Jacobian: per eps level one for its start
+    # and one for the exact step, and on the last level one or two more at
+    # the rounding floor (earlier levels stop at theta * jump)
     assert request.getfixturevalue(fixture).residual_evals <= 4 * levels
 
 

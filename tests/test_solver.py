@@ -335,7 +335,8 @@ class TestChordNewton:
     ])
     def test_k1_back_solves_per_eps_level(self, fixture, levels, request):
         # the outer value is part of the linear system, so a k = 1 level
-        # takes one exact step and one step at the rounding floor
+        # takes one exact step, and the last level one more at the
+        # rounding floor (earlier levels stop at theta * jump)
         fld = request.getfixturevalue(fixture)
         assert fld.back_solves <= 4 * levels
 
@@ -383,6 +384,84 @@ class TestChordNewton:
         spec = ProblemSpec(n=3, k=1, a=1.0)
         with pytest.raises(TypeError):
             solve_exterior(body, spec, N_s=32, max_picard=15)
+
+
+class TestInexactContinuation:
+    """Every eps level but the last stops at max(TOL_NEWTON, theta * jump);
+    the last polishes to the rounding floor."""
+
+    def test_levels_stop_where_the_rule_says(self, monkeypatch):
+        calls = []
+        evaluate = solver._ChordFactor.evaluate
+
+        def recording(chord, U_int, f_int):
+            out = evaluate(chord, U_int, f_int)
+            calls.append((f_int, out[2]))
+            return out
+
+        monkeypatch.setattr(solver._ChordFactor, "evaluate", recording)
+        spec = ProblemSpec(n=5, k=2, a=2.0)
+        fld = solve_exterior(RevolutionBody.sphere(1.0, n=5), spec, N_s=64)
+        rhs = [f for i, (f, _) in enumerate(calls) if i == 0 or f is not calls[i - 1][0]]
+        levels = [[rn for f, rn in calls if f is g] for g in rhs]
+        assert len(levels) == len(spec.eps_schedule) == len(fld.eps_levels)
+        for rns, f, f_next, record in zip(levels, rhs, rhs[1:], fld.eps_levels):
+            stop = max(solver.TOL_NEWTON, solver.THETA_CONTINUATION
+                       * float(np.max(np.abs(f_next - f))))
+            # every trial on the way is above the stop, so above the floor;
+            # the first iterate at or below it ends the level
+            assert min(rns[:-1]) > stop >= rns[-1] == record[2]
+        *_, before, last = levels[-1]
+        assert before <= solver.TOL_NEWTON and last > 0.5 * before
+        assert fld.residual_norm <= solver.TOL_NEWTON
+        assert fld.eps_levels[-1][2] == fld.residual_norm
+        assert sum(b for _, b, _ in fld.eps_levels) == fld.back_solves
+        assert [e for e, _, _ in fld.eps_levels] == list(spec.eps_schedule)
+
+    def test_same_field_as_exact_continuation(self, monkeypatch):
+        # the field of the last level does not depend on how tightly the
+        # earlier ones were solved: theta = 0 drives each to TOL_NEWTON,
+        # and a one-level schedule has no earlier level at all
+        spec = ProblemSpec(n=5, k=2, a=2.0)
+        bodies = [RevolutionBody.sphere(1.0, n=5),
+                  *(RevolutionBody.spheroid(a, 1.0, n=5) for a in (1.2, 1.5, 2.0)),
+                  RevolutionBody.cos_perturbed(n=5, amplitude=0.1, frequency=2),
+                  RevolutionBody.spheroid(1.0, 1.2, n=5)]
+        inexact = [solve_exterior(body, spec, N_s=64) for body in bodies]
+        one_level = solve_exterior(
+            bodies[0], ProblemSpec(n=5, k=2, a=2.0, eps_schedule=(0.02,)), N_s=64)
+        assert np.max(np.abs(inexact[0].u - one_level.u)) <= 1e-13
+        monkeypatch.setattr(solver, "THETA_CONTINUATION", 0.0)
+        for body, fld in zip(bodies, inexact):
+            exact = solve_exterior(body, spec, N_s=64)
+            assert np.max(np.abs(fld.u - exact.u)) <= 1e-13
+            assert fld.factorizations == exact.factorizations
+            assert fld.back_solves < exact.back_solves
+
+    def test_k2_ball_back_solves(self, sphere_k2_field):
+        # 23 when every level polished to the rounding floor
+        assert sphere_k2_field.back_solves <= 15
+
+    @pytest.mark.parametrize("fixture", [
+        "sphere_k1_field", "prolate_field", "prolate_field_half",
+        "cosper_field", "cosper_field_half",
+    ])
+    def test_k1_back_solves(self, fixture, request):
+        # S_1 is linear: one exact step per level, the back-solve of the
+        # border once, and one step at the floor on the last level only
+        fld = request.getfixturevalue(fixture)
+        assert fld.back_solves <= len(fld.eps_levels) + 2
+
+    def test_intermediate_stall_names_its_stop(self, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_NEWTON", 1)
+        spec = ProblemSpec(n=5, k=2, a=2.0)
+        with pytest.raises(NewtonStall, match=r"> the stop \S+ of the eps = 0.5 level"):
+            solve_exterior(RevolutionBody.sphere(1.0, n=5), spec, N_s=32)
+
+    def test_loaded_field_has_no_level_record(self, prolate_field_half, tmp_path):
+        assert len(prolate_field_half.eps_levels) == 3
+        prolate_field_half.save_checkpoint(tmp_path / "field.txt")
+        assert ExteriorField.load_checkpoint(tmp_path / "field.txt").eps_levels == ()
 
 
 class TestGhostRows:
