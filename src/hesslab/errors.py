@@ -10,7 +10,9 @@ class DegenerateGradient(HesslabError):
 
 
 class StarShapeViolation(HesslabError):
-    """<x, nu> <= 0 at a surface sample."""
+    """A body or a field outside the star-shaped class: <x, nu> <= 0 at a
+    surface sample, or u not strictly increasing in s on a theta column of
+    a field, so that its level sets need not be graphs over theta."""
 
 
 class NotConvex(HesslabError):

@@ -21,9 +21,10 @@ from math import comb
 
 import numpy as np
 
-from .errors import LevelOutOfRange
+from .errors import LevelOutOfRange, NewtonStall
 from .fields import AxiJets, levelset_curvature_axisym, rhs_at_radius
-from .surfaces import RevolutionBody, curvature_samples, sphere_measure
+from .surfaces import (RevolutionBody, _simpson_weights, curvature_samples,
+                       sphere_measure)
 
 __all__ = [
     "FResult",
@@ -124,69 +125,42 @@ def limit_bound(spec: ProblemSpec, rho):
 
 
 # ---------------------------------------------------------------------------
-# Level-set extraction (marching squares on the solver grid)
+# Level-set extraction (graphs s = sigma_t(theta) over the theta nodes)
 # ---------------------------------------------------------------------------
+
+#: Newton on a column cubic stops once every column's last step moved
+#: sigma by at most this fraction of the radial step; the step cap.
+TOL_LEVEL = 1e-10
+MAX_LEVEL_NEWTON = 50
 
 
 @dataclass
 class LevelSetCurve:
-    """Contour {u = t} as quadrature-ready segments in the (z, rho) plane."""
+    """The level set {u = t} as a graph s = sigma(theta) over the theta
+    nodes of the grid, with its jets and quadrature weights there."""
 
     t: float
     n: int
-    seg_z: np.ndarray  # (nseg, 2) endpoint z
-    seg_rho: np.ndarray  # (nseg, 2) endpoint rho
-    mid_s: np.ndarray
-    mid_theta: np.ndarray
-    jets: AxiJets  # jets at the segment midpoints
-    weight: np.ndarray  # segment length * |S^(n-2)| rho^(n-2)
-
-
-# Marching squares.  Cell (i, j) has corners 0 = (i, j), 1 = (i+1, j),
-# 2 = (i+1, j+1), 3 = (i, j+1); its case code sets bit c when u - t > 0 at
-# corner c.  Edge e joins corners _EDGE_ENDS[e]; case c emits the segments
-# (_SEG_EDGES[c, m, 0], _SEG_EDGES[c, m, 1]) for m < _SEG_COUNT[c].
-_CORNERS = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
-_EDGE_ENDS = np.array([(0, 1), (1, 2), (3, 2), (0, 3)])
-_SEG_EDGES = np.array([
-    [(0, 0), (0, 0)],  # 0: no crossing
-    [(3, 0), (0, 0)],
-    [(0, 1), (0, 0)],
-    [(3, 1), (0, 0)],
-    [(1, 2), (0, 0)],
-    [(3, 0), (1, 2)],  # 5: saddle
-    [(0, 2), (0, 0)],
-    [(3, 2), (0, 0)],
-    [(2, 3), (0, 0)],
-    [(2, 0), (0, 0)],
-    [(0, 1), (2, 3)],  # 10: saddle
-    [(2, 1), (0, 0)],
-    [(1, 3), (0, 0)],
-    [(1, 0), (0, 0)],
-    [(0, 3), (0, 0)],
-    [(0, 0), (0, 0)],  # 15: no crossing
-])
-_SEG_COUNT = np.array([0, 1, 1, 1, 1, 2, 1, 1, 1, 1, 2, 1, 1, 1, 1, 0])
-
-
-def _crossings(edge, i, j, f, hs, ht):
-    """(s, theta) where u = t on edge `edge` of cell (i, j), all arrays."""
-    a, b = _CORNERS[_EDGE_ENDS[edge, 0]], _CORNERS[_EDGE_ENDS[edge, 1]]
-    ia, ja = i + a[:, 0], j + a[:, 1]
-    ib, jb = i + b[:, 0], j + b[:, 1]
-    fa, fb = f[ia, ja], f[ib, jb]
-    lam = fa / (fa - fb)
-    return hs * (ia + lam * (ib - ia)), ht * (ja + lam * (jb - ja))
+    sigma: np.ndarray  # sigma(theta_j) on each theta node
+    jets: AxiJets  # jets at (sigma(theta_j), theta_j)
+    weight: np.ndarray  # Simpson weight * arc element * |S^(n-2)| rho^(n-2)
 
 
 def extract_levelset(field, t) -> LevelSetCurve:
-    """Marching-squares contour of {u = t} with midpoint jets.
+    """The level set {u = t} on every theta node column, with its jets.
 
-    The level must sit strictly between the first interior grid row and the
-    far-field row, so a full stencil separates the curve from both
-    boundaries.  Segments come in row-major cell order, two per saddle cell.
-    The jets are not checked for a critical point here; F_eval's curvatures
-    are (see fields.levelset_curvature_axisym).
+    The level must sit strictly between the first interior grid row and
+    the far-field row, so that it crosses every column between the two.
+    u strictly increases in s on each column (field._columns checks this
+    once per field and raises StarShapeViolation otherwise), so the node
+    cell u[i, j] <= t < u[i + 1, j] is unique, and sigma(theta_j) is the
+    root of the column's cubic spline there, by Newton from the linear
+    crossing, safeguarded by bisection of the cell.  The same cubics give u
+    and the six jets at the root.  The weights integrate over theta by
+    composite Simpson with the arc element sqrt(r^2 + r'^2) of the graph
+    r(theta), r' = -u_theta / u_r, which is r^2 |grad u| / (x . grad u).
+    The jets are not checked for a critical point here; F_eval's
+    curvatures are (see fields.levelset_curvature_axisym).
     """
     u = field.u
     lo, hi = float(np.max(u[1, :])), float(np.min(u[-1, :]))
@@ -196,44 +170,45 @@ def extract_levelset(field, t) -> LevelSetCurve:
             f"this grid holds the levels in ({lo:.6g}, {hi:.6g})"
         )
     grid = field.grid
-    hs = grid.s[1] - grid.s[0]
-    ht = grid.theta[1] - grid.theta[0]
-    f = u - t
-    pos = f > 0
-    case = (
-        pos[:-1, :-1] * 1 + pos[1:, :-1] * 2 + pos[1:, 1:] * 4 + pos[:-1, 1:] * 8
-    )
-    ci, cj = np.nonzero((case > 0) & (case < 15))
-    if ci.size == 0:
-        raise LevelOutOfRange(f"level {t} produced no contour segments")
-    code = case[ci, cj]
-    count = _SEG_COUNT[code]
-    cell = np.repeat(np.arange(code.size), count)
-    slot = np.arange(cell.size) - np.repeat(np.cumsum(count) - count, count)
-    edges = _SEG_EDGES[code[cell], slot]
-    i, j = ci[cell], cj[cell]
-    s0, th0 = _crossings(edges[:, 0], i, j, f, hs, ht)
-    s1, th1 = _crossings(edges[:, 1], i, j, f, hs, ht)
-
-    z0, rho0 = grid.to_physical(s0, th0)
-    z1, rho1 = grid.to_physical(s1, th1)
-    length = np.hypot(z1 - z0, rho1 - rho0)
-    mid_s = 0.5 * (s0 + s1)
-    mid_th = 0.5 * (th0 + th1)
-    mid_rho = 0.5 * (rho0 + rho1)
-
-    jets = field.jets_at(mid_s, mid_th)
-    weight = length * sphere_measure(field.n - 2) * mid_rho ** (field.n - 2)
-    return LevelSetCurve(
-        t=t,
-        n=field.n,
-        seg_z=np.stack([z0, z1], axis=1),
-        seg_rho=np.stack([rho0, rho1], axis=1),
-        mid_s=mid_s,
-        mid_theta=mid_th,
-        jets=jets,
-        weight=weight,
-    )
+    table = field._columns()
+    cols = np.arange(grid.N_theta + 1)
+    i = np.count_nonzero(u <= t, axis=0) - 1
+    lower, upper = table[i, cols], table[i + 1, cols]  # [j, value or slope, q]
+    # the power-basis coefficients in a = (s - s_i) / hs of each column cubic
+    y0, y1 = lower[:, 0], upper[:, 0]
+    d0, d1 = grid.hs * lower[:, 1], grid.hs * upper[:, 1]
+    c = (y0, d0, 3.0 * (y1 - y0) - 2.0 * d0 - d1, 2.0 * (y0 - y1) + d0 + d1)
+    c0, c1, c2, c3 = (coef[:, 0] for coef in c)
+    c0 = c0 - t
+    a = -c0 / (y1[:, 0] - y0[:, 0])
+    a_lo, a_hi = np.zeros_like(a), np.ones_like(a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(MAX_LEVEL_NEWTON):
+            f = ((c3 * a + c2) * a + c1) * a + c0
+            a_lo = np.where(f <= 0, a, a_lo)
+            a_hi = np.where(f > 0, a, a_hi)
+            new = a - f / ((3.0 * c3 * a + 2.0 * c2) * a + c1)
+            outside = ~((new >= a_lo) & (new <= a_hi))
+            new[outside] = 0.5 * (a_lo + a_hi)[outside]
+            moved = np.abs(new - a)
+            a = new
+            if moved.max() <= TOL_LEVEL:
+                break
+        else:
+            j = int(np.argmax(moved))
+            raise NewtonStall(
+                f"level {t}: Newton on theta column {j} moved sigma by "
+                f"{moved[j] * grid.hs:.3e} in its last of {MAX_LEVEL_NEWTON} steps"
+            )
+    a = a[:, None]
+    values = ((c[3] * a + c[2]) * a + c[1]) * a + c[0]
+    sigma = grid.s[i] + grid.hs * a[:, 0]
+    r = np.exp(grid.lngam + sigma * grid.D)
+    jets = AxiJets(field.n, r * np.cos(grid.theta), r * np.sin(grid.theta), *values.T)
+    arc = r * r * jets.grad_norm / (jets.z * jets.uz + jets.rho * jets.urho)
+    weight = (_simpson_weights(cols.size, grid.ht) * arc
+              * sphere_measure(field.n - 2) * jets.rho ** (field.n - 2))
+    return LevelSetCurve(t=t, n=field.n, sigma=sigma, jets=jets, weight=weight)
 
 
 @dataclass
@@ -249,10 +224,10 @@ class FResult:
 def F_eval(field, t, spec: ProblemSpec) -> FResult:
     """Evaluate F(t) on an extracted level set of a solved field.
 
-    All segments of the level at once: one batched jet evaluation at the
-    midpoints and H_k, H_{k-1} from the axisymmetric split.  None of this
-    depends on the weights, so the field keeps the segment quadrature
-    weights, H_k, H_{k-1} and |grad u| of each (t, n, k) it has seen: a
+    All points of the level at once: the jets on every theta node column
+    and H_k, H_{k-1} from the axisymmetric split.  None of this
+    depends on the weights, so the field keeps the quadrature weights,
+    H_k, H_{k-1} and |grad u| of each (t, n, k) it has seen: a
     family of weights costs one level-set extraction per level, and each
     further member only its weights and two sums.
     """

@@ -15,7 +15,7 @@ from math import log, pi
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .errors import NewtonStall, PoorFit
+from .errors import NewtonStall, PoorFit, StarShapeViolation
 from .fields import AxiJets, rhs_at_radius
 from .surfaces import (RevolutionBody, _ClampedSpline, _solve_tridiagonal,
                        _spline_slopes)
@@ -41,6 +41,10 @@ _JET_KEYS = ("uz", "urho", "uzz", "uzrho", "urhorho", "kappat")
 #: field, must reach; and the step cap of each.
 TOL_NEWTON = 1e-10
 MAX_NEWTON = 60
+
+#: Trials {1, 1/2, ...} of a step from a stale factor that _newton_solve
+#: makes before it refactors instead of halving on.
+STALE_TRIES = 6
 
 #: theta of the inexact eps-continuation: every eps level but the last
 #: stops once rn <= max(TOL_NEWTON, theta * jump), jump = max |f^eps' - f^eps|
@@ -79,22 +83,12 @@ class AxiGrid:
         self.dlngam = self.body.dgamma / g
         self.d2lngam = self.body.d2gamma / g - self.dlngam**2
         self.D = log(self.R_out) - self.lngam
-        self._g_spline = _ClampedSpline(self.theta, self.lngam)
         self._on_axis = np.abs(np.sin(self.theta)) < 1e-12
         self._terms = None
 
     @property
     def r_nodes(self):
         return np.exp(self.lngam[None, :] + self.s[:, None] * self.D[None, :])
-
-    def radius(self, s, theta):
-        g = self._g_spline(theta)
-        return np.exp(g + np.asarray(s) * (log(self.R_out) - g))
-
-    def to_physical(self, s, theta):
-        """(z, rho) coordinates of grid points (s, theta)."""
-        r = self.radius(s, theta)
-        return r * np.cos(theta), r * np.sin(theta)
 
     def _chain_terms(self):
         """The chain rule, cached: (1/r, s - 1, z, rho on the grid, terms).
@@ -312,74 +306,19 @@ def _solve_ghost_row(field, which):
     return v
 
 
-#: The cubic Hermite basis on [0, 1]: row p holds the coefficients of a^p
-#: in the weights of the values at 0 and 1 and of the slopes at 0 and 1.
-_HERMITE = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
-                     [-3.0, 3.0, -2.0, -1.0], [2.0, -2.0, 1.0, 1.0]])
-
-
-class _Bicubic:
-    """The tensor not-a-knot bicubic splines through stacked node values
-    Z[q] on the grid x (axis 1) by y (axis 2), which is the s = 0 fit of
-    FITPACK's regrid (scipy's RectBivariateSpline).  It is held in bicubic
-    Hermite form: each node stores the value and the x-, y- and mixed
-    slopes of every spline (the y-slopes of Z by one banded solve, the
-    x-slopes of Z and of its y-slopes together by another), and a point
-    reads the sixteen numbers at the corners of its cell.  Points outside
-    the grid extrapolate its edge cells."""
-
-    def __init__(self, x, y, Z):
-        m, nx = Z.shape[0], x.size
-        values = np.empty((2, m, y.size, nx))  # [d/dy, q, j, i]: x last
-        values[0] = Z.swapaxes(1, 2)
-        values[1] = _spline_slopes(y, Z, clamped=False).swapaxes(1, 2)
-        # node-major, so that the corners of a cell are a few cache lines
-        table = np.empty((y.size, nx, 2, 2, m))  # [j, i, d/dx, d/dy, q]
-        table[:, :, 0] = values.transpose(2, 3, 0, 1)
-        table[:, :, 1] = _spline_slopes(x, values, clamped=False).transpose(2, 3, 0, 1)
-        self.table = table.reshape(y.size * nx, -1)
-        self.axes = ((x, x[1:-1], np.diff(x)), (y, y[1:-1], np.diff(y)))
-        self.nx = nx
-        self.corners = np.array([[0, nx], [1, nx + 1]])  # node offsets [di, dj]
-
-    def __call__(self, xp, yp):
-        """The splines at the points (xp[p], yp[p]), as an array [q, p]."""
-        (i, wx), (j, wy) = (_hermite_weights(*axis, pts)
-                            for axis, pts in zip(self.axes, (xp, yp)))
-        # cells[p, di, dj, d/dx, d/dy, q] and its weights w[p, di, dj, d/dx, d/dy]
-        cells = self.table.take((j * self.nx + i)[:, None, None] + self.corners,
-                                axis=0)
-        w = wx[:, :, None, :, None] * wy[:, None, :, None, :]
-        return (w.reshape(-1, 1, 16) @ cells.reshape(xp.size, 16, -1))[:, 0].T
-
-
-def _hermite_weights(nodes, inner, steps, pts):
-    """Cell index i of each point, nodes[i] <= pt < nodes[i + 1] (the last
-    cell closed), and its Hermite weights w[p, corner, value or slope]."""
-    i = inner.searchsorted(pts, side="right")
-    h = steps.take(i)
-    powers = np.empty((pts.size, 4))
-    powers[:, 0] = 1.0
-    powers[:, 1] = (pts - nodes.take(i)) / h
-    powers[:, 2] = powers[:, 1] ** 2
-    powers[:, 3] = powers[:, 2] * powers[:, 1]
-    w = powers @ _HERMITE
-    w[:, 2:] *= h[:, None]
-    return i, w.reshape(-1, 2, 2).swapaxes(1, 2)
-
-
 @dataclass
 class ExteriorField:
     """Discrete solution of the approximating equation on an AxiGrid.
 
     u holds node values including both Dirichlet rows; treat a returned
     field as immutable.  Three post-solve caches rely on that and are never
-    invalidated: the node jets (_node_jets), their bicubic splines
-    (_spline) and, filled by monotone.F_eval, the weight-free part of F(t)
-    at each level.  A new, reloaded or dataclasses.replace'd field starts
-    with all three empty.  The counters factorizations, back_solves and
-    residual_evals record the work of the solve_exterior call that
-    produced the field (the Jacobian is analytic, so residual_evals counts
+    invalidated: the node jets (_node_jets), the splines in s of u and of
+    those jets on every theta node column (_columns, made once the column
+    check of star shape has passed) and, filled by monotone.F_eval, the
+    weight-free part of F(t) at each level.  A new, reloaded or
+    dataclasses.replace'd field starts with all three empty.  The counters
+    factorizations, back_solves and residual_evals record the work of the
+    solve_exterior call that produced the field (the Jacobian is analytic, so residual_evals counts
     only the iterates Newton tried), and eps_levels holds (eps, back-solves,
     residual stopped at) for each of its eps levels; they are zero and
     empty for sampled or loaded fields and are not part of the checkpoint
@@ -401,7 +340,7 @@ class ExteriorField:
 
     def __post_init__(self):
         self._jets_cache = None
-        self._spline_cache = None
+        self._columns_cache = None
         self._level_cache = {}
 
     @property
@@ -420,20 +359,36 @@ class ExteriorField:
             self._jets_cache = _chain(grid, slice(None), F, self.u)
         return self._jets_cache
 
-    def _spline(self):
-        """The not-a-knot bicubic splines of u and the six node jets."""
-        if self._spline_cache is None:
-            grid, jets = self.grid, self._node_jets()
-            values = np.stack([getattr(jets, key) for key in ("u",) + _JET_KEYS])
-            self._spline_cache = _Bicubic(grid.s, grid.theta, values)
-        return self._spline_cache
+    def _columns(self):
+        """The not-a-knot cubic splines in s of u and of the six node jets
+        on every theta node column, as table[i, j, 0 or 1, q]: the value or
+        the s-slope at node (i, j) of u (q = 0) and of _JET_KEYS[q - 1].
+        On a node column the tensor not-a-knot bicubic of the grid (scipy's
+        RectBivariateSpline) weighs the theta nodes by (1, 0, 0, 0), so it
+        is this column spline.
 
-    def jets_at(self, s, theta) -> AxiJets:
-        """Interpolated jets at off-node points (s[i], theta[i]), in batch."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        z, rho = self.grid.to_physical(s, theta)
-        return AxiJets(self.n, z, rho, *self._spline()(s, theta))
+        Raises StarShapeViolation, naming the first such column, if u does
+        not strictly increase in s on some column: then a level set of u
+        need not be a graph s = sigma(theta) over the columns.
+        """
+        if self._columns_cache is None:
+            rising = np.all(np.diff(self.u, axis=0) > 0, axis=0)
+            if not rising.all():
+                j = int(np.argmin(rising))
+                raise StarShapeViolation(
+                    f"u does not strictly increase in s on theta column {j} "
+                    f"(theta = {self.grid.theta[j]:.6g}), so its level sets "
+                    "are not graphs over theta"
+                )
+            jets = self._node_jets()
+            table = np.empty(self.u.shape + (2, 1 + len(_JET_KEYS)))
+            for q, key in enumerate(("u",) + _JET_KEYS):
+                table[:, :, 0, q] = getattr(jets, key)
+            slopes = _spline_slopes(self.grid.s, np.moveaxis(table[:, :, 0], 0, -1),
+                                    clamped=False)
+            table[:, :, 1] = np.moveaxis(slopes, -1, 0)
+            self._columns_cache = table
+        return self._columns_cache
 
     def boundary_gradient(self, theta):
         """|grad u| on the body boundary, interpolated onto given angles."""
@@ -634,9 +589,11 @@ def _newton_solve(chord, U_int, f_int, stop=None, eps=None):
     keeps the Gamma_k margin >= min(current margin, -max(1e-12, 1e-3 rn)),
     so a non-admissible start may move but the margin never drops.  A
     step from a stale factor that is rejected, or fails to halve an rn
-    above TOL_NEWTON, refactors; a rejected step from a fresh factor
-    raises NewtonStall, which names the guard's floor when the guard
-    refused a step that lowered rn.  Within TOL_NEWTON only full steps are
+    above TOL_NEWTON, refactors; such a step is rejected after its first
+    STALE_TRIES trials, as its smaller ones only creep toward rn and the
+    margin, where a fresh factor's step goes further.  A rejected step
+    from a fresh factor raises NewtonStall, which names the guard's floor
+    when the guard refused a step that lowered rn.  Within TOL_NEWTON only full steps are
     tried, and the first that does not halve rn ends the solve at the
     rounding floor.  Ending on a non-admissible root (margin below
     -max(1e-12, 1e-3 rn)) raises.
@@ -650,7 +607,7 @@ def _newton_solve(chord, U_int, f_int, stop=None, eps=None):
         step = chord.step(res)
         at_floor = rn <= TOL_NEWTON
         lam, accepted, refused = 1.0, False, None
-        for _ in range(1 if at_floor else 41):
+        for tries in range(1, 2 if at_floor else 42):
             cand = U_int + lam * step
             jets_c, res_c, rn_c, margin_c = chord.evaluate(cand, f_int)
             floor = min(margin, -max(1e-12, 1e-3 * rn_c))
@@ -659,6 +616,8 @@ def _newton_solve(chord, U_int, f_int, stop=None, eps=None):
                 if accepted:
                     break
                 refused = refused or (rn_c, margin_c, floor)
+            if tries == STALE_TRIES and not chord.fresh:
+                break
             lam *= 0.5
         halved = accepted and rn_c <= 0.5 * rn
         if accepted:

@@ -5,11 +5,13 @@ closed form, so that a test can hold hesslab's own implementation against
 it: dense second-order jets and their level-set curvatures, the radial
 jets of a ball, the sum of principal minors, the Garding cone test, the
 weight ODE residuals, the quermassintegral and Minkowski checks, the
-boundary constant formula and the equation residual of a solved field.
+boundary constant formula, the equation residual of a solved field, and
+the marching-squares contour of a level of a solved field.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import log
 from typing import NamedTuple
 
 import numpy as np
@@ -18,10 +20,11 @@ from hesslab.errors import DegenerateGradient
 from hesslab.fields import TAU_GRAD, AxiJets, rhs_at_radius
 from hesslab.monotone import ProblemSpec, weights
 from hesslab.radial import RadialSolution
-from hesslab.solver import ExteriorField
+from hesslab.solver import AxiGrid, ExteriorField
 from hesslab.surfaces import (
     PROFILE_HEADER,
     RevolutionBody,
+    _ClampedSpline,
     af_sides,
     curvature_samples,
     qiu_xia_sides,
@@ -299,3 +302,86 @@ def interior_range(field: ExteriorField):
     """(min, max) of u strictly between the Dirichlet rows."""
     inner = field.u[1:-1]
     return float(inner.min()), float(inner.max())
+
+
+def to_physical(grid: AxiGrid, s, theta):
+    """(z, rho) of the points (s, theta) of a grid, off the nodes too: the
+    radial map r = gamma exp(s log(R_out / gamma)), with log gamma splined
+    in theta."""
+    g = _ClampedSpline(grid.theta, grid.lngam)(theta)
+    r = np.exp(g + np.asarray(s) * (log(grid.R_out) - g))
+    return r * np.cos(theta), r * np.sin(theta)
+
+
+class Contour(NamedTuple):
+    """Segments of a contour: (nseg, 2) endpoint arrays in (s, theta) and
+    in (z, rho)."""
+
+    seg_s: np.ndarray
+    seg_theta: np.ndarray
+    seg_z: np.ndarray
+    seg_rho: np.ndarray
+
+
+# Marching squares.  Cell (i, j) has corners 0 = (i, j), 1 = (i+1, j),
+# 2 = (i+1, j+1), 3 = (i, j+1); its case code sets bit c when u - t > 0 at
+# corner c.  Edge e joins corners _EDGE_ENDS[e]; case c emits the segments
+# (_SEG_EDGES[c, m, 0], _SEG_EDGES[c, m, 1]) for m < _SEG_COUNT[c].
+_CORNERS = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
+_EDGE_ENDS = np.array([(0, 1), (1, 2), (3, 2), (0, 3)])
+_SEG_EDGES = np.array([
+    [(0, 0), (0, 0)],  # 0: no crossing
+    [(3, 0), (0, 0)],
+    [(0, 1), (0, 0)],
+    [(3, 1), (0, 0)],
+    [(1, 2), (0, 0)],
+    [(3, 0), (1, 2)],  # 5: saddle
+    [(0, 2), (0, 0)],
+    [(3, 2), (0, 0)],
+    [(2, 3), (0, 0)],
+    [(2, 0), (0, 0)],
+    [(0, 1), (2, 3)],  # 10: saddle
+    [(2, 1), (0, 0)],
+    [(1, 3), (0, 0)],
+    [(1, 0), (0, 0)],
+    [(0, 3), (0, 0)],
+    [(0, 0), (0, 0)],  # 15: no crossing
+])
+_SEG_COUNT = np.array([0, 1, 1, 1, 1, 2, 1, 1, 1, 1, 2, 1, 1, 1, 1, 0])
+
+
+def _crossings(edge, i, j, f, hs, ht):
+    """(s, theta) where u = t on edge `edge` of cell (i, j), all arrays."""
+    a, b = _CORNERS[_EDGE_ENDS[edge, 0]], _CORNERS[_EDGE_ENDS[edge, 1]]
+    ia, ja = i + a[:, 0], j + a[:, 1]
+    ib, jb = i + b[:, 0], j + b[:, 1]
+    fa, fb = f[ia, ja], f[ib, jb]
+    lam = fa / (fa - fb)
+    return hs * (ia + lam * (ib - ia)), ht * (ja + lam * (jb - ja))
+
+
+def marching_squares(field: ExteriorField, t) -> Contour:
+    """The marching-squares contour of {u = t} over the whole grid at once,
+    by a case table: linear crossings on the cell edges, segments in
+    row-major cell order, two per saddle cell."""
+    grid = field.grid
+    hs = grid.s[1] - grid.s[0]
+    ht = grid.theta[1] - grid.theta[0]
+    f = field.u - t
+    pos = f > 0
+    case = (
+        pos[:-1, :-1] * 1 + pos[1:, :-1] * 2 + pos[1:, 1:] * 4 + pos[:-1, 1:] * 8
+    )
+    ci, cj = np.nonzero((case > 0) & (case < 15))
+    code = case[ci, cj]
+    count = _SEG_COUNT[code]
+    cell = np.repeat(np.arange(code.size), count)
+    slot = np.arange(cell.size) - np.repeat(np.cumsum(count) - count, count)
+    edges = _SEG_EDGES[code[cell], slot]
+    i, j = ci[cell], cj[cell]
+    s0, th0 = _crossings(edges[:, 0], i, j, f, hs, ht)
+    s1, th1 = _crossings(edges[:, 1], i, j, f, hs, ht)
+    z0, rho0 = to_physical(grid, s0, th0)
+    z1, rho1 = to_physical(grid, s1, th1)
+    return Contour(*(np.stack(pair, axis=1) for pair in
+                     ((s0, s1), (th0, th1), (z0, z1), (rho0, rho1))))

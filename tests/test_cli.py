@@ -276,6 +276,23 @@ class TestMonotone:
         assert "Richardson companion (N_s=32, N_theta=16)" in err
         assert "level -0.9 " in err and "holds the levels in (-0.87" in err
 
+    def test_level_sets_not_graphs_exit_3(self, tmp_path, monkeypatch, capsys):
+        # u falls in s on theta column 3 only, so the level sets of the
+        # field are not graphs over theta: the star-shape check refuses it
+        def dented_field(body, spec, R_out=None, N_s=256, N_theta=None):
+            grid = AxiGrid(body, 40.0, N_s, N_theta)
+            u = np.tile(-1.0 + 0.9 * grid.s[:, None], (1, N_theta + 1))
+            u[:, 3] += 0.3 * np.exp(-(((grid.s - 0.5) / 0.05) ** 2))
+            return ExteriorField(grid=grid, u=u, k=spec.k, eps=0.02, rho_hat=1.0)
+
+        monkeypatch.setattr(cli, "solve_exterior", dented_field)
+        code = cli.run([
+            "monotone", "--body", "sphere", "--n", "3", "--k", "1",
+            "--N-s", "32", "--N-theta", "16", "--out", str(tmp_path),
+        ])
+        assert code == cli.EXIT_SOLVER
+        assert "strictly increase in s on theta column 3 " in capsys.readouterr().err
+
     def test_one_F_eval_per_level_per_field(self, tmp_path, monkeypatch,
                                             capsys):
         calls = {}

@@ -187,8 +187,8 @@ def test_every_definition_is_reached():
 
 #: scipy subpackages that hesslab must not import, directly or through
 #: another: the splines, quadratures and special functions it needs are
-#: its own (surfaces._ClampedSpline, solver._Bicubic,
-#: surfaces._simpson_weights).
+#: its own (surfaces._ClampedSpline, the column splines of
+#: solver.ExteriorField._columns, surfaces._simpson_weights).
 HEAVY = ("scipy.interpolate", "scipy.integrate", "scipy.special", "scipy.optimize")
 
 
@@ -324,7 +324,7 @@ def test_matrix_suite_loads_no_scipy():
 
 
 def test_post_solve_loads_no_scipy(prolate_field_half, tmp_path):
-    # a reloaded field: its splined body, the ghost rows, the bicubic
+    # a reloaded field: its splined body, the ghost rows, the column
     # splines of its jets, the margin and F(t)
     path = tmp_path / "prolate.txt"
     prolate_field_half.save_checkpoint(path)

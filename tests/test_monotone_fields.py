@@ -12,7 +12,7 @@ import pytest
 from math import log2
 
 from hesslab import monotone
-from hesslab.errors import LevelOutOfRange
+from hesslab.errors import LevelOutOfRange, NewtonStall, StarShapeViolation
 from hesslab.fields import levelset_curvature_axisym, rhs_at_radius
 from hesslab.monotone import (
     F_boundary,
@@ -25,7 +25,7 @@ from hesslab.monotone import (
 from hesslab.radial import RadialSolution, radial_F
 from hesslab.solver import AxiGrid, ExteriorField, solve_exterior
 from hesslab.surfaces import RevolutionBody
-from oracles import dense_jet, levelset_curvature
+from oracles import dense_jet, levelset_curvature, marching_squares, to_physical
 
 T_GRID_K1 = np.linspace(-0.9, -0.1, 9)
 T_GRID_K2 = np.linspace(-0.9, -0.25, 8)
@@ -34,9 +34,11 @@ T_GRID_K2 = np.linspace(-0.9, -0.25, 8)
 class TestExtractLevelset:
     def test_radial_circle_radius(self, sphere_k1_field):
         # u = -1/r, so the t level sits at r = 1/(-t)
-        curve = extract_levelset(sphere_k1_field, -0.5)
-        radii = np.hypot(curve.seg_z, curve.seg_rho)
+        contour = marching_squares(sphere_k1_field, -0.5)
+        radii = np.hypot(contour.seg_z, contour.seg_rho)
         assert np.allclose(radii, 2.0, atol=2e-3)
+        jets = extract_levelset(sphere_k1_field, -0.5).jets
+        assert np.allclose(np.hypot(jets.z, jets.rho), 2.0, atol=2e-3)
 
     def test_boundary_level_rejected(self, sphere_k1_field):
         with pytest.raises(LevelOutOfRange):
@@ -49,12 +51,57 @@ class TestExtractLevelset:
 
     def test_meridian_half_circle_length(self, sphere_k1_field):
         # the level t = -0.5 is the circle r = 2 of the meridian half-plane
-        curve = extract_levelset(sphere_k1_field, -0.5)
-        length = np.sum(np.hypot(np.diff(curve.seg_z, axis=1),
-                                 np.diff(curve.seg_rho, axis=1)))
+        contour = marching_squares(sphere_k1_field, -0.5)
+        length = np.sum(np.hypot(np.diff(contour.seg_z, axis=1),
+                                 np.diff(contour.seg_rho, axis=1)))
         g = sphere_k1_field.grid
         h = max(g.ht, g.hs * float(np.max(g.D)))
         assert abs(length - 2.0 * np.pi) <= 2.0 * np.pi * h**2
+
+    def test_level_sphere_area(self, sphere_k1_field):
+        # the weights integrate over the level sphere r = 2 of R^3
+        curve = extract_levelset(sphere_k1_field, -0.5)
+        g = sphere_k1_field.grid
+        h = max(g.ht, g.hs * float(np.max(g.D)))
+        assert abs(np.sum(curve.weight) - 16.0 * np.pi) <= 16.0 * np.pi * h**2
+
+    def test_level_sits_on_the_column_cubic(self, prolate_field_half):
+        # u at the root is the level, and sigma lies in its node cell
+        t = -0.5
+        curve = extract_levelset(prolate_field_half, t)
+        np.testing.assert_allclose(curve.jets.u, t, rtol=0, atol=1e-14)
+        u, s = prolate_field_half.u, prolate_field_half.grid.s
+        i = np.searchsorted(s, curve.sigma) - 1
+        cols = np.arange(u.shape[1])
+        assert np.all((u[i, cols] <= t) & (t < u[i + 1, cols]))
+
+
+def _monotone_except_column(j, N_s=32, N_theta=16):
+    """A sampled n=3 field that rises in s on every theta column but j,
+    where it dips between s = 0.4 and 0.6."""
+    grid = AxiGrid(body=RevolutionBody.sphere(1.0, n=3), R_out=40.0,
+                   N_s=N_s, N_theta=N_theta)
+    s = grid.s[:, None]
+    u = np.broadcast_to(-1.0 + 0.9 * s, (N_s + 1, N_theta + 1)).copy()
+    u[:, j] += 0.3 * np.exp(-(((grid.s - 0.5) / 0.05) ** 2))
+    return ExteriorField(grid=grid, u=u, k=1, eps=0.02, rho_hat=1.0)
+
+
+class TestStarShapeOfLevelSets:
+    def test_non_monotone_column_raises(self):
+        field = _monotone_except_column(5)
+        with pytest.raises(StarShapeViolation, match="theta column 5 "):
+            extract_levelset(field, -0.5)
+
+    def test_monotone_columns_pass(self):
+        field = _monotone_except_column(5)
+        field.u[:, 5] = field.u[:, 4]
+        assert extract_levelset(field, -0.5).sigma.size == 17
+
+    def test_unconverged_column_raises(self, prolate_field_half, monkeypatch):
+        monkeypatch.setattr(monotone, "MAX_LEVEL_NEWTON", 1)
+        with pytest.raises(NewtonStall, match="level -0.5: Newton on theta column"):
+            extract_levelset(prolate_field_half, -0.5)
 
 
 def _scalar_marching_squares(f, hs, ht):
@@ -93,20 +140,36 @@ class TestMarchingSquaresReference:
         field = ExteriorField(grid=grid, u=u, k=1, eps=1e-8, rho_hat=1.0)
         saddles = 0
         for t in (-0.7, -0.55, -0.4):
-            curve = extract_levelset(field, t)
+            contour = marching_squares(field, t)
             ref, n_saddle = _scalar_marching_squares(
                 u - t, grid.s[1] - grid.s[0], grid.theta[1] - grid.theta[0]
             )
             saddles += n_saddle
             # same arithmetic in the same order: equal to the last bit
-            np.testing.assert_array_equal(curve.mid_s,
-                                          0.5 * (ref[:, 0] + ref[:, 2]))
-            np.testing.assert_array_equal(curve.mid_theta,
-                                          0.5 * (ref[:, 1] + ref[:, 3]))
-            z0, rho0 = grid.to_physical(ref[:, 0], ref[:, 1])
-            np.testing.assert_array_equal(curve.seg_z[:, 0], z0)
-            np.testing.assert_array_equal(curve.seg_rho[:, 0], rho0)
+            np.testing.assert_array_equal(contour.seg_s, ref[:, [0, 2]])
+            np.testing.assert_array_equal(contour.seg_theta, ref[:, [1, 3]])
+            z0, rho0 = to_physical(grid, ref[:, 0], ref[:, 1])
+            np.testing.assert_array_equal(contour.seg_z[:, 0], z0)
+            np.testing.assert_array_equal(contour.seg_rho[:, 0], rho0)
         assert saddles > 0
+        # u falls in s on some theta columns: no graph over theta
+        with pytest.raises(StarShapeViolation):
+            extract_levelset(field, -0.55)
+
+    def test_columns_cross_where_marching_squares_does(self, prolate_field_half):
+        # on a node column the marching-squares crossing is the linear
+        # interpolant of the column, the start of the Newton polish: the two
+        # differ by O(hs^2)
+        t = -0.5
+        field = prolate_field_half
+        contour = marching_squares(field, t)
+        curve = extract_levelset(field, t)
+        ht = field.grid.theta[1]
+        on_column = np.rint(contour.seg_theta / ht)
+        node = np.abs(contour.seg_theta - on_column * ht) == 0
+        cols = on_column[node].astype(int)
+        assert set(cols.tolist()) == set(range(field.grid.N_theta + 1))
+        assert np.max(np.abs(contour.seg_s[node] - curve.sigma[cols])) <= field.grid.hs**2
 
 
 class TestArrayCurvatures:
@@ -125,7 +188,7 @@ class TestArrayCurvatures:
             jets = curve.jets
             sk = rhs_at_radius(jets.r, field.eps, n, field.cnk)
             hk, hk1 = levelset_curvature_axisym(jets, k, sk)
-            for i in range(curve.mid_s.size):
+            for i in range(curve.sigma.size):
                 jet = dense_jet(jets, i)
                 f = rhs_at_radius(np.linalg.norm(jet.x), field.eps, n,
                                   field.cnk)
@@ -150,6 +213,19 @@ class TestFEvalOnFields:
             exact = radial_F(sol, t, spec)
             got = F_eval(sphere_k2_field, t, spec).F
             assert abs(got - exact) <= 1e-4 * abs(exact)
+
+    @pytest.mark.parametrize("n,k,a", [(3, 1, 1.0), (5, 2, 2.0)])
+    def test_ball_within_1e5_at_128(self, n, k, a):
+        # the graph quadrature is O(h^4) on a ball, so what is left at
+        # N_s = 128 is the solve's own error: measured 2.2e-7 (k=1) and
+        # 5.0e-7 (k=2) at worst over T_GRID; marching squares gave 3.0e-4
+        # and 1.0e-3
+        sol = RadialSolution(n=n, k=k, R=1.0)
+        spec = ProblemSpec(n=n, k=k, a=a)
+        field = solve_exterior(RevolutionBody.sphere(1.0, n=n), spec, N_s=128)
+        for t in T_GRID:
+            exact = radial_F(sol, t, spec)
+            assert abs(F_eval(field, t, spec).F - exact) <= 1e-5 * abs(exact)
 
     def test_refinement_order(self, sphere_k2_field):
         sol = RadialSolution(n=5, k=2, R=1.0)
@@ -252,17 +328,18 @@ class TestMonotonicityAudit:
     @pytest.mark.parametrize("C3,C4", [(1.0, 0.0), (0.0, 1.0)])
     def test_k2_non_balls_non_increasing(self, request, body, a, C3, C4):
         # the paper's case k >= 2 off the ball: n=5, k=2 on prolate 1.5,1
-        # and cosper 0.1,2.  Measured upward moves are at most 2.3e-4
-        # against tol_mono of 1.4e-3 to 1.2e-2.  limit_gap_min is not
-        # asserted: for C3 = 1 it is negative and passes only within
-        # tol_mono (cosper a=2: -1.142e-2 against 1.157e-2), a verdict that
-        # waits for the error bars of ROADMAP item 3.
+        # and cosper 0.1,2.  Measured upward moves are at most 1.6e-4
+        # against tol_mono of 3.4e-4 to 3.3e-3, and limit_gap_min is
+        # positive in every case, at least 6.7e-4 (cosper, a=2, C3=1).
+        # Marching squares put that gap at -1.142e-2, inside only its own
+        # tol_mono of 1.157e-2.
         fine = request.getfixturevalue(f"{body}_k2_field")
         half = request.getfixturevalue(f"{body}_k2_field_half")
         spec = ProblemSpec(n=5, k=2, a=a, C3=C3, C4=C4)
         tol = self._richardson_tol(fine, half, spec, T_GRID)
         report = monotonicity_audit(fine, spec, tol)
         assert report.upward_violation <= report.tol_mono
+        assert report.limit_gap_min > 0.0
 
     def test_radial_constancy_flag(self, sphere_k2_field):
         spec = ProblemSpec(n=5, k=2, a=2.0)

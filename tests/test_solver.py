@@ -8,7 +8,7 @@ from scipy.interpolate import RectBivariateSpline
 
 from hesslab import solver
 from hesslab.errors import NewtonStall, PoorFit
-from hesslab.monotone import F_eval, ProblemSpec
+from hesslab.monotone import F_eval, ProblemSpec, extract_levelset
 from hesslab.radial import RadialSolution
 from hesslab.solver import (
     AxiGrid,
@@ -18,7 +18,8 @@ from hesslab.solver import (
     solve_exterior,
 )
 from hesslab.surfaces import RevolutionBody
-from oracles import dense_jet, equation_residual, interior_range, radial_value
+from oracles import (dense_jet, equation_residual, interior_range, radial_value,
+                     to_physical)
 
 
 def sampled_field(radial_fn, body, k, R_out, N_s, N_theta, eps=1e-8, rho_hat=1.0):
@@ -43,8 +44,8 @@ class TestAxiGrid:
     def test_to_physical_radius(self):
         body = RevolutionBody.sphere(2.0, n=3)
         grid = AxiGrid(body=body, R_out=40.0, N_s=32, N_theta=16)
-        z, rho = grid.to_physical(0.5, np.pi / 3)
-        assert np.hypot(z, rho) == pytest.approx(grid.radius(0.5, np.pi / 3))
+        z, rho = to_physical(grid, 0.5, np.pi / 3)
+        assert np.hypot(z, rho) == pytest.approx(2.0 * sqrt(20.0))
 
 
 def hessian_axisym(field, node):
@@ -485,30 +486,43 @@ class TestGhostRows:
 
 
 class TestBicubic:
-    """_Bicubic is the interpolant of scipy's RectBivariateSpline (s = 0)."""
-
-    @staticmethod
-    def _check(x, y, Z, rng):
-        xp = np.concatenate([rng.uniform(x[0], x[-1], 200), x, x[[0, -1, 0, -1]],
-                             np.full(y.size, x[-1])])
-        yp = np.concatenate([rng.uniform(y[0], y[-1], 200), rng.choice(y, x.size),
-                             y[[0, 0, -1, -1]], y])
-        got = solver._Bicubic(x, y, Z)(xp, yp)
-        for q, Zq in enumerate(Z):
-            ref = RectBivariateSpline(x, y, Zq)(xp, yp, grid=False)
-            assert np.max(np.abs(got[q] - ref)) <= 1e-14 * np.max(np.abs(Zq))
+    """On a node column the tensor not-a-knot bicubic of scipy's
+    RectBivariateSpline (s = 0) is the not-a-knot spline in s through that
+    column, which ExteriorField._columns holds and extract_levelset reads."""
 
     def test_node_jets_of_a_field(self, prolate_field):
         grid, jets = prolate_field.grid, prolate_field._node_jets()
         Z = np.stack([getattr(jets, key) for key in ("u",) + solver._JET_KEYS])
-        self._check(grid.s, grid.theta, Z, np.random.default_rng(0))
+        curves = [extract_levelset(prolate_field, t) for t in np.linspace(-0.9, -0.1, 9)]
+        for q, (key, Zq) in enumerate(zip(("u",) + solver._JET_KEYS, Z)):
+            spline = RectBivariateSpline(grid.s, grid.theta, Zq)
+            for curve in curves:
+                ref = spline(curve.sigma, grid.theta, grid=False)
+                got = getattr(curve.jets, key)
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(Zq))
 
     def test_nonuniform_grid(self):
+        # the column slopes of _columns, on non-uniform s nodes, read in
+        # Hermite form at random s on every node column
         rng = np.random.default_rng(1)
         x = np.cumsum(rng.uniform(0.1, 1.0, 9))
         y = np.cumsum(rng.uniform(0.1, 1.0, 6))
         Z = np.sin(x[:, None] + 2.0 * y[None, :]) + rng.standard_normal((3, 9, 6))
-        self._check(x, y, Z, rng)
+        slopes = np.moveaxis(solver._spline_slopes(x, np.moveaxis(Z, 1, -1),
+                                                   clamped=False), -1, 1)
+        xp = np.concatenate([rng.uniform(x[0], x[-1], 200), x])
+        i = np.minimum(np.searchsorted(x, xp, side="right") - 1, x.size - 2)
+        h = x[i + 1] - x[i]
+        a = ((xp - x[i]) / h)[:, None]
+        y0, y1 = Z[:, i], Z[:, i + 1]
+        d0, d1 = h[:, None] * slopes[:, i], h[:, None] * slopes[:, i + 1]
+        got = (y0 * (1 - a) ** 2 * (1 + 2 * a) + y1 * a**2 * (3 - 2 * a)
+               + d0 * a * (1 - a) ** 2 - d1 * a**2 * (1 - a))
+        for q, Zq in enumerate(Z):
+            ref = RectBivariateSpline(x, y, Zq)(np.repeat(xp, y.size),
+                                                np.tile(y, xp.size), grid=False)
+            ref = ref.reshape(xp.size, y.size)
+            assert np.max(np.abs(got[q] - ref)) <= 1e-14 * np.max(np.abs(Zq))
 
 
 class TestAdmissibilityGuard:
@@ -529,6 +543,34 @@ class TestAdmissibilityGuard:
         spec = ProblemSpec(n=5, k=2, a=2.0)
         with pytest.raises(NewtonStall):
             solve_exterior(body, spec, N_s=128)
+
+
+def test_stale_factor_line_search_refactors_early(monkeypatch):
+    # on prolate 2,1 (n=5, k=2, N_s=256) a step from the stale factor of
+    # the first eps level lowers rn at every halving, but the guard refuses
+    # each one: all 41 halvings took 72 residual evaluations in all, and
+    # refactoring after STALE_TRIES of them takes 37, with the same
+    # factorizations and back-solves
+    calls = []
+    evaluate, step = solver._ChordFactor.evaluate, solver._ChordFactor.step
+
+    def counting_evaluate(chord, U_int, f_int):
+        calls[-1][1] += 1
+        return evaluate(chord, U_int, f_int)
+
+    def counting_step(chord, res):
+        calls.append([chord.fresh, 0])
+        return step(chord, res)
+
+    monkeypatch.setattr(solver._ChordFactor, "evaluate", counting_evaluate)
+    monkeypatch.setattr(solver._ChordFactor, "step", counting_step)
+    calls.append([None, 0])  # the evaluation of the start
+    body = RevolutionBody.spheroid(2.0, 1.0, n=5)
+    fld = solve_exterior(body, ProblemSpec(n=5, k=2, a=2.0), N_s=256, N_theta=32)
+    assert fld.residual_norm <= solver.TOL_NEWTON
+    assert sum(n for _, n in calls) == fld.residual_evals <= 40
+    assert max(n for fresh, n in calls if fresh is False) == solver.STALE_TRIES
+    assert (fld.factorizations, fld.back_solves) == (3, 28)
 
 
 def test_guard_stall_message_names_the_guard():
