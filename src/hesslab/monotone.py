@@ -96,17 +96,16 @@ class ProblemSpec:
 
 
 def weights(t, spec: ProblemSpec):
-    """Closed-form weight pair (C1(t), C2(t)) for t in [-1, 0)."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t >= 0) or np.any(t < -1):
+    """Closed-form weight pair (C1(t), C2(t)) for t in [-1, 0):
+    C1 = (-t)^(-p) (C3 + C4 (-t)) and
+    C2 = -(-t)^(-q) (p / (a + 1 - k) C3 + (n - k) / (n - 2k) C4 (-t))."""
+    mt = -np.asarray(t, dtype=float)
+    if np.any((mt <= 0) | (mt > 1)):
         raise ValueError("levels must lie in [-1, 0)")
-    mt = -t
-    n, k, a = spec.n, spec.k, spec.a
-    p, q = spec.p_exponent, spec.q_exponent
-    c1 = mt ** (-p) * spec.C3 + mt ** (1 - p) * spec.C4
-    c2 = -(p / (a + 1 - k)) * spec.C3 * mt ** (-q) - (n - k) / (
-        n - 2 * k
-    ) * spec.C4 * mt ** (1 - q)
+    n, k, p, q = spec.n, spec.k, spec.p_exponent, spec.q_exponent
+    c4 = spec.C4 * mt
+    c1 = mt**-p * (spec.C3 + c4)
+    c2 = -(mt**-q) * (p / (spec.a + 1 - k) * spec.C3 + (n - k) / (n - 2 * k) * c4)
     return c1, c2
 
 

@@ -84,79 +84,26 @@ class AxiGrid:
         self.d2lngam = self.body.d2gamma / g - self.dlngam**2
         self.D = log(self.R_out) - self.lngam
         self._on_axis = np.abs(np.sin(self.theta)) < 1e-12
-        self._terms = None
+        self._factors = None
 
     @property
     def r_nodes(self):
         return np.exp(self.lngam[None, :] + self.s[:, None] * self.D[None, :])
 
-    def _chain_terms(self):
-        """The chain rule, cached: (1/r, s - 1, z, rho on the grid, terms).
-        Each meridian jet is linear in F_q = (U_s, U_ss, U_theta,
-        U_s theta, U_theta theta): terms[jet] = (p, [(q, m, a(theta)), ...])
-        stands for (1/r)^p sum a (s - 1)^m F_q.  kappat = u_rho / rho has
-        zero terms on the axis, where it is urhorho."""
-        if self._terms is None:
-            r = self.r_nodes
-            self._terms = (1.0 / r, self.s[:, None] - 1.0, r * np.cos(self.theta),
-                           r * np.sin(self.theta), _chain_rule(self))
-        return self._terms
-
-
-def _poly_mul(x, y):
-    """Product of polynomials {(p, m): a(theta)} in 1/r and s - 1."""
-    out = {}
-    for (p1, m1), a in x.items():
-        for (p2, m2), b in y.items():
-            out[p1 + p2, m1 + m2] = out.get((p1 + p2, m1 + m2), 0.0) + a * b
-    return out
-
-
-def _chain_rule(grid: AxiGrid):
-    """The terms of AxiGrid._chain_terms: the radial map gives the polar
-    derivatives (u_r, u_t, u_rr, u_rt, u_tt) in the F_q, and the meridian
-    jets are the polar ones through the derivatives of (r, theta) in
-    (z, rho)."""
-    gp, iD = grid.dlngam, 1.0 / grid.D  # L = log(R_out / gamma) = D
-    sin, cos = np.sin(grid.theta), np.cos(grid.theta)
-    one = {(0, 0): 1.0}
-    s_r = {(1, 0): iD}
-    s_th = {(0, 1): gp * iD}
-    polar = (  # {q: polynomial} of u_r, u_t, u_rr, u_rt, u_tt
-        {0: s_r},
-        {0: s_th, 2: one},
-        {0: {(2, 0): -iD}, 1: _poly_mul(s_r, s_r)},
-        {0: {(1, 0): gp * iD**2}, 1: _poly_mul(s_r, s_th), 3: s_r},
-        {
-            0: {(0, 1): grid.d2lngam * iD + 2.0 * gp**2 * iD**2},
-            1: _poly_mul(s_th, s_th),
-            3: {(0, 1): 2.0 * gp * iD},
-            4: one,
-        },
-    )
-    sc = sin * cos
-    meridian = {  # coefficients of u_r, u_t, u_rr, u_rt, u_tt
-        "uz": ({(0, 0): cos}, {(1, 0): -sin}),
-        "urho": ({(0, 0): sin}, {(1, 0): cos}),
-        "uzz": ({(1, 0): sin**2}, {(2, 0): 2.0 * sc}, {(0, 0): cos**2},
-                {(1, 0): -2.0 * sc}, {(2, 0): sin**2}),
-        "uzrho": ({(1, 0): -sc}, {(2, 0): sin**2 - cos**2}, {(0, 0): sc},
-                  {(1, 0): cos**2 - sin**2}, {(2, 0): -sc}),
-        "urhorho": ({(1, 0): cos**2}, {(2, 0): -2.0 * sc}, {(0, 0): sin**2},
-                    {(1, 0): 2.0 * sc}, {(2, 0): cos**2}),
-    }
-    terms = {}
-    for key, weights in meridian.items():
-        acc = {}
-        for a, by_q in zip(weights, polar):
-            for q, poly in by_q.items():
-                for (p, m), c in _poly_mul(a, poly).items():
-                    acc[p, q, m] = acc.get((p, q, m), 0.0) + c
-        (p,) = {p for p, _, _ in acc}  # every term has the same power of 1/r
-        terms[key] = (p, [(q, m, c) for (_, q, m), c in sorted(acc.items())])
-    inv_sin = np.divide(1.0, sin, out=np.zeros_like(sin), where=~grid._on_axis)
-    terms["kappat"] = (2, [(q, m, c * inv_sin) for q, m, c in terms["urho"][1]])
-    return terms
+    def _chain_factors(self):
+        """The chain rule's factors, cached: 1/r, z and rho on the grid, and
+        the theta vectors a = 1/L, b = gamma'/(gamma L), c = gamma'/(gamma L^2),
+        e = (log gamma)''/L + 2 b^2, cos, sin and cot theta (0 on the
+        axis).  With L = log(R_out / gamma) the radial map has s_r = a/r,
+        s_theta = (s - 1) b, s_r theta = c/r and s_theta theta = (s - 1) e."""
+        if self._factors is None:
+            r, th = self.r_nodes, self.theta
+            a, b = 1.0 / self.D, self.dlngam / self.D
+            sin, cos = np.sin(th), np.cos(th)
+            cot = np.divide(cos, sin, out=np.zeros_like(sin), where=~self._on_axis)
+            self._factors = (1.0 / r, r * cos, r * sin, a, b, a * b,
+                             self.d2lngam * a + 2.0 * b * b, cos, sin, cot)
+        return self._factors
 
 
 def _centered(U, hs, ht):
@@ -181,27 +128,30 @@ def _theta_derivs(A, ht):
 def _chain(grid: AxiGrid, rows, F, u) -> AxiJets:
     """The AxiJets of grid rows `rows` (a slice), where the node values
     are u, from the derivatives F = (U_s, U_ss, U_theta, U_s theta,
-    U_theta theta) there, by the cached AxiGrid._chain_terms."""
-    ir, t, z, rho, terms = grid._chain_terms()
-    ir, t = ir[rows], t[rows]
-    moments = {}  # (s - 1)^m F_q
-
-    def jet(key):
-        p, by_qm = terms[key]
-        for q, m, _ in by_qm:
-            if (q, m) not in moments:
-                moments[q, m] = F[q] if m == 0 else t**m * F[q]
-        (q, m, c), *rest = by_qm
-        acc = c * moments[q, m]
-        for q, m, c in rest:
-            acc += c * moments[q, m]
-        acc *= ir if p == 1 else ir * ir
-        return acc
-
-    uz, urho, uzz, uzrho, urhorho, kappat = map(jet, _JET_KEYS)
+    U_theta theta) there, in two stages.  The radial map gives the r-free
+    polar derivatives (pr, pt, prr, prt, ptt) = (r u_r, u_theta, r^2 u_rr,
+    r u_r theta, u_theta theta); r^2 times the Hessian in the polar frame,
+    (prr, prt - pt, ptt + pr), turned by theta is r^2 times the meridian
+    Hessian.  kappat = u_rho / rho = (pr + cot theta pt) / r^2, and
+    urhorho on the axis."""
+    ir, z, rho, a, b, c, e, cos, sin, cot = grid._chain_factors()
+    ir, t = ir[rows], grid.s[rows, None] - 1.0
+    Us, Uss, Ut, Ust, Utt = F
+    bt = b * t  # s_theta
+    pr, pt = a * Us, bt * Us + Ut
+    # r^2 times the polar-frame Hessian, (prr, prt - pt, ptt + pr)
+    hrr = a * (a * Uss - Us)
+    hrt = a * (bt * Uss + Ust) + c * Us - pt
+    htt = bt * (bt * Uss + 2.0 * Ust) + (e * t) * Us + Utt + pr
+    ir2 = ir * ir
+    cc, ss, sc = cos * cos, sin * sin, sin * cos
+    urhorho = (ss * hrr + 2.0 * sc * hrt + cc * htt) * ir2
+    kappat = (pr + cot * pt) * ir2
     kappat[:, grid._on_axis] = urhorho[:, grid._on_axis]
-    return AxiJets(grid.body.n, z[rows], rho[rows], u, uz, urho, uzz, uzrho,
-                   urhorho, kappat)
+    return AxiJets(grid.body.n, z[rows], rho[rows], u, (cos * pr - sin * pt) * ir,
+                   (sin * pr + cos * pt) * ir,
+                   (cc * hrr - 2.0 * sc * hrt + ss * htt) * ir2,
+                   (sc * (hrr - htt) + (cc - ss) * hrt) * ir2, urhorho, kappat)
 
 
 def _margin(levels):
@@ -210,19 +160,29 @@ def _margin(levels):
 
 
 def _stencil_weights(grid: AxiGrid, rows, partials):
-    """w_q = sum_c (dS_k/dc) C[c, q] on grid rows `rows`, C the chain-rule
-    coefficients: the linearization of S_k in the five F_q, from the
-    partials of AxiJets.split.  On the axis kappat is urhorho."""
+    """w_q = dS_k/dF_q on grid rows `rows`: the linearization of S_k in
+    the five F_q, from the partials of AxiJets.split, by the two stages
+    of _chain transposed.  On the axis kappat is urhorho."""
+    ir, _, _, a, b, c, e, cos, sin, cot = grid._chain_factors()
+    ir2, t = ir[rows] ** 2, grid.s[rows, None] - 1.0
     d_zz, d_zrho, d_rhorho, d_kap = partials
-    partials = (d_zz, d_zrho, d_rhorho + d_kap * grid._on_axis, d_kap)
-    ir, t, _, _, terms = grid._chain_terms()
-    ir2, t = ir[rows] ** 2, t[rows]
-    w = [0.0] * 5
-    for key, dS in zip(_JET_KEYS[2:], partials):
-        _, by_qm = terms[key]  # p = 2
-        dS = dS * ir2
-        for q, m, c in by_qm:
-            w[q] = w[q] + (dS * t**m) * c
+    on = grid._on_axis
+    d_rhorho, d_kap = d_rhorho + on * d_kap, ~on * d_kap
+    cc, ss, sc = cos * cos, sin * sin, sin * cos
+    # the partials in _chain's hrr, hrt, htt and pt (that in pr is g_tt + d_kap),
+    # all but the 1/r^2 of every jet, which scales each w_q last
+    g_rr = cc * d_zz + sc * d_zrho + ss * d_rhorho
+    g_rt = 2.0 * sc * (d_rhorho - d_zz) + (cc - ss) * d_zrho
+    g_tt = ss * d_zz - sc * d_zrho + cc * d_rhorho
+    g_pt = cot * d_kap - g_rt
+    bt = b * t
+    w = [a * (g_tt + d_kap - g_rr) + bt * g_pt + c * g_rt + (e * t) * g_tt,
+         a * (a * g_rr + bt * g_rt) + bt * bt * g_tt,
+         g_pt,
+         a * g_rt + 2.0 * bt * g_tt,
+         g_tt]
+    for wq in w:
+        wq *= ir2
     return w
 
 

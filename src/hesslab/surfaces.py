@@ -316,14 +316,14 @@ class RevolutionBody:
     # -- profile file format ------------------------------------------
 
     @classmethod
-    def load_profile(cls, path, samples=None):
+    def load_profile(cls, path):
         with open(path) as fh:
             header = fh.readline().strip()
             if not header.startswith(PROFILE_HEADER):
                 raise ValueError(f"not a revolution-profile file: {path}")
             n = int(header.split("n=")[1])
             data = np.loadtxt(fh)
-        return cls.from_samples(n, data[:, 0], data[:, 1], samples)
+        return cls.from_samples(n, data[:, 0], data[:, 1])
 
 
 @dataclass
@@ -399,10 +399,10 @@ def curvature_samples(body: RevolutionBody) -> SurfaceSampleSet:
     )
 
 
-def _require_convex(samples: SurfaceSampleSet, margin=1e-12):
+def _require_convex(samples: SurfaceSampleSet):
     worst = min(float(np.min(samples.kappa_m)), float(np.min(samples.kappa_r)))
-    if worst <= margin:
-        raise NotConvex(f"curvature sample {worst:.3e} <= convexity margin {margin:g}")
+    if worst <= 1e-12:
+        raise NotConvex(f"curvature sample {worst:.3e} <= convexity margin 1e-12")
 
 
 def af_sides(samples: SurfaceSampleSet, k):

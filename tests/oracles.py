@@ -5,8 +5,9 @@ closed form, so that a test can hold hesslab's own implementation against
 it: dense second-order jets and their level-set curvatures, the radial
 jets of a ball, the sum of principal minors, the Garding cone test, the
 weight ODE residuals, the quermassintegral and Minkowski checks, the
-boundary constant formula, the equation residual of a solved field, and
-the marching-squares contour of a level of a solved field.
+boundary constant formula, the equation residual of a solved field, a
+sampled field whose level sets are ellipses, and the marching-squares
+contour of a level of a solved field.
 """
 
 from dataclasses import dataclass
@@ -311,6 +312,42 @@ def to_physical(grid: AxiGrid, s, theta):
     g = _ClampedSpline(grid.theta, grid.lngam)(theta)
     r = np.exp(g + np.asarray(s) * (log(grid.R_out) - g))
     return r * np.cos(theta), r * np.sin(theta)
+
+
+# -- a field whose level sets are ellipses ---------------------------------
+
+#: Semi-axis along z of the prolate spheroid ELLIPSE_A,1 of ellipsoidal_field.
+ELLIPSE_A = 1.5
+
+
+def ellipsoidal_field(N_s):
+    """u = -((z / A)^2 + rho^2)^(-1/2), A = ELLIPSE_A, sampled with n = 3 on
+    the grid of the prolate spheroid A,1 with N_theta = N_s / 2.  u = -1 on
+    the body, u rises in s on every column, and the level set {u = t} is
+    the ellipse (z / A)^2 + rho^2 = t^(-2)."""
+    body = RevolutionBody.spheroid(ELLIPSE_A, 1.0, n=3)
+    grid = AxiGrid(body, 40.0 * body.max_radius, N_s, N_s // 2)
+    z, rho = grid.r_nodes * np.cos(grid.theta), grid.r_nodes * np.sin(grid.theta)
+    u = -(((z / ELLIPSE_A) ** 2 + rho**2) ** -0.5)
+    return ExteriorField(grid=grid, u=u, k=1, eps=0.02, rho_hat=1.0)
+
+
+def ellipsoidal_jets(z, rho):
+    """{jet: value} of the six meridian jets of ellipsoidal_field's u at
+    (z, rho); kappat = u_rho / rho is q^(-3/2), q = (z / A)^2 + rho^2, on
+    the axis too."""
+    a2 = ELLIPSE_A**2
+    q = z * z / a2 + rho * rho
+    q3, q5 = q**-1.5, q**-2.5
+    return {"uz": z * q3 / a2, "urho": rho * q3,
+            "uzz": q3 / a2 - 3.0 * z * z * q5 / a2**2,
+            "uzrho": -3.0 * z * rho * q5 / a2,
+            "urhorho": q3 - 3.0 * rho * rho * q5, "kappat": q3}
+
+
+def ellipse_radius(t, theta):
+    """r(theta) of the level set {u = t} of ellipsoidal_field's u."""
+    return 1.0 / (-t * np.hypot(np.cos(theta) / ELLIPSE_A, np.sin(theta)))
 
 
 class Contour(NamedTuple):

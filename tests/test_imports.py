@@ -1,9 +1,10 @@
 """Every name a hesslab module or a test module imports is used there or,
 in a hesslab module, listed in __all__; every parameter of a hesslab
-function is read; every hesslab definition is reached from the CLI or the
-benchmark; hesslab leaves out the scipy subpackages whose import costs
-more than the few routines it would take from them; and it loads scipy at
-all only to factor a Newton Jacobian."""
+function is read, and every default of one is overridden by some call;
+every hesslab definition is reached from the CLI or the benchmark; hesslab
+leaves out the scipy subpackages whose import costs more than the few
+routines it would take from them; and it loads scipy at all only to
+factor a Newton Jacobian."""
 
 import ast
 import subprocess
@@ -87,6 +88,75 @@ def test_parameter_detector():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_parameters(path):
     assert _unused_parameters(path.read_text()) == []
+
+
+def _calls(sources):
+    """{name: [(positional count, keywords), ...]} of every call in the
+    sources, by the called function or attribute name; a *args passes every
+    position and a **kwargs every keyword (as the keyword None)."""
+    calls = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            passed = (float("inf") if starred else len(node.args),
+                      {kw.arg for kw in node.keywords})
+            calls.setdefault(name, []).append(passed)
+    return calls
+
+
+def _unset_defaults(source, calls):
+    """function(parameter) for each defaulted parameter of a function in
+    source that no call of its name in `calls` (see _calls) passes, by
+    keyword or by position; dunders are exempt.  Positions of a method
+    other than a staticmethod start after self or cls."""
+    found = []
+
+    def visit(node, in_class):
+        for fn in ast.iter_child_nodes(node):
+            is_def = isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(fn, isinstance(fn, ast.ClassDef))
+            if not is_def or fn.name.startswith("__") and fn.name.endswith("__"):
+                continue
+            a = fn.args
+            positional = [p.arg for p in a.posonlyargs + a.args]
+            if in_class and "staticmethod" not in [getattr(d, "id", None)
+                                                   for d in fn.decorator_list]:
+                positional = positional[1:]
+            first = len(positional) - len(a.defaults)
+            defaulted = [(i, p) for i, p in enumerate(positional) if i >= first]
+            defaulted += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+            found.extend(f"{fn.name}({p})" for i, p in defaulted
+                         if not any(p in kws or None in kws or (i is not None and n > i)
+                                    for n, kws in calls.get(fn.name, ())))
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_default_detector():
+    source = (
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    return a\n"
+        "def g(x=0):\n    return x\n"
+        "def __h__(y=0):\n    return y\n"
+        "class A:\n"
+        "    def m(self, u=0, v=1):\n        return u\n"
+        "    @staticmethod\n    def s(w=0):\n        return w\n"
+    )
+    calls = _calls([source, "f(0, 1, d=5)\nA().m(2)\nA.s(1)\ng(**{})\n"])
+    assert _unset_defaults(source, calls) == ["f(c)", "f(e)", "m(v)"]
+
+
+def test_every_default_is_overridden():
+    """A default that no call in src/, hessbench/ or tests/ overrides is a
+    knob nobody turns: its value belongs inline."""
+    calls = _calls([p.read_text() for d in (SRC, BENCH, TESTS)
+                    for p in sorted(d.glob("*.py"))])
+    for path in sorted(SRC.glob("*.py")):
+        assert _unset_defaults(path.read_text(), calls) == [], path.name
 
 
 @pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)

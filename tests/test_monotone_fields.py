@@ -25,7 +25,8 @@ from hesslab.monotone import (
 from hesslab.radial import RadialSolution, radial_F
 from hesslab.solver import AxiGrid, ExteriorField, solve_exterior
 from hesslab.surfaces import RevolutionBody
-from oracles import dense_jet, levelset_curvature, marching_squares, to_physical
+from oracles import (dense_jet, ellipse_radius, ellipsoidal_field, levelset_curvature,
+                     marching_squares, to_physical)
 
 T_GRID_K1 = np.linspace(-0.9, -0.1, 9)
 T_GRID_K2 = np.linspace(-0.9, -0.25, 8)
@@ -74,6 +75,15 @@ class TestExtractLevelset:
         i = np.searchsorted(s, curve.sigma) - 1
         cols = np.arange(u.shape[1])
         assert np.all((u[i, cols] <= t) & (t < u[i + 1, cols]))
+
+    def test_level_sits_on_the_ellipse(self):
+        # a non-ball, so a level set at the wrong sigma reads wrong; measured
+        # 2.8e-9 (1.4e-4 with sigma at the linear crossing of its cell)
+        field = ellipsoidal_field(128)
+        g = field.grid
+        for t in T_GRID:
+            r = np.exp(g.lngam + extract_levelset(field, t).sigma * g.D)
+            np.testing.assert_allclose(r, ellipse_radius(t, g.theta), rtol=1e-6)
 
 
 def _monotone_except_column(j, N_s=32, N_theta=16):
