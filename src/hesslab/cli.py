@@ -252,6 +252,9 @@ def cmd_solve(args):
     print(f"eps_levels={','.join(f'{e:g}' for e in eps)} "
           f"level_back_solves={','.join(map(str, back_solves))} "
           f"level_residuals={','.join(f'{r:.3e}' for r in residuals)}")
+    steps, worst = zip(*field.ghost_rows)
+    print(f"ghost_rows=body,outer steps={','.join(map(str, steps))} "
+          f"residuals={','.join(f'{r:.3e}' for r in worst)}")
     print(f"wrote {path}")
     return EXIT_OK
 

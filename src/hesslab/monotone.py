@@ -226,9 +226,9 @@ def F_eval(field, t, spec: ProblemSpec) -> FResult:
     All points of the level at once: the jets on every theta node column
     and H_k, H_{k-1} from the axisymmetric split.  None of this
     depends on the weights, so the field keeps the quadrature weights,
-    H_k, H_{k-1} and |grad u| of each (t, n, k) it has seen: a
-    family of weights costs one level-set extraction per level, and each
-    further member only its weights and two sums.
+    H_k, H_{k-1} and |grad u| of each (t, n, k) it has seen, with the two
+    integrals of each exponent a: a family of weights costs one level-set
+    extraction per level and two sums per level and exponent.
     """
     key = (float(t), spec.n, spec.k)
     level = field._level_cache.get(key)
@@ -237,11 +237,13 @@ def F_eval(field, t, spec: ProblemSpec) -> FResult:
         jets = curve.jets
         sk = rhs_at_radius(jets.r, field.eps, spec.n, field.cnk)
         hk, hk1 = levelset_curvature_axisym(jets, spec.k, sk)
-        level = (curve.weight, hk, hk1, jets.grad_norm)
+        level = (curve.weight, hk, hk1, jets.grad_norm, {})
         field._level_cache[key] = level
-    weight, hk, hk1, gn = level
-    int_hk = float(np.sum(hk * gn**spec.a * weight))
-    int_hk1 = float(np.sum(hk1 * gn ** (spec.a + 1) * weight))
+    weight, hk, hk1, gn, sums = level
+    if spec.a not in sums:
+        sums[spec.a] = (float(np.sum(hk * gn**spec.a * weight)),
+                        float(np.sum(hk1 * gn ** (spec.a + 1) * weight)))
+    int_hk, int_hk1 = sums[spec.a]
     c1, c2 = weights(t, spec)
     return FResult(
         t=t,

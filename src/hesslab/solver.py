@@ -120,9 +120,11 @@ def _centered(U, hs, ht):
 
 
 def _theta_derivs(A, ht):
-    """Centered theta derivatives with even-reflection ghosts at the poles."""
-    G = np.concatenate([A[:, 1:2], A, A[:, -2:-1]], axis=1)
-    return (G[:, 2:] - G[:, :-2]) / (2 * ht), (G[:, 2:] - 2 * A + G[:, :-2]) / ht**2
+    """Centered theta derivatives along the last axis, with even-reflection
+    ghosts at the poles."""
+    G = np.concatenate([A[..., 1:2], A, A[..., -2:-1]], axis=-1)
+    up, down = G[..., 2:], G[..., :-2]
+    return (up - down) / (2 * ht), (up - 2 * A + down) / ht**2
 
 
 def _chain(grid: AxiGrid, rows, F, u) -> AxiJets:
@@ -215,55 +217,60 @@ def _slots(grid: AxiGrid, w):
     return V
 
 
-def _ghost_row_residual(grid, U, v, which, k, f, grad=False):
-    """S_k - f^eps on Dirichlet row `which` (0 or -1), with ghost values v
-    beyond it; with grad, also d/dv in the (1, 1) band layout of
-    surfaces._solve_tridiagonal, which is tridiagonal: v enters the
-    stencils as the row di = -1 or +1."""
-    ext = np.vstack([v, U[0], U[1]] if which == 0 else [U[-2], U[-1], v])
-    rows = slice(0, 1) if which == 0 else slice(-1, None)
-    jets = _chain(grid, rows, _centered(ext, grid.hs, grid.ht), ext[1:2])
+def _ghost_row_residual(grid, U, v, k, f, grad=False):
+    """S_k - f^eps (2, W) on both Dirichlet rows, with ghost values v[0]
+    below the body row and v[1] beyond the outer one; with grad, also d/dv
+    (2, 3, W) of each row in the (1, 1) band layout of _solve_tridiagonal,
+    which is tridiagonal: v enters the stencils as the row di = -1 or +1."""
+    ext = np.stack([[v[0], U[-2]], [U[0], U[-1]], [U[1], v[1]]])
+    rows = [0, grid.N_s]
+    F = [Fq[0] for Fq in _centered(ext, grid.hs, grid.ht)]
+    jets = _chain(grid, rows, F, ext[1])
     split = jets.split(k, grad)
-    phi = split.levels[-1][0] - f
+    phi = split.levels[-1] - f
     if not grad:
         return phi
-    w = _stencil_weights(grid, rows, split.grad)
-    V = _slots(grid, w)[0 if which == 0 else 2, :, 0]
-    ab = np.zeros((3, v.size))
-    ab[0, 1:], ab[1], ab[2, :-1] = V[2, :-1], V[1], V[0, 1:]
+    V = _slots(grid, _stencil_weights(grid, rows, split.grad))
+    V = np.stack([V[0, :, 0], V[2, :, 1]])  # [row, dj + 1, j]
+    ab = np.zeros((2, 3, v.shape[1]))
+    ab[:, 0, 1:], ab[:, 1], ab[:, 2, :-1] = V[:, 2, :-1], V[:, 1], V[:, 0, 1:]
     return phi, ab
 
 
-def _solve_ghost_row(field, which):
-    """Ghost values making the equation hold on Dirichlet row `which` of
-    a field: Newton with the exact tridiagonal Jacobian from cubic
-    extrapolation, until a step no longer lowers the row residual.  Raises
-    NewtonStall if it ends above TOL_NEWTON or meets a singular Jacobian
-    (as on a constant u)."""
-    grid, U, n, k = field.grid, field.u, field.n, field.k
-    i = 1 if which == 0 else -1
-    v = 3 * U[which] - 3 * U[which + i] + U[which + 2 * i]
-    f = rhs_at_radius(grid.r_nodes[which], field.eps, n, field.cnk)
-    phi, ab = _ghost_row_residual(grid, U, v, which, k, f, grad=True)
+def _solve_ghost_rows(field):
+    """Ghost values (2, W) making the equation hold on both Dirichlet rows
+    of a field, and per row (Newton steps, final max |phi|): Newton with
+    the exact tridiagonal Jacobian of each row from cubic extrapolation.
+    The rows share each residual evaluation but not their stop: a row steps
+    until a step no longer lowers its own max |phi|, and is then frozen.
+    Raises NewtonStall, naming the row, if a row ends above TOL_NEWTON or
+    meets a singular Jacobian (as on a constant u)."""
+    grid, U, k = field.grid, field.u, field.k
+    v = 3 * U[[0, -1]] - 3 * U[[1, -2]] + U[[2, -3]]
+    f = rhs_at_radius(grid.r_nodes[[0, -1]], field.eps, field.n, field.cnk)
+    phi, ab = _ghost_row_residual(grid, U, v, k, f, grad=True)
+    worst, steps, live = np.abs(phi).max(axis=1), np.zeros(2, int), np.ones(2, bool)
     for _ in range(MAX_NEWTON):
-        try:
-            v_new = v - _solve_tridiagonal(ab, phi.copy())
-        except LinAlgError as exc:
-            raise NewtonStall(
-                f"ghost row at s = {grid.s[which]:g}: singular Jacobian at "
-                f"residual {np.abs(phi).max():.3e}"
-            ) from exc
-        phi_new, ab_new = _ghost_row_residual(grid, U, v_new, which, k, f, True)
-        if not np.abs(phi_new).max() < np.abs(phi).max():
+        v_new = v.copy()
+        for r in np.flatnonzero(live):
+            try:
+                v_new[r] -= _solve_tridiagonal(ab[r], phi[r].copy())
+            except LinAlgError as exc:
+                raise NewtonStall(
+                    f"ghost row at s = {grid.s[-r]:g}: singular Jacobian at "
+                    f"residual {worst[r]:.3e}"
+                ) from exc
+        phi_new, ab_new = _ghost_row_residual(grid, U, v_new, k, f, True)
+        live &= np.abs(phi_new).max(axis=1) < worst
+        if not live.any():
             break
-        v, phi, ab = v_new, phi_new, ab_new
-    worst = float(np.abs(phi).max())
-    if worst > TOL_NEWTON:
-        raise NewtonStall(
-            f"ghost row at s = {grid.s[which]:g} stopped at residual "
-            f"{worst:.3e} > {TOL_NEWTON:g}"
-        )
-    return v
+        v[live], phi[live], ab[live] = v_new[live], phi_new[live], ab_new[live]
+        worst, steps = np.abs(phi).max(axis=1), steps + live
+    for r in (0, 1):
+        if worst[r] > TOL_NEWTON:
+            raise NewtonStall(f"ghost row at s = {grid.s[-r]:g} stopped at "
+                              f"residual {worst[r]:.3e} > {TOL_NEWTON:g}")
+    return v, tuple(zip(steps.tolist(), worst.tolist()))
 
 
 @dataclass
@@ -271,18 +278,21 @@ class ExteriorField:
     """Discrete solution of the approximating equation on an AxiGrid.
 
     u holds node values including both Dirichlet rows; treat a returned
-    field as immutable.  Three post-solve caches rely on that and are never
+    field as immutable.  Four post-solve caches rely on that and are never
     invalidated: the node jets (_node_jets), the splines in s of u and of
     those jets on every theta node column (_columns, made once the column
-    check of star shape has passed) and, filled by monotone.F_eval, the
-    weight-free part of F(t) at each level.  A new, reloaded or
-    dataclasses.replace'd field starts with all three empty.  The counters
+    check of star shape has passed), the spline of the boundary |grad u|
+    (boundary_gradient) and, filled by monotone.F_eval, the weight-free
+    part of F(t) at each level, with its two integrals per exponent a.  A
+    new, reloaded or dataclasses.replace'd field starts with all four
+    empty, and with ghost_rows empty: _node_jets sets it to the (Newton
+    steps, final max |phi|) of the body and the outer ghost row.  The counters
     factorizations, back_solves and residual_evals record the work of the
     solve_exterior call that produced the field (the Jacobian is analytic, so residual_evals counts
     only the iterates Newton tried), and eps_levels holds (eps, back-solves,
     residual stopped at) for each of its eps levels; they are zero and
-    empty for sampled or loaded fields and are not part of the checkpoint
-    format.
+    empty for sampled or loaded fields and, like ghost_rows, are not part
+    of the checkpoint format.
     """
 
     grid: AxiGrid
@@ -301,7 +311,9 @@ class ExteriorField:
     def __post_init__(self):
         self._jets_cache = None
         self._columns_cache = None
+        self._boundary_spline = None
         self._level_cache = {}
+        self.ghost_rows = ()
 
     @property
     def n(self):
@@ -314,8 +326,8 @@ class ExteriorField:
         jets both second-order and admissible."""
         if self._jets_cache is None:
             grid = self.grid
-            v0, v1 = _solve_ghost_row(self, 0), _solve_ghost_row(self, -1)
-            F = _centered(np.vstack([v0, self.u, v1]), grid.hs, grid.ht)
+            v, self.ghost_rows = _solve_ghost_rows(self)
+            F = _centered(np.vstack([v[0], self.u, v[1]]), grid.hs, grid.ht)
             self._jets_cache = _chain(grid, slice(None), F, self.u)
         return self._jets_cache
 
@@ -352,8 +364,10 @@ class ExteriorField:
 
     def boundary_gradient(self, theta):
         """|grad u| on the body boundary, interpolated onto given angles."""
-        gn = self._node_jets().grad_norm[0]
-        return _ClampedSpline(self.grid.theta, gn)(theta)
+        if self._boundary_spline is None:
+            gn = self._node_jets().grad_norm[0]
+            self._boundary_spline = _ClampedSpline(self.grid.theta, gn)
+        return self._boundary_spline(theta)
 
     # -- checkpoint format --------------------------------------------
 
@@ -377,7 +391,7 @@ class ExteriorField:
                 fh.write("%.17g %.17g %.17g %.17g\n" % row)
             fh.write("# u\n")
             fmt = " ".join(["%.17g"] * self.u.shape[1]) + "\n"
-            fh.writelines(fmt % tuple(row.tolist()) for row in self.u)
+            fh.write((fmt * self.u.shape[0]) % tuple(self.u.ravel().tolist()))
 
     @classmethod
     def load_checkpoint(cls, path):

@@ -166,6 +166,20 @@ class TestSolve:
         assert int(counts["factorizations"]) == 1
         assert int(counts["back_solves"]) >= 1
 
+    def test_prints_ghost_rows(self, tmp_path, capsys):
+        code = cli.run([
+            "solve", "--body", "sphere", "--R", "1", "--n", "3", "--k", "1",
+            "--N-s", "32", "--out", str(tmp_path),
+        ])
+        assert code == cli.EXIT_OK
+        out = capsys.readouterr().out
+        line = next(ln for ln in out.splitlines() if ln.startswith("ghost_rows="))
+        record = dict(tok.split("=") for tok in line.split())
+        assert record["ghost_rows"] == "body,outer"
+        assert all(int(s) >= 1 for s in record["steps"].split(","))
+        residuals = [float(r) for r in record["residuals"].split(",")]
+        assert len(residuals) == 2 and max(residuals) <= 1e-10
+
     def test_prints_eps_levels(self, tmp_path, capsys):
         code = cli.run([
             "solve", "--body", "sphere", "--R", "1", "--n", "5", "--k", "2",

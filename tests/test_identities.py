@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hesslab import cli, identities, surfaces
+from hesslab import cli, identities, solver, surfaces
 from hesslab.identities import (
     CERTIFIED_BALL,
     CERTIFIED_NOT_OVERDETERMINED,
@@ -14,7 +14,7 @@ from hesslab.identities import (
     inequality_ledger,
     pohozaev_lemma34,
 )
-from hesslab.monotone import ProblemSpec
+from hesslab.monotone import F_boundary, ProblemSpec
 from hesslab.radial import RadialSolution
 from hesslab.solver import ExteriorField
 from hesslab.surfaces import RevolutionBody, sphere_measure
@@ -242,6 +242,34 @@ class TestPaperCaseK2:
             assert entries[name].residual_or_gap > 0.0
         report = certify_ball(fld, body, spec)
         assert report.verdict == CERTIFIED_NOT_OVERDETERMINED
+
+
+def test_one_boundary_spline_and_ghost_newton_per_field(cosper_k2_field, monkeypatch):
+    # the boundary |grad u| spline and the ghost rows are per-field caches
+    built = {"spline": 0, "ghost": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            built[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solver, "_ClampedSpline", counted(solver._ClampedSpline, "spline"))
+    monkeypatch.setattr(solver, "_solve_ghost_rows",
+                        counted(solver._solve_ghost_rows, "ghost"))
+    fld = cosper_k2_field
+    fresh = ExteriorField(grid=fld.grid, u=fld.u.copy(), k=fld.k, eps=fld.eps,
+                          rho_hat=fld.rho_hat, cnk=fld.cnk)
+    body = fresh.grid.body
+    for a in (2.0, 3.0):
+        for C3, C4 in ((1.0, 0.0), (0.0, 1.0)):
+            F_boundary(fresh, body, ProblemSpec(n=5, k=2, a=a, C3=C3, C4=C4))
+    spec = ProblemSpec(n=5, k=2, a=2.0)
+    inequality_ledger(fresh, body, spec)
+    certify_ball(fresh, body, spec)
+    identity_lemma33(fresh, body)
+    pohozaev_lemma34(fresh, body)
+    assert built == {"spline": 1, "ghost": 1}
 
 
 class TestOneBoundaryEvaluation:

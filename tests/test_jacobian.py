@@ -120,20 +120,23 @@ def test_newton_jacobian_matches_fd(body, k):
 @pytest.mark.parametrize("which", [0, -1])
 @pytest.mark.parametrize("body,k", CASES)
 def test_ghost_row_jacobian_matches_fd(body, k, which):
+    # both rows go through each evaluation; row `which` is checked here
     grid, U, _ = iterate(body, k)
     n = body.n
-    f = rhs_at_radius(grid.r_nodes[which], EPS, n)
-    v = 3 * U[which] - 3 * U[1 if which == 0 else -2] + U[2 if which == 0 else -3]
-    _, ab = solver._ghost_row_residual(grid, U, v, which, k, f, grad=True)
+    f = rhs_at_radius(grid.r_nodes[[0, -1]], EPS, n)
+    v = 3 * U[[0, -1]] - 3 * U[[1, -2]] + U[[2, -3]]
+    _, ab = solver._ghost_row_residual(grid, U, v, k, f, grad=True)
+    ab = ab[which]
     banded = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
-    delta = 1e-6 * max(1.0, float(np.abs(v).max()))
-    fd = np.empty((v.size, v.size))
-    for j in range(v.size):
+    delta = 1e-6 * max(1.0, float(np.abs(v[which]).max()))
+    W = v.shape[1]
+    fd = np.empty((W, W))
+    for j in range(W):
         dv = np.zeros_like(v)
-        dv[j] = delta
+        dv[which, j] = delta
         fd[:, j] = (
-            solver._ghost_row_residual(grid, U, v + dv, which, k, f)
-            - solver._ghost_row_residual(grid, U, v - dv, which, k, f)
+            solver._ghost_row_residual(grid, U, v + dv, k, f)[which]
+            - solver._ghost_row_residual(grid, U, v - dv, k, f)[which]
         ) / (2 * delta)
     assert relative(banded, fd) <= 1e-8
 
@@ -174,7 +177,7 @@ def test_ghost_rows_few_evaluations(prolate_field, monkeypatch):
     real = solver._ghost_row_residual
 
     def counting(*args, **kwargs):
-        calls.append(args[3])
+        calls.append(args[2].shape)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(solver, "_ghost_row_residual", counting)
@@ -184,8 +187,9 @@ def test_ghost_rows_few_evaluations(prolate_field, monkeypatch):
         cnk=prolate_field.cnk,
     )
     assert admissibility_margin(fresh) == prolate_field.admissible
-    assert set(calls) == {0, -1}
-    assert len(calls) <= 12
+    # each evaluation takes both Dirichlet rows
+    assert set(calls) == {(2, prolate_field.grid.N_theta + 1)}
+    assert len(calls) <= 6
 
 
 def test_non_admissible_root_raises():

@@ -32,6 +32,34 @@ T_GRID_K1 = np.linspace(-0.9, -0.1, 9)
 T_GRID_K2 = np.linspace(-0.9, -0.25, 8)
 
 
+def test_F_eval_sums_each_exponent_once(prolate_field_half, monkeypatch):
+    # the four weight cases of two exponents, each by F_eval and by the
+    # audit, at one level: two integrals per (level, a), taken once
+    class CountingNumpy:
+        sums = 0
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def sum(self, *args, **kwargs):
+            CountingNumpy.sums += 1
+            return np.sum(*args, **kwargs)
+
+    fld = prolate_field_half
+    fresh = ExteriorField(grid=fld.grid, u=fld.u.copy(), k=fld.k, eps=fld.eps,
+                          rho_hat=fld.rho_hat, cnk=fld.cnk)
+    monkeypatch.setattr(monotone, "np", CountingNumpy())
+    results = {}
+    for a in (1.0, 2.0):
+        for C3, C4 in ((1.0, 0.0), (0.0, 1.0)):
+            spec = ProblemSpec(n=3, k=1, a=a, C3=C3, C4=C4)
+            res = F_eval(fresh, -0.5, spec)
+            assert monotonicity_audit(fresh, spec, 0.0, t_grid=[-0.5]).results == (res,)
+            results.setdefault(a, set()).add((res.int_hk, res.int_hk1))
+    assert CountingNumpy.sums == 4
+    assert all(len(pair) == 1 for pair in results.values())
+
+
 class TestExtractLevelset:
     def test_radial_circle_radius(self, sphere_k1_field):
         # u = -1/r, so the t level sits at r = 1/(-t)

@@ -19,7 +19,8 @@ from hesslab.solver import (
 )
 from hesslab.surfaces import RevolutionBody
 from oracles import (dense_jet, ellipsoidal_field, ellipsoidal_jets,
-                     equation_residual, interior_range, radial_value, to_physical)
+                     equation_residual, interior_range, radial_value,
+                     solve_ghost_row, to_physical)
 
 
 def sampled_field(radial_fn, body, k, R_out, N_s, N_theta, eps=1e-8, rho_hat=1.0):
@@ -221,6 +222,15 @@ class TestCheckpoint:
         assert loaded.rho_hat == sphere_k2_field.rho_hat
         assert loaded.grid.R_out == sphere_k2_field.grid.R_out
         assert np.allclose(loaded.grid.body.gamma, sphere_k2_field.grid.body.gamma)
+
+    def test_u_block_layout(self, prolate_field_half, tmp_path):
+        # one row of u per line, each value by "%.17g", one space apart
+        path = tmp_path / "field.txt"
+        prolate_field_half.save_checkpoint(path)
+        block = path.read_text().split("# u\n", 1)[1]
+        want = "".join(" ".join("%.17g" % x for x in row) + "\n"
+                       for row in prolate_field_half.u.tolist())
+        assert block == want
 
     def test_v2_reload_is_exact(self, tmp_path):
         # the stored derivatives rebuild the solver's grid body, so save then
@@ -507,6 +517,37 @@ class TestGhostRows:
         fld = sampled_field(lambda r: np.full_like(r, -1.0), body, 2, 40.0, 32, 16)
         with pytest.raises(NewtonStall, match="ghost row at s = 0: singular"):
             admissibility_margin(fld)
+
+    def test_unconverged_stall_names_its_row(self):
+        body = RevolutionBody.sphere(1.0, n=5)
+        grid = AxiGrid(body=body, R_out=40.0, N_s=32, N_theta=16)
+        u = -1.0 - (grid.r_nodes - 1.0) ** 2 / 100.0
+        fld = ExteriorField(grid=grid, u=u, k=2, eps=0.02, rho_hat=1.0)
+        with pytest.raises(NewtonStall, match=r"ghost row at s = [01] stopped at"):
+            admissibility_margin(fld)
+
+    @pytest.mark.parametrize("fixture", ["prolate_field", "sphere_k2_field",
+                                         "cosper_k2_field"])
+    def test_rows_equal_the_per_row_referee(self, fixture, request):
+        # both rows share each evaluation but keep their own stop, so the
+        # ghost values are those of one Newton per row, bit for bit
+        fld = request.getfixturevalue(fixture)
+        v, record = solver._solve_ghost_rows(fld)
+        for row, which in ((0, 0), (1, -1)):
+            assert v[row].tobytes() == solve_ghost_row(fld, which).tobytes()
+        assert len(record) == 2
+
+    def test_node_jets_record_each_row(self, prolate_field_half):
+        fresh = ExteriorField(
+            grid=prolate_field_half.grid, u=prolate_field_half.u.copy(),
+            k=prolate_field_half.k, eps=prolate_field_half.eps,
+            rho_hat=prolate_field_half.rho_hat, cnk=prolate_field_half.cnk,
+        )
+        assert fresh.ghost_rows == ()
+        admissibility_margin(fresh)
+        (steps0, phi0), (steps1, phi1) = fresh.ghost_rows
+        assert steps0 >= 1 and steps1 >= 1
+        assert max(phi0, phi1) <= solver.TOL_NEWTON
 
 
 class TestBicubic:
