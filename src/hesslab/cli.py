@@ -69,33 +69,28 @@ def _config_error(message):
     raise SystemExit(EXIT_CONFIG)
 
 
-def _parse_body(args):
-    """Builtin body specs: sphere, spheroid:a,b, cosper:amp,freq, or a
-    revolution-profile file path prefixed with profile:."""
-    src = args.body
+def _body(args, src):
+    """The body named src: sphere, spheroid:a,b, cosper:amp,freq, or a
+    revolution-profile file path prefixed with profile:.  An unknown or
+    unreadable one is a config error."""
     n = args.n
-    if src == "sphere":
-        return RevolutionBody.sphere(args.R, n=n)
-    if src.startswith("spheroid:"):
-        a, b = (float(v) for v in src.split(":", 1)[1].split(","))
-        return RevolutionBody.spheroid(a, b, n=n)
-    if src.startswith("cosper:"):
-        amp, freq = src.split(":", 1)[1].split(",")
-        return RevolutionBody.cos_perturbed(
-            n=n, amplitude=float(amp), frequency=int(freq), R=args.R
-        )
-    if src.startswith("profile:"):
-        return RevolutionBody.load_profile(src.split(":", 1)[1])
-    raise ValueError(
-        f"unknown body {src!r}; expected sphere, spheroid:a,b, "
-        "cosper:amp,freq or profile:path"
-    )
-
-
-def _body(args):
-    """The body of args; an unknown or unreadable one is a config error."""
     try:
-        return _parse_body(args)
+        if src == "sphere":
+            return RevolutionBody.sphere(args.R, n=n)
+        if src.startswith("spheroid:"):
+            a, b = (float(v) for v in src.split(":", 1)[1].split(","))
+            return RevolutionBody.spheroid(a, b, n=n)
+        if src.startswith("cosper:"):
+            amp, freq = src.split(":", 1)[1].split(",")
+            return RevolutionBody.cos_perturbed(
+                n=n, amplitude=float(amp), frequency=int(freq), R=args.R
+            )
+        if src.startswith("profile:"):
+            return RevolutionBody.load_profile(src.split(":", 1)[1])
+        raise ValueError(
+            f"unknown body {src!r}; expected sphere, spheroid:a,b, "
+            "cosper:amp,freq or profile:path"
+        )
     except (ValueError, OSError) as exc:
         _config_error(str(exc))
 
@@ -112,6 +107,17 @@ def _build_spec(args):
         _config_error(str(exc))
 
 
+def _problem(args, src=None, solve=False):
+    """(spec, body, solution) of args on the body src, by default --body:
+    the closed-form RadialSolution on a sphere unless solve, else a field."""
+    src = src or args.body
+    spec = _build_spec(args)
+    body = _body(args, src)
+    if src == "sphere" and not solve:
+        return spec, body, RadialSolution(n=args.n, k=args.k, R=args.R)
+    return spec, body, _solve(args, spec, body, args.N_s, args.N_theta)
+
+
 def _header(args):
     return f"# config={_config_hash(args)} eps_min={min(args.eps_schedule):g}"
 
@@ -122,17 +128,21 @@ def _outdir(args):
     return out
 
 
+def _write(args, name, lines):
+    """Write the header of args and then lines, one a line, to --out/name;
+    returns the path."""
+    path = _outdir(args) / name
+    path.write_text("\n".join([_header(args), *lines]) + "\n")
+    return path
+
+
 def _t_grid(args):
-    if args.t_grid:
-        return np.asarray([float(v) for v in args.t_grid.split(",")])
-    return np.asarray(T_GRID)
+    return np.asarray(_floats(args.t_grid) if args.t_grid else T_GRID)
 
 
-def _solve(args, spec, body):
+def _solve(args, spec, body, N_s, N_theta):
     try:
-        return solve_exterior(
-            body, spec, R_out=args.R_out, N_s=args.N_s, N_theta=args.N_theta
-        )
+        return solve_exterior(body, spec, R_out=args.R_out, N_s=N_s, N_theta=N_theta)
     except ValueError as exc:
         _config_error(str(exc))
 
@@ -146,13 +156,6 @@ def _levels_on(field, what):
     except LevelOutOfRange as exc:
         g = field.grid
         _config_error(f"{what} (N_s={g.N_s}, N_theta={g.N_theta}): {exc}")
-
-
-def _solution(args, spec, body):
-    """The closed-form radial solution on a sphere, a solved field otherwise."""
-    if args.body == "sphere":
-        return RadialSolution(n=args.n, k=args.k, R=args.R)
-    return _solve(args, spec, body)
 
 
 # -- subcommands -------------------------------------------------------
@@ -213,20 +216,15 @@ def cmd_matrix_suite(args):
 def cmd_radial(args):
     spec = _build_spec(args)
     sol = RadialSolution(n=args.n, k=args.k, R=args.R)
-    ts = _t_grid(args)
-    out = _outdir(args)
-    rows = []
-    for t in ts:
-        c1, c2 = weights(t, spec)
-        rows.append((t, float(c1), float(c2), radial_F(sol, t, spec)))
     limit = limit_bound(spec, sol.rho)
-    path = out / "radial.csv"
-    with open(path, "w") as fh:
-        fh.write(_header(args) + "\n")
-        fh.write("t,C1,C2,F,limit\n")
-        for t, c1, c2, F in rows:
-            fh.write(f"{t:.12g},{c1:.12g},{c2:.12g},{F:.12g},{limit:.12g}\n")
-    Fs = np.array([r[3] for r in rows])
+    lines, Fs = ["t,C1,C2,F,limit"], []
+    for t in _t_grid(args):
+        c1, c2 = weights(t, spec)
+        Fs.append(radial_F(sol, t, spec))
+        lines.append(f"{t:.12g},{float(c1):.12g},{float(c2):.12g},"
+                     f"{Fs[-1]:.12g},{limit:.12g}")
+    path = _write(args, "radial.csv", lines)
+    Fs = np.array(Fs)
     spread = float(Fs.max() - Fs.min())
     print(_header(args))
     print(f"R={args.R} rho={sol.rho:.12g} F_mean={Fs.mean():.12g} "
@@ -236,11 +234,8 @@ def cmd_radial(args):
 
 
 def cmd_solve(args):
-    spec = _build_spec(args)
-    body = _body(args)
-    field = _solve(args, spec, body)
-    out = _outdir(args)
-    path = out / "field.txt"
+    _, _, field = _problem(args, solve=True)
+    path = _outdir(args) / "field.txt"
     field.save_checkpoint(path, extra_header=_header(args)[2:])
     print(_header(args))
     print(f"rho_hat={field.rho_hat:.8g} residual={field.residual_norm:.3e} "
@@ -260,45 +255,28 @@ def cmd_solve(args):
 
 
 def cmd_monotone(args):
-    spec = _build_spec(args)
-    body = _body(args)
-    field = _solve(args, spec, body)
+    spec, body, field = _problem(args, solve=True)
     ts = _t_grid(args)
     with _levels_on(field, "the field"):
         report = monotonicity_audit(field, spec, args.tol_mono or 0.0, t_grid=ts)
     if args.tol_mono is None:
         # Richardson estimate from a half-resolution companion solve; the
         # audit's F values are the fine half of the pair
-        coarse_args = argparse.Namespace(**vars(args))
-        coarse_args.N_s = max(32, args.N_s // 2)
-        coarse_args.N_theta = (
-            None if args.N_theta is None else max(16, args.N_theta // 2)
-        )
-        coarse = _solve(coarse_args, spec, body)
+        coarse = _solve(args, spec, body, max(32, args.N_s // 2),
+                        None if args.N_theta is None else max(16, args.N_theta // 2))
         with _levels_on(coarse, "the N_s/2 Richardson companion"):
             Fc = np.array([F_eval(coarse, t, spec).F for t in ts])
         tol = float(np.max(np.abs(report.F - Fc)) / 3.0)
         report = dataclasses.replace(report, tol_mono=tol)
-    out = _outdir(args)
-    path = out / "monotone.csv"
-    with open(path, "w") as fh:
-        fh.write(_header(args) + "\n")
-        fh.write("t,C1,C2,intHk,intHk1,F,violation,limit_gap\n")
-        prev = None
-        for res in report.results:
-            F = res.F
-            viol = max(F - prev, 0.0) if prev is not None else 0.0
-            prev = F
-            fh.write(
-                f"{res.t:.12g},{res.C1:.12g},{res.C2:.12g},{res.int_hk:.12g},"
-                f"{res.int_hk1:.12g},{F:.12g},{viol:.3e},"
-                f"{F - report.limit_value:.12g}\n"
-            )
-    plot = out / "monotone_plot.dat"
-    with open(plot, "w") as fh:
-        fh.write(_header(args) + "\n")
-        for t, F in zip(report.t, report.F):
-            fh.write(f"{t:.12g} {F:.12g}\n")
+    rises = [0.0, *np.maximum(np.diff(report.F), 0.0)]
+    columns = "t,C1,C2,intHk,intHk1,F,violation,limit_gap"
+    path = _write(args, "monotone.csv", [columns] + [
+        f"{res.t:.12g},{res.C1:.12g},{res.C2:.12g},{res.int_hk:.12g},"
+        f"{res.int_hk1:.12g},{res.F:.12g},{rise:.3e},{res.F - report.limit_value:.12g}"
+        for res, rise in zip(report.results, rises)
+    ])
+    plot = _write(args, "monotone_plot.dat",
+                  [f"{t:.12g} {F:.12g}" for t, F in zip(report.t, report.F)])
     print(_header(args))
     print(f"tol_mono={report.tol_mono:.3e} upward={report.upward_violation:.3e} "
           f"limit_gap_min={report.limit_gap_min:.3e} "
@@ -309,20 +287,13 @@ def cmd_monotone(args):
 
 
 def cmd_identities(args):
-    spec = _build_spec(args)
-    body = _body(args)
-    solution = _solution(args, spec, body)
+    spec, body, solution = _problem(args)
     rows = ledger(solution, body, spec)
-    out = _outdir(args)
-    path = out / "ledger.csv"
-    with open(path, "w") as fh:
-        fh.write(_header(args) + "\n")
-        fh.write("name,lhs,rhs,gap,verdict,tolerance\n")
-        for e in rows:
-            fh.write(
-                f"{e.name},{e.lhs:.12g},{e.rhs:.12g},"
-                f"{e.residual_or_gap:.12g},{e.verdict},{e.tolerance:g}\n"
-            )
+    path = _write(args, "ledger.csv", ["name,lhs,rhs,gap,verdict,tolerance"] + [
+        f"{e.name},{e.lhs:.12g},{e.rhs:.12g},"
+        f"{e.residual_or_gap:.12g},{e.verdict},{e.tolerance:g}"
+        for e in rows
+    ])
     print(_header(args))
     for e in rows:
         print(f"{e.name}: {e.verdict} (gap {e.residual_or_gap:.3e})")
@@ -332,9 +303,7 @@ def cmd_identities(args):
 
 
 def cmd_certify(args):
-    spec = _build_spec(args)
-    body = _body(args)
-    solution = _solution(args, spec, body)
+    spec, body, solution = _problem(args)
     report = certify_ball(solution, body, spec)
     print(_header(args))
     print(f"verdict={report.verdict} gradient_spread={report.gradient_spread:.3e} "
@@ -344,16 +313,10 @@ def cmd_certify(args):
 
 
 def cmd_report(args):
-    bodies = ["sphere", "spheroid:1.2,1", "cosper:0.05,2"]
-    out = _outdir(args)
     status = EXIT_OK
-    lines = [_header(args)]
-    for src in bodies:
-        sub = argparse.Namespace(**vars(args))
-        sub.body = src
-        spec = _build_spec(sub)
-        body = _body(sub)
-        solution = _solution(sub, spec, body)
+    lines = []
+    for src in ("sphere", "spheroid:1.2,1", "cosper:0.05,2"):
+        spec, body, solution = _problem(args, src)
         cert, rows = report(solution, body, spec)
         bad = [e.name for e in rows if e.verdict == VIOLATED]
         if bad:
@@ -362,8 +325,8 @@ def cmd_report(args):
             f"{src}: verdict={cert.verdict} spread={cert.gradient_spread:.3e} "
             f"violations={','.join(bad) if bad else 'none'}"
         )
-    path = out / "report.txt"
-    path.write_text("\n".join(lines) + "\n")
+    path = _write(args, "report.txt", lines)
+    print(_header(args))
     print("\n".join(lines))
     print(f"wrote {path}")
     return status

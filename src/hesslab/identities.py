@@ -214,12 +214,11 @@ def identity_lemma33(solution, body=None) -> LedgerEntry:
 
     not applicable when the boundary gradient is not constant.
     """
-    return _lemma33(solution, _boundary(solution, body))
+    b = _boundary(solution, body)
+    return _lemma33(solution.k, _balance_terms(solution, b, "balance identity"))
 
 
-def _lemma33(solution, b: _Boundary) -> LedgerEntry:
-    k = solution.k
-    terms = _balance_terms(solution, b, "balance identity")
+def _lemma33(k, terms) -> LedgerEntry:
     if terms is None:
         return _not_applicable("gradient-energy-balance")
     c, q_km2, q_km1, vol_int = terms
@@ -236,12 +235,12 @@ def pohozaev_lemma34(solution, body=None) -> LedgerEntry:
 
     not applicable when the boundary gradient is not constant.
     """
-    return _lemma34(solution, _boundary(solution, body))
+    b = _boundary(solution, body)
+    return _lemma34(solution.n, solution.k,
+                    _balance_terms(solution, b, "Pohozaev balance"))
 
 
-def _lemma34(solution, b: _Boundary) -> LedgerEntry:
-    n, k = solution.n, solution.k
-    terms = _balance_terms(solution, b, "Pohozaev balance")
+def _lemma34(n, k, terms) -> LedgerEntry:
     if terms is None:
         return _not_applicable("rellich-pohozaev-balance")
     c, q_km2, q_km1, vol_int = terms
@@ -265,10 +264,14 @@ def inequality_ledger(solution, body=None, spec: ProblemSpec = None) -> list:
 
 def ledger(solution, body, spec: ProblemSpec) -> list:
     """The entries of identity_lemma33 and pohozaev_lemma34 (for k >= 2)
-    and of inequality_ledger, all from one boundary record."""
+    and of inequality_ledger, all from one boundary record and, for the two
+    balances, one set of balance terms."""
     b = _boundary(solution, body)
-    balances = [_lemma33(solution, b), _lemma34(solution, b)] if spec.k >= 2 else []
-    return balances + _inequalities(b, spec)
+    if spec.k < 2:
+        return _inequalities(b, spec)
+    n, k = solution.n, solution.k
+    terms = _balance_terms(solution, b, "balance identity")
+    return [_lemma33(k, terms), _lemma34(n, k, terms)] + _inequalities(b, spec)
 
 
 def _inequalities(b: _Boundary, spec: ProblemSpec) -> list:

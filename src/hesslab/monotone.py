@@ -220,6 +220,12 @@ class FResult:
     F: float
 
 
+def _weighted(t, spec: ProblemSpec, int_hk, int_hk1) -> FResult:
+    """F = C1(t) int_hk + C2(t) int_hk1 with the weights of spec."""
+    c1, c2 = map(float, weights(t, spec))
+    return FResult(t, c1, c2, int_hk, int_hk1, c1 * int_hk + c2 * int_hk1)
+
+
 def F_eval(field, t, spec: ProblemSpec) -> FResult:
     """Evaluate F(t) on an extracted level set of a solved field.
 
@@ -243,16 +249,7 @@ def F_eval(field, t, spec: ProblemSpec) -> FResult:
     if spec.a not in sums:
         sums[spec.a] = (float(np.sum(hk * gn**spec.a * weight)),
                         float(np.sum(hk1 * gn ** (spec.a + 1) * weight)))
-    int_hk, int_hk1 = sums[spec.a]
-    c1, c2 = weights(t, spec)
-    return FResult(
-        t=t,
-        C1=float(c1),
-        C2=float(c2),
-        int_hk=int_hk,
-        int_hk1=int_hk1,
-        F=float(c1) * int_hk + float(c2) * int_hk1,
-    )
+    return _weighted(t, spec, *sums[spec.a])
 
 
 def F_boundary(field, body: RevolutionBody, spec: ProblemSpec) -> FResult:
@@ -266,15 +263,7 @@ def F_boundary(field, body: RevolutionBody, spec: ProblemSpec) -> FResult:
     gn = field.boundary_gradient(body.theta)
     int_hk = s.integrate(s.h_k(spec.k) * gn**spec.a)
     int_hk1 = s.integrate(s.h_k(spec.k - 1) * gn ** (spec.a + 1))
-    c1, c2 = weights(-1.0, spec)
-    return FResult(
-        t=-1.0,
-        C1=float(c1),
-        C2=float(c2),
-        int_hk=int_hk,
-        int_hk1=int_hk1,
-        F=float(c1) * int_hk + float(c2) * int_hk1,
-    )
+    return _weighted(-1.0, spec, int_hk, int_hk1)
 
 
 @dataclass

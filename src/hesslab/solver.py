@@ -267,7 +267,7 @@ def _solve_ghost_rows(field):
         v[live], phi[live], ab[live] = v_new[live], phi_new[live], ab_new[live]
         worst, steps = np.abs(phi).max(axis=1), steps + live
     for r in (0, 1):
-        if worst[r] > TOL_NEWTON:
+        if not worst[r] <= TOL_NEWTON:
             raise NewtonStall(f"ghost row at s = {grid.s[-r]:g} stopped at "
                               f"residual {worst[r]:.3e} > {TOL_NEWTON:g}")
     return v, tuple(zip(steps.tolist(), worst.tolist()))

@@ -63,8 +63,12 @@ def _solve_tridiagonal(ab, b):
     the term of the second superdiagonal where no interchange filled it.
     A single right-hand side is solved in Python floats, a stack row by
     row in place, each step one vector operation over its columns.
-    Raises numpy's LinAlgError on a zero pivot.
+    Raises numpy's LinAlgError on a zero pivot, and on a non-finite band
+    entry, on which the elimination in Python floats could divide by zero.
     """
+    # the entries in use are all of ab in C order but its first and last
+    if not np.isfinite(ab.ravel()[1:-1]).all():
+        raise LinAlgError("non-finite band entry")
     du, d, dl = ab[0, 1:].tolist(), ab[1].tolist(), ab[2, :-1].tolist()
     n = len(d)
     # the factorization: dl[i] ends as the second superdiagonal (zero where

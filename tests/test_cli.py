@@ -50,6 +50,39 @@ class TestOptions:
             heads.append((tmp_path / sub / "radial.csv").read_text().splitlines()[0])
         assert heads[0] == heads[1] != heads[2]
 
+    #: a run of each file-writing subcommand and the files it writes
+    WRITERS = {
+        "radial": (["--n", "5", "--k", "2", "--a", "2"], ["radial.csv"]),
+        "solve": (["--body", "sphere", "--n", "3", "--k", "1", "--N-s", "32"],
+                  ["field.txt"]),
+        "monotone": (["--body", "spheroid:1.5,1", "--n", "3", "--k", "1",
+                      "--N-s", "64", "--t-grid=-0.8,-0.5,-0.3"],
+                     ["monotone.csv", "monotone_plot.dat"]),
+        "identities": (["--body", "sphere", "--n", "5", "--k", "2", "--a", "2"],
+                       ["ledger.csv"]),
+        "report": (["--n", "3", "--k", "1", "--a", "1", "--N-s", "64"],
+                   ["report.txt"]),
+    }
+
+    @pytest.mark.parametrize("command", sorted(WRITERS))
+    def test_files_do_not_depend_on_out(self, command, tmp_path, capsys):
+        # the same run in two directories writes the same bytes, and each
+        # file opens with the header line that the run prints first
+        argv, names = self.WRITERS[command]
+        printed = []
+        for sub in ("one", "two"):
+            code = cli.run([command, *argv, "--out", str(tmp_path / sub)])
+            assert code == cli.EXIT_OK
+            printed.append(capsys.readouterr().out.splitlines()[0])
+        assert printed[0] == printed[1]
+        for name in names:
+            one, two = ((tmp_path / sub / name).read_bytes() for sub in ("one", "two"))
+            assert one == two
+            first = one.decode().splitlines()[0]
+            if name == "field.txt":  # the checkpoint's header ends with the tokens
+                first = "# " + " ".join(first.split()[-2:])
+            assert first == printed[0]
+
 
 class TestMatrixSuite:
     def test_passes(self, capsys):
@@ -393,6 +426,23 @@ class TestCertify:
         ])
         assert code == cli.EXIT_SOLVER
         assert "ghost row at s = 0: singular" in capsys.readouterr().err
+
+    def test_nan_next_to_the_body_exits_3(self, monkeypatch, capsys):
+        # a NaN in the first interior row makes the body row's ghost-row
+        # Jacobian non-finite: a solver failure, not a ZeroDivisionError
+        def nan_field(body, spec, R_out=None, N_s=256, N_theta=None):
+            grid = AxiGrid(body, 40.0, N_s, N_theta)
+            u = -(grid.r_nodes ** -0.5)
+            u[1, 5] = np.nan
+            return ExteriorField(grid=grid, u=u, k=spec.k, eps=0.02, rho_hat=1.0)
+
+        monkeypatch.setattr(cli, "solve_exterior", nan_field)
+        code = cli.run([
+            "certify", "--body", "spheroid:1.2,1", "--n", "5", "--k", "2",
+            "--N-s", "32", "--N-theta", "16",
+        ])
+        assert code == cli.EXIT_SOLVER
+        assert "ghost row at s = 0: " in capsys.readouterr().err
 
 
 class TestReport:

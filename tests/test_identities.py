@@ -272,6 +272,21 @@ def test_one_boundary_spline_and_ghost_newton_per_field(cosper_k2_field, monkeyp
     assert built == {"spline": 1, "ghost": 1}
 
 
+@pytest.mark.parametrize("fixture", [None, "sphere_k2_field"])
+def test_ledger_computes_the_balance_terms_once(fixture, request, monkeypatch):
+    # both balances of one ledger share one exterior volume integral, and
+    # read as the two public balances do
+    solution = (RadialSolution(n=5, k=2, R=1.0) if fixture is None
+                else request.getfixturevalue(fixture))
+    calls = []
+    real = identities._gradient_energy_integral
+    monkeypatch.setattr(identities, "_gradient_energy_integral",
+                        lambda sol: calls.append(sol) or real(sol))
+    rows = identities.ledger(solution, None, ProblemSpec(n=5, k=2, a=2.0))
+    assert calls == [solution]
+    assert rows[:2] == [identity_lemma33(solution), pohozaev_lemma34(solution)]
+
+
 class TestOneBoundaryEvaluation:
     """A public call samples the boundary curvature and |grad u| once."""
 

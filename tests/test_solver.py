@@ -526,6 +526,25 @@ class TestGhostRows:
         with pytest.raises(NewtonStall, match=r"ghost row at s = [01] stopped at"):
             admissibility_margin(fld)
 
+    @pytest.mark.parametrize("row", [0, 1, -2, -1])
+    def test_nan_next_to_a_ghost_row_raises(self, row):
+        # one NaN in a row that a ghost-row stencil reads puts a NaN in that
+        # row's tridiagonal Jacobian: a typed stall, not a ZeroDivisionError
+        body = RevolutionBody.sphere(1.0, n=5)
+        fld = sampled_field(lambda r: -(r ** -0.5), body, 2, 40.0, 32, 16)
+        fld.u[row, 5] = np.nan
+        with pytest.raises(NewtonStall, match=f"ghost row at s = {int(row < 0)}: "):
+            admissibility_margin(fld)
+
+    def test_nan_residual_raises(self):
+        # a NaN eps leaves the Jacobian finite and the residual NaN: no
+        # step lowers it, and a NaN residual is not within TOL_NEWTON
+        body = RevolutionBody.sphere(1.0, n=5)
+        fld = sampled_field(lambda r: -(r ** -0.5), body, 2, 40.0, 32, 16,
+                            eps=np.nan)
+        with pytest.raises(NewtonStall, match="stopped at residual nan"):
+            admissibility_margin(fld)
+
     @pytest.mark.parametrize("fixture", ["prolate_field", "sphere_k2_field",
                                          "cosper_k2_field"])
     def test_rows_equal_the_per_row_referee(self, fixture, request):

@@ -286,6 +286,24 @@ class TestSolveTridiagonal:
         with pytest.raises(np.linalg.LinAlgError):
             _solve_tridiagonal(ab, np.ones(shape))
 
+    @pytest.mark.parametrize("shape", [(5,), (5, 3)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [(0, 1), (0, 4), (1, 0), (1, 2), (1, 4),
+                                       (2, 0), (2, 3)])
+    def test_non_finite_band_raises(self, where, bad, shape):
+        # a NaN pivot fails abs(d) >= abs(dl), so without the check the
+        # interchange branch could divide by a zero subdiagonal entry
+        ab, b = self._system(5, shape, 0, pivot=False)
+        ab[where] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            _solve_tridiagonal(ab, b)
+
+    def test_unused_band_corners_are_ignored(self):
+        ab, b = self._system(5, (5,), 1, pivot=True)
+        ref = solve_banded((1, 1), ab, b)
+        ab[0, 0] = ab[2, -1] = np.nan
+        assert _solve_tridiagonal(ab, b.copy()).tobytes() == ref.tobytes()
+
 
 @pytest.mark.parametrize("num_nodes", [3, 4, 5, 8, 9, 64, 65])
 def test_simpson_weights_match_scipy(num_nodes):
