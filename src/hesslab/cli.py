@@ -69,12 +69,22 @@ def _config_error(message):
     raise SystemExit(EXIT_CONFIG)
 
 
+@contextmanager
+def _rejected(errors=ValueError, where=""):
+    """An error of the types errors raised inside is a config error, its
+    message prefixed by where."""
+    try:
+        yield
+    except errors as exc:
+        _config_error(f"{where}{exc}")
+
+
 def _body(args, src):
     """The body named src: sphere, spheroid:a,b, cosper:amp,freq, or a
     revolution-profile file path prefixed with profile:.  An unknown or
     unreadable one is a config error."""
     n = args.n
-    try:
+    with _rejected((ValueError, OSError)):
         if src == "sphere":
             return RevolutionBody.sphere(args.R, n=n)
         if src.startswith("spheroid:"):
@@ -91,8 +101,6 @@ def _body(args, src):
             f"unknown body {src!r}; expected sphere, spheroid:a,b, "
             "cosper:amp,freq or profile:path"
         )
-    except (ValueError, OSError) as exc:
-        _config_error(str(exc))
 
 
 def _build_spec(args):
@@ -101,10 +109,8 @@ def _build_spec(args):
     given = {f.name: getattr(args, f.name) for f in dataclasses.fields(ProblemSpec)
              if getattr(args, f.name, None) is not None}
     given.setdefault("a", args.k + 1.0)
-    try:
+    with _rejected():
         return ProblemSpec(**given)
-    except ValueError as exc:
-        _config_error(str(exc))
 
 
 def _problem(args, src=None, solve=False):
@@ -137,25 +143,25 @@ def _write(args, name, lines):
 
 
 def _t_grid(args):
-    return np.asarray(_floats(args.t_grid) if args.t_grid else T_GRID)
+    """The levels of --t-grid, by default T_GRID; one that does not parse
+    or lies outside [-1, 0) is a config error."""
+    with _rejected():
+        ts = np.asarray(_floats(args.t_grid) if args.t_grid else T_GRID)
+        if not np.all((-1.0 <= ts) & (ts < 0.0)):
+            raise ValueError("levels must lie in [-1, 0)")
+    return ts
 
 
 def _solve(args, spec, body, N_s, N_theta):
-    try:
+    with _rejected():
         return solve_exterior(body, spec, R_out=args.R_out, N_s=N_s, N_theta=N_theta)
-    except ValueError as exc:
-        _config_error(str(exc))
 
 
-@contextmanager
 def _levels_on(field, what):
     """A level that the grid of field cannot hold is a config error that
     names the grid."""
-    try:
-        yield
-    except LevelOutOfRange as exc:
-        g = field.grid
-        _config_error(f"{what} (N_s={g.N_s}, N_theta={g.N_theta}): {exc}")
+    g = field.grid
+    return _rejected(LevelOutOfRange, f"{what} (N_s={g.N_s}, N_theta={g.N_theta}): ")
 
 
 # -- subcommands -------------------------------------------------------
@@ -215,7 +221,8 @@ def cmd_matrix_suite(args):
 
 def cmd_radial(args):
     spec = _build_spec(args)
-    sol = RadialSolution(n=args.n, k=args.k, R=args.R)
+    with _rejected():
+        sol = RadialSolution(n=args.n, k=args.k, R=args.R)
     limit = limit_bound(spec, sol.rho)
     lines, Fs = ["t,C1,C2,F,limit"], []
     for t in _t_grid(args):
@@ -255,15 +262,22 @@ def cmd_solve(args):
 
 
 def cmd_monotone(args):
-    spec, body, field = _problem(args, solve=True)
     ts = _t_grid(args)
+    spec, body, field = _problem(args, solve=True)
     with _levels_on(field, "the field"):
         report = monotonicity_audit(field, spec, args.tol_mono or 0.0, t_grid=ts)
     if args.tol_mono is None:
-        # Richardson estimate from a half-resolution companion solve; the
-        # audit's F values are the fine half of the pair
-        coarse = _solve(args, spec, body, max(32, args.N_s // 2),
-                        None if args.N_theta is None else max(16, args.N_theta // 2))
+        # Richardson estimate from a companion solve at half the step in s
+        # and theta; the audit's F values are the fine half of the pair
+        g = field.grid
+        if g.N_s % 2 or g.N_theta % 2 or g.N_s < 64 or g.N_theta < 32:
+            _config_error(
+                f"the N_s/2 Richardson companion (N_s={g.N_s / 2:g}, "
+                f"N_theta={g.N_theta / 2:g}) of the grid (N_s={g.N_s}, "
+                f"N_theta={g.N_theta}) is not a whole grid of at least (32, 16); "
+                "pass --tol-mono instead"
+            )
+        coarse = _solve(args, spec, body, g.N_s // 2, g.N_theta // 2)
         with _levels_on(coarse, "the N_s/2 Richardson companion"):
             Fc = np.array([F_eval(coarse, t, spec).F for t in ts])
         tol = float(np.max(np.abs(report.F - Fc)) / 3.0)

@@ -66,8 +66,11 @@ class LedgerEntry:
     """One evaluated identity or inequality.
 
     residual_or_gap is always lhs - rhs; inequalities are oriented so the
-    asserted direction is lhs >= rhs.  The verdict compares the gap with
-    tolerance * scale where scale = max(|lhs|, |rhs|, 1).
+    asserted direction is lhs >= rhs.  With scale = max(|lhs|, |rhs|, 1),
+    an identity reads identity-ok when |gap| <= tolerance * scale and an
+    inequality reads inequality-ok when gap >= -tolerance * scale; either
+    reads violated otherwise.  An entry whose hypotheses fail reads
+    not-applicable, with NaN sides and gap.
     """
 
     name: str
@@ -82,21 +85,17 @@ def _scale(lhs, rhs):
     return max(abs(lhs), abs(rhs), 1.0)
 
 
-def _identity_entry(name, lhs, rhs):
+def _entry(name, sides, ok) -> LedgerEntry:
+    """The entry of sides = (lhs, rhs), or not applicable for sides None;
+    ok (IDENTITY_OK or INEQUALITY_OK) names the rule of LedgerEntry."""
+    if sides is None:
+        nan = float("nan")
+        return LedgerEntry(name, nan, nan, nan, NOT_APPLICABLE, _TOL)
+    lhs, rhs = sides
     gap = lhs - rhs
-    verdict = IDENTITY_OK if abs(gap) <= _TOL * _scale(lhs, rhs) else VIOLATED
-    return LedgerEntry(name, lhs, rhs, gap, verdict, _TOL)
-
-
-def _inequality_entry(name, lhs, rhs):
-    gap = lhs - rhs
-    verdict = INEQUALITY_OK if gap >= -_TOL * _scale(lhs, rhs) else VIOLATED
-    return LedgerEntry(name, lhs, rhs, gap, verdict, _TOL)
-
-
-def _not_applicable(name):
-    return LedgerEntry(name, float("nan"), float("nan"), float("nan"),
-                       NOT_APPLICABLE, _TOL)
+    bar = _TOL * _scale(lhs, rhs)
+    holds = abs(gap) <= bar if ok == IDENTITY_OK else gap >= -bar
+    return LedgerEntry(name, lhs, rhs, gap, ok if holds else VIOLATED, _TOL)
 
 
 @dataclass(frozen=True)
@@ -193,17 +192,25 @@ def _gradient_energy_integral(solution):
     return _field_volume_integral(solution, skm1 * grad2, decay)
 
 
-def _balance_terms(solution, b: _Boundary, what):
-    """(c, int H_{k-2}, int H_{k-1}, int S_{k-1} |grad u|^2 dx): the terms
-    of both balance identities, for k >= 2; None when the boundary gradient
-    spread exceeds _SPREAD_LIMIT, as the identities presume it constant."""
-    k = solution.k
+def _balances(solution, b: _Boundary) -> list:
+    """The gradient-energy and Rellich-Pohozaev balance entries, k >= 2,
+    from one exterior volume integral.  Both presume a constant boundary
+    gradient: past _SPREAD_LIMIT they are not applicable, and no volume
+    integral is taken."""
+    n, k = solution.n, solution.k
     if k < 2:
-        raise ValueError(f"the {what} needs k >= 2, got k={k}")
+        raise ValueError(f"the balance identities need k >= 2, got k={k}")
+    names = ("gradient-energy-balance", "rellich-pohozaev-balance")
     if b.spread > _SPREAD_LIMIT:
-        return None
-    return (b.c, b.integral(0, k - 2), b.integral(0, k - 1),
-            _gradient_energy_integral(solution))
+        return [_entry(name, None, IDENTITY_OK) for name in names]
+    c, q_km2, q_km1 = b.c, b.integral(0, k - 2), b.integral(0, k - 1)
+    vol_int = _gradient_energy_integral(solution)
+    sides = (
+        ((k + 1) * vol_int + c ** (k + 1) * q_km2, 2.0 * c**k * q_km1),
+        ((n - k + 1) * (vol_int + c ** (k + 1) / (k - 1) * q_km2),
+         2.0 * (n - k) * c**k / k * q_km1),
+    )
+    return [_entry(name, lr, IDENTITY_OK) for name, lr in zip(names, sides)]
 
 
 def identity_lemma33(solution, body=None) -> LedgerEntry:
@@ -214,17 +221,7 @@ def identity_lemma33(solution, body=None) -> LedgerEntry:
 
     not applicable when the boundary gradient is not constant.
     """
-    b = _boundary(solution, body)
-    return _lemma33(solution.k, _balance_terms(solution, b, "balance identity"))
-
-
-def _lemma33(k, terms) -> LedgerEntry:
-    if terms is None:
-        return _not_applicable("gradient-energy-balance")
-    c, q_km2, q_km1, vol_int = terms
-    lhs = (k + 1) * vol_int + c ** (k + 1) * q_km2
-    rhs = 2.0 * c**k * q_km1
-    return _identity_entry("gradient-energy-balance", lhs, rhs)
+    return _balances(solution, _boundary(solution, body))[0]
 
 
 def pohozaev_lemma34(solution, body=None) -> LedgerEntry:
@@ -235,18 +232,7 @@ def pohozaev_lemma34(solution, body=None) -> LedgerEntry:
 
     not applicable when the boundary gradient is not constant.
     """
-    b = _boundary(solution, body)
-    return _lemma34(solution.n, solution.k,
-                    _balance_terms(solution, b, "Pohozaev balance"))
-
-
-def _lemma34(n, k, terms) -> LedgerEntry:
-    if terms is None:
-        return _not_applicable("rellich-pohozaev-balance")
-    c, q_km2, q_km1, vol_int = terms
-    lhs = (n - k + 1) * (vol_int + c ** (k + 1) / (k - 1) * q_km2)
-    rhs = 2.0 * (n - k) * c**k / k * q_km1
-    return _identity_entry("rellich-pohozaev-balance", lhs, rhs)
+    return _balances(solution, _boundary(solution, body))[1]
 
 
 def inequality_ledger(solution, body=None, spec: ProblemSpec = None) -> list:
@@ -264,62 +250,35 @@ def inequality_ledger(solution, body=None, spec: ProblemSpec = None) -> list:
 
 def ledger(solution, body, spec: ProblemSpec) -> list:
     """The entries of identity_lemma33 and pohozaev_lemma34 (for k >= 2)
-    and of inequality_ledger, all from one boundary record and, for the two
-    balances, one set of balance terms."""
+    and of inequality_ledger, all from one boundary record and one volume
+    integral."""
     b = _boundary(solution, body)
-    if spec.k < 2:
-        return _inequalities(b, spec)
-    n, k = solution.n, solution.k
-    terms = _balance_terms(solution, b, "balance identity")
-    return [_lemma33(k, terms), _lemma34(n, k, terms)] + _inequalities(b, spec)
+    return (_balances(solution, b) if spec.k >= 2 else []) + _inequalities(b, spec)
 
 
 def _inequalities(b: _Boundary, spec: ProblemSpec) -> list:
     n, k, a = spec.n, spec.k, spec.a
     omega = sphere_measure(n - 1)
-    entries = [
-        _inequality_entry(
-            "weighted-curvature-comparison",
-            b.integral(a, k),
-            (n - k) / (n - 2 * k) * b.integral(a + 1.0, k - 1),
-        ),
-        _inequality_entry(
-            "capacity-lower-bound",
-            b.integral(n - k, k - 1),
-            comb(n - 1, k - 1) * (n / k - 2.0) ** (n - k) * omega,
-        ),
-        _inequality_entry(
-            "scale-invariant-combination",
-            b.integral(n - k - 1.0, k),
-            comb(n - 1, k - 1)
-            * (n / k - 2.0) ** (n - k - 1)
-            * (n - k) / k
-            * omega,
-        ),
-    ]
-
-    # the curvature-ratio bound presumes the overdetermined constant c
-    overdetermined = b.spread <= _SPREAD_LIMIT
-    if overdetermined:
-        entries.append(
-            _inequality_entry(
-                "curvature-ratio-lower-bound",
-                b.integral(0.0, k) / b.integral(0.0, k - 1),
-                (n - k) / (n - 2 * k) * b.c,
-            )
-        )
-    else:
-        entries.append(_not_applicable("curvature-ratio-lower-bound"))
-
-    # k = 1 only; derived from the overdetermined condition, and the
+    # the curvature-ratio bound presumes the overdetermined constant c; the
+    # area-volume-curvature bound (k = 1 only) is derived from it, and its
     # opposing classical bound needs convexity
-    name = "area-volume-curvature-bound"
-    sides = _squeeze_sides(b.samples, k) if k == 1 and overdetermined else None
-    entries.append(
-        _not_applicable(name) if sides is None
-        else _inequality_entry(name, *sides)
+    overdetermined = b.spread <= _SPREAD_LIMIT
+    rows = (
+        ("weighted-curvature-comparison",
+         (b.integral(a, k), (n - k) / (n - 2 * k) * b.integral(a + 1.0, k - 1))),
+        ("capacity-lower-bound",
+         (b.integral(n - k, k - 1),
+          comb(n - 1, k - 1) * (n / k - 2.0) ** (n - k) * omega)),
+        ("scale-invariant-combination",
+         (b.integral(n - k - 1.0, k),
+          comb(n - 1, k - 1) * (n / k - 2.0) ** (n - k - 1) * (n - k) / k * omega)),
+        ("curvature-ratio-lower-bound",
+         (b.integral(0.0, k) / b.integral(0.0, k - 1), (n - k) / (n - 2 * k) * b.c)
+         if overdetermined else None),
+        ("area-volume-curvature-bound",
+         _squeeze_sides(b.samples, k) if k == 1 and overdetermined else None),
     )
-    return entries
+    return [_entry(name, sides, INEQUALITY_OK) for name, sides in rows]
 
 
 @dataclass(frozen=True)
@@ -372,19 +331,14 @@ def report(solution, body, spec: ProblemSpec) -> tuple:
 def _certify(b: _Boundary, spec: ProblemSpec) -> CertificationReport:
     gam = b.body.gamma
     profile_dev = float((gam.max() - gam.min()) / b.body.mean_radius)
-    nan = float("nan")
-    if b.spread > TAU_OVERDETERMINED:
-        return CertificationReport(
-            CERTIFIED_NOT_OVERDETERMINED, b.spread, profile_dev, nan, nan, nan
-        )
-
     # the convexity bound asserts lhs >= rhs and the overdetermined chain
     # lhs <= rhs; the squeeze checks both
-    sides = _squeeze_sides(b.samples, spec.k)
+    not_overdetermined = b.spread > TAU_OVERDETERMINED
+    sides = None if not_overdetermined else _squeeze_sides(b.samples, spec.k)
     if sides is None:
-        return CertificationReport(
-            INCONCLUSIVE, b.spread, profile_dev, nan, nan, nan
-        )
+        nan = float("nan")
+        verdict = CERTIFIED_NOT_OVERDETERMINED if not_overdetermined else INCONCLUSIVE
+        return CertificationReport(verdict, b.spread, profile_dev, nan, nan, nan)
     lhs, rhs = sides
     squeeze_rel = abs(lhs - rhs) / _scale(lhs, rhs)
     verdict = CERTIFIED_BALL if squeeze_rel <= _TOL else INCONCLUSIVE

@@ -577,7 +577,11 @@ def _newton_solve(chord, U_int, f_int, stop=None, eps=None):
         if stop is not None and rn <= stop:
             break
         if chord.lu is None:
-            chord.refactor(jets)
+            try:
+                chord.refactor(jets)
+            except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+                raise NewtonStall(
+                    f"singular Newton Jacobian at residual {rn:.3e}") from exc
         step = chord.step(res)
         at_floor = rn <= TOL_NEWTON
         lam, accepted, refused = 1.0, False, None

@@ -1,4 +1,5 @@
 import argparse
+import json
 
 import numpy as np
 import pytest
@@ -130,6 +131,21 @@ class TestMatrixSuite:
         assert cli.run(["matrix-suite", "--trials", "200", "--seed", "3"]) == cli.EXIT_OK
         groups = {(n, k) for n, k, *_ in self.draws(3, 200)}
         assert 0 < len(calls) <= 5 * len(groups)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["radial", "--n", "5", "--k", "2", "--R", "-1"], "ball radius must be positive"),
+    (["radial", "--n", "5", "--k", "2", "--R", "0"], "ball radius must be positive"),
+    (["radial", "--n", "5", "--k", "2", "--t-grid=-0.5,0"],
+     "levels must lie in [-1, 0)"),
+    (["monotone", "--body", "sphere", "--n", "3", "--k", "1", "--N-s", "32",
+      "--t-grid=-0.5,abc"], "could not convert string to float: 'abc'"),
+], ids=["R<0", "R=0", "t=0", "t=abc"])
+def test_input_errors_exit_2(argv, message, tmp_path, capsys):
+    # a bad value of an option is a config error, not a traceback
+    code = cli.run([*argv, "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err) == {"config_errors": [message]}
 
 
 class TestRadial:
@@ -284,6 +300,24 @@ class TestSolve:
         assert code == cli.EXIT_CONFIG
         assert "strictly increasing" in capsys.readouterr().err
 
+    def test_singular_newton_jacobian_exits_3(self, tmp_path, monkeypatch, capsys):
+        # SuperLU's error on a singular Jacobian is a stall that names the
+        # residual, as a singular ghost row is
+        import scipy.sparse.linalg
+
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+        code = cli.run([
+            "solve", "--body", "sphere", "--n", "3", "--k", "1",
+            "--N-s", "32", "--out", str(tmp_path),
+        ])
+        assert code == cli.EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: singular Newton Jacobian at residual ")
+        assert float(err.split("residual ")[1]) > 0.0
+
     def test_solver_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise NewtonStall("no admissible step")
@@ -322,6 +356,30 @@ class TestMonotone:
         assert code == cli.EXIT_CONFIG
         assert "Richardson companion (N_s=32, N_theta=16)" in err
         assert "level -0.9 " in err and "holds the levels in (-0.87" in err
+
+    @pytest.mark.parametrize("grid,companion", [
+        (["--N-s", "32"], "(N_s=16, N_theta=8)"),
+        (["--N-s", "48"], "(N_s=24, N_theta=12)"),
+        (["--N-s", "64", "--N-theta", "33"], "(N_s=32, N_theta=16.5)"),
+    ], ids=["N_s=32", "N_s=48", "N_theta=33"])
+    def test_companion_not_at_half_the_step_exits_2(self, grid, companion,
+                                                    tmp_path, monkeypatch, capsys):
+        # the Richardson tolerance's / 3 assumes a companion at exactly half
+        # the step: a grid that does not halve into one of at least (32, 16)
+        # is refused before any companion solve
+        solves = []
+        real = cli.solve_exterior
+        monkeypatch.setattr(cli, "solve_exterior",
+                            lambda *a, **kw: solves.append(kw["N_s"]) or real(*a, **kw))
+        code = cli.run([
+            "monotone", "--body", "sphere", "--n", "3", "--k", "1", *grid,
+            "--t-grid=-0.8,-0.5,-0.3", "--out", str(tmp_path),
+        ])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert f"Richardson companion {companion}" in err
+        assert "pass --tol-mono" in err
+        assert solves == [int(grid[1])]
 
     def test_level_sets_not_graphs_exit_3(self, tmp_path, monkeypatch, capsys):
         # u falls in s on theta column 3 only, so the level sets of the

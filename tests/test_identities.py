@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hesslab import cli, identities, solver, surfaces
+from hesslab.errors import NotConvex
 from hesslab.identities import (
     CERTIFIED_BALL,
     CERTIFIED_NOT_OVERDETERMINED,
@@ -9,6 +10,8 @@ from hesslab.identities import (
     INCONCLUSIVE,
     INEQUALITY_OK,
     NOT_APPLICABLE,
+    TAU_OVERDETERMINED,
+    VIOLATED,
     certify_ball,
     identity_lemma33,
     inequality_ledger,
@@ -17,7 +20,8 @@ from hesslab.identities import (
 from hesslab.monotone import F_boundary, ProblemSpec
 from hesslab.radial import RadialSolution
 from hesslab.solver import ExteriorField
-from hesslab.surfaces import RevolutionBody, sphere_measure
+from hesslab.surfaces import (RevolutionBody, af_sides, curvature_samples,
+                              qiu_xia_sides, sphere_measure)
 from oracles import c_formula
 
 S4 = sphere_measure(4)
@@ -355,3 +359,76 @@ class TestOneBoundaryEvaluation:
         ])
         assert code == cli.EXIT_OK
         assert counts == {"samples": 3, "gradient": 2}
+
+
+class TestVerdictsFollowTheirDocstrings:
+    """Every ledger entry reads the verdict that LedgerEntry's docstring
+    states, and every certification follows certify_ball's chain."""
+
+    BALANCES = ("gradient-energy-balance", "rellich-pohozaev-balance")
+    #: the entries that presume an overdetermined or convex boundary
+    CONDITIONAL = BALANCES + ("curvature-ratio-lower-bound",
+                              "area-volume-curvature-bound")
+
+    def _check_entry(self, e):
+        if e.verdict == NOT_APPLICABLE:
+            assert e.name in self.CONDITIONAL
+            assert np.isnan([e.lhs, e.rhs, e.residual_or_gap]).all()
+            return
+        assert e.residual_or_gap == e.lhs - e.rhs
+        bar = e.tolerance * max(abs(e.lhs), abs(e.rhs), 1.0)
+        if e.name in self.BALANCES:
+            ok, holds = IDENTITY_OK, abs(e.residual_or_gap) <= bar
+        else:
+            ok, holds = INEQUALITY_OK, e.residual_or_gap >= -bar
+        assert e.verdict == (ok if holds else VIOLATED)
+
+    @staticmethod
+    def _check_report(r, body, k):
+        gam = body.gamma
+        assert r.profile_deviation == (gam.max() - gam.min()) / body.mean_radius
+        squeeze = [r.squeeze_lhs, r.squeeze_rhs, r.squeeze_rel]
+        if r.gradient_spread > TAU_OVERDETERMINED:
+            assert r.verdict == CERTIFIED_NOT_OVERDETERMINED
+            assert np.isnan(squeeze).all()
+            return
+        samples = curvature_samples(body)
+        try:
+            af_sides(samples, k) if k >= 2 else qiu_xia_sides(samples)
+        except NotConvex:
+            assert r.verdict == INCONCLUSIVE
+            assert np.isnan(squeeze).all()
+            return
+        lhs, rhs = r.squeeze_lhs, r.squeeze_rhs
+        assert r.squeeze_rel == abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
+        assert r.verdict == (CERTIFIED_BALL if r.squeeze_rel <= 1e-6 else INCONCLUSIVE)
+
+    def _check(self, solution, body, n, k, rows=identities.ledger):
+        spec = ProblemSpec(n=n, k=k, a=float(k + 1))
+        for e in rows(solution, body, spec):
+            self._check_entry(e)
+        self._check_report(certify_ball(solution, body, spec), body, k)
+
+    @pytest.mark.parametrize("n,k,R", RADIAL_BATTERY + [(3, 1, 1.0), (3, 1, 2.0)])
+    def test_radial_battery(self, n, k, R):
+        self._check(RadialSolution(n=n, k=k, R=R), RevolutionBody.sphere(R, n=n), n, k)
+
+    @pytest.mark.parametrize("fixture", [
+        "sphere_k1_field", "sphere_k2_field", "prolate_field", "cosper_field",
+        "prolate_k2_field", "cosper_k2_field",
+    ])
+    def test_solved_fixtures(self, request, fixture):
+        fld = request.getfixturevalue(fixture)
+        self._check(fld, fld.grid.body, fld.n, fld.k)
+
+    @pytest.mark.parametrize("n,k", [(3, 1), (5, 2)])
+    @pytest.mark.parametrize("spread", [0.0, 0.005, 0.3])
+    def test_stubs(self, n, k, spread):
+        # the stub has no field data, so only the inequality battery runs;
+        # its spreads and bodies reach each branch of the chain and each
+        # not-applicable entry
+        stub = _GradientStub(n=n, k=k, spread=spread)
+        for body in (RevolutionBody.spheroid(1.5, 1.0, n=n),
+                     RevolutionBody.cos_perturbed(n, 0.2, 4),
+                     RevolutionBody.sphere(1.0, n=n)):
+            self._check(stub, body, n, k, inequality_ledger)
