@@ -42,6 +42,7 @@ from .symfunc import (
     newton_maclaurin_gap,
     sigma_grad,
     sigma_matrix,
+    symmetrize,
     verify_matrix_identities,
 )
 
@@ -168,23 +169,23 @@ def _levels_on(field, what):
 
 
 def cmd_matrix_suite(args):
-    """The battery draws every trial first, in its fixed RNG order, and then
-    checks each group of equal shape with one stacked call per function:
-    (n, k) for the identities and the gradient probe, (n, m, l) for the
-    Newton-MacLaurin gaps.  The worst values are max/min reductions, so
-    grouping does not change them; newton_maclaurin_min is the smallest
-    gap over the trials with m < l."""
+    """The battery draws every trial first, in its fixed RNG order, then
+    checks each group of equal shape, (n, k) for the identities and the
+    gradient probe and (n, m, l) for the Newton-MacLaurin gaps, with one
+    stacked operation per step: a trial only draws.  The worst values are
+    max/min reductions, so grouping does not change them;
+    newton_maclaurin_min is the smallest gap over the trials with m < l."""
+    if args.trials < 1:
+        _config_error(f"--trials must be >= 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     by_nk, by_nml = {}, {}
-    trials = args.trials
-    for _ in range(trials):
+    for _ in range(args.trials):
         n = int(rng.integers(3, 7))
         A = rng.standard_normal((n, n))
-        A = (A + A.T) / 2.0
         k = int(rng.integers(1, n))
-        i, j = rng.integers(0, n, size=2)  # entry of the gradient probe
+        i, j = rng.integers(0, n), rng.integers(0, n)  # entry of the gradient probe
         by_nk.setdefault((n, k), []).append((A, i, j))
-        lam = np.abs(rng.standard_normal(n)) + 0.1
+        lam = rng.standard_normal(n)
         ell = int(rng.integers(1, n + 1))
         m = int(rng.integers(1, ell + 1))
         if m < ell:  # m = l is a gap of exactly 0
@@ -193,27 +194,27 @@ def cmd_matrix_suite(args):
     worst_nm = np.inf
     for (n, k), group in by_nk.items():
         A, i, j = (np.array(x) for x in zip(*group))
+        A = symmetrize(A)
         worst_identity = max(worst_identity,
                              float(np.max(verify_matrix_identities(A, k))))
 
-        # central difference of S_k along the symmetric direction (i, j)
+        # central difference of S_k along the symmetric direction (i, j),
+        # A + h e_ij and A - h e_ij stacked into one sigma_matrix call
         h, b = 1e-6, np.arange(len(group))
-        Ap, Am = A.copy(), A.copy()
-        Ap[b, i, j] += h
-        Ap[b, j, i] = Ap[b, i, j]
-        Am[b, i, j] -= h
-        Am[b, j, i] = Am[b, i, j]
-        fd = (sigma_matrix(Ap, k) - sigma_matrix(Am, k)) / (2 * h)
+        P = np.array([A, A])
+        P[:, b, i, j] += [[h], [-h]]
+        P[:, b, j, i] = P[:, b, i, j]
+        fd = np.subtract(*sigma_matrix(P, k)) / (2 * h)
         g = sigma_grad(A, k)
         analytic = np.where(i != j, g[b, i, j] + g[b, j, i], g[b, i, i])
         err = np.abs(fd - analytic) / np.maximum(1.0, np.abs(fd))
         worst_grad = max(worst_grad, float(np.max(err)))
     for (n, m, ell), lams in by_nml.items():
-        gaps = newton_maclaurin_gap(np.array(lams), m, ell)
+        gaps = newton_maclaurin_gap(np.abs(np.array(lams)) + 0.1, m, ell)
         worst_nm = min(worst_nm, float(np.min(gaps)))
     ok = worst_identity <= 1e-10 and worst_grad <= 1e-5 and worst_nm >= -1e-12
     print(f"# config={_config_hash(args)}")
-    print(f"trials={trials} identity_residual={worst_identity:.3e} "
+    print(f"trials={args.trials} identity_residual={worst_identity:.3e} "
           f"gradient_fd_error={worst_grad:.3e} newton_maclaurin_min={worst_nm:.3e}")
     print("matrix-suite:", "ok" if ok else "VIOLATION")
     return EXIT_OK if ok else EXIT_AUDIT

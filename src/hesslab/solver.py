@@ -439,10 +439,17 @@ def _shell(grid: AxiGrid):
     """Node radii and the mask of the far-field shell r in [0.6, 0.8] R_out.
 
     The shell lies strictly between the Dirichlet rows (R_out is at least
-    ten body radii), so it covers interior nodes only.
+    ten body radii), so it covers interior nodes only.  A grid whose shell
+    holds no node cannot fit rho and raises ValueError.
     """
     r = grid.r_nodes
-    return r, (r >= 0.6 * grid.R_out) & (r <= 0.8 * grid.R_out)
+    mask = (r >= 0.6 * grid.R_out) & (r <= 0.8 * grid.R_out)
+    if not mask.any():
+        raise ValueError(
+            f"the far-field shell r in [0.6, 0.8]*R_out holds no node of the "
+            f"N_s={grid.N_s} grid; refine N_s"
+        )
+    return r, mask
 
 
 def _fit_rho(grid: AxiGrid, U, alpha):

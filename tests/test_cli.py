@@ -8,7 +8,12 @@ from hesslab import cli, monotone
 from hesslab.errors import NewtonStall
 from hesslab.solver import AxiGrid, ExteriorField
 from hesslab.surfaces import RevolutionBody
-from hesslab.symfunc import newton_maclaurin_gap
+from hesslab.symfunc import (
+    newton_maclaurin_gap,
+    sigma_grad,
+    sigma_matrix,
+    verify_matrix_identities,
+)
 from oracles import save_profile
 
 
@@ -101,17 +106,67 @@ class TestMatrixSuite:
         assert first == second
 
     @staticmethod
-    def draws(seed, trials):
-        """(n, k, lam, ell, m) of each trial, drawn in the battery's order."""
+    def full_draws(seed, trials):
+        """(n, A, k, (i, j), lam, ell, m) of each trial, drawn in the
+        battery's order with one size-2 draw for the probe entry; A is
+        symmetrised and lam shifted to |lam| + 0.1 trial by trial."""
         rng = np.random.default_rng(seed)
         for _ in range(trials):
             n = int(rng.integers(3, 7))
-            rng.standard_normal((n, n))
+            A = rng.standard_normal((n, n))
             k = int(rng.integers(1, n))
-            rng.integers(0, n, size=2)
+            probe = rng.integers(0, n, size=2)
             lam = np.abs(rng.standard_normal(n)) + 0.1
             ell = int(rng.integers(1, n + 1))
-            yield n, k, lam, ell, int(rng.integers(1, ell + 1))
+            yield n, (A + A.T) / 2.0, k, probe, lam, ell, int(rng.integers(1, ell + 1))
+
+    @classmethod
+    def draws(cls, seed, trials):
+        """(n, k, lam, ell, m) of each trial, drawn in the battery's order."""
+        for n, _, k, _, lam, ell, m in cls.full_draws(seed, trials):
+            yield n, k, lam, ell, m
+
+    @classmethod
+    def per_trial_line(cls, seed, trials):
+        """The battery's result line, rebuilt with its per-trial work: a
+        trial symmetrises and shifts its own draws, and each (n, k) group
+        makes one public call per function, with separate sigma_matrix
+        calls on A + h e_ij and A - h e_ij."""
+        by_nk, by_nml = {}, {}
+        for n, A, k, probe, lam, ell, m in cls.full_draws(seed, trials):
+            by_nk.setdefault((n, k), []).append((A, *probe))
+            if m < ell:
+                by_nml.setdefault((n, m, ell), []).append(lam)
+        worst_identity = worst_grad = 0.0
+        for (n, k), group in by_nk.items():
+            A, i, j = (np.array(x) for x in zip(*group))
+            worst_identity = max(worst_identity,
+                                 float(np.max(verify_matrix_identities(A, k))))
+            h, b = 1e-6, np.arange(len(group))
+            Ap, Am = A.copy(), A.copy()
+            Ap[b, i, j] += h
+            Ap[b, j, i] = Ap[b, i, j]
+            Am[b, i, j] -= h
+            Am[b, j, i] = Am[b, i, j]
+            fd = (sigma_matrix(Ap, k) - sigma_matrix(Am, k)) / (2 * h)
+            g = sigma_grad(A, k)
+            analytic = np.where(i != j, g[b, i, j] + g[b, j, i], g[b, i, i])
+            err = np.abs(fd - analytic) / np.maximum(1.0, np.abs(fd))
+            worst_grad = max(worst_grad, float(np.max(err)))
+        worst_nm = min((float(np.min(newton_maclaurin_gap(np.array(lams), m, ell)))
+                        for (n, m, ell), lams in by_nml.items()), default=np.inf)
+        return (f"trials={trials} identity_residual={worst_identity:.3e} "
+                f"gradient_fd_error={worst_grad:.3e} "
+                f"newton_maclaurin_min={worst_nm:.3e}")
+
+    @pytest.mark.parametrize("trials", [1, 50, 300])
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_line_equals_per_trial_battery(self, seed, trials, capsys):
+        # stacking the per-trial work by group keeps the RNG stream and
+        # every value bit for bit
+        cli.run(["matrix-suite", "--trials", str(trials), "--seed", str(seed)])
+        line = capsys.readouterr().out.splitlines()[1]
+        assert line == self.per_trial_line(seed, trials)
 
     def test_newton_maclaurin_min_is_smallest_gap(self, capsys):
         cli.run(["matrix-suite", "--trials", "300", "--seed", "11"])
@@ -131,6 +186,26 @@ class TestMatrixSuite:
         assert cli.run(["matrix-suite", "--trials", "200", "--seed", "3"]) == cli.EXIT_OK
         groups = {(n, k) for n, k, *_ in self.draws(3, 200)}
         assert 0 < len(calls) <= 5 * len(groups)
+
+    def test_eigen_calls_per_group_with_stacked_probe(self, capsys, monkeypatch):
+        # both sides of the central difference share one sigma_matrix call
+        calls = []
+        for name in ("eigvalsh", "eigh"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, fn=fn, **kw: calls.append(1) or fn(*a, **kw))
+        assert cli.run(["matrix-suite", "--trials", "200", "--seed", "3"]) == cli.EXIT_OK
+        groups = {(n, k) for n, k, *_ in self.draws(3, 200)}
+        assert 0 < len(calls) <= 4 * len(groups)
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_exits_2(self, trials, capsys):
+        # a battery of no trials checks nothing and may not print ok
+        assert cli.run(["matrix-suite", "--trials", trials]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "config_errors": [f"--trials must be >= 1, got {trials}"]}
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -317,6 +392,26 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("solver failure: singular Newton Jacobian at residual ")
         assert float(err.split("residual ")[1]) > 0.0
+
+    @pytest.mark.parametrize("N_s", ["2", "7"])
+    def test_grid_coarser_than_shell_exits_2(self, N_s, tmp_path, capsys):
+        # no node row in the far-field shell leaves rho nothing to fit
+        code = cli.run([
+            "solve", "--body", "sphere", "--n", "3", "--k", "1",
+            "--N-s", N_s, "--out", str(tmp_path),
+        ])
+        assert code == cli.EXIT_CONFIG
+        message, = json.loads(capsys.readouterr().err)["config_errors"]
+        assert message.startswith("the far-field shell r in [0.6, 0.8]*R_out")
+        assert f"N_s={N_s} grid" in message
+
+    def test_coarsest_grid_with_shell_solves(self, tmp_path, capsys):
+        code = cli.run([
+            "solve", "--body", "sphere", "--n", "3", "--k", "1",
+            "--N-s", "8", "--out", str(tmp_path),
+        ])
+        assert code == cli.EXIT_OK
+        assert (tmp_path / "field.txt").exists()
 
     def test_solver_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):
