@@ -258,6 +258,8 @@ def cmd_solve(args):
     steps, worst = zip(*field.ghost_rows)
     print(f"ghost_rows=body,outer steps={','.join(map(str, steps))} "
           f"residuals={','.join(f'{r:.3e}' for r in worst)}")
+    half = field.unknowns < (field.grid.N_s - 1) * (field.grid.N_theta + 1)
+    print(f"newton_unknowns={field.unknowns} meridian={'half' if half else 'full'}")
     print(f"wrote {path}")
     return EXIT_OK
 

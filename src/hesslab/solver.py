@@ -9,6 +9,7 @@ map, so the only discretization is second-order centered differencing
 on the (s, theta) grid.
 """
 
+from copy import copy
 from dataclasses import dataclass
 from math import log, pi
 
@@ -58,7 +59,9 @@ class AxiGrid:
 
     The radial map is r(s, theta) = gamma(theta) * exp(s * L(theta)) with
     L = log(R_out / gamma), so s = 0 is the body and s = 1 the truncation
-    sphere regardless of theta.
+    sphere regardless of theta.  N_s or N_theta below 1 raises ValueError.
+    On an even N_theta the middle column is theta = pi/2, the mirror line
+    of a body symmetric about z = 0, where _half cuts the grid.
     """
 
     body: RevolutionBody
@@ -67,6 +70,9 @@ class AxiGrid:
     N_theta: int
 
     def __post_init__(self):
+        if min(self.N_s, self.N_theta) < 1:
+            raise ValueError(f"grid counts must be >= 1: N_s={self.N_s}, "
+                             f"N_theta={self.N_theta}")
         if self.R_out < 10.0 * self.body.max_radius:
             raise ValueError(
                 f"R_out = {self.R_out} below 10 * max profile radius "
@@ -104,6 +110,27 @@ class AxiGrid:
             self._factors = (1.0 / r, r * cos, r * sin, a, b, a * b,
                              self.d2lngam * a + 2.0 * b * b, cos, sin, cot)
         return self._factors
+
+    def _half(self):
+        """The grid cut to its columns theta in [0, pi/2] (N_theta, ht and the
+        body stay the full grid's), or None unless N_theta is even and
+        gamma(pi - theta_j) = gamma(theta_j) within 4 ulps (gamma'' of a
+        resampled body is only within ~5e-11).  The last column is the mirror line."""
+        g = self.body.gamma
+        if self.N_theta % 2 or np.abs(g - g[::-1]).max() > 4 * np.spacing(g.max()):
+            return None
+        half, cols = copy(self), slice(self.N_theta // 2 + 1)
+        for name in ("theta", "lngam", "dlngam", "d2lngam", "D", "_on_axis"):
+            setattr(half, name, getattr(self, name)[cols])
+        half._factors = None
+        return half
+
+
+def _fold(c):
+    """Border weights c of the full meridian on its half: c_j + c_(N_theta - j)
+    for j < N_theta/2, so c_half . U = c . U on a mirror-symmetric U."""
+    h = c.shape[1] // 2
+    return np.hstack([c[:, :h] + c[:, :h:-1], c[:, h:h + 1]])
 
 
 def _centered(U, hs, ht):
@@ -289,10 +316,10 @@ class ExteriorField:
     steps, final max |phi|) of the body and the outer ghost row.  The counters
     factorizations, back_solves and residual_evals record the work of the
     solve_exterior call that produced the field (the Jacobian is analytic, so residual_evals counts
-    only the iterates Newton tried), and eps_levels holds (eps, back-solves,
-    residual stopped at) for each of its eps levels; they are zero and
-    empty for sampled or loaded fields and, like ghost_rows, are not part
-    of the checkpoint format.
+    only the iterates Newton tried), unknowns the size of its Newton system,
+    and eps_levels holds (eps, back-solves, residual stopped at) for each of
+    its eps levels; they are zero and empty for sampled or loaded fields
+    and, like ghost_rows, are not part of the checkpoint format.
     """
 
     grid: AxiGrid
@@ -306,6 +333,7 @@ class ExteriorField:
     factorizations: int = 0
     back_solves: int = 0
     residual_evals: int = 0
+    unknowns: int = 0
     eps_levels: tuple = ()
 
     def __post_init__(self):
@@ -511,7 +539,7 @@ class _ChordFactor:
 
     def __init__(self, grid, top, k, c):
         self.grid, self.top, self.k, self.c = grid, top, k, c
-        self.pattern = _jacobian_pattern(grid.N_s - 1, grid.N_theta + 1)
+        self.pattern = _jacobian_pattern(grid.N_s - 1, top.size)
         self.lu = None
         self.fresh = False  # factored at the current iterate
         self.factorizations = 0
@@ -668,6 +696,11 @@ def solve_exterior(body: RevolutionBody, spec, R_out=None, N_s=256, N_theta=None
     non-admissible), and 1e-1 .. 1e-3 cost the same.  The returned field
     carries the counts of factorizations, back-solves and residual
     evaluations, and the eps, back-solves and residual of each level.
+
+    On a mirror-symmetric body with even N_theta (AxiGrid._half) u(s,
+    pi - theta) = u(s, theta), so Newton solves on theta in [0, pi/2] alone,
+    (N_s - 1)(N_theta/2 + 1) unknowns, from slices of the full start, with
+    the border folded (_fold); the solution is mirrored onto the full grid.
     """
     n, k = spec.n, spec.k
     if body.n != n:
@@ -688,9 +721,12 @@ def solve_exterior(body: RevolutionBody, spec, R_out=None, N_s=256, N_theta=None
     rho_hat, _ = _fit_rho(grid, U, alpha)
     U = U * ((-rho_hat * R_out ** (-alpha)) / U[-1])[None, :] ** grid.s[:, None]
 
-    chord = _ChordFactor(grid, U[0], k, _outer_weights(grid, alpha))
+    c, half = _outer_weights(grid, alpha), grid._half()
+    if half is not None:
+        U, c = U[:, :half.theta.size], _fold(c)
+    chord = _ChordFactor(half or grid, U[0], k, c)
     U_int = U[1:-1]
-    rhs = [rhs_at_radius(grid.r_nodes[1:-1], eps, n, spec.cnk)
+    rhs = [rhs_at_radius(chord.grid.r_nodes[1:-1], eps, n, spec.cnk)
            for eps in spec.eps_schedule]
     levels = []
     for eps, f_int, f_next in zip(spec.eps_schedule, rhs, rhs[1:] + [None]):
@@ -700,9 +736,10 @@ def solve_exterior(body: RevolutionBody, spec, R_out=None, N_s=256, N_theta=None
         U_int, rn = _newton_solve(chord, U_int, f_int, stop, eps)
         levels.append((eps, chord.back_solves - back_solves, rn))
 
+    u = chord.full(U_int)
     field = ExteriorField(
         grid=grid,
-        u=chord.full(U_int),
+        u=u if half is None else np.hstack([u, u[:, -2::-1]]),
         k=k,
         eps=spec.eps_schedule[-1],
         rho_hat=float("nan"),
@@ -711,6 +748,7 @@ def solve_exterior(body: RevolutionBody, spec, R_out=None, N_s=256, N_theta=None
         factorizations=chord.factorizations,
         back_solves=chord.back_solves,
         residual_evals=chord.residual_evals,
+        unknowns=U_int.size,
         eps_levels=tuple(levels),
     )
     field.rho_hat = estimate_rho(field)

@@ -405,6 +405,33 @@ class TestSolve:
         assert message.startswith("the far-field shell r in [0.6, 0.8]*R_out")
         assert f"N_s={N_s} grid" in message
 
+    @pytest.mark.parametrize("grid,named", [
+        (["--N-s", "16", "--N-theta", "0"], "N_theta=0"),
+        (["--N-s", "0"], "N_s=0"),
+        (["--N-s", "-8"], "N_s=-8"),
+    ], ids=["N_theta=0", "N_s=0", "N_s=-8"])
+    def test_degenerate_grid_count_exits_2(self, grid, named, tmp_path, capsys):
+        # a count below 1 is refused before 1/N_s or pi/N_theta is taken
+        code = cli.run(["solve", "--body", "sphere", "--n", "3", "--k", "1",
+                        *grid, "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        message, = json.loads(capsys.readouterr().err)["config_errors"]
+        assert message.startswith("grid counts must be >= 1") and named in message
+
+    @pytest.mark.parametrize("grid,line", [
+        (["--N-s", "32"], "newton_unknowns=279 meridian=half"),
+        (["--N-s", "32", "--N-theta", "33"], "newton_unknowns=1054 meridian=full"),
+    ], ids=["even", "odd-N_theta"])
+    def test_prints_newton_unknowns(self, grid, line, tmp_path, capsys):
+        # (N_s - 1)(N_theta/2 + 1) = 31 * 9 on the half meridian, and
+        # (N_s - 1)(N_theta + 1) = 31 * 34 on the full one
+        code = cli.run(["solve", "--body", "sphere", "--R", "1", "--n", "3",
+                        "--k", "1", *grid, "--out", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("ghost_rows="))
+        assert lines[i + 1] == line
+
     def test_coarsest_grid_with_shell_solves(self, tmp_path, capsys):
         code = cli.run([
             "solve", "--body", "sphere", "--n", "3", "--k", "1",

@@ -141,24 +141,49 @@ def test_ghost_row_jacobian_matches_fd(body, k, which):
     assert relative(banded, fd) <= 1e-8
 
 
-def test_sphere_jacobian_keeps_full_stencil(monkeypatch):
-    # on a sphere the k = 1 mixed-derivative weights vanish; dropped from
-    # the pattern they leave a 5-point stencil that MMD orders far worse
-    factored = []
+def factored(body, N_s, N_theta, monkeypatch):
+    """A k = 1 solve of body, and the one matrix it hands to splu."""
+    matrices = []
     real = scipy.sparse.linalg.splu
 
     def capturing(A, **kwargs):
-        factored.append(A)
+        matrices.append(A)
         return real(A, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", capturing)
+    field = solve_exterior(body, ProblemSpec(n=3, k=1, a=1.0), N_s=N_s,
+                           N_theta=N_theta)
+    (A,) = matrices
+    return field, A
+
+
+def test_sphere_jacobian_keeps_full_stencil(monkeypatch):
+    # on a sphere the k = 1 mixed-derivative weights vanish; dropped from
+    # the pattern they leave a 5-point stencil that MMD orders far worse.
+    # The sphere is mirror-symmetric, so Newton solves on the half meridian
     N_s, N_theta = 32, 16
-    solve_exterior(RevolutionBody.sphere(1.0, n=3), ProblemSpec(n=3, k=1, a=1.0),
-                   N_s=N_s, N_theta=N_theta)
-    m, W = N_s - 1, N_theta + 1
-    (A,) = factored
+    _, A = factored(RevolutionBody.sphere(1.0, n=3), N_s, N_theta, monkeypatch)
+    m, W = N_s - 1, N_theta // 2 + 1
     assert A.nnz == (3 * m - 2) * (3 * W - 2)
     assert np.count_nonzero(A.data) < A.nnz
+
+
+@pytest.mark.parametrize("body,N_theta", [
+    (RevolutionBody.cos_perturbed(n=3, amplitude=0.05, frequency=3), 32),
+    (RevolutionBody.sphere(1.0, n=3), 33),
+], ids=["cosper-odd-frequency", "sphere-odd-N_theta"])
+def test_full_width_solve(body, N_theta, monkeypatch):
+    # the mirror line theta = pi/2 needs an even N_theta and a body
+    # symmetric about z = 0 (cos(3 theta) is odd about it); without either
+    # the full meridian is solved, in the same 9-point pattern with its
+    # explicit zeros
+    N_s = 64
+    field, A = factored(body, N_s, N_theta, monkeypatch)
+    m, W = N_s - 1, N_theta + 1
+    assert A.shape == (m * W,) * 2 and field.unknowns == m * W
+    assert A.nnz == (3 * m - 2) * (3 * W - 2)
+    assert np.count_nonzero(A.data) < A.nnz
+    assert field.residual_norm <= solver.TOL_NEWTON
 
 
 @pytest.mark.parametrize("fixture,levels", [

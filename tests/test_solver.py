@@ -499,6 +499,62 @@ class TestInexactContinuation:
         assert ExteriorField.load_checkpoint(tmp_path / "field.txt").eps_levels == ()
 
 
+class TestMirrorHalf:
+    """A body mirror-symmetric about z = 0 on an even N_theta is solved on
+    the half meridian theta in [0, pi/2] and mirrored onto the full grid."""
+
+    @pytest.mark.parametrize("fixture", [
+        "sphere_k1_field", "sphere_k2_field", "prolate_field", "prolate_field_half",
+        "cosper_field", "cosper_field_half", "prolate_k2_field",
+        "prolate_k2_field_half", "cosper_k2_field", "cosper_k2_field_half",
+    ])
+    def test_fixtures_solve_on_the_half(self, fixture, request):
+        field = request.getfixturevalue(fixture)
+        g = field.grid
+        assert np.array_equal(field.u, field.u[:, ::-1])
+        assert field.unknowns == (g.N_s - 1) * (g.N_theta // 2 + 1)
+        assert field.u.shape == (g.N_s + 1, g.N_theta + 1)
+
+    @pytest.mark.parametrize("body,spec", [
+        (RevolutionBody.spheroid(1.5, 1.0, n=3), ProblemSpec(n=3, k=1, a=1.0)),
+        (RevolutionBody.sphere(1.0, n=5), ProblemSpec(n=5, k=2, a=2.0)),
+    ], ids=["prolate-k1", "ball-k2"])
+    def test_same_field_as_full_width_solve(self, body, spec, monkeypatch):
+        half = solve_exterior(body, spec, N_s=64)
+        monkeypatch.setattr(AxiGrid, "_half", lambda self: None)
+        full = solve_exterior(body, spec, N_s=64)
+        assert (half.unknowns, full.unknowns) == (63 * 17, 63 * 33)
+        assert np.abs(half.u - full.u).max() <= 1e-11
+        assert half.rho_hat == pytest.approx(full.rho_hat, rel=1e-11)
+        assert half.admissible == pytest.approx(full.admissible, abs=1e-11)
+        F_half, F_full = (F_eval(f, -0.5, spec).F for f in (half, full))
+        assert F_half == pytest.approx(F_full, rel=1e-11)
+
+    def test_folded_border_is_the_same_functional(self):
+        grid = AxiGrid(RevolutionBody.spheroid(1.5, 1.0, n=3), 40.0, 64, 32)
+        c = solver._outer_weights(grid, 1.0)
+        U_half = -np.random.default_rng(0).uniform(0.5, 1.0, (63, 17))
+        U = np.hstack([U_half, U_half[:, -2::-1]])
+        assert np.vdot(solver._fold(c), U_half) == pytest.approx(np.vdot(c, U),
+                                                                  rel=1e-15)
+
+    def test_half_only_for_mirror_symmetric_bodies_on_even_grids(self):
+        theta = np.linspace(0.0, np.pi, 65)
+        half = AxiGrid(RevolutionBody.spheroid(1.5, 1.0, n=3), 40.0, 16, 32)._half()
+        assert half.theta[-1] == np.pi / 2 and not half._on_axis[-1]
+        assert abs(half._chain_factors()[-1][-1]) < 1e-15  # cot theta
+        for body, N_theta in [
+            (RevolutionBody.sphere(1.0, n=3), 33),
+            (RevolutionBody.cos_perturbed(n=3, amplitude=0.05, frequency=3), 32),
+            (RevolutionBody.from_samples(3, theta, 1.0 + 0.05 * np.cos(theta)), 32),
+        ]:
+            assert AxiGrid(body, 40.0, 16, N_theta)._half() is None
+
+    def test_loaded_field_has_no_unknowns(self, prolate_field_half, tmp_path):
+        prolate_field_half.save_checkpoint(tmp_path / "field.txt")
+        assert ExteriorField.load_checkpoint(tmp_path / "field.txt").unknowns == 0
+
+
 class TestGhostRows:
     def test_unconverged_ghost_row_raises(self):
         # u is not near any solution of the equation, so no ghost value
