@@ -215,20 +215,6 @@ def _stencil_weights(grid: AxiGrid, rows, partials):
     return w
 
 
-def _jacobian_pattern(m, W):
-    """(indptr, indices, gather) of the CSC pattern of the 9-point stencil
-    on m interior rows of W nodes; entry e takes its value from the flat
-    index gather[e] of the _slots array.  Explicit zeros stay
-    in: without the zero mixed-derivative entries of a sphere, the
-    5-point pattern left is ordered far worse by MMD_AT_PLUS_A."""
-    col = np.arange(m * W, dtype=np.int32)[:, None]
-    slot = np.arange(8, -1, -1, dtype=np.int32)  # ascending rows in a column
-    ri, rj = col // W - (slot // 3 - 1), col % W - (slot % 3 - 1)
-    ok = (ri >= 0) & (ri < m) & (rj >= 0) & (rj < W)
-    indptr = np.concatenate([[0], np.cumsum(ok.sum(axis=1))]).astype(np.int32)
-    return indptr, (ri * W + rj)[ok], ((slot * m + ri) * W + rj)[ok]
-
-
 def _slots(grid: AxiGrid, w):
     """V[di + 1, dj + 1, i, j] = d(sum_q w_q F_q)(i, j) / dU(i + di, j + dj)
     for the centered stencils and weights w_q on rows i; at the poles the
@@ -510,36 +496,43 @@ def estimate_rho(field: ExteriorField):
     return rho
 
 
-def _linearization(grid, jets, k, pattern):
-    """(J, b) at the interior AxiJets jets: J = sum_q diag(w_q) D_q, D_q
-    the stencil of F_q, with the outer row held fixed, in the CSC pattern
-    of _jacobian_pattern; b its derivative in the outer value (U_s and
-    U_ss of the last interior row)."""
-    from scipy.sparse import csc_matrix  # scipy loads only for a Newton solve
-
+def _linearization(grid, jets, k):
+    """(ab, b) at the interior AxiJets jets: J = sum_q diag(w_q) D_q, D_q
+    the stencil of F_q, with the outer row held fixed, as the band ab of
+    dgbtrf (kl = ku = W + 1 on rows of W nodes, so slot (di, dj) of _slots
+    is the diagonal o = di W + dj: J[r, r + o] = ab[2 kl - o, r + o]); b its
+    derivative in the outer value (U_s and U_ss of the last interior row).
+    The pole slots off a row, which would wrap onto the next, are zeroed."""
     w = _stencil_weights(grid, slice(1, -1), jets.split(k, grad=True).grad)
-    indptr, indices, gather = pattern
-    J = csc_matrix((_slots(grid, w).ravel()[gather], indices, indptr),
-                   shape=(w[0].size,) * 2)
+    m, W = w[0].shape
+    V, kl, N = _slots(grid, w), W + 1, m * W
+    V[:, 0, :, 0] = V[:, 2, :, -1] = 0.0
+    ab = np.zeros((N, 3 * kl + 1)).T  # Fortran order, as dgbtrf takes it
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            o = di * W + dj
+            ab[2 * kl - o, max(o, 0):N + min(o, 0)] = (
+                V[di + 1, dj + 1].ravel()[max(-o, 0):N - max(o, 0)])
     b = np.zeros_like(w[0])
     b[-1] = w[0][-1] / (2 * grid.hs) + w[1][-1] / grid.hs**2
-    return J, b
+    return ab, b
 
 
 class _ChordFactor:
-    """The one sparse LU of a solve_exterior call, shared by every Newton
+    """The one band LU of a solve_exterior call, shared by every Newton
     step and eps level, with counters of the work done.
 
     The unknowns are the interior rows, below the body row top and above
     the uniform outer row outer(U_int) = c . U_int (see _outer_weights), so
-    the Jacobian is J + b c^T (see _linearization).  J is factored, and a
-    step solves the bordered system by Sherman-Morrison,
-    x - z (c . x) / (1 + c . z) with x = -J^(-1) res and z = J^(-1) b.
+    the Jacobian is J + b c^T (see _linearization).  J, a band matrix of
+    half-width W + 1 on rows of W nodes, is factored by LAPACK's dgbtrf
+    and back-solved by dgbtrs, and a step solves the bordered system by
+    Sherman-Morrison, x - z (c . x) / (1 + c . z) with x = -J^(-1) res and
+    z = J^(-1) b.
     """
 
     def __init__(self, grid, top, k, c):
         self.grid, self.top, self.k, self.c = grid, top, k, c
-        self.pattern = _jacobian_pattern(grid.N_s - 1, top.size)
         self.lu = None
         self.fresh = False  # factored at the current iterate
         self.factorizations = 0
@@ -564,11 +557,17 @@ class _ChordFactor:
         return jets, res, float(np.abs(res).max()), _margin(levels)
 
     def refactor(self, jets):
-        """Factor the Jacobian at the iterate whose jets are given."""
-        from scipy.sparse.linalg import splu
+        """Factor the Jacobian at the iterate whose jets are given; an exact
+        zero pivot raises LinAlgError naming its node."""
+        from scipy.linalg.lapack import dgbtrf, dgbtrs  # loaded by Newton only
 
-        J, b = _linearization(self.grid, jets, self.k, self.pattern)
-        self.lu = splu(J, permc_spec="MMD_AT_PLUS_A")
+        ab, b = _linearization(self.grid, jets, self.k)
+        kl = self.top.size + 1
+        lu, piv, info = dgbtrf(ab, kl, kl, overwrite_ab=True)
+        if info > 0:
+            i, j = divmod(info - 1, self.top.size)
+            raise LinAlgError(f"zero pivot at s-row {i + 1}, theta column {j}")
+        self.lu = lambda v: dgbtrs(lu, kl, kl, v, piv, overwrite_b=True)[0]
         self.z = self._back_solve(b)
         self.denom = 1.0 + np.vdot(self.c, self.z)
         self.fresh = True
@@ -576,7 +575,7 @@ class _ChordFactor:
 
     def _back_solve(self, v):
         self.back_solves += 1
-        return self.lu.solve(v.ravel()).reshape(v.shape)
+        return self.lu(v.ravel()).reshape(v.shape)
 
     def step(self, res):
         x = self._back_solve(-res)
@@ -614,9 +613,9 @@ def _newton_solve(chord, U_int, f_int, stop=None, eps=None):
         if chord.lu is None:
             try:
                 chord.refactor(jets)
-            except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-                raise NewtonStall(
-                    f"singular Newton Jacobian at residual {rn:.3e}") from exc
+            except LinAlgError as exc:
+                raise NewtonStall(f"singular Newton Jacobian at residual "
+                                  f"{rn:.3e} ({exc})") from exc
         step = chord.step(res)
         at_floor = rn <= TOL_NEWTON
         lam, accepted, refused = 1.0, False, None
@@ -677,7 +676,7 @@ def solve_exterior(body: RevolutionBody, spec, R_out=None, N_s=256, N_theta=None
     solution, so a far field that has not settled raises PoorFit.
 
     Every Newton solve of the call is a chord iteration on one shared
-    sparse LU of the analytic Jacobian, with the outer value folded in as
+    band LU of the analytic Jacobian, with the outer value folded in as
     a rank-one border (see _ChordFactor), factored again only when its
     steps stop contracting (see _newton_solve).  S_1 is linear, so
     a k = 1 solve factors once; for k >= 2 the Jacobian drifts slowly and a

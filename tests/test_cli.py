@@ -376,14 +376,16 @@ class TestSolve:
         assert "strictly increasing" in capsys.readouterr().err
 
     def test_singular_newton_jacobian_exits_3(self, tmp_path, monkeypatch, capsys):
-        # SuperLU's error on a singular Jacobian is a stall that names the
-        # residual, as a singular ghost row is
-        import scipy.sparse.linalg
+        # an exact zero pivot of the band LU is a stall that names the
+        # residual, as a singular ghost row is, and the pivot's node: the
+        # sphere solves on the half meridian, rows of W = 16/2 + 1 = 9
+        # nodes, so pivot 5 is the fifth node of the first interior row
+        import scipy.linalg.lapack
 
-        def singular(*args, **kwargs):
-            raise RuntimeError("Factor is exactly singular")
+        def singular(ab, *args, **kwargs):
+            return ab, None, 5  # info = 5: U[4, 4] is exactly zero
 
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+        monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", singular)
         code = cli.run([
             "solve", "--body", "sphere", "--n", "3", "--k", "1",
             "--N-s", "32", "--out", str(tmp_path),
@@ -391,7 +393,8 @@ class TestSolve:
         assert code == cli.EXIT_SOLVER
         err = capsys.readouterr().err
         assert err.startswith("solver failure: singular Newton Jacobian at residual ")
-        assert float(err.split("residual ")[1]) > 0.0
+        assert float(err.split("residual ")[1].split()[0]) > 0.0
+        assert "(zero pivot at s-row 1, theta column 4)" in err
 
     @pytest.mark.parametrize("N_s", ["2", "7"])
     def test_grid_coarser_than_shell_exits_2(self, N_s, tmp_path, capsys):

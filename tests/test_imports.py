@@ -3,8 +3,8 @@ in a hesslab module, listed in __all__; every parameter of a hesslab
 function is read, and every default of one is overridden by some call;
 every hesslab definition is reached from the CLI or the benchmark; hesslab
 leaves out the scipy subpackages whose import costs more than the few
-routines it would take from them; and it loads scipy at all only to
-factor a Newton Jacobian."""
+routines it would take from them; and it loads scipy at all only for the
+LAPACK band LU of a Newton Jacobian, never scipy.sparse."""
 
 import ast
 import subprocess
@@ -302,11 +302,12 @@ def test_cli_import_footprint():
     assert out.split() == []
 
 
-#: The only definitions in src/ that import scipy: the Newton Jacobian is
-#: a scipy.sparse CSC matrix and is factored by scipy.sparse.linalg.splu.
-#: The post-solve pipeline (checkpoints, splines, ghost rows, F, ledger,
-#: certification) and the matrix battery run on numpy alone.
-NEWTON_FACTOR = ("solver._linearization", "solver._ChordFactor.refactor")
+#: The only definition in src/ that imports scipy, and the one module it
+#: takes: the Newton Jacobian is a LAPACK band factored by dgbtrf and
+#: back-solved by dgbtrs.  The post-solve pipeline (checkpoints, splines,
+#: ghost rows, F, ledger, certification) and the matrix battery run on
+#: numpy alone.
+NEWTON_FACTOR = ("solver._ChordFactor.refactor", "scipy.linalg.lapack")
 
 
 def _scipy_imports(module, source):
@@ -336,11 +337,11 @@ def _scipy_imports(module, source):
 
 
 def _scipy_misplaced(module, source):
-    """The scipy imports of source that are scipy.linalg or lie outside
-    NEWTON_FACTOR."""
+    """The scipy imports of source other than scipy.linalg.lapack, or its
+    names, in the definition NEWTON_FACTOR names."""
+    where_ok, lapack = NEWTON_FACTOR
     return [(where, m) for where, m in _scipy_imports(module, source)
-            if where not in NEWTON_FACTOR or m == "scipy.linalg"
-            or m.startswith("scipy.linalg.")]
+            if where != where_ok or not (m == lapack or m.startswith(lapack + "."))]
 
 
 def test_scipy_import_detector():
@@ -351,19 +352,26 @@ def test_scipy_import_detector():
         "    def refactor(self):\n"
         "        from scipy.sparse.linalg import splu\n"
         "        import scipy.linalg.lapack\n"
-        "    def step(self):\n        import scipy.sparse\n"
+        "        from scipy.linalg.lapack import dgbtrf, dgbtrs\n"
+        "        from scipy.linalg import lu_factor\n"
+        "    def step(self):\n        import scipy.linalg.lapack\n"
     )
     assert _scipy_imports("solver", source) == [
         ("solver", "scipy.linalg"),
         ("solver._linearization", "scipy.sparse.csc_matrix"),
         ("solver._ChordFactor.refactor", "scipy.sparse.linalg.splu"),
         ("solver._ChordFactor.refactor", "scipy.linalg.lapack"),
-        ("solver._ChordFactor.step", "scipy.sparse"),
+        ("solver._ChordFactor.refactor", "scipy.linalg.lapack.dgbtrf"),
+        ("solver._ChordFactor.refactor", "scipy.linalg.lapack.dgbtrs"),
+        ("solver._ChordFactor.refactor", "scipy.linalg.lu_factor"),
+        ("solver._ChordFactor.step", "scipy.linalg.lapack"),
     ]
     assert _scipy_misplaced("solver", source) == [
         ("solver", "scipy.linalg"),
-        ("solver._ChordFactor.refactor", "scipy.linalg.lapack"),
-        ("solver._ChordFactor.step", "scipy.sparse"),
+        ("solver._linearization", "scipy.sparse.csc_matrix"),
+        ("solver._ChordFactor.refactor", "scipy.sparse.linalg.splu"),
+        ("solver._ChordFactor.refactor", "scipy.linalg.lu_factor"),
+        ("solver._ChordFactor.step", "scipy.linalg.lapack"),
     ]
 
 
@@ -408,7 +416,7 @@ def test_post_solve_loads_no_scipy(prolate_field_half, tmp_path):
     assert _scipy_loaded_after(code) == []
 
 
-def test_newton_solve_loads_sparse_lu():
+def test_newton_solve_loads_lapack_not_sparse():
     code = (
         "from hesslab.monotone import ProblemSpec\n"
         "from hesslab.solver import solve_exterior\n"
@@ -416,4 +424,6 @@ def test_newton_solve_loads_sparse_lu():
         "solve_exterior(RevolutionBody.sphere(1.0, n=3),"
         " ProblemSpec(n=3, k=1, a=1.0), N_s=32, N_theta=16)\n"
     )
-    assert "scipy.sparse.linalg" in _scipy_loaded_after(code)
+    loaded = _scipy_loaded_after(code)
+    assert "scipy.linalg.lapack" in loaded
+    assert [m for m in loaded if m == "scipy.sparse" or m.startswith("scipy.sparse.")] == []

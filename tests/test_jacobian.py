@@ -7,7 +7,7 @@ compared with central differences of the residual it linearizes.
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
+import scipy.linalg.lapack
 from scipy.sparse import coo_matrix
 
 from hesslab import solver
@@ -97,6 +97,25 @@ def relative(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
+def dense(ab, W):
+    """The matrix of a LAPACK band ab with kl = ku = W + 1, as dgbtrf reads
+    it: A[r, c] = ab[2 kl + r - c, c] for |r - c| <= kl."""
+    kl, N = W + 1, ab.shape[1]
+    r, c = np.indices((N, N))
+    near = np.abs(r - c) <= kl
+    A = np.zeros((N, N))
+    A[near] = ab[(2 * kl + r - c)[near], c[near]]
+    return A
+
+
+def stencil_diagonals_only(ab, W):
+    """Whether every entry of ab off the nine stencil diagonals
+    {0, +-1, +-(W - 1), +-W, +-(W + 1)} is zero, dgbtrf's kl fill rows too."""
+    offsets = 2 * (W + 1) - np.arange(ab.shape[0])
+    stencil = [di * W + dj for di in (-1, 0, 1) for dj in (-1, 0, 1)]
+    return not ab[~np.isin(offsets, stencil)].any()
+
+
 @pytest.mark.parametrize("body,k", CASES)
 def test_newton_jacobian_matches_fd(body, k):
     grid, U, alpha = iterate(body, k)
@@ -105,9 +124,9 @@ def test_newton_jacobian_matches_fd(body, k):
                                 solver._outer_weights(grid, alpha))
     bot = chord.outer(U_int)
     d = chord.evaluate(U_int, 0.0)[0]
-    J, b = solver._linearization(grid, d, k, chord.pattern)
+    ab, b = solver._linearization(grid, d, k)
     want = fd_jacobian(lambda V: interior_residual(grid, top, V, bot, k), U_int)
-    assert relative(J.toarray(), want.toarray()) <= 1e-8
+    assert relative(dense(ab, top.size), want.toarray()) <= 1e-8
 
     delta = 1e-6 * max(1.0, abs(bot))
     b_fd = (
@@ -142,30 +161,30 @@ def test_ghost_row_jacobian_matches_fd(body, k, which):
 
 
 def factored(body, N_s, N_theta, monkeypatch):
-    """A k = 1 solve of body, and the one matrix it hands to splu."""
-    matrices = []
-    real = scipy.sparse.linalg.splu
+    """A k = 1 solve of body, and the one band it hands to dgbtrf."""
+    bands = []
+    real = scipy.linalg.lapack.dgbtrf
 
-    def capturing(A, **kwargs):
-        matrices.append(A)
-        return real(A, **kwargs)
+    def capturing(ab, *args, **kwargs):
+        bands.append(ab.copy())  # dgbtrf overwrites it with the factor
+        return real(ab, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", capturing)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", capturing)
     field = solve_exterior(body, ProblemSpec(n=3, k=1, a=1.0), N_s=N_s,
                            N_theta=N_theta)
-    (A,) = matrices
-    return field, A
+    (ab,) = bands
+    return field, ab
 
 
-def test_sphere_jacobian_keeps_full_stencil(monkeypatch):
-    # on a sphere the k = 1 mixed-derivative weights vanish; dropped from
-    # the pattern they leave a 5-point stencil that MMD orders far worse.
-    # The sphere is mirror-symmetric, so Newton solves on the half meridian
+def test_sphere_jacobian_band(monkeypatch):
+    # the sphere is mirror-symmetric, so Newton solves on the half meridian:
+    # rows of W = N_theta/2 + 1 nodes, and J is a band of half-width W + 1
     N_s, N_theta = 32, 16
-    _, A = factored(RevolutionBody.sphere(1.0, n=3), N_s, N_theta, monkeypatch)
+    field, ab = factored(RevolutionBody.sphere(1.0, n=3), N_s, N_theta,
+                         monkeypatch)
     m, W = N_s - 1, N_theta // 2 + 1
-    assert A.nnz == (3 * m - 2) * (3 * W - 2)
-    assert np.count_nonzero(A.data) < A.nnz
+    assert ab.shape == (3 * W + 4, m * W) and field.unknowns == m * W
+    assert stencil_diagonals_only(ab, W)
 
 
 @pytest.mark.parametrize("body,N_theta", [
@@ -175,14 +194,12 @@ def test_sphere_jacobian_keeps_full_stencil(monkeypatch):
 def test_full_width_solve(body, N_theta, monkeypatch):
     # the mirror line theta = pi/2 needs an even N_theta and a body
     # symmetric about z = 0 (cos(3 theta) is odd about it); without either
-    # the full meridian is solved, in the same 9-point pattern with its
-    # explicit zeros
+    # the full meridian is solved, in the same band of the 9-point stencil
     N_s = 64
-    field, A = factored(body, N_s, N_theta, monkeypatch)
+    field, ab = factored(body, N_s, N_theta, monkeypatch)
     m, W = N_s - 1, N_theta + 1
-    assert A.shape == (m * W,) * 2 and field.unknowns == m * W
-    assert A.nnz == (3 * m - 2) * (3 * W - 2)
-    assert np.count_nonzero(A.data) < A.nnz
+    assert ab.shape == (3 * W + 4, m * W) and field.unknowns == m * W
+    assert stencil_diagonals_only(ab, W)
     assert field.residual_norm <= solver.TOL_NEWTON
 
 

@@ -357,6 +357,20 @@ class TestChordNewton:
             for a, b, c in zip(events, events[1:], events[2:])
         )
 
+    @pytest.mark.parametrize("body,n,k,counters", [
+        (RevolutionBody.spheroid(1.5, 1.0, n=3), 3, 1, (1, 5, 7)),
+        (RevolutionBody.sphere(1.0, n=5), 5, 2, (1, 10, 12)),
+        (RevolutionBody.cos_perturbed(n=3, amplitude=0.05, frequency=3), 3, 1,
+         (1, 5, 7)),
+    ], ids=["solve_k1", "solve_k2", "cosper-full-width"])
+    def test_benchmark_solve_counters(self, body, n, k, counters):
+        # the two benchmark solves and a full-meridian one at the command
+        # line's N_s = 128: factorizations, back-solves and residual
+        # evaluations do not depend on the machine, and a change of the
+        # linear algebra under Newton must leave them alone
+        fld = solve_exterior(body, ProblemSpec(n=n, k=k, a=float(k)), N_s=128)
+        assert (fld.factorizations, fld.back_solves, fld.residual_evals) == counters
+
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(solver, "MAX_NEWTON", 2)
         body = RevolutionBody.sphere(1.0, n=5)
