@@ -18,8 +18,8 @@ from numpy.linalg import LinAlgError
 
 from .errors import NewtonStall, PoorFit, StarShapeViolation
 from .fields import AxiJets, rhs_at_radius
-from .surfaces import (RevolutionBody, _ClampedSpline, _solve_tridiagonal,
-                       _spline_slopes)
+from .surfaces import (RevolutionBody, _ClampedSpline, _on_axis,
+                       _solve_tridiagonal, _spline_slopes)
 
 __all__ = [
     "AxiGrid",
@@ -89,7 +89,7 @@ class AxiGrid:
         self.dlngam = self.body.dgamma / g
         self.d2lngam = self.body.d2gamma / g - self.dlngam**2
         self.D = log(self.R_out) - self.lngam
-        self._on_axis = np.abs(np.sin(self.theta)) < 1e-12
+        self._on_axis = _on_axis(self.theta)
         self._factors = None
 
     @property
@@ -114,8 +114,9 @@ class AxiGrid:
     def _half(self):
         """The grid cut to its columns theta in [0, pi/2] (N_theta, ht and the
         body stay the full grid's), or None unless N_theta is even and
-        gamma(pi - theta_j) = gamma(theta_j) within 4 ulps (gamma'' of a
-        resampled body is only within ~5e-11).  The last column is the mirror line."""
+        gamma(pi - theta_j) = gamma(theta_j) within 4 ulps (gamma'' of a body
+        resampled through a spline is only within ~5e-11, of a builtin shape,
+        sampled from its formulas, within 2e-15).  The last column is the mirror line."""
         g = self.body.gamma
         if self.N_theta % 2 or np.abs(g - g[::-1]).max() > 4 * np.spacing(g.max()):
             return None

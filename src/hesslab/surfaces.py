@@ -6,8 +6,9 @@ the surface quadrature of int H_k and of the enclosed volume, and the two
 sides of the Aleksandrov-Fenchel and Qiu-Xia inequalities.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gamma as gamma_fn, perm, pi
+from typing import Callable
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -49,6 +50,11 @@ def _simpson_weights(num_nodes, h):
     if odd < num_nodes:
         w[-3:] += np.array([-1.0, 8.0, 5.0]) * (h / 12.0)
     return w
+
+
+def _on_axis(theta):
+    """The poles 0 and pi among theta: |sin theta| < 1e-12, as sin pi != 0."""
+    return np.abs(np.sin(theta)) < 1e-12
 
 
 def _solve_tridiagonal(ab, b):
@@ -221,15 +227,20 @@ class _ClampedSpline:
                 z = z * d
         return res
 
+    def profile(self, xi):
+        """The spline and its first two derivatives at xi."""
+        return tuple(self(xi, nu) for nu in range(3))
+
 
 @dataclass
 class RevolutionBody:
     """Axisymmetric star-shaped body given by a positive polar profile.
 
-    Stores the profile and its first two derivatives on a uniform grid of
-    theta in [0, pi].  Builtin shapes carry analytic derivatives; profiles
-    loaded from samples use a clamped cubic spline (gamma'(0) = gamma'(pi)
-    = 0, the even endpoint condition at the poles).
+    Stores gamma and its first two derivatives at nodes theta of [0, pi].
+    A builtin shape keeps its analytic profile(theta) -> (gamma, gamma',
+    gamma''); a body without one, sampled or built from arrays, takes the
+    clamped cubic spline through its gamma (gamma'(0) = gamma'(pi) = 0,
+    the even endpoint condition at the poles) to new nodes.
     """
 
     n: int
@@ -237,6 +248,7 @@ class RevolutionBody:
     gamma: np.ndarray
     dgamma: np.ndarray
     d2gamma: np.ndarray
+    profile: Callable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 3:
@@ -259,74 +271,67 @@ class RevolutionBody:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_callables(cls, n, gamma, dgamma, d2gamma, samples=512):
+    def from_profile(cls, n, profile, samples=512):
+        """The body of profile at samples + 1 uniform nodes of [0, pi]."""
         th = np.linspace(0.0, pi, samples + 1)
-        return cls(n, th, gamma(th), dgamma(th), d2gamma(th))
+        return cls(n, th, *profile(th), profile=profile)
 
     @classmethod
     def sphere(cls, R, n, samples=512):
-        th = np.linspace(0.0, pi, samples + 1)
-        z = np.zeros_like(th)
-        return cls(n, th, np.full_like(th, float(R)), z, z.copy())
+        return cls.from_profile(
+            n, lambda th: (np.full_like(th, float(R)), *np.zeros((2, th.size))), samples)
 
     @classmethod
     def spheroid(cls, a, b, n, samples=512):
         """Spheroid with semi-axis a along the rotation axis and b across."""
         a, b = float(a), float(b)
 
-        def gam(th):
-            return a * b / np.sqrt(b**2 * np.cos(th) ** 2 + a**2 * np.sin(th) ** 2)
-
-        def dgam(th):
-            D = b**2 * np.cos(th) ** 2 + a**2 * np.sin(th) ** 2
-            Dp = (a**2 - b**2) * np.sin(2 * th)
-            return -0.5 * a * b * D ** (-1.5) * Dp
-
-        def d2gam(th):
+        def profile(th):
             D = b**2 * np.cos(th) ** 2 + a**2 * np.sin(th) ** 2
             Dp = (a**2 - b**2) * np.sin(2 * th)
             Dpp = 2.0 * (a**2 - b**2) * np.cos(2 * th)
-            return 0.75 * a * b * D ** (-2.5) * Dp**2 - 0.5 * a * b * D ** (-1.5) * Dpp
+            return (a * b / np.sqrt(D), -0.5 * a * b * D ** (-1.5) * Dp,
+                    0.75 * a * b * D ** (-2.5) * Dp**2 - 0.5 * a * b * D ** (-1.5) * Dpp)
 
-        return cls.from_callables(n, gam, dgam, d2gam, samples)
+        return cls.from_profile(n, profile, samples)
 
     @classmethod
     def cos_perturbed(cls, n, amplitude, frequency=2, R=1.0, samples=512):
         """Profile R (1 + amplitude cos(frequency * theta)); frequency integer."""
         R, amp, m = float(R), float(amplitude), int(frequency)
-        return cls.from_callables(
-            n,
-            lambda th: R * (1.0 + amp * np.cos(m * th)),
-            lambda th: -R * amp * m * np.sin(m * th),
-            lambda th: -R * amp * m**2 * np.cos(m * th),
-            samples,
-        )
+        return cls.from_profile(n, lambda th: (
+            R * (1.0 + amp * np.cos(m * th)), -R * amp * m * np.sin(m * th),
+            -R * amp * m**2 * np.cos(m * th)), samples)
 
     @classmethod
-    def from_samples(cls, n, theta, gamma, samples=None):
-        """Spline a sampled profile; derivatives from the clamped spline.
-        Raises ValueError unless theta is strictly increasing."""
-        spline = _ClampedSpline(theta, gamma)
-        if samples is None:
-            th = np.asarray(theta, dtype=float)
-        else:
-            th = np.linspace(0.0, pi, samples + 1)
-        return cls(n, th, spline(th), spline(th, 1), spline(th, 2))
+    def from_samples(cls, n, theta, gamma):
+        """The clamped spline through (theta, gamma) at the nodes theta;
+        ValueError unless theta rises strictly from 0 to pi (within 1e-12)."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.size < 2 or not (abs(theta[0]) <= 1e-12 and abs(theta[-1] - pi) <= 1e-12):
+            raise ValueError("profile theta must run from 0 to pi within 1e-12")
+        return cls(n, theta, *_ClampedSpline(theta, gamma).profile(theta))
 
     def resampled(self, samples):
-        """Body on a refined uniform grid (spline through current samples)."""
-        return RevolutionBody.from_samples(self.n, self.theta, self.gamma, samples)
+        """The body at samples + 1 uniform nodes of [0, pi]: its profile
+        there, or without one the clamped spline through its gamma."""
+        profile = self.profile or _ClampedSpline(self.theta, self.gamma).profile
+        return RevolutionBody.from_profile(self.n, profile, samples)
 
     # -- profile file format ------------------------------------------
 
     @classmethod
     def load_profile(cls, path):
+        """The body of a revolution-profile file; ValueError if it is not one."""
         with open(path) as fh:
             header = fh.readline().strip()
-            if not header.startswith(PROFILE_HEADER):
+            if not header.startswith(PROFILE_HEADER + " n="):
                 raise ValueError(f"not a revolution-profile file: {path}")
             n = int(header.split("n=")[1])
-            data = np.loadtxt(fh)
+            rows = [line for line in fh if line.split("#", 1)[0].strip()]
+        data = np.loadtxt(rows, ndmin=2) if rows else np.empty((0, 0))
+        if data.shape[1] < 2:
+            raise ValueError(f"{path}: a profile needs rows of theta and gamma")
         return cls.from_samples(n, data[:, 0], data[:, 1])
 
 
@@ -371,7 +376,7 @@ def curvature_samples(body: RevolutionBody) -> SurfaceSampleSet:
     """Principal curvatures and quadrature weights over the profile grid.
 
     Orientation: a round sphere of radius R yields kappa_m = kappa_r = 1/R.
-    At the poles the limit kappa_r = kappa_m is used.
+    On the axis (_on_axis) the limit kappa_r = kappa_m is used.
     """
     th = body.theta
     g, gp, gpp = body.gamma, body.dgamma, body.d2gamma
@@ -385,22 +390,11 @@ def curvature_samples(body: RevolutionBody) -> SurfaceSampleSet:
         raise StarShapeViolation("<x, nu> <= 0 at a profile sample")
 
     kappa_m = (g**2 + 2 * gp**2 - g * gpp) / speed**3
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kappa_r = np.where(rho > 0, nu_rho / np.where(rho > 0, rho, 1.0), 0.0)
-    pole = rho <= 0
-    kappa_r[pole] = kappa_m[pole]
+    kappa_r = np.divide(nu_rho, rho, out=kappa_m.copy(), where=~_on_axis(th))
 
-    h = th[1] - th[0]
-    w = _simpson_weights(th.size, h)
+    w = _simpson_weights(th.size, th[1] - th[0])
     area_weight = w * sphere_measure(body.n - 2) * rho ** (body.n - 2) * speed
-    return SurfaceSampleSet(
-        n=body.n,
-        theta=th,
-        kappa_m=kappa_m,
-        kappa_r=kappa_r,
-        x_dot_nu=x_dot_nu,
-        area_weight=area_weight,
-    )
+    return SurfaceSampleSet(body.n, th, kappa_m, kappa_r, x_dot_nu, area_weight)
 
 
 def _require_convex(samples: SurfaceSampleSet):

@@ -5,12 +5,21 @@ computed once and reused by the solver, monotone, identities and
 acceptance tests.
 """
 
-import pytest
-from hypothesis import settings
+import os
 
-from hesslab.monotone import ProblemSpec
-from hesslab.solver import solve_exterior
-from hesslab.surfaces import RevolutionBody
+# one BLAS/OpenMP thread, as hessbench/run.py sets, before numpy is first
+# imported: a fixture solve then takes the same time however busy the
+# other cores are
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
+
+from hesslab.monotone import ProblemSpec  # noqa: E402
+from hesslab.solver import solve_exterior  # noqa: E402
+from hesslab.surfaces import RevolutionBody  # noqa: E402
 
 # property tests draw the same examples on every run, keep no example
 # database and have no time limit per example, so the suite stays

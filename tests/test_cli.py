@@ -364,6 +364,23 @@ class TestSolve:
         field = ExteriorField.load_checkpoint(tmp_path / "field.txt")
         assert field.rho_hat == pytest.approx(f / np.arctanh(f / 1.5), abs=1e-2)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text,message", [
+        ("n=3\n", "rows of theta and gamma"),
+        ("n=3\n0\n1\n2\n3.141592653589793\n", "rows of theta and gamma"),
+        ("n=3\n0 1\n0.5 1\n1 1\n2 1\n", "from 0 to pi"),
+        ("\n0 1\n3.141592653589793 1\n", "not a revolution-profile file"),
+    ], ids=["empty", "one-column", "theta-to-2", "no-dimension"])
+    def test_malformed_profile_exits_2(self, text, message, tmp_path, capsys):
+        path = tmp_path / "profile.txt"
+        path.write_text("# revolution-profile v1 " + text)
+        code = cli.run([
+            "solve", "--body", f"profile:{path}", "--n", "3", "--k", "1",
+            "--N-s", "32", "--out", str(tmp_path),
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
     def test_unordered_profile_exits_2(self, tmp_path, capsys):
         path = tmp_path / "profile.txt"
         path.write_text("# revolution-profile v1 n=3\n0 1\n1 1\n1 1\n"

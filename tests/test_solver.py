@@ -6,7 +6,7 @@ import pytest
 from math import comb, log2, sqrt
 from scipy.interpolate import RectBivariateSpline
 
-from hesslab import solver
+from hesslab import solver, surfaces
 from hesslab.errors import NewtonStall, PoorFit
 from hesslab.monotone import F_eval, ProblemSpec, extract_levelset
 from hesslab.radial import RadialSolution
@@ -41,6 +41,26 @@ class TestAxiGrid:
         grid = AxiGrid(body=body, R_out=40.0, N_s=32, N_theta=16)
         assert np.allclose(grid.r_nodes[0], grid.body.gamma, rtol=1e-14)
         assert np.allclose(grid.r_nodes[-1], 40.0, rtol=1e-14)
+
+    def test_builtin_body_sampled_at_the_grid_nodes(self):
+        # the grid evaluates the spheroid's own formulas at its nodes
+        grid = AxiGrid(RevolutionBody.spheroid(1.5, 1.0, n=3), 60.0, 128, 64)
+        direct = RevolutionBody.spheroid(1.5, 1.0, n=3, samples=64)
+        for key in ("theta", "gamma", "dgamma", "d2gamma"):
+            assert getattr(grid.body, key).tobytes() == getattr(direct, key).tobytes()
+
+    def test_builtin_body_solve_builds_no_spline(self, monkeypatch):
+        built, spline = [], surfaces._ClampedSpline
+
+        def recorder(*args):
+            built.append(args)
+            return spline(*args)
+
+        for module in (solver, surfaces):
+            monkeypatch.setattr(module, "_ClampedSpline", recorder)
+        solve_exterior(RevolutionBody.spheroid(1.5, 1.0, n=3),
+                       ProblemSpec(n=3, k=1, a=1.0), N_s=32)
+        assert built == []
 
     def test_to_physical_radius(self):
         body = RevolutionBody.sphere(2.0, n=3)
@@ -102,7 +122,7 @@ class TestChainOffTheSphere:
 
     def test_jets_second_order(self):
         errors = []
-        for N_s in (32, 64, 128):
+        for N_s in (32, 64, 128, 256, 512):
             field = ellipsoidal_field(N_s)
             grid, u = field.grid, field.u
             jets = solver._chain(grid, slice(1, -1),
@@ -111,11 +131,10 @@ class TestChainOffTheSphere:
             errors.append(max(
                 float(np.abs(getattr(jets, key) - exact[key]).max()
                       / np.abs(exact[key]).max()) for key in solver._JET_KEYS))
-        # measured 2.7e-3, 6.8e-4, 1.7e-4; at N_s = 256 the order falls to
-        # 1.5, as the body's 513 samples are resampled through a spline
+        # measured 2.7e-3, 6.8e-4, 1.7e-4, 4.4e-5, 1.1e-5
         orders = [log2(a / b) for a, b in zip(errors, errors[1:])]
         assert min(orders) >= 1.9, (errors, orders)
-        assert errors[-1] <= 2.5e-4
+        assert errors[-1] <= 1.5e-5
 
 
 class TestSolvedFields:

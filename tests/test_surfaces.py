@@ -40,6 +40,16 @@ class TestCurvatureSamples:
         assert np.max(np.abs(s.kappa_m - 0.5)) <= 1e-10
         assert np.max(np.abs(s.kappa_r - 0.5)) <= 1e-10
 
+    def test_splined_pole_curvature(self):
+        # a spline's gamma'(pi) is 0, so nu_rho / rho reads 1 / gamma at
+        # theta = pi, where sin theta is 1.2e-16: the axis limit holds there
+        theta = np.linspace(0.0, pi, 65)
+        body = RevolutionBody.from_samples(
+            3, theta, RevolutionBody.spheroid(1.5, 1.0, 3, samples=64).gamma)
+        s = curvature_samples(body)
+        assert s.kappa_r[[0, -1]].tobytes() == s.kappa_m[[0, -1]].tobytes()
+        assert s.kappa_r[-1] == pytest.approx(1.5, rel=2e-2)
+
     def test_spheroid_pole_curvature(self):
         # pole on the long axis of a prolate (1.5, 1) spheroid: a/b^2
         s = curvature_samples(RevolutionBody.spheroid(1.5, 1.0, 3))
@@ -182,6 +192,20 @@ class TestProfileIO:
         assert np.allclose(loaded.gamma, body.gamma, rtol=1e-12)
         # spline derivatives track the analytic ones closely away from noise
         assert np.max(np.abs(loaded.dgamma - body.dgamma)) <= 1e-5
+
+    def test_sampled_body_resamples_through_its_spline(self):
+        # as the clamped spline through its own gamma, bit for bit; so does
+        # a body built from arrays alone
+        theta = np.linspace(0.0, pi, 65)
+        noise = np.random.default_rng(7).uniform(-1e-3, 1e-3, theta.size)
+        body = RevolutionBody.from_samples(3, theta, 1.0 + 0.05 * np.cos(2 * theta) + noise)
+        bare = RevolutionBody(3, body.theta, body.gamma, body.dgamma, body.d2gamma)
+        th = np.linspace(0.0, pi, 33)
+        spline = _ClampedSpline(body.theta, body.gamma)
+        for resampled in (body.resampled(32), bare.resampled(32)):
+            assert resampled.theta.tobytes() == th.tobytes()
+            for nu, key in enumerate(("gamma", "dgamma", "d2gamma")):
+                assert getattr(resampled, key).tobytes() == spline(th, nu).tobytes()
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "junk.profile"
