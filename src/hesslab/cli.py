@@ -29,8 +29,8 @@ from .errors import HesslabError, LevelOutOfRange
 from .identities import VIOLATED, certify_ball, ledger, report
 from .monotone import (
     F_eval,
-    T_GRID,
     ProblemSpec,
+    level_grid,
     limit_bound,
     monotonicity_audit,
     weights,
@@ -144,13 +144,10 @@ def _write(args, name, lines):
 
 
 def _t_grid(args):
-    """The levels of --t-grid, by default T_GRID; one that does not parse
-    or lies outside [-1, 0) is a config error."""
+    """The levels of --t-grid, by default T_GRID; levels that do not parse,
+    lie outside [-1, 0) or do not strictly increase are a config error."""
     with _rejected():
-        ts = np.asarray(_floats(args.t_grid) if args.t_grid else T_GRID)
-        if not np.all((-1.0 <= ts) & (ts < 0.0)):
-            raise ValueError("levels must lie in [-1, 0)")
-    return ts
+        return level_grid(_floats(args.t_grid) if args.t_grid else None)
 
 
 def _solve(args, spec, body, N_s, N_theta):
@@ -255,9 +252,8 @@ def cmd_solve(args):
     print(f"eps_levels={','.join(f'{e:g}' for e in eps)} "
           f"level_back_solves={','.join(map(str, back_solves))} "
           f"level_residuals={','.join(f'{r:.3e}' for r in residuals)}")
-    steps, worst = zip(*field.ghost_rows)
-    print(f"ghost_rows=body,outer steps={','.join(map(str, steps))} "
-          f"residuals={','.join(f'{r:.3e}' for r in worst)}")
+    print("boundary_rows=body,outer residuals="
+          + ",".join(f"{r:.3e}" for r in field.boundary_residuals))
     half = field.unknowns < (field.grid.N_s - 1) * (field.grid.N_theta + 1)
     print(f"newton_unknowns={field.unknowns} meridian={'half' if half else 'full'}")
     print(f"wrote {path}")
@@ -265,6 +261,8 @@ def cmd_solve(args):
 
 
 def cmd_monotone(args):
+    if args.tol_mono is not None and not 0.0 <= args.tol_mono < np.inf:
+        _config_error(f"--tol-mono must be finite and >= 0, got {args.tol_mono}")
     ts = _t_grid(args)
     spec, body, field = _problem(args, solve=True)
     with _levels_on(field, "the field"):

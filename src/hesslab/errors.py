@@ -20,7 +20,10 @@ class NotConvex(HesslabError):
 
 
 class NewtonStall(HesslabError):
-    """No admissible residual-decreasing Newton step after maximal damping."""
+    """A solve that did not converge: the exterior Newton (no admissible
+    decreasing step, a zero pivot, or a residual above its tolerance), a
+    Dirichlet row of a field (dS_k/dU_ss not finite and > 0 at a node, or
+    a residual above TOL_NEWTON), or a level-set Newton on a column."""
 
 
 class PoorFit(HesslabError):

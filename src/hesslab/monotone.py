@@ -35,6 +35,7 @@ __all__ = [
     "F_boundary",
     "F_eval",
     "extract_levelset",
+    "level_grid",
     "limit_bound",
     "monotonicity_audit",
     "weights",
@@ -61,6 +62,11 @@ class ProblemSpec:
     cnk: float = 1.0
 
     def __post_init__(self):
+        eps = tuple(self.eps_schedule)
+        if not (np.isfinite([self.a, self.C3, self.C4, self.cnk, *eps]).all()
+                and self.cnk >= 0):
+            raise ValueError(f"need finite a, C3, C4, eps and cnk >= 0, got a={self.a:g}, "
+                             f"C3={self.C3:g}, C4={self.C4:g}, eps={eps}, cnk={self.cnk:g}")
         if not 1 <= self.k or not self.n > 2 * self.k:
             raise ValueError(f"need 1 <= k < n/2, got n={self.n}, k={self.k}")
         if self.a < self.a_min - 1e-12:
@@ -71,7 +77,6 @@ class ProblemSpec:
                 "C1(t) must be nonnegative on [-1, 0): need C3 >= 0 and "
                 f"C3 + C4 >= 0, got C3={self.C3:g}, C4={self.C4:g}"
             )
-        eps = tuple(self.eps_schedule)
         if not eps or min(eps) <= 0 or any(a <= b for a, b in zip(eps, eps[1:])):
             raise ValueError("eps schedule must be strictly decreasing and positive")
 
@@ -256,8 +261,8 @@ def F_boundary(field, body: RevolutionBody, spec: ProblemSpec) -> FResult:
     """F at t = -1, with its two surface integrals taken on the boundary.
 
     Curvatures come from the body geometry; |grad u| is the field's
-    gradient on the boundary row, from the centered stencils through the
-    PDE ghost rows (u is constant on the boundary).
+    gradient on the boundary row, where u is constant, so |grad u| is the
+    one-sided U_s of ExteriorField._node_jets through the chain rule.
     """
     s = curvature_samples(body)
     gn = field.boundary_gradient(body.theta)
@@ -291,15 +296,26 @@ class MonotonicityReport:
         return self.spread <= self.tol_mono
 
 
+def level_grid(t_grid):
+    """The levels t_grid, T_GRID if None, as an array; ValueError unless
+    they lie in [-1, 0) and strictly increase."""
+    ts = np.asarray(T_GRID if t_grid is None else t_grid, dtype=float)
+    if not np.all((-1.0 <= ts) & (ts < 0.0)):
+        raise ValueError("levels must lie in [-1, 0)")
+    if not np.all(np.diff(ts) > 0):
+        raise ValueError("levels must strictly increase")
+    return ts
+
+
 def monotonicity_audit(field, spec: ProblemSpec, tol_mono, t_grid=None):
-    """Evaluate F over the level grid (T_GRID by default) and check the
-    monotone contract.
+    """Evaluate F over the level grid (T_GRID by default; see level_grid)
+    and check the monotone contract.
 
     tol_mono should come from a Richardson error estimate on F itself
     (two grid levels); the continuum monotonicity is exact but discrete F
     carries O(h^2) + O(eps^2) bias.
     """
-    ts = np.asarray(T_GRID if t_grid is None else t_grid, dtype=float)
+    ts = level_grid(t_grid)
     results = tuple(F_eval(field, t, spec) for t in ts)
     Fs = np.array([r.F for r in results])
     diffs = np.diff(Fs)

@@ -32,6 +32,8 @@ class RadialSolution:
     def __post_init__(self):
         if not 1 <= self.k or not self.n > 2 * self.k:
             raise ValueError(f"need 1 <= k < n/2, got n={self.n}, k={self.k}")
+        if not np.isfinite(self.R):
+            raise ValueError(f"ball radius must be finite, got {self.R}")
         if self.R <= 0:
             raise ValueError("ball radius must be positive")
 

@@ -18,8 +18,7 @@ from numpy.linalg import LinAlgError
 
 from .errors import NewtonStall, PoorFit, StarShapeViolation
 from .fields import AxiJets, rhs_at_radius
-from .surfaces import (RevolutionBody, _ClampedSpline, _on_axis,
-                       _solve_tridiagonal, _spline_slopes)
+from .surfaces import RevolutionBody, _ClampedSpline, _on_axis, _spline_slopes
 
 __all__ = [
     "AxiGrid",
@@ -38,8 +37,8 @@ _FIELD_HEADERS = ("# exterior-field v1", FIELD_HEADER)
 #: S_k depends on the last four.
 _JET_KEYS = ("uz", "urho", "uzz", "uzrho", "urhorho", "kappat")
 
-#: Residual sup-norm that a Newton solve, and the ghost rows of a
-#: field, must reach; and the step cap of each.
+#: Residual sup-norm that a Newton solve, and the boundary rows of a
+#: field (_boundary_derivs), must reach; and Newton's step cap.
 TOL_NEWTON = 1e-10
 MAX_NEWTON = 60
 
@@ -73,10 +72,10 @@ class AxiGrid:
         if min(self.N_s, self.N_theta) < 1:
             raise ValueError(f"grid counts must be >= 1: N_s={self.N_s}, "
                              f"N_theta={self.N_theta}")
-        if self.R_out < 10.0 * self.body.max_radius:
+        if not 10.0 * self.body.max_radius <= self.R_out < np.inf:
             raise ValueError(
                 f"R_out = {self.R_out} below 10 * max profile radius "
-                f"{self.body.max_radius}"
+                f"{self.body.max_radius}, or not finite"
             )
         if self.body.num_intervals != self.N_theta:
             self.body = self.body.resampled(self.N_theta)
@@ -216,75 +215,39 @@ def _stencil_weights(grid: AxiGrid, rows, partials):
     return w
 
 
-def _slots(grid: AxiGrid, w):
-    """V[di + 1, dj + 1, i, j] = d(sum_q w_q F_q)(i, j) / dU(i + di, j + dj)
-    for the centered stencils and weights w_q on rows i; at the poles the
-    reflected neighbour is folded onto the inner one."""
-    d1, d2, e = np.array([-0.5, 0.0, 0.5]), np.array([1.0, -2.0, 1.0]), np.eye(3)[1]
-    hs, ht = grid.hs, grid.ht
-    D = [np.outer(a, b) for a, b in ((d1 / hs, e), (d2 / hs**2, e), (e, d1 / ht),
-                                     (d1 / hs, d1 / ht), (e, d2 / ht**2))]
-    # not tensordot or einsum: they page in ~0.5 MB of new library code
-    V = sum(np.multiply.outer(Dq, wq) for Dq, wq in zip(D, w))
-    V[:, 2, :, 0] += V[:, 0, :, 0]
-    V[:, 0, :, -1] += V[:, 2, :, -1]
-    return V
-
-
-def _ghost_row_residual(grid, U, v, k, f, grad=False):
-    """S_k - f^eps (2, W) on both Dirichlet rows, with ghost values v[0]
-    below the body row and v[1] beyond the outer one; with grad, also d/dv
-    (2, 3, W) of each row in the (1, 1) band layout of _solve_tridiagonal,
-    which is tridiagonal: v enters the stencils as the row di = -1 or +1."""
-    ext = np.stack([[v[0], U[-2]], [U[0], U[-1]], [U[1], v[1]]])
-    rows = [0, grid.N_s]
-    F = [Fq[0] for Fq in _centered(ext, grid.hs, grid.ht)]
-    jets = _chain(grid, rows, F, ext[1])
-    split = jets.split(k, grad)
-    phi = split.levels[-1] - f
-    if not grad:
-        return phi
-    V = _slots(grid, _stencil_weights(grid, rows, split.grad))
-    V = np.stack([V[0, :, 0], V[2, :, 1]])  # [row, dj + 1, j]
-    ab = np.zeros((2, 3, v.shape[1]))
-    ab[:, 0, 1:], ab[:, 1], ab[:, 2, :-1] = V[:, 2, :-1], V[:, 1], V[:, 0, 1:]
-    return phi, ab
-
-
-def _solve_ghost_rows(field):
-    """Ghost values (2, W) making the equation hold on both Dirichlet rows
-    of a field, and per row (Newton steps, final max |phi|): Newton with
-    the exact tridiagonal Jacobian of each row from cubic extrapolation.
-    The rows share each residual evaluation but not their stop: a row steps
-    until a step no longer lowers its own max |phi|, and is then frozen.
-    Raises NewtonStall, naming the row, if a row ends above TOL_NEWTON or
-    meets a singular Jacobian (as on a constant u)."""
-    grid, U, k = field.grid, field.u, field.k
-    v = 3 * U[[0, -1]] - 3 * U[[1, -2]] + U[[2, -3]]
-    f = rhs_at_radius(grid.r_nodes[[0, -1]], field.eps, field.n, field.cnk)
-    phi, ab = _ghost_row_residual(grid, U, v, k, f, grad=True)
-    worst, steps, live = np.abs(phi).max(axis=1), np.zeros(2, int), np.ones(2, bool)
-    for _ in range(MAX_NEWTON):
-        v_new = v.copy()
-        for r in np.flatnonzero(live):
-            try:
-                v_new[r] -= _solve_tridiagonal(ab[r], phi[r].copy())
-            except LinAlgError as exc:
-                raise NewtonStall(
-                    f"ghost row at s = {grid.s[-r]:g}: singular Jacobian at "
-                    f"residual {worst[r]:.3e}"
-                ) from exc
-        phi_new, ab_new = _ghost_row_residual(grid, U, v_new, k, f, True)
-        live &= np.abs(phi_new).max(axis=1) < worst
-        if not live.any():
-            break
-        v[live], phi[live], ab[live] = v_new[live], phi_new[live], ab_new[live]
-        worst, steps = np.abs(phi).max(axis=1), steps + live
+def _boundary_derivs(field):
+    """The five F_q (2, W) on the Dirichlet rows s = 0 and 1 of a field, and
+    max |S_k - f^eps| on each.  U_s is one-sided and third-order, the theta
+    derivatives centered; U_ss solves S_k = f^eps at each node by one
+    division, as S_k is affine in U_ss: it enters the meridian Hessian as
+    U_ss grad s (x) grad s, a rank-one term, and kappat not at all (on the
+    axis grad s is along it).  Raises NewtonStall, naming the row, where
+    dS_k/dU_ss is not finite and > 0 (a constant u, a NaN the stencils
+    read) or a row's residual ends above TOL_NEWTON; ValueError if N_s < 3.
+    """
+    grid, U = field.grid, field.u
+    if grid.N_s < 3:
+        raise ValueError(f"the boundary-row stencil reads four rows: N_s = {grid.N_s}")
+    rows, edge = [0, grid.N_s], U[[0, -1]]
+    Us = (-11.0 * edge + 18.0 * U[[1, -2]] - 9.0 * U[[2, -3]] + 2.0 * U[[3, -4]]) / (
+        6.0 * grid.hs) * np.array([[1.0], [-1.0]])
+    Ut, Utt = _theta_derivs(edge, grid.ht)
+    F = [Us, np.zeros_like(Us), Ut, _theta_derivs(Us, grid.ht)[0], Utt]
+    f = rhs_at_radius(grid.r_nodes[rows], field.eps, field.n, field.cnk)
+    split = _chain(grid, rows, F, edge).split(field.k, grad=True)
+    slope = _stencil_weights(grid, rows, split.grad)[1]
+    ok = np.isfinite(slope) & (slope > 0)
+    if not ok.all():
+        r, j = np.argwhere(~ok)[0]
+        raise NewtonStall(f"boundary row at s = {r}: dS_k/dU_ss = {slope[r, j]:.3e} "
+                          f"at theta column {j}, not finite and > 0")
+    F[1] = (f - split.levels[-1]) / slope
+    worst = np.abs(_chain(grid, rows, F, edge).split(field.k).levels[-1] - f).max(axis=1)
     for r in (0, 1):
         if not worst[r] <= TOL_NEWTON:
-            raise NewtonStall(f"ghost row at s = {grid.s[-r]:g} stopped at "
-                              f"residual {worst[r]:.3e} > {TOL_NEWTON:g}")
-    return v, tuple(zip(steps.tolist(), worst.tolist()))
+            raise NewtonStall(f"boundary row at s = {r}: max |S_k - f^eps| = "
+                              f"{worst[r]:.3e} > {TOL_NEWTON:g}")
+    return F, tuple(worst.tolist())
 
 
 @dataclass
@@ -299,14 +262,14 @@ class ExteriorField:
     (boundary_gradient) and, filled by monotone.F_eval, the weight-free
     part of F(t) at each level, with its two integrals per exponent a.  A
     new, reloaded or dataclasses.replace'd field starts with all four
-    empty, and with ghost_rows empty: _node_jets sets it to the (Newton
-    steps, final max |phi|) of the body and the outer ghost row.  The counters
+    empty, and with boundary_residuals empty: _node_jets sets it to the
+    max |S_k - f^eps| on the body and on the outer row.  The counters
     factorizations, back_solves and residual_evals record the work of the
     solve_exterior call that produced the field (the Jacobian is analytic, so residual_evals counts
     only the iterates Newton tried), unknowns the size of its Newton system,
     and eps_levels holds (eps, back-solves, residual stopped at) for each of
     its eps levels; they are zero and empty for sampled or loaded fields
-    and, like ghost_rows, are not part of the checkpoint format.
+    and, like boundary_residuals, are not part of the checkpoint format.
     """
 
     grid: AxiGrid
@@ -328,21 +291,22 @@ class ExteriorField:
         self._columns_cache = None
         self._boundary_spline = None
         self._level_cache = {}
-        self.ghost_rows = ()
+        self.boundary_residuals = ()
 
     @property
     def n(self):
         return self.grid.body.n
 
     def _node_jets(self):
-        """The AxiJets of every grid node, by centered stencils.  The two
-        Dirichlet rows take theirs through ghost rows chosen so that
-        S_k = f^eps holds at the boundary nodes themselves, keeping their
-        jets both second-order and admissible."""
+        """The AxiJets of every grid node: the interior rows by centered
+        stencils, the two Dirichlet rows by _boundary_derivs, whose U_ss
+        makes S_k = f^eps hold at the boundary nodes themselves, so that
+        their jets are admissible."""
         if self._jets_cache is None:
             grid = self.grid
-            v, self.ghost_rows = _solve_ghost_rows(self)
-            F = _centered(np.vstack([v[0], self.u, v[1]]), grid.hs, grid.ht)
+            edge, self.boundary_residuals = _boundary_derivs(self)
+            F = [np.vstack([e[0], Fq, e[1]])
+                 for e, Fq in zip(edge, _centered(self.u, grid.hs, grid.ht))]
             self._jets_cache = _chain(grid, slice(None), F, self.u)
         return self._jets_cache
 
@@ -500,13 +464,22 @@ def estimate_rho(field: ExteriorField):
 def _linearization(grid, jets, k):
     """(ab, b) at the interior AxiJets jets: J = sum_q diag(w_q) D_q, D_q
     the stencil of F_q, with the outer row held fixed, as the band ab of
-    dgbtrf (kl = ku = W + 1 on rows of W nodes, so slot (di, dj) of _slots
-    is the diagonal o = di W + dj: J[r, r + o] = ab[2 kl - o, r + o]); b its
-    derivative in the outer value (U_s and U_ss of the last interior row).
-    The pole slots off a row, which would wrap onto the next, are zeroed."""
+    dgbtrf (kl = ku = W + 1 on rows of W nodes, so the slot V[di + 1, dj + 1]
+    of node (i, j), dJ/dU(i + di, j + dj), is the diagonal o = di W + dj:
+    J[r, r + o] = ab[2 kl - o, r + o]); b its derivative in the outer value
+    (U_s and U_ss of the last interior row).  At the poles the slot of the
+    reflected neighbour is folded onto the inner one; that off the row, which
+    would wrap onto the next, is zeroed."""
     w = _stencil_weights(grid, slice(1, -1), jets.split(k, grad=True).grad)
     m, W = w[0].shape
-    V, kl, N = _slots(grid, w), W + 1, m * W
+    hs, ht, kl, N = grid.hs, grid.ht, W + 1, m * W
+    d1, d2, e = np.array([-0.5, 0.0, 0.5]), np.array([1.0, -2.0, 1.0]), np.eye(3)[1]
+    D = [np.outer(a, b) for a, b in ((d1 / hs, e), (d2 / hs**2, e), (e, d1 / ht),
+                                     (d1 / hs, d1 / ht), (e, d2 / ht**2))]
+    # not tensordot or einsum: they page in ~0.5 MB of new library code
+    V = sum(np.multiply.outer(Dq, wq) for Dq, wq in zip(D, w))
+    V[:, 2, :, 0] += V[:, 0, :, 0]
+    V[:, 0, :, -1] += V[:, 2, :, -1]
     V[:, 0, :, 0] = V[:, 2, :, -1] = 0.0
     ab = np.zeros((N, 3 * kl + 1)).T  # Fortran order, as dgbtrf takes it
     for di in (-1, 0, 1):

@@ -253,6 +253,8 @@ class RevolutionBody:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("ambient dimension must be >= 3")
+        if not np.isfinite([self.gamma, self.dgamma, self.d2gamma]).all():
+            raise ValueError("profile gamma, gamma' and gamma'' must be finite")
         if np.any(self.gamma <= 0):
             raise ValueError("profile radius must be positive everywhere")
 

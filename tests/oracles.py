@@ -5,9 +5,9 @@ closed form, so that a test can hold hesslab's own implementation against
 it: dense second-order jets and their level-set curvatures, the radial
 jets of a ball, the sum of principal minors, the Garding cone test, the
 weight ODE residuals, the quermassintegral and Minkowski checks, the
-boundary constant formula, the equation residual of a solved field, its
-ghost rows one Dirichlet row at a time, a sampled field whose level sets
-are ellipses, and the marching-squares contour of a level of a solved
+boundary constant formula, the equation residual of a solved field, the
+gradient of the prolate capacity potential, a sampled field whose level
+sets are ellipses, and the marching-squares contour of a level of a solved
 field.
 """
 
@@ -21,14 +21,12 @@ import numpy as np
 from hesslab.errors import DegenerateGradient
 from hesslab.fields import TAU_GRAD, AxiJets, rhs_at_radius
 from hesslab.monotone import ProblemSpec, weights
-from hesslab import solver
 from hesslab.radial import RadialSolution
 from hesslab.solver import AxiGrid, ExteriorField
 from hesslab.surfaces import (
     PROFILE_HEADER,
     RevolutionBody,
     _ClampedSpline,
-    _solve_tridiagonal,
     af_sides,
     curvature_samples,
     qiu_xia_sides,
@@ -302,41 +300,17 @@ def equation_residual(field: ExteriorField):
     return Sk - rhs_at_radius(field.grid.r_nodes[1:-1], field.eps, field.n, field.cnk)
 
 
-def ghost_row_residual(grid, U, v, which, k, f, grad=False):
-    """S_k - f^eps on the one Dirichlet row `which` (0 or -1), with ghost
-    values v beyond it; with grad, also d/dv in the (1, 1) band layout of
-    surfaces._solve_tridiagonal."""
-    ext = np.vstack([v, U[0], U[1]] if which == 0 else [U[-2], U[-1], v])
-    rows = slice(0, 1) if which == 0 else slice(-1, None)
-    jets = solver._chain(grid, rows, solver._centered(ext, grid.hs, grid.ht), ext[1:2])
-    split = jets.split(k, grad)
-    phi = split.levels[-1][0] - f
-    if not grad:
-        return phi
-    w = solver._stencil_weights(grid, rows, split.grad)
-    V = solver._slots(grid, w)[0 if which == 0 else 2, :, 0]
-    ab = np.zeros((3, v.size))
-    ab[0, 1:], ab[1], ab[2, :-1] = V[2, :-1], V[1], V[0, 1:]
-    return phi, ab
-
-
-def solve_ghost_row(field: ExteriorField, which):
-    """The ghost values of Dirichlet row `which` of a field, one row at a
-    time: Newton on that row alone from cubic extrapolation, until a step
-    no longer lowers its max |phi|.  The referee of solver._solve_ghost_rows,
-    which takes both rows through each residual evaluation."""
-    grid, U, n, k = field.grid, field.u, field.n, field.k
-    i = 1 if which == 0 else -1
-    v = 3 * U[which] - 3 * U[which + i] + U[which + 2 * i]
-    f = rhs_at_radius(grid.r_nodes[which], field.eps, n, field.cnk)
-    phi, ab = ghost_row_residual(grid, U, v, which, k, f, grad=True)
-    for _ in range(solver.MAX_NEWTON):
-        v_new = v - _solve_tridiagonal(ab, phi.copy())
-        phi_new, ab_new = ghost_row_residual(grid, U, v_new, which, k, f, True)
-        if not np.abs(phi_new).max() < np.abs(phi).max():
-            break
-        v, phi, ab = v_new, phi_new, ab_new
-    return v
+def prolate_gradient(r, theta, a, b):
+    """|grad u| at polar points (r, theta) of the capacity potential
+    u = -arctanh(1/xi) / arctanh(f/a) of the prolate spheroid with semi-axis
+    a along z and b < a across (n = 3, u = -1 on it), f = sqrt(a^2 - b^2)
+    and xi = (d_+ + d_-) / (2 f) the distances to the foci (0, +-f)."""
+    f = np.sqrt(a * a - b * b)
+    z, rho = r * np.cos(theta), r * np.sin(theta)
+    d_p, d_m = np.hypot(z + f, rho), np.hypot(z - f, rho)
+    xi = (d_p + d_m) / (2 * f)
+    grad_xi = np.hypot((z + f) / d_p + (z - f) / d_m, rho / d_p + rho / d_m) / (2 * f)
+    return grad_xi / ((xi * xi - 1.0) * np.arctanh(f / a))
 
 
 def interior_range(field: ExteriorField):

@@ -215,12 +215,51 @@ class TestMatrixSuite:
      "levels must lie in [-1, 0)"),
     (["monotone", "--body", "sphere", "--n", "3", "--k", "1", "--N-s", "32",
       "--t-grid=-0.5,abc"], "could not convert string to float: 'abc'"),
-], ids=["R<0", "R=0", "t=0", "t=abc"])
+    (["monotone", "--body", "spheroid:1.5,1", "--n", "3", "--k", "1", "--N-s", "64",
+      "--t-grid=-0.25,-0.5,-0.9", "--tol-mono", "1e-6"], "levels must strictly increase"),
+], ids=["R<0", "R=0", "t=0", "t=abc", "t-decreasing"])
 def test_input_errors_exit_2(argv, message, tmp_path, capsys):
     # a bad value of an option is a config error, not a traceback
     code = cli.run([*argv, "--out", str(tmp_path)])
     assert code == cli.EXIT_CONFIG
     assert json.loads(capsys.readouterr().err) == {"config_errors": [message]}
+
+
+NEED_FINITE = "need finite a, C3, C4, eps and cnk >= 0"
+NOT_FINITE_BODY = "profile gamma, gamma' and gamma'' must be finite"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--eps-schedule", "0.5,nan"], NEED_FINITE),
+    (["solve", "--cnk", "nan"], NEED_FINITE),
+    (["solve", "--cnk", "-1"], NEED_FINITE),
+    (["monotone", "--C3", "nan", "--tol-mono", "1e-6"], NEED_FINITE),
+    (["monotone", "--a", "nan", "--tol-mono", "1e-6"], NEED_FINITE),
+    (["radial", "--C4", "nan"], NEED_FINITE),
+    (["radial", "--R", "nan"], "ball radius must be finite, got nan"),
+    (["certify", "--R", "nan"], NOT_FINITE_BODY),
+    (["solve", "--R", "nan"], NOT_FINITE_BODY),
+    (["solve", "--body", "spheroid:nan,1"], NOT_FINITE_BODY),
+    (["solve", "--R-out", "nan"],
+     "R_out = nan below 10 * max profile radius 1.0, or not finite"),
+    (["solve", "--R-out", "inf"],
+     "R_out = inf below 10 * max profile radius 1.0, or not finite"),
+    (["monotone", "--tol-mono", "nan"], "--tol-mono must be finite and >= 0, got nan"),
+    (["monotone", "--tol-mono", "-1"], "--tol-mono must be finite and >= 0, got -1.0"),
+], ids=["eps-nan", "cnk-nan", "cnk<0", "C3-nan", "a-nan", "C4-nan", "radial-R-nan",
+        "certify-R-nan", "solve-R-nan", "spheroid-nan", "R_out-nan", "R_out-inf",
+        "tol-mono-nan", "tol-mono<0"])
+def test_non_finite_options_exit_2(argv, message, tmp_path, capsys):
+    # a non-finite value, or a negative cnk or tolerance, is refused before
+    # it reaches a solve or an audit
+    command, *options = argv
+    grid = [] if command == "radial" else ["--N-s", "32"]
+    out = [] if command == "certify" else ["--out", str(tmp_path)]
+    code = cli.run([command, "--n", "3", "--k", "1", *grid, *options, *out])
+    assert code == cli.EXIT_CONFIG
+    (got,) = json.loads(capsys.readouterr().err)["config_errors"]
+    assert got.startswith(message)
 
 
 class TestRadial:
@@ -290,19 +329,19 @@ class TestSolve:
         assert int(counts["factorizations"]) == 1
         assert int(counts["back_solves"]) >= 1
 
-    def test_prints_ghost_rows(self, tmp_path, capsys):
+    def test_prints_boundary_rows(self, tmp_path, capsys):
         code = cli.run([
             "solve", "--body", "sphere", "--R", "1", "--n", "3", "--k", "1",
             "--N-s", "32", "--out", str(tmp_path),
         ])
         assert code == cli.EXIT_OK
         out = capsys.readouterr().out
-        line = next(ln for ln in out.splitlines() if ln.startswith("ghost_rows="))
+        line = next(ln for ln in out.splitlines() if ln.startswith("boundary_rows="))
         record = dict(tok.split("=") for tok in line.split())
-        assert record["ghost_rows"] == "body,outer"
-        assert all(int(s) >= 1 for s in record["steps"].split(","))
+        assert set(record) == {"boundary_rows", "residuals"}
+        assert record["boundary_rows"] == "body,outer"
         residuals = [float(r) for r in record["residuals"].split(",")]
-        assert len(residuals) == 2 and max(residuals) <= 1e-10
+        assert len(residuals) == 2 and max(residuals) <= 1e-14
 
     def test_prints_eps_levels(self, tmp_path, capsys):
         code = cli.run([
@@ -394,7 +433,7 @@ class TestSolve:
 
     def test_singular_newton_jacobian_exits_3(self, tmp_path, monkeypatch, capsys):
         # an exact zero pivot of the band LU is a stall that names the
-        # residual, as a singular ghost row is, and the pivot's node: the
+        # residual and the pivot's node: the
         # sphere solves on the half meridian, rows of W = 16/2 + 1 = 9
         # nodes, so pivot 5 is the fifth node of the first interior row
         import scipy.linalg.lapack
@@ -449,7 +488,7 @@ class TestSolve:
                         "--k", "1", *grid, "--out", str(tmp_path)])
         assert code == cli.EXIT_OK
         lines = capsys.readouterr().out.splitlines()
-        i = next(i for i, ln in enumerate(lines) if ln.startswith("ghost_rows="))
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("boundary_rows="))
         assert lines[i + 1] == line
 
     def test_coarsest_grid_with_shell_solves(self, tmp_path, capsys):
@@ -613,7 +652,7 @@ class TestCertify:
         assert "verdict=certified-not-overdetermined" in out
 
     def test_singular_ghost_row_exits_3(self, monkeypatch, capsys):
-        # a constant u makes the ghost-row Jacobian singular
+        # on a constant u, S_2 does not depend on U_ss on the body row
         def constant_field(body, spec, R_out=None, N_s=256, N_theta=None):
             grid = AxiGrid(body, 40.0, N_s, N_theta)
             return ExteriorField(grid=grid, u=np.full((N_s + 1, N_theta + 1), -1.0),
@@ -625,11 +664,12 @@ class TestCertify:
             "--N-s", "32", "--N-theta", "16",
         ])
         assert code == cli.EXIT_SOLVER
-        assert "ghost row at s = 0: singular" in capsys.readouterr().err
+        assert ("boundary row at s = 0: dS_k/dU_ss = 0.000e+00 at theta column 0"
+                in capsys.readouterr().err)
 
     def test_nan_next_to_the_body_exits_3(self, monkeypatch, capsys):
-        # a NaN in the first interior row makes the body row's ghost-row
-        # Jacobian non-finite: a solver failure, not a ZeroDivisionError
+        # a NaN in the first interior row makes dS_k/dU_ss on the body row
+        # non-finite: a solver failure, not a ZeroDivisionError
         def nan_field(body, spec, R_out=None, N_s=256, N_theta=None):
             grid = AxiGrid(body, 40.0, N_s, N_theta)
             u = -(grid.r_nodes ** -0.5)
@@ -642,7 +682,8 @@ class TestCertify:
             "--N-s", "32", "--N-theta", "16",
         ])
         assert code == cli.EXIT_SOLVER
-        assert "ghost row at s = 0: " in capsys.readouterr().err
+        assert ("boundary row at s = 0: dS_k/dU_ss = nan at theta column 4"
+                in capsys.readouterr().err)
 
 
 class TestReport:

@@ -248,9 +248,9 @@ class TestPaperCaseK2:
         assert report.verdict == CERTIFIED_NOT_OVERDETERMINED
 
 
-def test_one_boundary_spline_and_ghost_newton_per_field(cosper_k2_field, monkeypatch):
-    # the boundary |grad u| spline and the ghost rows are per-field caches
-    built = {"spline": 0, "ghost": 0}
+def test_one_boundary_spline_and_boundary_rows_per_field(cosper_k2_field, monkeypatch):
+    # the boundary |grad u| spline and the boundary-row jets are per-field caches
+    built = {"spline": 0, "boundary": 0}
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
@@ -259,8 +259,8 @@ def test_one_boundary_spline_and_ghost_newton_per_field(cosper_k2_field, monkeyp
         return wrapper
 
     monkeypatch.setattr(solver, "_ClampedSpline", counted(solver._ClampedSpline, "spline"))
-    monkeypatch.setattr(solver, "_solve_ghost_rows",
-                        counted(solver._solve_ghost_rows, "ghost"))
+    monkeypatch.setattr(solver, "_boundary_derivs",
+                        counted(solver._boundary_derivs, "boundary"))
     fld = cosper_k2_field
     fresh = ExteriorField(grid=fld.grid, u=fld.u.copy(), k=fld.k, eps=fld.eps,
                           rho_hat=fld.rho_hat, cnk=fld.cnk)
@@ -273,7 +273,7 @@ def test_one_boundary_spline_and_ghost_newton_per_field(cosper_k2_field, monkeyp
     certify_ball(fresh, body, spec)
     identity_lemma33(fresh, body)
     pohozaev_lemma34(fresh, body)
-    assert built == {"spline": 1, "ghost": 1}
+    assert built == {"spline": 1, "boundary": 1}
 
 
 @pytest.mark.parametrize("fixture", [None, "sphere_k2_field"])

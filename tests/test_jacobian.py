@@ -1,8 +1,9 @@
 """The solver's analytic derivatives against finite differences.
 
-The Newton Jacobian, its rank-one border and the ghost-row Jacobian are
-built from the partials of the axisymmetric S_k split; here each is
-compared with central differences of the residual it linearizes.
+The Newton Jacobian and its rank-one border are built from the partials
+of the axisymmetric S_k split; here each is compared with central
+differences of the residual it linearizes.  The boundary rows' dS_k/dU_ss
+comes from the same partials, and S_k is affine in U_ss there.
 """
 
 import numpy as np
@@ -139,25 +140,39 @@ def test_newton_jacobian_matches_fd(body, k):
 @pytest.mark.parametrize("which", [0, -1])
 @pytest.mark.parametrize("body,k", CASES)
 def test_ghost_row_jacobian_matches_fd(body, k, which):
-    # both rows go through each evaluation; row `which` is checked here
+    # the ghost row's one unknown per node is U_ss: with U_s, U_theta,
+    # U_s theta and U_theta theta of Dirichlet row `which` fixed, S_k is
+    # affine in U_ss at every node, the axis nodes included, and node j's
+    # U_ss reaches node j alone, so d(S_k)/d(U_ss) is the diagonal of the
+    # slopes of _stencil_weights and the one division of _boundary_derivs
+    # solves S_k = f^eps there.  Each column is moved by the row's largest
+    # |U_ss|: central differences are exact on a quadratic, so the second
+    # difference is what shows S_k affine
     grid, U, _ = iterate(body, k)
-    n = body.n
-    f = rhs_at_radius(grid.r_nodes[[0, -1]], EPS, n)
-    v = 3 * U[[0, -1]] - 3 * U[[1, -2]] + U[[2, -3]]
-    _, ab = solver._ghost_row_residual(grid, U, v, k, f, grad=True)
-    ab = ab[which]
-    banded = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
-    delta = 1e-6 * max(1.0, float(np.abs(v[which]).max()))
-    W = v.shape[1]
-    fd = np.empty((W, W))
+    F, _ = solver._boundary_derivs(ExteriorField(grid=grid, u=U, k=k, eps=EPS,
+                                                 rho_hat=1.0))
+    rows, r = [0, grid.N_s], which % 2
+
+    def row_sk(Uss, grad=False):
+        split = solver._chain(grid, rows, [F[0], Uss, *F[2:]],
+                              U[[0, -1]]).split(k, grad=grad)
+        return split if grad else split.levels[-1][r]
+
+    mid = row_sk(F[1], grad=True)
+    slope = solver._stencil_weights(grid, rows, mid.grad)[1][r]
+    step, W = float(np.abs(F[1][r]).max()), F[1].shape[1]
+    fd, curve = np.empty((W, W)), np.empty((W, W))
+    scale = np.abs(mid.levels[-1][r]).max()
     for j in range(W):
-        dv = np.zeros_like(v)
-        dv[which, j] = delta
-        fd[:, j] = (
-            solver._ghost_row_residual(grid, U, v + dv, k, f)[which]
-            - solver._ghost_row_residual(grid, U, v - dv, k, f)[which]
-        ) / (2 * delta)
-    assert relative(banded, fd) <= 1e-8
+        lo, hi = F[1].copy(), F[1].copy()
+        lo[r, j] -= step
+        hi[r, j] += step
+        lo, hi = row_sk(lo), row_sk(hi)
+        fd[:, j] = (hi - lo) / (2.0 * step)
+        curve[:, j] = hi - 2.0 * mid.levels[-1][r] + lo
+        scale = max(scale, np.abs(lo).max(), np.abs(hi).max())
+    assert np.all(np.abs(curve) <= 1e-13 * scale)
+    assert np.all(np.abs(fd - np.diag(slope)) <= 1e-12 * np.abs(slope).max())
 
 
 def factored(body, N_s, N_theta, monkeypatch):
@@ -214,24 +229,24 @@ def test_k1_residual_evals(fixture, levels, request):
     assert request.getfixturevalue(fixture).residual_evals <= 4 * levels
 
 
-def test_ghost_rows_few_evaluations(prolate_field, monkeypatch):
-    calls = []
-    real = solver._ghost_row_residual
+def test_boundary_rows_two_chain_calls(prolate_field, monkeypatch):
+    # the node jets of a fresh field: two 2-row _chain calls for the
+    # Dirichlet rows (U_ss = 0, then the solved U_ss), one for all rows
+    calls, real = [], solver._chain
 
-    def counting(*args, **kwargs):
-        calls.append(args[2].shape)
-        return real(*args, **kwargs)
+    def counting(grid, rows, F, u):
+        calls.append(u.shape)
+        return real(grid, rows, F, u)
 
-    monkeypatch.setattr(solver, "_ghost_row_residual", counting)
+    monkeypatch.setattr(solver, "_chain", counting)
     fresh = ExteriorField(
         grid=prolate_field.grid, u=prolate_field.u.copy(), k=prolate_field.k,
         eps=prolate_field.eps, rho_hat=prolate_field.rho_hat,
         cnk=prolate_field.cnk,
     )
     assert admissibility_margin(fresh) == prolate_field.admissible
-    # each evaluation takes both Dirichlet rows
-    assert set(calls) == {(2, prolate_field.grid.N_theta + 1)}
-    assert len(calls) <= 6
+    W = prolate_field.grid.N_theta + 1
+    assert calls == [(2, W), (2, W), prolate_field.u.shape]
 
 
 def test_non_admissible_root_raises():

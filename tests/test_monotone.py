@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from math import pi
 
-from hesslab.monotone import ProblemSpec, limit_bound, sphere_measure, weights
+from hesslab.monotone import (ProblemSpec, T_GRID, level_grid, limit_bound,
+                              sphere_measure, weights)
 from oracles import weights_derivatives, weights_ode_residual
 
 
@@ -39,9 +40,31 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             ProblemSpec(n=5, k=2, a=2.0, C3=1.0, C4=-2.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("a", np.nan), ("C3", np.nan), ("C4", np.inf), ("cnk", np.nan),
+        ("cnk", -1.0), ("eps_schedule", (0.5, np.nan)),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match="need finite a, C3, C4, eps and cnk >= 0"):
+            ProblemSpec(**{"n": 3, "k": 1, "a": 1.0, field: value})
+
+    def test_homogeneous_equation_allowed(self):
+        assert ProblemSpec(n=3, k=1, a=1.0, cnk=0.0).cnk == 0.0
+
     def test_decay_exponent(self):
         assert ProblemSpec(n=3, k=1, a=1.0).decay_exponent == pytest.approx(1.0)
         assert ProblemSpec(n=5, k=2, a=2.0).decay_exponent == pytest.approx(0.5)
+
+
+class TestLevelGrid:
+    def test_default_and_single_level(self):
+        assert level_grid(None).tolist() == list(T_GRID)
+        assert level_grid([-0.5]).tolist() == [-0.5]
+
+    @pytest.mark.parametrize("ts", [(-0.25, -0.5, -0.9), (-0.5, -0.5)])
+    def test_levels_out_of_t_order_rejected(self, ts):
+        with pytest.raises(ValueError, match="levels must strictly increase"):
+            level_grid(ts)
 
 
 class TestWeights:

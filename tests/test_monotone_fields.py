@@ -60,6 +60,13 @@ def test_F_eval_sums_each_exponent_once(prolate_field_half, monkeypatch):
     assert all(len(pair) == 1 for pair in results.values())
 
 
+def test_audit_refuses_levels_out_of_t_order(prolate_field_half):
+    # the report's results and its upward differences are in t order
+    spec = ProblemSpec(n=3, k=1, a=1.0)
+    with pytest.raises(ValueError, match="levels must strictly increase"):
+        monotonicity_audit(prolate_field_half, spec, 1e-6, t_grid=[-0.25, -0.5, -0.9])
+
+
 class TestExtractLevelset:
     def test_radial_circle_radius(self, sphere_k1_field):
         # u = -1/r, so the t level sits at r = 1/(-t)

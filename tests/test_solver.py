@@ -8,6 +8,7 @@ from scipy.interpolate import RectBivariateSpline
 
 from hesslab import solver, surfaces
 from hesslab.errors import NewtonStall, PoorFit
+from hesslab.fields import rhs_at_radius
 from hesslab.monotone import F_eval, ProblemSpec, extract_levelset
 from hesslab.radial import RadialSolution
 from hesslab.solver import (
@@ -19,8 +20,8 @@ from hesslab.solver import (
 )
 from hesslab.surfaces import RevolutionBody
 from oracles import (dense_jet, ellipsoidal_field, ellipsoidal_jets,
-                     equation_residual, interior_range, radial_value,
-                     solve_ghost_row, to_physical)
+                     equation_residual, interior_range, prolate_gradient,
+                     radial_value, to_physical)
 
 
 def sampled_field(radial_fn, body, k, R_out, N_s, N_theta, eps=1e-8, rho_hat=1.0):
@@ -588,62 +589,97 @@ class TestMirrorHalf:
         assert ExteriorField.load_checkpoint(tmp_path / "field.txt").unknowns == 0
 
 
+BOUNDARY_FIXTURES = [
+    "sphere_k1_field", "sphere_k2_field", "prolate_field", "prolate_field_half",
+    "cosper_field", "cosper_field_half", "prolate_k2_field", "prolate_k2_field_half",
+    "cosper_k2_field", "cosper_k2_field_half",
+]
+
+
 class TestGhostRows:
-    def test_unconverged_ghost_row_raises(self):
-        # u is not near any solution of the equation, so no ghost value
-        # makes S_2 = f^eps hold on the body row
+    """The jets of the Dirichlet rows (solver._boundary_derivs): one-sided
+    U_s, and the U_ss that makes S_k = f^eps hold there, in closed form."""
+
+    def test_non_positive_uss_partial_raises(self):
+        # u is not near any solution of the equation: dS_2/dU_ss < 0 on the
+        # body row, so the U_ss that solves S_2 = f^eps is not admissible
         body = RevolutionBody.sphere(1.0, n=5)
         grid = AxiGrid(body=body, R_out=40.0, N_s=32, N_theta=16)
         u = -1.0 - (grid.r_nodes - 1.0) ** 2 / 100.0
         fld = ExteriorField(grid=grid, u=u, k=2, eps=0.02, rho_hat=1.0)
-        with pytest.raises(NewtonStall, match="ghost row"):
+        with pytest.raises(NewtonStall, match=r"boundary row at s = 0: "
+                           r"dS_k/dU_ss = -2\.131e-05 at theta column 0"):
             admissibility_margin(fld)
 
     def test_singular_ghost_row_raises(self):
-        # on a constant u every partial of S_2 vanishes, so the ghost-row
-        # Jacobian is singular: a typed stall, not LAPACK's LinAlgError
+        # on a constant u every partial of S_2 vanishes, so S_2 does not
+        # depend on U_ss: a typed stall, not a ZeroDivisionError
         body = RevolutionBody.sphere(1.0, n=5)
         fld = sampled_field(lambda r: np.full_like(r, -1.0), body, 2, 40.0, 32, 16)
-        with pytest.raises(NewtonStall, match="ghost row at s = 0: singular"):
+        with pytest.raises(NewtonStall, match=r"boundary row at s = 0: "
+                           r"dS_k/dU_ss = 0\.000e\+00 at theta column 0"):
             admissibility_margin(fld)
 
-    def test_unconverged_stall_names_its_row(self):
+    def test_stall_names_its_row(self):
+        # the four rows next to the truncation sphere read the negated
+        # solution, on which dS_2/dU_ss < 0; the body row is sound
         body = RevolutionBody.sphere(1.0, n=5)
-        grid = AxiGrid(body=body, R_out=40.0, N_s=32, N_theta=16)
-        u = -1.0 - (grid.r_nodes - 1.0) ** 2 / 100.0
-        fld = ExteriorField(grid=grid, u=u, k=2, eps=0.02, rho_hat=1.0)
-        with pytest.raises(NewtonStall, match=r"ghost row at s = [01] stopped at"):
+        fld = sampled_field(lambda r: -(r ** -0.5), body, 2, 40.0, 32, 16)
+        fld.u[-4:] *= -1.0
+        with pytest.raises(NewtonStall, match=r"boundary row at s = 1: dS_k/dU_ss = -"):
             admissibility_margin(fld)
 
-    @pytest.mark.parametrize("row", [0, 1, -2, -1])
+    @pytest.mark.parametrize("row", [0, 1, -2, -1, 2, 3, -4, -3])
     def test_nan_next_to_a_ghost_row_raises(self, row):
-        # one NaN in a row that a ghost-row stencil reads puts a NaN in that
-        # row's tridiagonal Jacobian: a typed stall, not a ZeroDivisionError
+        # one NaN in a row that a boundary-row stencil reads makes dS_2/dU_ss
+        # NaN next to its column: a typed stall, not a ZeroDivisionError
         body = RevolutionBody.sphere(1.0, n=5)
         fld = sampled_field(lambda r: -(r ** -0.5), body, 2, 40.0, 32, 16)
         fld.u[row, 5] = np.nan
-        with pytest.raises(NewtonStall, match=f"ghost row at s = {int(row < 0)}: "):
+        with pytest.raises(NewtonStall, match=f"boundary row at s = {int(row < 0)}: "
+                           "dS_k/dU_ss = nan at theta column 4"):
             admissibility_margin(fld)
 
     def test_nan_residual_raises(self):
-        # a NaN eps leaves the Jacobian finite and the residual NaN: no
-        # step lowers it, and a NaN residual is not within TOL_NEWTON
+        # a NaN eps leaves dS_k/dU_ss finite and the residual NaN, and a
+        # NaN residual is not within TOL_NEWTON
         body = RevolutionBody.sphere(1.0, n=5)
         fld = sampled_field(lambda r: -(r ** -0.5), body, 2, 40.0, 32, 16,
                             eps=np.nan)
-        with pytest.raises(NewtonStall, match="stopped at residual nan"):
+        with pytest.raises(NewtonStall, match=r"boundary row at s = 0: "
+                           r"max \|S_k - f\^eps\| = nan > 1e-10"):
             admissibility_margin(fld)
 
-    @pytest.mark.parametrize("fixture", ["prolate_field", "sphere_k2_field",
-                                         "cosper_k2_field"])
-    def test_rows_equal_the_per_row_referee(self, fixture, request):
-        # both rows share each evaluation but keep their own stop, so the
-        # ghost values are those of one Newton per row, bit for bit
+    def test_too_few_rows_raises(self):
+        # the one-sided U_s reads four rows
+        body = RevolutionBody.sphere(1.0, n=5)
+        fld = sampled_field(lambda r: -(r ** -0.5), body, 2, 40.0, 2, 16)
+        with pytest.raises(ValueError, match="reads four rows: N_s = 2"):
+            admissibility_margin(fld)
+
+    @pytest.mark.parametrize("fixture", BOUNDARY_FIXTURES)
+    def test_boundary_residuals_at_rounding(self, fixture, request):
+        # one division solves S_k = f^eps on both Dirichlet rows, and the
+        # stacked node jets keep it there
         fld = request.getfixturevalue(fixture)
-        v, record = solver._solve_ghost_rows(fld)
-        for row, which in ((0, 0), (1, -1)):
-            assert v[row].tobytes() == solve_ghost_row(fld, which).tobytes()
-        assert len(record) == 2
+        assert len(fld.boundary_residuals) == 2
+        assert max(fld.boundary_residuals) <= 1e-14
+        f = rhs_at_radius(fld.grid.r_nodes[[0, -1]], fld.eps, fld.n, fld.cnk)
+        Sk = fld._node_jets().split(fld.k).levels[-1][[0, -1]]
+        assert np.abs(Sk - f).max() <= 1e-14
+
+    @pytest.mark.parametrize("fixture,bound", [
+        ("prolate_field_half", 1e-3), ("prolate_field", 2.5e-4),
+    ])
+    def test_prolate_boundary_gradient(self, fixture, bound, request):
+        # n = 3, k = 1: against the exact capacity potential of the spheroid
+        fld = request.getfixturevalue(fixture)
+        exact = prolate_gradient(fld.grid.r_nodes[0], fld.grid.theta, 1.5, 1.0)
+        assert np.abs(fld._node_jets().grad_norm[0] - exact).max() <= bound
+
+    def test_sphere_boundary_gradient(self, sphere_k1_field):
+        # u = -1/r: |grad u| = 1 on the unit sphere
+        assert np.abs(sphere_k1_field._node_jets().grad_norm[0] - 1.0).max() <= 2e-5
 
     def test_node_jets_record_each_row(self, prolate_field_half):
         fresh = ExteriorField(
@@ -651,11 +687,10 @@ class TestGhostRows:
             k=prolate_field_half.k, eps=prolate_field_half.eps,
             rho_hat=prolate_field_half.rho_hat, cnk=prolate_field_half.cnk,
         )
-        assert fresh.ghost_rows == ()
+        assert fresh.boundary_residuals == ()
         admissibility_margin(fresh)
-        (steps0, phi0), (steps1, phi1) = fresh.ghost_rows
-        assert steps0 >= 1 and steps1 >= 1
-        assert max(phi0, phi1) <= solver.TOL_NEWTON
+        assert fresh.boundary_residuals == prolate_field_half.boundary_residuals
+        assert max(fresh.boundary_residuals) <= 1e-14
 
 
 class TestBicubic:
