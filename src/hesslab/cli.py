@@ -12,7 +12,7 @@ Subcommands
 Each subcommand takes only the options it reads (see _SUBCOMMANDS).
 Exit codes: 0 success, 2 invalid configuration, 3 solver failure,
 4 audit violation (an invariant or inequality failed numerically).
-All emitted files carry the configuration hash and the final epsilon.
+All emitted files carry the configuration hash and epsilon.
 """
 
 import argparse
@@ -126,7 +126,7 @@ def _problem(args, src=None, solve=False):
 
 
 def _header(args):
-    return f"# config={_config_hash(args)} eps_min={min(args.eps_schedule):g}"
+    return f"# config={_config_hash(args)} eps={args.eps:g}"
 
 
 def _outdir(args):
@@ -147,7 +147,8 @@ def _t_grid(args):
     """The levels of --t-grid, by default T_GRID; levels that do not parse,
     lie outside [-1, 0) or do not strictly increase are a config error."""
     with _rejected():
-        return level_grid(_floats(args.t_grid) if args.t_grid else None)
+        levels = [float(v) for v in args.t_grid.split(",")] if args.t_grid else None
+        return level_grid(levels)
 
 
 def _solve(args, spec, body, N_s, N_theta):
@@ -241,17 +242,14 @@ def cmd_radial(args):
 def cmd_solve(args):
     _, _, field = _problem(args, solve=True)
     path = _outdir(args) / "field.txt"
-    field.save_checkpoint(path, extra_header=_header(args)[2:])
+    # the file stores eps itself, to every digit
+    field.save_checkpoint(path, extra_header=f"config={_config_hash(args)}")
     print(_header(args))
     print(f"rho_hat={field.rho_hat:.8g} residual={field.residual_norm:.3e} "
           f"margin={field.admissible:.3e}")
     print(f"factorizations={field.factorizations} "
           f"back_solves={field.back_solves} "
           f"residual_evals={field.residual_evals}")
-    eps, back_solves, residuals = zip(*field.eps_levels)
-    print(f"eps_levels={','.join(f'{e:g}' for e in eps)} "
-          f"level_back_solves={','.join(map(str, back_solves))} "
-          f"level_residuals={','.join(f'{r:.3e}' for r in residuals)}")
     print("boundary_rows=body,outer residuals="
           + ",".join(f"{r:.3e}" for r in field.boundary_residuals))
     half = field.unknowns < (field.grid.N_s - 1) * (field.grid.N_theta + 1)
@@ -350,10 +348,6 @@ def cmd_report(args):
 # -- parser ------------------------------------------------------------
 
 
-def _floats(text):
-    return tuple(float(v) for v in text.split(","))
-
-
 #: argparse settings of every option; ProblemSpec owns the defaults of its
 #: fields.
 _OPTIONS = {
@@ -362,7 +356,7 @@ _OPTIONS = {
     "--n": dict(type=int, required=True),
     "--k": dict(type=int, required=True),
     "--R": dict(type=float, default=1.0),
-    "--eps-schedule": dict(type=_floats, default=ProblemSpec.eps_schedule),
+    "--eps": dict(type=float, default=ProblemSpec.eps),
     "--a": dict(type=float, default=None),
     "--C3": dict(type=float, default=ProblemSpec.C3),
     "--C4": dict(type=float, default=ProblemSpec.C4),
@@ -376,7 +370,7 @@ _OPTIONS = {
     "--out": dict(type=str, default="hesslab-out"),
 }
 
-_PROBLEM = ("--n", "--k", "--R", "--eps-schedule")
+_PROBLEM = ("--n", "--k", "--R", "--eps")
 _WEIGHTS = ("--a", "--C3", "--C4")
 _GRID = ("--cnk", "--N-s", "--N-theta", "--R-out")
 

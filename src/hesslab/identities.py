@@ -116,7 +116,9 @@ class _Boundary:
     integral: Callable
 
 
-def _boundary(solution, body) -> _Boundary:
+def _boundary(solution, body, spec: ProblemSpec = None) -> _Boundary:
+    if spec is not None:
+        spec.check(solution)
     if isinstance(solution, RadialSolution):
         n, R, c = solution.n, solution.R, solution.c_bdry
         omega = sphere_measure(n - 1)
@@ -241,18 +243,19 @@ def inequality_ledger(solution, body=None, spec: ProblemSpec = None) -> list:
     Entries: the weighted curvature comparison with exponent a, the
     capacity lower bound at exponent n-k, their scale-invariant
     combination at a = n-k-1, the curvature-ratio lower bound tied to the
-    boundary constant, and for k=1 the area-volume-curvature bound.
+    boundary constant, and for k=1 the area-volume-curvature bound.  A
+    spec whose (n, k) is not the solution's raises ValueError.
     """
     if spec is None:
         raise ValueError("inequality_ledger needs a ProblemSpec")
-    return _inequalities(_boundary(solution, body), spec)
+    return _inequalities(_boundary(solution, body, spec), spec)
 
 
 def ledger(solution, body, spec: ProblemSpec) -> list:
     """The entries of identity_lemma33 and pohozaev_lemma34 (for k >= 2)
     and of inequality_ledger, all from one boundary record and one volume
-    integral."""
-    b = _boundary(solution, body)
+    integral; ValueError unless spec has the (n, k) of solution."""
+    b = _boundary(solution, body, spec)
     return (_balances(solution, b) if spec.k >= 2 else []) + _inequalities(b, spec)
 
 
@@ -314,17 +317,18 @@ def certify_ball(solution, body=None,
     is inconclusive.  A non-convex body is inconclusive with NaN squeeze,
     as the convexity bound does not apply to it.  The profile's deviation
     from its mean radius is reported alongside but does not enter the
-    verdict.
+    verdict.  A spec whose (n, k) is not the solution's raises ValueError.
     """
     if spec is None:
         raise ValueError("certify_ball needs a ProblemSpec")
-    return _certify(_boundary(solution, body), spec)
+    return _certify(_boundary(solution, body, spec), spec)
 
 
 def report(solution, body, spec: ProblemSpec) -> tuple:
     """(certify_ball, inequality_ledger) of one (solution, body), both from
-    one boundary record: the rows of hesslab report."""
-    b = _boundary(solution, body)
+    one boundary record: the rows of hesslab report; ValueError unless spec
+    has the (n, k) of solution."""
+    b = _boundary(solution, body, spec)
     return _certify(b, spec), _inequalities(b, spec)
 
 

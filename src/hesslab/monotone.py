@@ -58,15 +58,15 @@ class ProblemSpec:
     a: float
     C3: float = 1.0
     C4: float = 0.0
-    eps_schedule: tuple = (0.5, 0.1, 0.02)
+    eps: float = 0.02
     cnk: float = 1.0
 
     def __post_init__(self):
-        eps = tuple(self.eps_schedule)
-        if not (np.isfinite([self.a, self.C3, self.C4, self.cnk, *eps]).all()
-                and self.cnk >= 0):
-            raise ValueError(f"need finite a, C3, C4, eps and cnk >= 0, got a={self.a:g}, "
-                             f"C3={self.C3:g}, C4={self.C4:g}, eps={eps}, cnk={self.cnk:g}")
+        if not (np.isfinite([self.a, self.C3, self.C4, self.eps, self.cnk]).all()
+                and self.eps > 0 and self.cnk >= 0):
+            raise ValueError(f"need finite a, C3, C4, eps and cnk >= 0, and eps > 0, got "
+                             f"a={self.a:g}, C3={self.C3:g}, C4={self.C4:g}, "
+                             f"eps={self.eps:g}, cnk={self.cnk:g}")
         if not 1 <= self.k or not self.n > 2 * self.k:
             raise ValueError(f"need 1 <= k < n/2, got n={self.n}, k={self.k}")
         if self.a < self.a_min - 1e-12:
@@ -77,8 +77,12 @@ class ProblemSpec:
                 "C1(t) must be nonnegative on [-1, 0): need C3 >= 0 and "
                 f"C3 + C4 >= 0, got C3={self.C3:g}, C4={self.C4:g}"
             )
-        if not eps or min(eps) <= 0 or any(a <= b for a, b in zip(eps, eps[1:])):
-            raise ValueError("eps schedule must be strictly decreasing and positive")
+
+    def check(self, solution):
+        """ValueError unless solution (a field or a RadialSolution) has this (n, k)."""
+        if (solution.n, solution.k) != (self.n, self.k):
+            raise ValueError(f"solution (n, k) = ({solution.n}, {solution.k}) and problem "
+                             f"spec (n, k) = ({self.n}, {self.k}) disagree")
 
     @property
     def a_min(self):
@@ -237,19 +241,20 @@ def F_eval(field, t, spec: ProblemSpec) -> FResult:
     All points of the level at once: the jets on every theta node column
     and H_k, H_{k-1} from the axisymmetric split.  None of this
     depends on the weights, so the field keeps the quadrature weights,
-    H_k, H_{k-1} and |grad u| of each (t, n, k) it has seen, with the two
+    H_k, H_{k-1} and |grad u| of each level t it has seen, with the two
     integrals of each exponent a: a family of weights costs one level-set
-    extraction per level and two sums per level and exponent.
+    extraction per level and two sums per level and exponent.  A spec whose
+    (n, k) is not the field's raises ValueError.
     """
-    key = (float(t), spec.n, spec.k)
-    level = field._level_cache.get(key)
+    spec.check(field)
+    level = field._level_cache.get(float(t))
     if level is None:
         curve = extract_levelset(field, t)
         jets = curve.jets
-        sk = rhs_at_radius(jets.r, field.eps, spec.n, field.cnk)
-        hk, hk1 = levelset_curvature_axisym(jets, spec.k, sk)
+        sk = rhs_at_radius(jets.r, field.eps, field.n, field.cnk)
+        hk, hk1 = levelset_curvature_axisym(jets, field.k, sk)
         level = (curve.weight, hk, hk1, jets.grad_norm, {})
-        field._level_cache[key] = level
+        field._level_cache[float(t)] = level
     weight, hk, hk1, gn, sums = level
     if spec.a not in sums:
         sums[spec.a] = (float(np.sum(hk * gn**spec.a * weight)),
@@ -262,8 +267,10 @@ def F_boundary(field, body: RevolutionBody, spec: ProblemSpec) -> FResult:
 
     Curvatures come from the body geometry; |grad u| is the field's
     gradient on the boundary row, where u is constant, so |grad u| is the
-    one-sided U_s of ExteriorField._node_jets through the chain rule.
+    one-sided U_s of ExteriorField._node_jets through the chain rule.  A
+    spec whose (n, k) is not the field's raises ValueError.
     """
+    spec.check(field)
     s = curvature_samples(body)
     gn = field.boundary_gradient(body.theta)
     int_hk = s.integrate(s.h_k(spec.k) * gn**spec.a)

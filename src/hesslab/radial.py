@@ -80,8 +80,7 @@ def _level_sphere_integrals(sol: RadialSolution, t, a):
 
 def radial_F(sol: RadialSolution, t, spec: ProblemSpec):
     """Closed-form F(t) on the ball: constant in t, equal to the limit bound."""
-    if not (sol.n, sol.k) == (spec.n, spec.k):
-        raise ValueError("solution and problem spec disagree on (n, k)")
+    spec.check(sol)
     t = float(t)
     if not -1.0 <= t < 0.0:
         raise ValueError("level must lie in [-1, 0)")

@@ -46,11 +46,6 @@ MAX_NEWTON = 60
 #: makes before it refactors instead of halving on.
 STALE_TRIES = 6
 
-#: theta of the inexact eps-continuation: every eps level but the last
-#: stops once rn <= max(TOL_NEWTON, theta * jump), jump = max |f^eps' - f^eps|
-#: the change of the right-hand side to the next level (see solve_exterior).
-THETA_CONTINUATION = 1e-2
-
 
 @dataclass
 class AxiGrid:
@@ -265,10 +260,9 @@ class ExteriorField:
     empty, and with boundary_residuals empty: _node_jets sets it to the
     max |S_k - f^eps| on the body and on the outer row.  The counters
     factorizations, back_solves and residual_evals record the work of the
-    solve_exterior call that produced the field (the Jacobian is analytic, so residual_evals counts
-    only the iterates Newton tried), unknowns the size of its Newton system,
-    and eps_levels holds (eps, back-solves, residual stopped at) for each of
-    its eps levels; they are zero and empty for sampled or loaded fields
+    solve_exterior call that produced the field (residual_evals counts only
+    the iterates Newton tried, as the Jacobian is analytic) and unknowns the
+    size of its Newton system; they are zero for sampled or loaded fields
     and, like boundary_residuals, are not part of the checkpoint format.
     """
 
@@ -284,7 +278,6 @@ class ExteriorField:
     back_solves: int = 0
     residual_evals: int = 0
     unknowns: int = 0
-    eps_levels: tuple = ()
 
     def __post_init__(self):
         self._jets_cache = None
@@ -375,7 +368,8 @@ class ExteriorField:
     @classmethod
     def load_checkpoint(cls, path):
         """Read a field of save_checkpoint.  A v2 file rebuilds the grid body
-        exactly from its stored derivatives; a v1 file splines its radii."""
+        exactly from its stored derivatives; a v1 file splines its radii.  A
+        u block not finite of shape (N_s + 1, N_theta + 1) raises ValueError."""
         with open(path) as fh:
             header = fh.readline().strip()
             if " ".join(header.split()[:3]) not in _FIELD_HEADERS:
@@ -391,7 +385,10 @@ class ExteriorField:
                 ]
             )
             fh.readline()  # u marker
-            u = np.loadtxt(fh)
+            u = np.loadtxt(fh, ndmin=2)
+        if u.shape != (N_s + 1, N_theta + 1) or not np.isfinite(u).all():
+            raise ValueError(f"{path}: u must be finite of shape {(N_s + 1, N_theta + 1)}, "
+                             f"got shape {u.shape}")
         if prof.shape[1] == 4:
             body = RevolutionBody(n, *np.ascontiguousarray(prof.T))
         else:
@@ -494,7 +491,7 @@ def _linearization(grid, jets, k):
 
 class _ChordFactor:
     """The one band LU of a solve_exterior call, shared by every Newton
-    step and eps level, with counters of the work done.
+    step, with counters of the work done.
 
     The unknowns are the interior rows, below the body row top and above
     the uniform outer row outer(U_int) = c . U_int (see _outer_weights), so
@@ -556,34 +553,27 @@ class _ChordFactor:
         return x - self.z * (np.vdot(self.c, x) / self.denom)
 
 
-def _newton_solve(chord, U_int, f_int, stop=None, eps=None):
+def _newton_solve(chord, U_int, f_int):
     """Chord Newton on the interior unknowns with admissibility guards, at
     most MAX_NEWTON steps; returns the solution and its residual sup-norm
-    rn, which must reach TOL_NEWTON, or the level's stop when one is given.
+    rn, which must reach TOL_NEWTON.
 
-    A given stop (>= TOL_NEWTON; the eps level's, for the message) ends the
-    solve at the first iterate with rn <= stop, before any step at the
-    rounding floor: solve_exterior gives one to every eps level but the
-    last.  stop=None polishes as follows.
-
-    Steps come from chord's LU, maybe of an earlier iterate or eps level.
-    The accepted step is the largest in {1, 1/2, ...} that lowers rn and
-    keeps the Gamma_k margin >= min(current margin, -max(1e-12, 1e-3 rn)),
-    so a non-admissible start may move but the margin never drops.  A
-    step from a stale factor that is rejected, or fails to halve an rn
-    above TOL_NEWTON, refactors; such a step is rejected after its first
+    Steps come from chord's LU, maybe of an earlier iterate.  The accepted
+    step is the largest in {1, 1/2, ...} that lowers rn and keeps the
+    Gamma_k margin >= min(current margin, -max(1e-12, 1e-3 rn)), so a
+    non-admissible start may move but the margin never drops.  A step from
+    a stale factor that is rejected, or fails to halve an rn above
+    TOL_NEWTON, refactors; such a step is rejected after its first
     STALE_TRIES trials, as its smaller ones only creep toward rn and the
     margin, where a fresh factor's step goes further.  A rejected step
     from a fresh factor raises NewtonStall, which names the guard's floor
-    when the guard refused a step that lowered rn.  Within TOL_NEWTON only full steps are
-    tried, and the first that does not halve rn ends the solve at the
-    rounding floor.  Ending on a non-admissible root (margin below
-    -max(1e-12, 1e-3 rn)) raises.
+    when the guard refused a step that lowered rn.  Within TOL_NEWTON only
+    full steps are tried, and the first that does not halve rn ends the
+    solve at the rounding floor.  Ending on a non-admissible root (margin
+    below -max(1e-12, 1e-3 rn)) raises.
     """
     jets, res, rn, margin = chord.evaluate(U_int, f_int)
     for _ in range(MAX_NEWTON):
-        if stop is not None and rn <= stop:
-            break
         if chord.lu is None:
             try:
                 chord.refactor(jets)
@@ -626,10 +616,7 @@ def _newton_solve(chord, U_int, f_int, stop=None, eps=None):
         elif not (halved or chord.fresh or rn <= TOL_NEWTON):
             chord.lu = None
         chord.fresh = False
-    if stop is not None and rn > stop:
-        raise NewtonStall(f"Newton stopped at residual {rn:.3e} > the stop "
-                          f"{stop:.3e} of the eps = {eps:g} level")
-    if stop is None and rn > TOL_NEWTON:
+    if rn > TOL_NEWTON:
         raise NewtonStall(f"Newton stopped at residual {rn:.3e} > {TOL_NEWTON:.1e}")
     if margin < -max(1e-12, 1e-3 * rn):
         raise NewtonStall(
@@ -640,35 +627,20 @@ def _newton_solve(chord, U_int, f_int, stop=None, eps=None):
 
 
 def solve_exterior(body: RevolutionBody, spec, R_out=None, N_s=256, N_theta=None):
-    """Solve the regularized exterior problem by eps-continuation.
+    """Solve the regularized exterior problem S_k = f^eps at eps = spec.eps.
 
     The outer Dirichlet value is the decay -rho_hat R_out^(2 - n/k), with
     rho_hat the far-field shell fit of the solution itself.  That fit is
     linear in the node values, so the self-consistent outer value is part
-    of the Newton system, and each eps in spec.eps_schedule takes exactly
-    one Newton solve.  The returned rho_hat is estimate_rho of the
-    solution, so a far field that has not settled raises PoorFit.
+    of the Newton system, which is solved once.  The returned rho_hat is
+    estimate_rho of the solution, so a far field that has not settled
+    raises PoorFit.
 
-    Every Newton solve of the call is a chord iteration on one shared
-    band LU of the analytic Jacobian, with the outer value folded in as
-    a rank-one border (see _ChordFactor), factored again only when its
-    steps stop contracting (see _newton_solve).  S_1 is linear, so
-    a k = 1 solve factors once; for k >= 2 the Jacobian drifts slowly and a
-    few factorizations serve the whole continuation.
-
-    Only the last eps level's field is returned, so the continuation is
-    inexact: every earlier level stops at its first iterate with
-    rn <= max(TOL_NEWTON, THETA_CONTINUATION * jump), jump the sup over the
-    interior nodes of the change f^eps' - f^eps to the next level, and
-    only the last level polishes to the rounding floor.  A leftover
-    residual of 1% of the next level's jump is buried in the first step
-    there, and steps at the floor of an intermediate level buy nothing:
-    this is the loose-corrector, tight-final-corrector rule of
-    predictor-corrector continuation (Allgower & Georg 1990, Deuflhard
-    2004).  theta = 1 is too loose (cosper 0.1,2 at n=5, k=2 ends a level
-    non-admissible), and 1e-1 .. 1e-3 cost the same.  The returned field
-    carries the counts of factorizations, back-solves and residual
-    evaluations, and the eps, back-solves and residual of each level.
+    The Newton solve is a chord iteration on a band LU of the analytic
+    Jacobian, with the outer value folded in as a rank-one border (see
+    _ChordFactor), factored again only when its steps stop contracting
+    (see _newton_solve).  S_1 is linear, so a k = 1 solve factors once;
+    for k >= 2 the Jacobian drifts slowly and a few factorizations serve.
 
     On a mirror-symmetric body with even N_theta (AxiGrid._half) u(s,
     pi - theta) = u(s, theta), so Newton solves on theta in [0, pi/2] alone,
@@ -698,23 +670,15 @@ def solve_exterior(body: RevolutionBody, spec, R_out=None, N_s=256, N_theta=None
     if half is not None:
         U, c = U[:, :half.theta.size], _fold(c)
     chord = _ChordFactor(half or grid, U[0], k, c)
-    U_int = U[1:-1]
-    rhs = [rhs_at_radius(chord.grid.r_nodes[1:-1], eps, n, spec.cnk)
-           for eps in spec.eps_schedule]
-    levels = []
-    for eps, f_int, f_next in zip(spec.eps_schedule, rhs, rhs[1:] + [None]):
-        stop = None if f_next is None else max(
-            TOL_NEWTON, THETA_CONTINUATION * float(np.abs(f_next - f_int).max()))
-        back_solves = chord.back_solves
-        U_int, rn = _newton_solve(chord, U_int, f_int, stop, eps)
-        levels.append((eps, chord.back_solves - back_solves, rn))
+    f_int = rhs_at_radius(chord.grid.r_nodes[1:-1], spec.eps, n, spec.cnk)
+    U_int, rn = _newton_solve(chord, U[1:-1], f_int)
 
     u = chord.full(U_int)
     field = ExteriorField(
         grid=grid,
         u=u if half is None else np.hstack([u, u[:, -2::-1]]),
         k=k,
-        eps=spec.eps_schedule[-1],
+        eps=spec.eps,
         rho_hat=float("nan"),
         cnk=spec.cnk,
         residual_norm=rn,
@@ -722,7 +686,6 @@ def solve_exterior(body: RevolutionBody, spec, R_out=None, N_s=256, N_theta=None
         back_solves=chord.back_solves,
         residual_evals=chord.residual_evals,
         unknowns=U_int.size,
-        eps_levels=tuple(levels),
     )
     field.rho_hat = estimate_rho(field)
     field.admissible = admissibility_margin(field)

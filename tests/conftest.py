@@ -32,15 +32,15 @@ settings.load_profile("hesslab")
 
 @pytest.fixture(scope="session")
 def sphere_k1_field():
-    """Unit sphere, n=3, k=1, deep eps schedule for oracle comparisons."""
+    """Unit sphere, n=3, k=1, eps = 0.005 for oracle comparisons."""
     body = RevolutionBody.sphere(1.0, n=3)
-    spec = ProblemSpec(n=3, k=1, a=1.0, eps_schedule=(0.5, 0.1, 0.02, 0.005))
+    spec = ProblemSpec(n=3, k=1, a=1.0, eps=0.005)
     return solve_exterior(body, spec, N_s=256, N_theta=256, R_out=40.0)
 
 
 @pytest.fixture(scope="session")
 def sphere_k2_field():
-    """Unit sphere, n=5, k=2, default eps schedule."""
+    """Unit sphere, n=5, k=2, default eps."""
     body = RevolutionBody.sphere(1.0, n=5)
     spec = ProblemSpec(n=5, k=2, a=2.0)
     return solve_exterior(body, spec, N_s=256, N_theta=256)

@@ -19,7 +19,7 @@ from oracles import save_profile
 
 #: The options of each subcommand: the ones its computation or its header
 #: reads, 66 in all.
-PROBLEM = {"--n", "--k", "--R", "--eps-schedule"}
+PROBLEM = {"--n", "--k", "--R", "--eps"}
 GRID = {"--cnk", "--N-s", "--N-theta", "--R-out"}
 OPTIONS = {
     "matrix-suite": {"--trials", "--seed"},
@@ -85,8 +85,9 @@ class TestOptions:
             one, two = ((tmp_path / sub / name).read_bytes() for sub in ("one", "two"))
             assert one == two
             first = one.decode().splitlines()[0]
-            if name == "field.txt":  # the checkpoint's header ends with the tokens
-                first = "# " + " ".join(first.split()[-2:])
+            if name == "field.txt":  # the checkpoint's header holds both tokens
+                kv = dict(tok.split("=") for tok in first.split()[3:])
+                first = f"# config={kv['config']} eps={float(kv['eps']):g}"
             assert first == printed[0]
 
 
@@ -231,7 +232,7 @@ NOT_FINITE_BODY = "profile gamma, gamma' and gamma'' must be finite"
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv,message", [
-    (["solve", "--eps-schedule", "0.5,nan"], NEED_FINITE),
+    (["solve", "--eps", "nan"], NEED_FINITE),
     (["solve", "--cnk", "nan"], NEED_FINITE),
     (["solve", "--cnk", "-1"], NEED_FINITE),
     (["monotone", "--C3", "nan", "--tol-mono", "1e-6"], NEED_FINITE),
@@ -273,7 +274,7 @@ class TestRadial:
         assert "13.159" in out
         csv = (tmp_path / "radial.csv").read_text()
         assert csv.startswith("# config=")
-        assert "eps_min=0.02" in csv.splitlines()[0]
+        assert csv.splitlines()[0].endswith(" eps=0.02")
         assert csv.splitlines()[1] == "t,C1,C2,F,limit"
 
     def test_invalid_order_exits_2(self, tmp_path, capsys):
@@ -296,7 +297,7 @@ class TestSolve:
         field = ExteriorField.load_checkpoint(tmp_path / "field.txt")
         assert field.rho_hat == pytest.approx(1.0, abs=1e-2)
         header = (tmp_path / "field.txt").read_text().splitlines()[0]
-        assert "config=" in header and "eps_min=" in header
+        assert "config=" in header and "eps=0.02" in header
 
     def test_checkpoint_bytes(self, tmp_path, capsys):
         # the CLI header tokens go through save_checkpoint, whose output
@@ -308,12 +309,9 @@ class TestSolve:
         assert code == cli.EXIT_OK
         written = (tmp_path / "field.txt").read_text()
         header = written.splitlines()[0].split()
-        assert header[-2].startswith("config=")
-        assert header[-1].startswith("eps_min=")
+        assert header[-1].startswith("config=")
         field = ExteriorField.load_checkpoint(tmp_path / "field.txt")
-        field.save_checkpoint(
-            tmp_path / "again.txt", extra_header=" ".join(header[-2:])
-        )
+        field.save_checkpoint(tmp_path / "again.txt", extra_header=header[-1])
         assert (tmp_path / "again.txt").read_text() == written
 
     def test_prints_solve_counters(self, tmp_path, capsys):
@@ -343,22 +341,6 @@ class TestSolve:
         residuals = [float(r) for r in record["residuals"].split(",")]
         assert len(residuals) == 2 and max(residuals) <= 1e-14
 
-    def test_prints_eps_levels(self, tmp_path, capsys):
-        code = cli.run([
-            "solve", "--body", "sphere", "--R", "1", "--n", "5", "--k", "2",
-            "--N-s", "32", "--eps-schedule", "0.5,0.02", "--out", str(tmp_path),
-        ])
-        lines = capsys.readouterr().out.splitlines()
-        assert code == cli.EXIT_OK
-        i = next(i for i, ln in enumerate(lines) if ln.startswith("factor"))
-        counts = dict(tok.split("=") for tok in lines[i].split())
-        record = dict(tok.split("=") for tok in lines[i + 1].split())
-        assert record["eps_levels"] == "0.5,0.02"
-        back_solves = [int(b) for b in record["level_back_solves"].split(",")]
-        assert sum(back_solves) == int(counts["back_solves"])
-        residuals = [float(r) for r in record["level_residuals"].split(",")]
-        assert residuals[-1] <= 1e-10 < residuals[0]
-
     def test_unknown_body_exits_2(self, tmp_path, capsys):
         code = cli.run([
             "solve", "--body", "cube", "--n", "3", "--k", "1",
@@ -366,21 +348,24 @@ class TestSolve:
         ])
         assert code == cli.EXIT_CONFIG
 
-    def test_eps_schedule_option(self, tmp_path, capsys):
+    def test_eps_round_trip(self, tmp_path, capsys):
+        # the header prints eps at %g; the checkpoint keeps every digit
         code = cli.run([
             "solve", "--body", "sphere", "--n", "3", "--k", "1", "--N-s", "32",
-            "--eps-schedule", "0.5,0.1", "--out", str(tmp_path),
+            "--eps", "0.0123456789", "--out", str(tmp_path),
         ])
         assert code == cli.EXIT_OK
-        assert "eps_min=0.1" in capsys.readouterr().out.splitlines()[0]
+        assert capsys.readouterr().out.splitlines()[0].endswith(" eps=0.0123457")
+        assert ExteriorField.load_checkpoint(tmp_path / "field.txt").eps == 0.0123456789
 
-    def test_increasing_eps_schedule_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("eps", ["0", "-0.02"])
+    def test_non_positive_eps_exits_2(self, eps, tmp_path, capsys):
         code = cli.run([
             "solve", "--body", "sphere", "--n", "3", "--k", "1", "--N-s", "32",
-            "--eps-schedule", "0.1,0.5", "--out", str(tmp_path),
+            "--eps", eps, "--out", str(tmp_path),
         ])
         assert code == cli.EXIT_CONFIG
-        assert "config_errors" in capsys.readouterr().err
+        assert "eps > 0" in capsys.readouterr().err
 
     def test_short_truncation_exits_2(self, tmp_path, capsys):
         code = cli.run([

@@ -15,9 +15,11 @@ from hesslab.identities import (
     certify_ball,
     identity_lemma33,
     inequality_ledger,
+    ledger,
     pohozaev_lemma34,
+    report,
 )
-from hesslab.monotone import F_boundary, ProblemSpec
+from hesslab.monotone import F_boundary, F_eval, ProblemSpec, monotonicity_audit
 from hesslab.radial import RadialSolution
 from hesslab.solver import ExteriorField
 from hesslab.surfaces import (RevolutionBody, af_sides, curvature_samples,
@@ -432,3 +434,23 @@ class TestVerdictsFollowTheirDocstrings:
                      RevolutionBody.cos_perturbed(n, 0.2, 4),
                      RevolutionBody.sphere(1.0, n=n)):
             self._check(stub, body, n, k, inequality_ledger)
+
+
+@pytest.mark.parametrize("n,k", [(5, 1), (7, 2)])
+@pytest.mark.parametrize("call", [
+    lambda fld, spec: F_eval(fld, -0.5, spec),
+    lambda fld, spec: F_boundary(fld, fld.grid.body, spec),
+    lambda fld, spec: monotonicity_audit(fld, spec, 1e-6),
+    lambda fld, spec: ledger(fld, fld.grid.body, spec),
+    lambda fld, spec: report(fld, fld.grid.body, spec),
+    lambda fld, spec: inequality_ledger(fld, fld.grid.body, spec),
+    lambda fld, spec: certify_ball(fld, fld.grid.body, spec),
+], ids=["F_eval", "F_boundary", "monotonicity_audit", "ledger", "report",
+        "inequality_ledger", "certify_ball"])
+def test_spec_of_another_n_or_k_raises(call, n, k, sphere_k2_field):
+    # the n=5, k=2 ball read with the curvatures of another (n, k) is not
+    # a number of either problem
+    spec = ProblemSpec(n=n, k=k, a=float(k + 1))
+    with pytest.raises(ValueError, match=rf"solution \(n, k\) = \(5, 2\) and problem "
+                       rf"spec \(n, k\) = \({n}, {k}\) disagree"):
+        call(sphere_k2_field, spec)

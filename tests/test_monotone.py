@@ -12,7 +12,7 @@ class TestProblemSpec:
         spec = ProblemSpec(n=5, k=2, a=2.0)
         assert spec.C3 == 1.0
         assert spec.C4 == 0.0
-        assert spec.eps_schedule == (0.5, 0.1, 0.02)
+        assert spec.eps == 0.02
 
     def test_exponents(self):
         spec = ProblemSpec(n=3, k=1, a=2.0)
@@ -42,11 +42,16 @@ class TestProblemSpec:
 
     @pytest.mark.parametrize("field,value", [
         ("a", np.nan), ("C3", np.nan), ("C4", np.inf), ("cnk", np.nan),
-        ("cnk", -1.0), ("eps_schedule", (0.5, np.nan)),
+        ("cnk", -1.0), ("eps", np.nan),
     ])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError, match="need finite a, C3, C4, eps and cnk >= 0"):
             ProblemSpec(**{"n": 3, "k": 1, "a": 1.0, field: value})
+
+    @pytest.mark.parametrize("eps", [0.0, -0.02])
+    def test_non_positive_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="and eps > 0, got"):
+            ProblemSpec(n=3, k=1, a=1.0, eps=eps)
 
     def test_homogeneous_equation_allowed(self):
         assert ProblemSpec(n=3, k=1, a=1.0, cnk=0.0).cnk == 0.0

@@ -4,6 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 from math import comb, log2, sqrt
+from pathlib import Path
 from scipy.interpolate import RectBivariateSpline
 
 from hesslab import solver, surfaces
@@ -301,6 +302,33 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             ExteriorField.load_checkpoint(path)
 
+    @pytest.mark.parametrize("damage", ["last-row-cut", "one-nan"])
+    def test_u_block_validated(self, damage, tmp_path):
+        # a u block of the wrong shape or with a NaN is refused by name,
+        # not met later as a broadcast error or a star-shape violation
+        body = RevolutionBody.sphere(1.0, n=3)
+        field = sampled_field(lambda r: -1.0 / r, body, 1, 40.0, 32, 16)
+        path = tmp_path / "field.txt"
+        field.save_checkpoint(path)
+        lines = path.read_text().splitlines()
+        if damage == "last-row-cut":
+            lines = lines[:-1]
+        else:
+            row = lines[-10].split()
+            row[5] = "nan"
+            lines[-10] = " ".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"{path}: u must be finite of shape \(33, 17\)"):
+            ExteriorField.load_checkpoint(path)
+
+    def test_benchmark_checkpoints_load(self):
+        # the five v1 files that the audit workload of hessbench reads
+        paths = sorted((Path(__file__).parents[1] / "hessbench" / "checkpoints").glob("*.txt"))
+        assert len(paths) == 5
+        for path in paths:
+            field = ExteriorField.load_checkpoint(path)
+            assert field.u.shape == (field.grid.N_s + 1, field.grid.N_theta + 1)
+
 
 class TestSolveValidation:
     def test_dimension_mismatch(self):
@@ -309,11 +337,6 @@ class TestSolveValidation:
         with pytest.raises(ValueError):
             solve_exterior(body, spec, N_s=32)
 
-    def test_bad_schedule(self):
-        with pytest.raises(ValueError):
-            ProblemSpec(n=3, k=1, a=1.0, eps_schedule=(0.1, 0.5))
-        with pytest.raises(ValueError):
-            ProblemSpec(n=3, k=1, a=1.0, eps_schedule=(0.1, -0.5))
 
 
 class TestConvergenceOrder:
@@ -331,10 +354,10 @@ class TestConvergenceOrder:
 
 class TestChordNewton:
     def test_k1_fixture_factors_once(self, prolate_field):
-        # S_1 is linear: one LU serves every Newton, Picard and eps step
+        # S_1 is linear: one LU serves every Newton step
         assert prolate_field.factorizations == 1
         assert prolate_field.back_solves >= 3
-        assert prolate_field.residual_evals > prolate_field.back_solves
+        assert prolate_field.residual_evals >= prolate_field.back_solves
 
     def test_k2_fixture_few_factorizations(self, sphere_k2_field):
         assert 1 <= sphere_k2_field.factorizations <= 4
@@ -350,9 +373,9 @@ class TestChordNewton:
         assert admissibility_margin(fld) >= -1e-12
 
     def test_refactor_after_rejected_stale_step(self, monkeypatch):
-        # spheroid 2,1 at n=5, k=2 with eps 1 -> 0.02: a step from the
-        # factor of an earlier iterate finds no admissible decrease, so the
-        # same residual is stepped again from a fresh factor
+        # spheroid 1.3,1 at n=5, k=2: a step from the factor of an earlier
+        # iterate finds no admissible decrease, so the same residual is
+        # stepped again from a fresh factor
         events = []
         step, refactor = solver._ChordFactor.step, solver._ChordFactor.refactor
 
@@ -366,9 +389,9 @@ class TestChordNewton:
 
         monkeypatch.setattr(solver._ChordFactor, "step", recording_step)
         monkeypatch.setattr(solver._ChordFactor, "refactor", recording_refactor)
-        body = RevolutionBody.spheroid(2.0, 1.0, n=5)
-        spec = ProblemSpec(n=5, k=2, a=3.0, eps_schedule=(1.0, 0.02))
-        fld = solve_exterior(body, spec, N_s=64)
+        body = RevolutionBody.spheroid(1.3, 1.0, n=5)
+        spec = ProblemSpec(n=5, k=2, a=2.0)
+        fld = solve_exterior(body, spec, N_s=256, N_theta=32)
         assert fld.residual_norm <= solver.TOL_NEWTON
         assert fld.admissible >= -1e-12
         assert any(
@@ -378,10 +401,10 @@ class TestChordNewton:
         )
 
     @pytest.mark.parametrize("body,n,k,counters", [
-        (RevolutionBody.spheroid(1.5, 1.0, n=3), 3, 1, (1, 5, 7)),
-        (RevolutionBody.sphere(1.0, n=5), 5, 2, (1, 10, 12)),
+        (RevolutionBody.spheroid(1.5, 1.0, n=3), 3, 1, (1, 3, 3)),
+        (RevolutionBody.sphere(1.0, n=5), 5, 2, (1, 5, 5)),
         (RevolutionBody.cos_perturbed(n=3, amplitude=0.05, frequency=3), 3, 1,
-         (1, 5, 7)),
+         (1, 3, 3)),
     ], ids=["solve_k1", "solve_k2", "cosper-full-width"])
     def test_benchmark_solve_counters(self, body, n, k, counters):
         # the two benchmark solves and a full-meridian one at the command
@@ -392,22 +415,49 @@ class TestChordNewton:
         assert (fld.factorizations, fld.back_solves, fld.residual_evals) == counters
 
     def test_iteration_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(solver, "MAX_NEWTON", 2)
+        # the ball at N_s = 32 takes two steps: after one it is at 9.4e-9
+        monkeypatch.setattr(solver, "MAX_NEWTON", 1)
         body = RevolutionBody.sphere(1.0, n=5)
         spec = ProblemSpec(n=5, k=2, a=2.0)
-        with pytest.raises(NewtonStall):
+        with pytest.raises(NewtonStall, match=r"Newton stopped at residual \S+ > 1\.0e-10"):
             solve_exterior(body, spec, N_s=32)
 
-    @pytest.mark.parametrize("fixture,levels", [
-        ("sphere_k1_field", 4), ("prolate_field", 3), ("prolate_field_half", 3),
-        ("cosper_field", 3), ("cosper_field_half", 3),
+    @pytest.mark.parametrize("fixture", [
+        "sphere_k1_field", "prolate_field", "prolate_field_half",
+        "cosper_field", "cosper_field_half",
     ])
-    def test_k1_back_solves_per_eps_level(self, fixture, levels, request):
-        # the outer value is part of the linear system, so a k = 1 level
-        # takes one exact step, and the last level one more at the
-        # rounding floor (earlier levels stop at theta * jump)
+    def test_k1_back_solves(self, fixture, request):
+        # S_1 is linear and the outer value is part of the linear system:
+        # the back-solve of the border, one exact step and one at the
+        # rounding floor
         fld = request.getfixturevalue(fixture)
-        assert fld.back_solves <= 4 * levels
+        assert fld.back_solves <= 3
+
+    def test_k2_ball_back_solves(self, sphere_k2_field):
+        # 23 when each of three eps levels polished to the rounding floor
+        assert sphere_k2_field.back_solves <= 15
+
+    def test_n9_k4_near_balls_solve(self):
+        # solved at eps = 0.02 from the start; a continuation from eps = 0.5
+        # stalled on both at residual 1.1e-2 and 1.3e-2
+        spec = ProblemSpec(n=9, k=4, a=4.0)
+        delta = 1e-3
+        ball, near = (solve_exterior(body, spec, N_s=128) for body in (
+            RevolutionBody.sphere(1.0, n=9),
+            RevolutionBody.cos_perturbed(n=9, amplitude=delta, frequency=2)))
+        for fld in (ball, near):
+            assert (fld.factorizations, fld.back_solves, fld.residual_evals) == (1, 6, 6)
+            assert fld.residual_norm <= solver.TOL_NEWTON
+            assert fld.admissible >= -1e-12
+        # the ball's rho_hat - 1 is the bias of eps and R_out, not of h:
+        # 9.6e-5, 1.0e-4 and 1.0e-4 at N_s = 64, 128 and 256
+        assert 0.0 < ball.rho_hat - 1.0 <= 1.5e-4
+        # gamma = 1 + delta cos 2 theta averages 1 + delta (2/n - 1) over
+        # the sphere, and rho = that mean radius^alpha to first order in
+        # delta; with the ball's own error removed, the rest is O(delta^2)
+        alpha = spec.decay_exponent
+        first_order = alpha * delta * (2.0 / 9.0 - 1.0)
+        assert abs(near.rho_hat - ball.rho_hat - first_order) <= 10 * delta**2
 
     @pytest.mark.parametrize("fixture", [
         "sphere_k1_field", "sphere_k2_field", "prolate_field",
@@ -419,23 +469,9 @@ class TestChordNewton:
         outer = -fld.rho_hat * fld.grid.R_out ** (-alpha)
         assert np.max(np.abs(fld.u[-1] - outer)) <= 1e-12 * abs(outer)
 
-    def test_one_newton_solve_per_eps_level(self, monkeypatch):
-        calls = []
-        real = solver._newton_solve
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(solver, "_newton_solve", counting)
-        body = RevolutionBody.spheroid(1.5, 1.0, n=3)
-        spec = ProblemSpec(n=3, k=1, a=1.0)
-        solve_exterior(body, spec, N_s=32)
-        assert len(calls) == len(spec.eps_schedule)
-
     def test_oblate_k2_solves(self):
         # started without the one-time blend onto a uniform outer row,
-        # this solve stalls at residual 0.37 on the first eps level
+        # this solve stalls
         body = RevolutionBody.spheroid(1.0, 1.2, n=5)
         spec = ProblemSpec(n=5, k=2, a=2.0)
         fld = solve_exterior(body, spec, N_s=128)
@@ -443,8 +479,8 @@ class TestChordNewton:
         assert fld.admissible >= -1e-12
 
     def test_keyword_options(self):
-        # the eps schedule comes from the spec, the Newton tolerance and
-        # step cap are TOL_NEWTON and MAX_NEWTON
+        # eps comes from the spec, the Newton tolerance and step cap are
+        # TOL_NEWTON and MAX_NEWTON
         params = inspect.signature(solve_exterior).parameters
         assert list(params) == ["body", "spec", "R_out", "N_s", "N_theta"]
 
@@ -453,84 +489,6 @@ class TestChordNewton:
         spec = ProblemSpec(n=3, k=1, a=1.0)
         with pytest.raises(TypeError):
             solve_exterior(body, spec, N_s=32, max_picard=15)
-
-
-class TestInexactContinuation:
-    """Every eps level but the last stops at max(TOL_NEWTON, theta * jump);
-    the last polishes to the rounding floor."""
-
-    def test_levels_stop_where_the_rule_says(self, monkeypatch):
-        calls = []
-        evaluate = solver._ChordFactor.evaluate
-
-        def recording(chord, U_int, f_int):
-            out = evaluate(chord, U_int, f_int)
-            calls.append((f_int, out[2]))
-            return out
-
-        monkeypatch.setattr(solver._ChordFactor, "evaluate", recording)
-        spec = ProblemSpec(n=5, k=2, a=2.0)
-        fld = solve_exterior(RevolutionBody.sphere(1.0, n=5), spec, N_s=64)
-        rhs = [f for i, (f, _) in enumerate(calls) if i == 0 or f is not calls[i - 1][0]]
-        levels = [[rn for f, rn in calls if f is g] for g in rhs]
-        assert len(levels) == len(spec.eps_schedule) == len(fld.eps_levels)
-        for rns, f, f_next, record in zip(levels, rhs, rhs[1:], fld.eps_levels):
-            stop = max(solver.TOL_NEWTON, solver.THETA_CONTINUATION
-                       * float(np.max(np.abs(f_next - f))))
-            # every trial on the way is above the stop, so above the floor;
-            # the first iterate at or below it ends the level
-            assert min(rns[:-1]) > stop >= rns[-1] == record[2]
-        *_, before, last = levels[-1]
-        assert before <= solver.TOL_NEWTON and last > 0.5 * before
-        assert fld.residual_norm <= solver.TOL_NEWTON
-        assert fld.eps_levels[-1][2] == fld.residual_norm
-        assert sum(b for _, b, _ in fld.eps_levels) == fld.back_solves
-        assert [e for e, _, _ in fld.eps_levels] == list(spec.eps_schedule)
-
-    def test_same_field_as_exact_continuation(self, monkeypatch):
-        # the field of the last level does not depend on how tightly the
-        # earlier ones were solved: theta = 0 drives each to TOL_NEWTON,
-        # and a one-level schedule has no earlier level at all
-        spec = ProblemSpec(n=5, k=2, a=2.0)
-        bodies = [RevolutionBody.sphere(1.0, n=5),
-                  *(RevolutionBody.spheroid(a, 1.0, n=5) for a in (1.2, 1.5, 2.0)),
-                  RevolutionBody.cos_perturbed(n=5, amplitude=0.1, frequency=2),
-                  RevolutionBody.spheroid(1.0, 1.2, n=5)]
-        inexact = [solve_exterior(body, spec, N_s=64) for body in bodies]
-        one_level = solve_exterior(
-            bodies[0], ProblemSpec(n=5, k=2, a=2.0, eps_schedule=(0.02,)), N_s=64)
-        assert np.max(np.abs(inexact[0].u - one_level.u)) <= 1e-13
-        monkeypatch.setattr(solver, "THETA_CONTINUATION", 0.0)
-        for body, fld in zip(bodies, inexact):
-            exact = solve_exterior(body, spec, N_s=64)
-            assert np.max(np.abs(fld.u - exact.u)) <= 1e-13
-            assert fld.factorizations == exact.factorizations
-            assert fld.back_solves < exact.back_solves
-
-    def test_k2_ball_back_solves(self, sphere_k2_field):
-        # 23 when every level polished to the rounding floor
-        assert sphere_k2_field.back_solves <= 15
-
-    @pytest.mark.parametrize("fixture", [
-        "sphere_k1_field", "prolate_field", "prolate_field_half",
-        "cosper_field", "cosper_field_half",
-    ])
-    def test_k1_back_solves(self, fixture, request):
-        # S_1 is linear: one exact step per level, the back-solve of the
-        # border once, and one step at the floor on the last level only
-        fld = request.getfixturevalue(fixture)
-        assert fld.back_solves <= len(fld.eps_levels) + 2
-
-    def test_intermediate_stall_names_its_stop(self, monkeypatch):
-        monkeypatch.setattr(solver, "MAX_NEWTON", 1)
-        spec = ProblemSpec(n=5, k=2, a=2.0)
-        with pytest.raises(NewtonStall, match=r"> the stop \S+ of the eps = 0.5 level"):
-            solve_exterior(RevolutionBody.sphere(1.0, n=5), spec, N_s=32)
-
-    def test_loaded_field_has_no_level_record(self, prolate_field_half, tmp_path):
-        assert len(prolate_field_half.eps_levels) == 3
-        prolate_field_half.save_checkpoint(tmp_path / "field.txt")
-        assert ExteriorField.load_checkpoint(tmp_path / "field.txt").eps_levels == ()
 
 
 class TestMirrorHalf:
@@ -754,11 +712,11 @@ class TestAdmissibilityGuard:
 
 
 def test_stale_factor_line_search_refactors_early(monkeypatch):
-    # on prolate 2,1 (n=5, k=2, N_s=256) a step from the stale factor of
-    # the first eps level lowers rn at every halving, but the guard refuses
-    # each one: all 41 halvings took 72 residual evaluations in all, and
-    # refactoring after STALE_TRIES of them takes 37, with the same
-    # factorizations and back-solves
+    # on prolate 1.3,1 (n=5, k=2, N_s=256) a step from a stale factor
+    # lowers rn at every halving, but the guard refuses each one: all 41
+    # halvings took 55 residual evaluations in all, and refactoring after
+    # STALE_TRIES of them takes 26, with the same factorizations and
+    # back-solves
     calls = []
     evaluate, step = solver._ChordFactor.evaluate, solver._ChordFactor.step
 
@@ -773,12 +731,12 @@ def test_stale_factor_line_search_refactors_early(monkeypatch):
     monkeypatch.setattr(solver._ChordFactor, "evaluate", counting_evaluate)
     monkeypatch.setattr(solver._ChordFactor, "step", counting_step)
     calls.append([None, 0])  # the evaluation of the start
-    body = RevolutionBody.spheroid(2.0, 1.0, n=5)
+    body = RevolutionBody.spheroid(1.3, 1.0, n=5)
     fld = solve_exterior(body, ProblemSpec(n=5, k=2, a=2.0), N_s=256, N_theta=32)
     assert fld.residual_norm <= solver.TOL_NEWTON
     assert sum(n for _, n in calls) == fld.residual_evals <= 40
     assert max(n for fresh, n in calls if fresh is False) == solver.STALE_TRIES
-    assert (fld.factorizations, fld.back_solves) == (3, 28)
+    assert (fld.factorizations, fld.back_solves) == (2, 19)
 
 
 def test_guard_stall_message_names_the_guard():
