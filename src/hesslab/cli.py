@@ -126,7 +126,9 @@ def _problem(args, src=None, solve=False):
 
 
 def _header(args):
-    return f"# config={_config_hash(args)} eps={args.eps:g}"
+    """Config hash, then the equation: cnk (where taken; 0 is f = 0) and eps."""
+    cnk = f" cnk={args.cnk:g}" if "cnk" in vars(args) else ""
+    return f"# config={_config_hash(args)}{cnk} eps={args.eps:g}"
 
 
 def _outdir(args):

@@ -179,8 +179,8 @@ def _chain(grid: AxiGrid, rows, F, u) -> AxiJets:
 
 
 def _margin(levels):
-    """min(S_1, ..., S_k) over the nodes."""
-    return float(min(lvl.min() for lvl in levels[1:]))
+    """min(S_1, ..., S_{k-1}) over the nodes, the cone where S_k is elliptic."""
+    return float(min((lvl.min() for lvl in levels[1:-1]), default=np.inf))
 
 
 def _stencil_weights(grid: AxiGrid, rows, partials):
@@ -264,6 +264,7 @@ class ExteriorField:
     the iterates Newton tried, as the Jacobian is analytic) and unknowns the
     size of its Newton system; they are zero for sampled or loaded fields
     and, like boundary_residuals, are not part of the checkpoint format.
+    admissible, which the checkpoint stores, is the admissibility_margin.
     """
 
     grid: AxiGrid
@@ -407,7 +408,7 @@ class ExteriorField:
 
 
 def admissibility_margin(field: ExteriorField):
-    """Worst min(S_1, ..., S_k) over every grid node, boundaries included."""
+    """Worst min(S_1, ..., S_{k-1}) over all nodes, boundaries included; inf at k = 1."""
     return _margin(field._node_jets().split(field.k).levels)
 
 
@@ -518,7 +519,7 @@ class _ChordFactor:
         return np.vstack([self.top, U_int, np.full_like(self.top, self.outer(U_int))])
 
     def evaluate(self, U_int, f_int):
-        """(interior jets, residual, its sup-norm, Gamma_k margin) at U_int."""
+        """(interior jets, residual, its sup-norm, cone margin) at U_int."""
         self.residual_evals += 1
         grid = self.grid
         jets = _chain(grid, slice(1, -1),
@@ -559,8 +560,8 @@ def _newton_solve(chord, U_int, f_int):
     rn, which must reach TOL_NEWTON.
 
     Steps come from chord's LU, maybe of an earlier iterate.  The accepted
-    step is the largest in {1, 1/2, ...} that lowers rn and keeps the
-    Gamma_k margin >= min(current margin, -max(1e-12, 1e-3 rn)), so a
+    step is the largest in {1, 1/2, ...} that lowers rn and keeps the cone
+    margin min(S_1, ..., S_{k-1}) >= min(current margin, 0), so a
     non-admissible start may move but the margin never drops.  A step from
     a stale factor that is rejected, or fails to halve an rn above
     TOL_NEWTON, refactors; such a step is rejected after its first
@@ -570,7 +571,7 @@ def _newton_solve(chord, U_int, f_int):
     when the guard refused a step that lowered rn.  Within TOL_NEWTON only
     full steps are tried, and the first that does not halve rn ends the
     solve at the rounding floor.  Ending on a non-admissible root (margin
-    below -max(1e-12, 1e-3 rn)) raises.
+    below 0) raises.
     """
     jets, res, rn, margin = chord.evaluate(U_int, f_int)
     for _ in range(MAX_NEWTON):
@@ -583,10 +584,10 @@ def _newton_solve(chord, U_int, f_int):
         step = chord.step(res)
         at_floor = rn <= TOL_NEWTON
         lam, accepted, refused = 1.0, False, None
+        floor = min(margin, 0.0)
         for tries in range(1, 2 if at_floor else 42):
             cand = U_int + lam * step
             jets_c, res_c, rn_c, margin_c = chord.evaluate(cand, f_int)
-            floor = min(margin, -max(1e-12, 1e-3 * rn_c))
             if rn_c < rn:
                 accepted = margin_c >= floor
                 if accepted:
@@ -605,24 +606,19 @@ def _newton_solve(chord, U_int, f_int):
                 raise NewtonStall(
                     "no admissible decreasing step at residual {:.3e}: the "
                     "admissibility guard refused a step to residual {:.3e}, "
-                    "Gamma_k margin {:.3e} below the floor {:.3e}".format(rn, *refused)
-                )
+                    "cone margin {:.3e} below the floor {:.3e}".format(rn, *refused))
             if chord.fresh:
-                raise NewtonStall(
-                    f"no decreasing step at residual {rn:.3e} "
-                    f"(tolerance {TOL_NEWTON:.1e}); eps too small for this grid?"
-                )
+                raise NewtonStall(f"no decreasing step at residual {rn:.3e} > "
+                                  f"{TOL_NEWTON:.1e} in {tries} trials from a fresh factor")
             chord.lu = None
         elif not (halved or chord.fresh or rn <= TOL_NEWTON):
             chord.lu = None
         chord.fresh = False
     if rn > TOL_NEWTON:
         raise NewtonStall(f"Newton stopped at residual {rn:.3e} > {TOL_NEWTON:.1e}")
-    if margin < -max(1e-12, 1e-3 * rn):
-        raise NewtonStall(
-            f"Newton converged to a non-admissible root: Gamma_k margin "
-            f"{margin:.3e} at residual {rn:.3e}"
-        )
+    if margin < 0.0:
+        raise NewtonStall(f"Newton converged to a non-admissible root: cone margin "
+                          f"{margin:.3e} at residual {rn:.3e}")
     return U_int, rn
 
 

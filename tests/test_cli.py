@@ -1,10 +1,11 @@
 import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from hesslab import cli, monotone
+from hesslab import cli, identities, monotone
 from hesslab.errors import NewtonStall
 from hesslab.solver import AxiGrid, ExteriorField
 from hesslab.surfaces import RevolutionBody
@@ -85,9 +86,10 @@ class TestOptions:
             one, two = ((tmp_path / sub / name).read_bytes() for sub in ("one", "two"))
             assert one == two
             first = one.decode().splitlines()[0]
-            if name == "field.txt":  # the checkpoint's header holds both tokens
+            if name == "field.txt":  # the checkpoint's header holds every token
                 kv = dict(tok.split("=") for tok in first.split()[3:])
-                first = f"# config={kv['config']} eps={float(kv['eps']):g}"
+                first = (f"# config={kv['config']} cnk={float(kv['cnk']):g} "
+                         f"eps={float(kv['eps']):g}")
             assert first == printed[0]
 
 
@@ -340,6 +342,22 @@ class TestSolve:
         assert record["boundary_rows"] == "body,outer"
         residuals = [float(r) for r in record["residuals"].split(",")]
         assert len(residuals) == 2 and max(residuals) <= 1e-14
+
+    def test_header_names_the_homogeneous_equation(self, tmp_path, capsys):
+        # cnk = 0 is f = 0 whatever eps is: the header says which equation
+        # was solved, and the checkpoint stores it
+        code = cli.run([
+            "solve", "--body", "sphere", "--n", "3", "--k", "1", "--N-s", "32",
+            "--cnk", "0", "--out", str(tmp_path),
+        ])
+        assert code == cli.EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].split()[2:] == ["cnk=0", "eps=0.02"]
+        assert out[1].endswith(" margin=inf")  # k = 1 has no cone condition
+        assert ExteriorField.load_checkpoint(tmp_path / "field.txt").cnk == 0.0
+        code = cli.run(["radial", "--n", "5", "--k", "2", "--out", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        assert "cnk=" not in capsys.readouterr().out  # radial takes no --cnk
 
     def test_unknown_body_exits_2(self, tmp_path, capsys):
         code = cli.run([
@@ -681,3 +699,27 @@ class TestReport:
         text = (tmp_path / "report.txt").read_text()
         assert "sphere: verdict=certified-ball" in text
         assert "certified-not-overdetermined" in text
+
+    def test_violated_row_exits_4(self, tmp_path, capsys, monkeypatch):
+        # one violated ledger row on the second body fails the battery and
+        # is named on that body's line alone
+        real = cli.report
+        calls = []
+
+        def planted(solution, body, spec):
+            cert, rows = real(solution, body, spec)
+            calls.append(body)
+            if len(calls) == 2:
+                rows = [*rows, dataclasses.replace(rows[0], name="planted",
+                                                   verdict=identities.VIOLATED)]
+            return cert, rows
+
+        monkeypatch.setattr(cli, "report", planted)
+        code = cli.run([
+            "report", "--n", "3", "--k", "1", "--a", "1", "--N-s", "32",
+            "--out", str(tmp_path),
+        ])
+        assert code == cli.EXIT_AUDIT
+        lines = (tmp_path / "report.txt").read_text().splitlines()[1:]
+        assert [ln.split()[-1] for ln in lines] == [
+            "violations=none", "violations=planted", "violations=none"]

@@ -275,6 +275,13 @@ class TestCheckpoint:
                 assert (F_eval(loaded, t, spec).F.hex()
                         == F_eval(field, t, spec).F.hex())
 
+    def test_infinite_margin_round_trip(self, prolate_field, tmp_path):
+        # k = 1 has no cone condition: its margin is inf, on file too
+        path = tmp_path / "field.txt"
+        prolate_field.save_checkpoint(path)
+        assert " admissible=inf " in path.read_text().splitlines()[0]
+        assert ExteriorField.load_checkpoint(path).admissible == np.inf
+
     def test_v1_file_loads(self, tmp_path):
         # a v1 file stores theta and gamma only; its body is splined
         body = RevolutionBody.spheroid(1.5, 1.0, n=3)
@@ -373,7 +380,7 @@ class TestChordNewton:
         assert admissibility_margin(fld) >= -1e-12
 
     def test_refactor_after_rejected_stale_step(self, monkeypatch):
-        # spheroid 1.3,1 at n=5, k=2: a step from the factor of an earlier
+        # spheroid 3,1 at n=7, k=3: a step from the factor of an earlier
         # iterate finds no admissible decrease, so the same residual is
         # stepped again from a fresh factor
         events = []
@@ -389,9 +396,9 @@ class TestChordNewton:
 
         monkeypatch.setattr(solver._ChordFactor, "step", recording_step)
         monkeypatch.setattr(solver._ChordFactor, "refactor", recording_refactor)
-        body = RevolutionBody.spheroid(1.3, 1.0, n=5)
-        spec = ProblemSpec(n=5, k=2, a=2.0)
-        fld = solve_exterior(body, spec, N_s=256, N_theta=32)
+        body = RevolutionBody.spheroid(3.0, 1.0, n=7)
+        spec = ProblemSpec(n=7, k=3, a=3.0)
+        fld = solve_exterior(body, spec, N_s=64)
         assert fld.residual_norm <= solver.TOL_NEWTON
         assert fld.admissible >= -1e-12
         assert any(
@@ -691,6 +698,49 @@ class TestBicubic:
             assert np.max(np.abs(got[q] - ref)) <= 1e-14 * np.max(np.abs(Zq))
 
 
+class TestConeMargin:
+    """The margin is min(S_1, ..., S_{k-1}), the cone where S_k is elliptic;
+    S_k = f^eps is the equation, whose error is the residual."""
+
+    def test_k1_has_no_cone(self, prolate_field):
+        assert admissibility_margin(prolate_field) == np.inf
+        assert prolate_field.admissible == np.inf
+
+    def test_k2_margin_is_the_laplacian(self, sphere_k2_field):
+        # S_1 is the trace of D^2 u: u_zz + u_rhorho + (n - 2) u_rho / rho
+        jets = sphere_k2_field._node_jets()
+        lap = jets.uzz + jets.urhorho + (sphere_k2_field.n - 2) * jets.kappat
+        margin = admissibility_margin(sphere_k2_field)
+        assert margin == pytest.approx(lap.min(), rel=1e-12)
+        assert sphere_k2_field.admissible == margin > 0.0
+
+    @pytest.mark.parametrize("body,n,k,N_s,N_theta,back_solves", [
+        (RevolutionBody.sphere(1.0, n=5), 5, 2, 128, None, 5),
+        (RevolutionBody.cos_perturbed(n=5, amplitude=0.001, frequency=2), 5, 2, 256,
+         None, solver.MAX_NEWTON),
+        (RevolutionBody.spheroid(1.5, 1.0, n=3), 3, 1, 128, 256, solver.MAX_NEWTON),
+    ], ids=["ball-k2", "cosper-k2", "prolate-k1"])
+    def test_homogeneous_equation_solves(self, body, n, k, N_s, N_theta, back_solves):
+        # at f = 0, S_k is +-residual at the root: a margin that counted it
+        # would refuse steps near the root or call the root non-admissible
+        spec = ProblemSpec(n=n, k=k, a=float(k), cnk=0.0)
+        fld = solve_exterior(body, spec, N_s=N_s, N_theta=N_theta)
+        assert fld.residual_norm <= solver.TOL_NEWTON
+        assert fld.admissible > 0.0
+        assert fld.back_solves <= back_solves
+
+    def test_no_decreasing_step_message(self):
+        # at eps = 0.02 the n=17, k=8 sphere finds no step that lowers the
+        # residual; the stall states the residual and the trials made
+        body = RevolutionBody.sphere(1.0, n=17)
+        with pytest.raises(NewtonStall, match=r"^no decreasing step at residual "
+                           r"3\.50\de-05 > 1\.0e-10 in 41 trials from a fresh factor$"):
+            solve_exterior(body, ProblemSpec(n=17, k=8, a=9.0), N_s=32, N_theta=16)
+        fld = solve_exterior(body, ProblemSpec(n=17, k=8, a=9.0, cnk=0.0),
+                             N_s=32, N_theta=16)
+        assert fld.residual_norm <= solver.TOL_NEWTON
+
+
 class TestAdmissibilityGuard:
     def test_prolate_k2_solves(self):
         # the start is not admissible here: a guard demanding a margin of
@@ -702,21 +752,26 @@ class TestAdmissibilityGuard:
         assert fld.admissible >= -1e-12
         assert np.max(np.abs(equation_residual(fld))) <= 1e-9
 
-    def test_oblate_k2_raises(self):
-        # convex, so an admissible solution exists, but Newton from this
-        # start only finds a non-admissible one: the guard must stop it
+    def test_oblate_k2_solves(self):
+        # convex, so an admissible solution exists; the guard holds S_1 >= 0
+        # and leaves S_k - f, the residual, to Newton: rho_hat is O(h^2)
         body = RevolutionBody.spheroid(1.0, 1.5, n=5)
         spec = ProblemSpec(n=5, k=2, a=2.0)
-        with pytest.raises(NewtonStall):
-            solve_exterior(body, spec, N_s=128)
+        rho = []
+        for N_s in (64, 128, 256):
+            fld = solve_exterior(body, spec, N_s=N_s)
+            assert fld.residual_norm <= solver.TOL_NEWTON
+            assert fld.admissible > 0.0
+            rho.append(fld.rho_hat)
+        order = log2((rho[0] - rho[1]) / (rho[1] - rho[2]))
+        assert 1.8 <= order <= 2.3
 
 
 def test_stale_factor_line_search_refactors_early(monkeypatch):
-    # on prolate 1.3,1 (n=5, k=2, N_s=256) a step from a stale factor
-    # lowers rn at every halving, but the guard refuses each one: all 41
-    # halvings took 55 residual evaluations in all, and refactoring after
-    # STALE_TRIES of them takes 26, with the same factorizations and
-    # back-solves
+    # on spheroid 3,1 (n=7, k=3, N_s=64) steps from a stale factor find no
+    # admissible decrease: halving each of them 41 times took 66 residual
+    # evaluations in all, and refactoring after STALE_TRIES of them takes
+    # 31
     calls = []
     evaluate, step = solver._ChordFactor.evaluate, solver._ChordFactor.step
 
@@ -731,26 +786,26 @@ def test_stale_factor_line_search_refactors_early(monkeypatch):
     monkeypatch.setattr(solver._ChordFactor, "evaluate", counting_evaluate)
     monkeypatch.setattr(solver._ChordFactor, "step", counting_step)
     calls.append([None, 0])  # the evaluation of the start
-    body = RevolutionBody.spheroid(1.3, 1.0, n=5)
-    fld = solve_exterior(body, ProblemSpec(n=5, k=2, a=2.0), N_s=256, N_theta=32)
+    body = RevolutionBody.spheroid(3.0, 1.0, n=7)
+    fld = solve_exterior(body, ProblemSpec(n=7, k=3, a=3.0), N_s=64)
     assert fld.residual_norm <= solver.TOL_NEWTON
     assert sum(n for _, n in calls) == fld.residual_evals <= 40
     assert max(n for fresh, n in calls if fresh is False) == solver.STALE_TRIES
-    assert (fld.factorizations, fld.back_solves) == (2, 19)
+    assert (fld.factorizations, fld.back_solves) == (6, 28)
 
 
 def test_guard_stall_message_names_the_guard():
-    # on oblate 1,1.5 the halvings lower the residual and the guard refuses
-    # them; the stall must say so, not blame eps or the grid
-    body = RevolutionBody.spheroid(1.0, 1.5, n=5)
+    # on cosper 0.05,3 the halvings lower the residual and the guard refuses
+    # them, as S_1 < 0 there; the stall must say so, not blame the grid
+    body = RevolutionBody.cos_perturbed(n=5, amplitude=0.05, frequency=3)
     spec = ProblemSpec(n=5, k=2, a=2.0)
     with pytest.raises(NewtonStall) as info:
         solve_exterior(body, spec, N_s=128)
     msg = str(info.value)
     assert "admissibility guard refused" in msg
-    assert "eps too small" not in msg
+    assert "no decreasing step" not in msg
     margin = float(msg.split("margin ")[1].split()[0])
     floor = float(msg.split("floor ")[1].split()[0])
     residual = [float(w.split()[0].rstrip(":,")) for w in msg.split("residual ")[1:]]
-    assert margin < floor < 0.0
+    assert margin < floor <= 0.0
     assert residual[1] < residual[0]
