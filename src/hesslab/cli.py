@@ -169,49 +169,58 @@ def _levels_on(field, what):
 
 
 def cmd_matrix_suite(args):
-    """The battery draws every trial first, in its fixed RNG order, then
-    checks each group of equal shape, (n, k) for the identities and the
-    gradient probe and (n, m, l) for the Newton-MacLaurin gaps, with one
-    stacked operation per step: a trial only draws.  The worst values are
-    max/min reductions, so grouping does not change them;
-    newton_maclaurin_min is the smallest gap over the trials with m < l."""
+    """The battery draws all its trials in 13 Generator calls, whatever
+    --trials is: n in 3..6, k in 1..n-1, the probe entry (i, j), l in 1..n
+    and m in 1..l for every trial, then for each size 3..6 the A stack and
+    the lam stack of its trials (a seed's draws differ from those of
+    versions that drew trial by trial).  It then checks each non-empty
+    group of equal shape, (n, k) for the identities and the gradient probe
+    and (n, m, l) for the Newton-MacLaurin gaps, with one stacked operation
+    per step.  The worst values are max/min reductions, so grouping does
+    not change them; newton_maclaurin_min is the smallest gap over the
+    trials with m < l."""
     if args.trials < 1:
         _config_error(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        _config_error(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
-    by_nk, by_nml = {}, {}
-    for _ in range(args.trials):
-        n = int(rng.integers(3, 7))
-        A = rng.standard_normal((n, n))
-        k = int(rng.integers(1, n))
-        i, j = rng.integers(0, n), rng.integers(0, n)  # entry of the gradient probe
-        by_nk.setdefault((n, k), []).append((A, i, j))
-        lam = rng.standard_normal(n)
-        ell = int(rng.integers(1, n + 1))
-        m = int(rng.integers(1, ell + 1))
-        if m < ell:  # m = l is a gap of exactly 0
-            by_nml.setdefault((n, m, ell), []).append(lam)
+    n = rng.integers(3, 7, size=args.trials)
+    k = rng.integers(1, n)
+    i, j = rng.integers(0, n, size=(2, args.trials))  # entries of the gradient probes
+    ell = rng.integers(1, n + 1)
+    m = rng.integers(1, ell + 1)
     worst_identity = worst_grad = 0.0
     worst_nm = np.inf
-    for (n, k), group in by_nk.items():
-        A, i, j = (np.array(x) for x in zip(*group))
-        A = symmetrize(A)
-        worst_identity = max(worst_identity,
-                             float(np.max(verify_matrix_identities(A, k))))
+    for size in range(3, 7):
+        on = n == size
+        A_on = rng.standard_normal((on.sum(), size, size))
+        lam_on = np.abs(rng.standard_normal((on.sum(), size))) + 0.1
+        for order in range(1, size):
+            group = k[on] == order
+            if not group.any():
+                continue
+            A = symmetrize(A_on[group])
+            worst_identity = max(worst_identity,
+                                 float(np.max(verify_matrix_identities(A, order))))
 
-        # central difference of S_k along the symmetric direction (i, j),
-        # A + h e_ij and A - h e_ij stacked into one sigma_matrix call
-        h, b = 1e-6, np.arange(len(group))
-        P = np.array([A, A])
-        P[:, b, i, j] += [[h], [-h]]
-        P[:, b, j, i] = P[:, b, i, j]
-        fd = np.subtract(*sigma_matrix(P, k)) / (2 * h)
-        g = sigma_grad(A, k)
-        analytic = np.where(i != j, g[b, i, j] + g[b, j, i], g[b, i, i])
-        err = np.abs(fd - analytic) / np.maximum(1.0, np.abs(fd))
-        worst_grad = max(worst_grad, float(np.max(err)))
-    for (n, m, ell), lams in by_nml.items():
-        gaps = newton_maclaurin_gap(np.abs(np.array(lams)) + 0.1, m, ell)
-        worst_nm = min(worst_nm, float(np.min(gaps)))
+            # central difference of S_k along the symmetric direction (i, j),
+            # A + h e_ij and A - h e_ij stacked into one sigma_matrix call
+            h, b = 1e-6, np.arange(len(A))
+            r, c = i[on][group], j[on][group]
+            P = np.array([A, A])
+            P[:, b, r, c] += [[h], [-h]]
+            P[:, b, c, r] = P[:, b, r, c]
+            fd = np.subtract(*sigma_matrix(P, order)) / (2 * h)
+            g = sigma_grad(A, order)
+            analytic = np.where(r != c, g[b, r, c] + g[b, c, r], g[b, r, r])
+            err = np.abs(fd - analytic) / np.maximum(1.0, np.abs(fd))
+            worst_grad = max(worst_grad, float(np.max(err)))
+        for top in range(2, size + 1):  # m = l is a gap of exactly 0
+            for low in range(1, top):
+                group = (m[on] == low) & (ell[on] == top)
+                if group.any():
+                    gaps = newton_maclaurin_gap(lam_on[group], low, top)
+                    worst_nm = min(worst_nm, float(np.min(gaps)))
     ok = worst_identity <= 1e-10 and worst_grad <= 1e-5 and worst_nm >= -1e-12
     print(f"# config={_config_hash(args)}")
     print(f"trials={args.trials} identity_residual={worst_identity:.3e} "

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -111,17 +112,25 @@ class TestMatrixSuite:
     @staticmethod
     def full_draws(seed, trials):
         """(n, A, k, (i, j), lam, ell, m) of each trial, drawn in the
-        battery's order with one size-2 draw for the probe entry; A is
+        battery's block schedule: n, k, the probe entries, ell and m of
+        every trial, then the A and lam stacks of each size 3..6; A is
         symmetrised and lam shifted to |lam| + 0.1 trial by trial."""
         rng = np.random.default_rng(seed)
-        for _ in range(trials):
-            n = int(rng.integers(3, 7))
-            A = rng.standard_normal((n, n))
-            k = int(rng.integers(1, n))
-            probe = rng.integers(0, n, size=2)
-            lam = np.abs(rng.standard_normal(n)) + 0.1
-            ell = int(rng.integers(1, n + 1))
-            yield n, (A + A.T) / 2.0, k, probe, lam, ell, int(rng.integers(1, ell + 1))
+        n = rng.integers(3, 7, size=trials)
+        k = rng.integers(1, n)
+        probe = rng.integers(0, n, size=(2, trials)).T
+        ell = rng.integers(1, n + 1)
+        m = rng.integers(1, ell + 1)
+        A, lam = [None] * trials, [None] * trials
+        for size in range(3, 7):
+            on = np.flatnonzero(n == size)
+            for t, a in zip(on, rng.standard_normal((len(on), size, size))):
+                A[t] = a
+            for t, v in zip(on, rng.standard_normal((len(on), size))):
+                lam[t] = v
+        for t in range(trials):
+            yield (int(n[t]), (A[t] + A[t].T) / 2.0, int(k[t]), probe[t],
+                   np.abs(lam[t]) + 0.1, int(ell[t]), int(m[t]))
 
     @classmethod
     def draws(cls, seed, trials):
@@ -201,6 +210,44 @@ class TestMatrixSuite:
         groups = {(n, k) for n, k, *_ in self.draws(3, 200)}
         assert 0 < len(calls) <= 4 * len(groups)
 
+    @pytest.mark.parametrize("trials", [50, 5000])
+    def test_block_draws(self, trials, capsys, monkeypatch):
+        # 13 Generator calls whatever the battery's size, and one public
+        # symfunc call per non-empty group
+        draws, calls = [], []
+
+        class Counted:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                fn = getattr(self.rng, name)
+                return lambda *a, **kw: draws.append(name) or fn(*a, **kw)
+
+        default_rng = cli.np.random.default_rng
+        monkeypatch.setattr(cli.np.random, "default_rng",
+                            lambda seed: Counted(default_rng(seed)))
+        for name in ("symmetrize", "verify_matrix_identities", "sigma_matrix",
+                     "sigma_grad", "newton_maclaurin_gap"):
+            fn = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, name=name, fn=fn, **kw:
+                                calls.append(name) or fn(*a, **kw))
+        assert cli.run(["matrix-suite", "--trials", str(trials), "--seed", "5"]) == 0
+        assert Counter(draws) == {"integers": 5, "standard_normal": 8}
+        trial = list(self.draws(5, trials))
+        nk = len({(n, k) for n, k, *_ in trial})
+        nml = len({(n, m, ell) for n, _, _, ell, m in trial if m < ell})
+        assert Counter(calls) == {
+            "symmetrize": nk, "verify_matrix_identities": nk, "sigma_matrix": nk,
+            "sigma_grad": nk, "newton_maclaurin_gap": nml}
+
+    def test_no_gap_trial(self, capsys):
+        # two trials, neither with m < l: every empty group is skipped
+        assert cli.run(["matrix-suite", "--trials", "2", "--seed", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "newton_maclaurin_min=inf" in out
+        assert out.rstrip().endswith("matrix-suite: ok")
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_no_trials_exits_2(self, trials, capsys):
         # a battery of no trials checks nothing and may not print ok
@@ -209,6 +256,13 @@ class TestMatrixSuite:
         assert captured.out == ""
         assert json.loads(captured.err) == {
             "config_errors": [f"--trials must be >= 1, got {trials}"]}
+
+    def test_negative_seed_exits_2(self, capsys):
+        # numpy refuses a negative seed; the battery says so as a config error
+        assert cli.run(["matrix-suite", "--trials", "10", "--seed", "-1"]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"config_errors": ["--seed must be >= 0, got -1"]}
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -256,8 +256,8 @@ class TestCheckpoint:
     def test_v2_reload_is_exact(self, tmp_path):
         # the stored derivatives rebuild the solver's grid body, so save then
         # load gives back u, the body and every quantity computed from them
-        # to the last bit; splined from the radii alone, the k=1 margin reads
-        # -3.6e-3 and F(-0.5) is off by 1.9e-4
+        # to the last bit, the cone margin min(S_1, ..., S_{k-1}) included
+        # (inf at k = 1); splined from the radii alone, F(-0.5) is off by 1.9e-4
         for body, k in ((RevolutionBody.spheroid(1.5, 1.0, n=3), 1),
                         (RevolutionBody.cos_perturbed(n=5, amplitude=0.1), 2)):
             spec = ProblemSpec(n=body.n, k=k, a=float(k + 1))
@@ -743,8 +743,8 @@ class TestConeMargin:
 
 class TestAdmissibilityGuard:
     def test_prolate_k2_solves(self):
-        # the start is not admissible here: a guard demanding a margin of
-        # -max(1e-12, 1e-3 rn) from every step stalls at residual 0.53
+        # the start, at residual 0.55, is inside the cone (least S_1 7.3e-5),
+        # and the guard keeps every step's cone margin >= min(margin, 0) = 0
         body = RevolutionBody.spheroid(1.3, 1.0, n=5)
         spec = ProblemSpec(n=5, k=2, a=2.0)
         fld = solve_exterior(body, spec, N_s=128)
