@@ -21,6 +21,7 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -406,7 +407,10 @@ _SUBCOMMANDS = (
 )
 
 
+@cache
 def build_parser():
+    """The parser of every subcommand, built once per process: run only
+    reads it, and each parse_args returns a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="hesslab",
         description="Exterior k-Hessian potential laboratory",

@@ -245,6 +245,33 @@ def _boundary_derivs(field):
     return F, tuple(worst.tolist())
 
 
+def _header_fields(path, tokens):
+    """The key=value tokens of a checkpoint header as a dict.  A token that
+    is not exactly one key=value, or that repeats a key, raises ValueError
+    naming path."""
+    kv = {}
+    for tok in tokens:
+        key, eq, value = tok.partition("=")
+        if not (key and eq and value) or "=" in value:
+            raise ValueError(f"{path}: header token {tok!r} is not one key=value")
+        if key in kv:
+            raise ValueError(f"{path}: header token {tok!r} repeats the key {key!r}")
+        kv[key] = value
+    return kv
+
+
+def _check_u(path, u, shape):
+    """Raise ValueError, naming path and the condition that fails, unless u
+    is finite of the given shape."""
+    want = f"{path}: u must be finite of shape {shape}, got"
+    if u.shape != shape:
+        raise ValueError(f"{want} shape {u.shape}")
+    finite = np.isfinite(u)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(f"{want} the non-finite value {u[i, j]} at row {i}, column {j}")
+
+
 @dataclass
 class ExteriorField:
     """Discrete solution of the approximating equation on an AxiGrid.
@@ -346,36 +373,57 @@ class ExteriorField:
 
     def save_checkpoint(self, path, extra_header=""):
         """Write the field; extra_header holds further key=value tokens for
-        the header line (load_checkpoint reads and ignores them)."""
-        grid = self.grid
+        the header line (load_checkpoint reads and ignores them).  A token
+        that is not one key=value, or whose key the header already holds,
+        and a u that is not finite of the grid's shape raise ValueError
+        before the file is opened.
+
+        Every value is written by "%.17g".  When u equals its column mirror
+        bit for bit, as a field solved on the half meridian does, only the
+        columns up to the middle are formatted (one % for them all) and each
+        row repeats their tokens in reverse; the bytes are the same."""
+        grid, body = self.grid, self.grid.body
+        u = np.asarray(self.u, dtype=float)
+        _check_u(path, u, (grid.N_s + 1, grid.N_theta + 1))
+        tokens = (
+            f"n={self.n} k={self.k} eps={self.eps:.17g} cnk={self.cnk:.17g} "
+            f"rho_hat={self.rho_hat:.17g} residual_norm={self.residual_norm:.17g} "
+            f"admissible={self.admissible:.17g} R_out={grid.R_out:.17g} "
+            f"N_s={grid.N_s} N_theta={grid.N_theta} {extra_header}"
+        ).split()
+        _header_fields(path, tokens)
+        width = u.shape[1]
+        bits = u.view(np.uint64)  # -0.0 and 0.0 differ here, as in "%.17g"
+        mirror = np.array_equal(bits, bits[:, ::-1])
+        cols = (width + 1) // 2 if mirror else width
+        block = (" ".join(["%.17g"] * cols) + "\n") * len(u) % tuple(
+            u[:, :cols].ravel().tolist())
+        profile = np.column_stack((body.theta, body.gamma, body.dgamma, body.d2gamma))
         with open(path, "w") as fh:
-            fh.write(
-                f"{FIELD_HEADER} n={self.n} k={self.k} eps={self.eps:.17g} "
-                f"cnk={self.cnk:.17g} rho_hat={self.rho_hat:.17g} "
-                f"residual_norm={self.residual_norm:.17g} "
-                f"admissible={self.admissible:.17g} "
-                f"R_out={grid.R_out:.17g} N_s={grid.N_s} N_theta={grid.N_theta}"
-                + (f" {extra_header}" if extra_header else "")
-                + "\n"
-            )
+            fh.write(f"{FIELD_HEADER} {' '.join(tokens)}\n")
             fh.write("# theta gamma dgamma d2gamma\n")
-            body = grid.body
-            for row in zip(body.theta, body.gamma, body.dgamma, body.d2gamma):
-                fh.write("%.17g %.17g %.17g %.17g\n" % row)
+            fh.write("%.17g %.17g %.17g %.17g\n" * len(profile)
+                     % tuple(profile.ravel().tolist()))
             fh.write("# u\n")
-            fmt = " ".join(["%.17g"] * self.u.shape[1]) + "\n"
-            fh.write((fmt * self.u.shape[0]) % tuple(self.u.ravel().tolist()))
+            if mirror:
+                back = slice(-1 - width % 2, None, -1)  # an odd width has a middle column
+                for line in block.splitlines():
+                    row = line.split(" ")
+                    fh.write(" ".join(row + row[back]) + "\n")
+            else:
+                fh.write(block)
 
     @classmethod
     def load_checkpoint(cls, path):
         """Read a field of save_checkpoint.  A v2 file rebuilds the grid body
         exactly from its stored derivatives; a v1 file splines its radii.  A
-        u block not finite of shape (N_s + 1, N_theta + 1) raises ValueError."""
+        header token that is not one key=value or that repeats a key, and a
+        u block not finite of shape (N_s + 1, N_theta + 1), raise ValueError."""
         with open(path) as fh:
             header = fh.readline().strip()
             if " ".join(header.split()[:3]) not in _FIELD_HEADERS:
                 raise ValueError(f"not an exterior-field file: {path}")
-            kv = dict(tok.split("=") for tok in header.split()[3:])
+            kv = _header_fields(path, header.split()[3:])
             n, k = int(kv["n"]), int(kv["k"])
             N_s, N_theta = int(kv["N_s"]), int(kv["N_theta"])
             fh.readline()  # theta gamma [dgamma d2gamma] marker
@@ -387,9 +435,7 @@ class ExteriorField:
             )
             fh.readline()  # u marker
             u = np.loadtxt(fh, ndmin=2)
-        if u.shape != (N_s + 1, N_theta + 1) or not np.isfinite(u).all():
-            raise ValueError(f"{path}: u must be finite of shape {(N_s + 1, N_theta + 1)}, "
-                             f"got shape {u.shape}")
+        _check_u(path, u, (N_s + 1, N_theta + 1))
         if prof.shape[1] == 4:
             body = RevolutionBody(n, *np.ascontiguousarray(prof.T))
         else:

@@ -58,6 +58,18 @@ class TestOptions:
             heads.append((tmp_path / sub / "radial.csv").read_text().splitlines()[0])
         assert heads[0] == heads[1] != heads[2]
 
+    def test_one_parser_per_process(self, tmp_path, capsys):
+        # the parser is built once; a run leaves nothing in it for the next
+        # run, whose header is that of a parse on a freshly built parser
+        assert cli.build_parser() is cli.build_parser()
+        argv = ["radial", "--n", "5", "--k", "2", "--out", str(tmp_path)]
+        assert cli.run([*argv, "--a", "3"]) == cli.EXIT_OK
+        assert cli.run(argv) == cli.EXIT_OK
+        header = (tmp_path / "radial.csv").read_text().splitlines()[0]
+        fresh = cli.build_parser.__wrapped__().parse_args(argv)
+        assert header == cli._header(fresh)
+        assert fresh.a is None
+
     #: a run of each file-writing subcommand and the files it writes
     WRITERS = {
         "radial": (["--n", "5", "--k", "2", "--a", "2"], ["radial.csv"]),

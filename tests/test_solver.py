@@ -328,6 +328,88 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=rf"{path}: u must be finite of shape \(33, 17\)"):
             ExteriorField.load_checkpoint(path)
 
+    @staticmethod
+    def _mirror_case(case):
+        """A field whose u is the named case of the mirror test (a solved
+        mirror field of odd width is test_u_block_layout's)."""
+        if case == "asymmetric":
+            body = RevolutionBody.cos_perturbed(n=3, amplitude=0.05, frequency=3)
+            return solve_exterior(body, ProblemSpec(n=3, k=1, a=1.0), N_s=32)
+        # N_theta = 17: an even width of 18 columns, no middle column
+        field = sampled_field(lambda r: -1.0 / r, RevolutionBody.sphere(1.0, n=3),
+                              1, 40.0, 32, 17)
+        half = np.random.default_rng(5).standard_normal((33, 9))
+        u = np.hstack([half, half[:, ::-1]])
+        if case == "one-ulp":
+            u[7, 12] = np.nextafter(u[7, 12], np.inf)
+        elif case == "signed-zero":
+            u[3, 2], u[3, 15] = 0.0, -0.0
+        field.u = u
+        return field
+
+    @pytest.mark.parametrize("case", ["mirrored-even-width", "one-ulp", "signed-zero",
+                                      "asymmetric"])
+    def test_u_block_mirror_rule(self, case, tmp_path):
+        # formatting half the columns of a mirror-symmetric u writes the same
+        # bytes as formatting them all, and a u that is not its mirror bit
+        # for bit (one ulp, or 0.0 against -0.0) is written as it is
+        field = self._mirror_case(case)
+        path = tmp_path / "field.txt"
+        field.save_checkpoint(path)
+        block = path.read_text().split("# u\n", 1)[1]
+        want = "".join(" ".join("%.17g" % x for x in row) + "\n" for row in field.u.tolist())
+        assert block == want
+        if case == "signed-zero":
+            assert block.splitlines()[3].split()[15] == "-0"
+
+    @pytest.mark.parametrize("extra", ["k=7", "N_theta=3", "note", "a=b=c", "=1",
+                                       "a=", "config=x config=y"])
+    def test_extra_header_validated(self, extra, prolate_field_half, tmp_path):
+        # a token that load_checkpoint would misread, or would let override
+        # a stored key, is refused before the file is written
+        path = tmp_path / "field.txt"
+        with pytest.raises(ValueError, match=rf"{path}: header token"):
+            prolate_field_half.save_checkpoint(path, extra_header=extra)
+        assert not path.exists()
+
+    def test_repeated_header_key_refused(self, prolate_field_half, tmp_path):
+        path = tmp_path / "field.txt"
+        prolate_field_half.save_checkpoint(path, extra_header="config=abc")
+        lines = path.read_text().split("\n", 1)
+        path.write_text(f"{lines[0]} k=7\n{lines[1]}")
+        with pytest.raises(ValueError, match="repeats the key 'k'"):
+            ExteriorField.load_checkpoint(path)
+
+    def test_non_finite_u_refused_at_save(self, tmp_path):
+        body = RevolutionBody.sphere(1.0, n=3)
+        field = sampled_field(lambda r: -1.0 / r, body, 1, 40.0, 16, 16)
+        field.u[4, 6] = np.nan
+        path = tmp_path / "field.txt"
+        with pytest.raises(ValueError, match=rf"{path}: u must be finite .* "
+                                             r"non-finite value nan at row 4, column 6"):
+            field.save_checkpoint(path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("damage, condition", [
+        ("last-row-cut", r"got shape \(32, 17\)"),
+        ("one-inf", r"got the non-finite value inf at row 23, column 5"),
+    ], ids=["last-row-cut", "one-inf"])
+    def test_u_block_error_names_the_condition(self, damage, condition, tmp_path):
+        body = RevolutionBody.sphere(1.0, n=3)
+        field = sampled_field(lambda r: -1.0 / r, body, 1, 40.0, 32, 16)
+        path = tmp_path / "field.txt"
+        field.save_checkpoint(path)
+        lines = path.read_text().splitlines()
+        if damage == "last-row-cut":
+            lines = lines[:-1]
+        else:
+            row = lines[-10].split()
+            row[5] = "inf"
+            lines[-10] = " ".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=condition):
+            ExteriorField.load_checkpoint(path)
+
     def test_benchmark_checkpoints_load(self):
         # the five v1 files that the audit workload of hessbench reads
         paths = sorted((Path(__file__).parents[1] / "hessbench" / "checkpoints").glob("*.txt"))
