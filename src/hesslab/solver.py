@@ -9,9 +9,12 @@ map, so the only discretization is second-order centered differencing
 on the (s, theta) grid.
 """
 
+import dataclasses
 from copy import copy
 from dataclasses import dataclass
+from itertools import takewhile
 from math import log, pi
+from operator import itemgetter
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -29,9 +32,16 @@ __all__ = [
 ]
 
 FIELD_HEADER = "# exterior-field v2"
-#: Headers load_checkpoint reads.  A v1 file stores the grid body's gamma
-#: alone, and its derivatives are re-splined on load.
-_FIELD_HEADERS = ("# exterior-field v1", FIELD_HEADER)
+#: Headers load_checkpoint reads, each with the width of its profile block:
+#: a v1 file stores theta and gamma alone, and re-splines the derivatives.
+_FIELD_HEADERS = {"# exterior-field v1": 2, FIELD_HEADER: 4}
+
+#: A checkpoint header's keys in file order, each with the type that reads it
+#: back: the body's n, ExteriorField's keywords but grid and u, then AxiGrid's.
+_HEADER = {"n": int, "k": int, "eps": float, "cnk": float, "rho_hat": float,
+           "residual_norm": float, "admissible": float, "R_out": float,
+           "N_s": int, "N_theta": int}
+_FIELD_KEYS = tuple(_HEADER)[1:-3]
 
 #: The six meridian jets of an AxiJets, in the order _chain computes them;
 #: S_k depends on the last four.
@@ -289,9 +299,9 @@ class ExteriorField:
     factorizations, back_solves and residual_evals record the work of the
     solve_exterior call that produced the field (residual_evals counts only
     the iterates Newton tried, as the Jacobian is analytic) and unknowns the
-    size of its Newton system; they are zero for sampled or loaded fields
-    and, like boundary_residuals, are not part of the checkpoint format.
-    admissible, which the checkpoint stores, is the admissibility_margin.
+    size of its Newton system.  solve_exterior sets them: they are not
+    constructor parameters, read 0 on a sampled, loaded or replace'd field,
+    and are not stored.  admissible, stored, is the admissibility_margin.
     """
 
     grid: AxiGrid
@@ -302,10 +312,10 @@ class ExteriorField:
     cnk: float = 1.0
     residual_norm: float = float("nan")
     admissible: float = float("nan")
-    factorizations: int = 0
-    back_solves: int = 0
-    residual_evals: int = 0
-    unknowns: int = 0
+    factorizations: int = dataclasses.field(init=False, default=0)
+    back_solves: int = dataclasses.field(init=False, default=0)
+    residual_evals: int = dataclasses.field(init=False, default=0)
+    unknowns: int = dataclasses.field(init=False, default=0)
 
     def __post_init__(self):
         self._jets_cache = None
@@ -372,32 +382,27 @@ class ExteriorField:
     # -- checkpoint format --------------------------------------------
 
     def save_checkpoint(self, path, extra_header=""):
-        """Write the field; extra_header holds further key=value tokens for
-        the header line (load_checkpoint reads and ignores them).  A token
-        that is not one key=value, or whose key the header already holds,
-        and a u that is not finite of the grid's shape raise ValueError
-        before the file is opened.
-
-        Every value is written by "%.17g".  When u equals its column mirror
-        bit for bit, as a field solved on the half meridian does, only the
-        columns up to the middle are formatted (one % for them all) and each
-        row repeats their tokens in reverse; the bytes are the same."""
+        """Write the field, with the key=value tokens of extra_header after
+        the _HEADER keys (load_checkpoint ignores them).  A token not one
+        key=value or repeating a key, and a u not finite of the grid's shape,
+        raise ValueError before the file is opened.  Every value is written by
+        "%.17g", each distinct column of u once: column j of W is written as
+        min(j, W - 1 - j) when u equals its column mirror bit for bit."""
         grid, body = self.grid, self.grid.body
         u = np.asarray(self.u, dtype=float)
         _check_u(path, u, (grid.N_s + 1, grid.N_theta + 1))
-        tokens = (
-            f"n={self.n} k={self.k} eps={self.eps:.17g} cnk={self.cnk:.17g} "
-            f"rho_hat={self.rho_hat:.17g} residual_norm={self.residual_norm:.17g} "
-            f"admissible={self.admissible:.17g} R_out={grid.R_out:.17g} "
-            f"N_s={grid.N_s} N_theta={grid.N_theta} {extra_header}"
-        ).split()
+        values = (self.n, *(getattr(self, key) for key in _FIELD_KEYS),
+                  grid.R_out, grid.N_s, grid.N_theta)
+        tokens = [f"{key}={v:.17g}" for key, v in zip(_HEADER, values)]
+        tokens += extra_header.split()
         _header_fields(path, tokens)
-        width = u.shape[1]
+        cols = np.arange(u.shape[1])
         bits = u.view(np.uint64)  # -0.0 and 0.0 differ here, as in "%.17g"
-        mirror = np.array_equal(bits, bits[:, ::-1])
-        cols = (width + 1) // 2 if mirror else width
-        block = (" ".join(["%.17g"] * cols) + "\n") * len(u) % tuple(
-            u[:, :cols].ravel().tolist())
+        if np.array_equal(bits, bits[:, ::-1]):
+            cols = np.minimum(cols, cols[::-1])
+        distinct, row = int(cols.max()) + 1, itemgetter(*cols.tolist())
+        block = (" ".join(["%.17g"] * distinct) + "\n") * len(u) % tuple(
+            u[:, :distinct].ravel().tolist())
         profile = np.column_stack((body.theta, body.gamma, body.dgamma, body.d2gamma))
         with open(path, "w") as fh:
             fh.write(f"{FIELD_HEADER} {' '.join(tokens)}\n")
@@ -405,52 +410,45 @@ class ExteriorField:
             fh.write("%.17g %.17g %.17g %.17g\n" * len(profile)
                      % tuple(profile.ravel().tolist()))
             fh.write("# u\n")
-            if mirror:
-                back = slice(-1 - width % 2, None, -1)  # an odd width has a middle column
-                for line in block.splitlines():
-                    row = line.split(" ")
-                    fh.write(" ".join(row + row[back]) + "\n")
-            else:
-                fh.write(block)
+            fh.writelines(" ".join(row(ln.split(" "))) + "\n" for ln in block.splitlines())
 
     @classmethod
     def load_checkpoint(cls, path):
-        """Read a field of save_checkpoint.  A v2 file rebuilds the grid body
-        exactly from its stored derivatives; a v1 file splines its radii.  A
-        header token that is not one key=value or that repeats a key, and a
-        u block not finite of shape (N_s + 1, N_theta + 1), raise ValueError."""
+        """Read a field of save_checkpoint: a v2 file rebuilds the grid body
+        exactly from its stored derivatives, a v1 file splines its radii.  A
+        header token not one key=value or repeating a key, a _HEADER key not
+        there or not of its type, and a profile or u block not of its shape
+        (the version gives the profile's width) raise ValueError naming path."""
         with open(path) as fh:
-            header = fh.readline().strip()
-            if " ".join(header.split()[:3]) not in _FIELD_HEADERS:
+            header = fh.readline().split()
+            width = _FIELD_HEADERS.get(" ".join(header[:3]))
+            if width is None:
                 raise ValueError(f"not an exterior-field file: {path}")
-            kv = _header_fields(path, header.split()[3:])
-            n, k = int(kv["n"]), int(kv["k"])
-            N_s, N_theta = int(kv["N_s"]), int(kv["N_theta"])
+            kv, values = _header_fields(path, header[3:]), []
+            for key, kind in _HEADER.items():
+                try:
+                    values.append(kind(kv[key]))
+                except (KeyError, ValueError):
+                    got = kv.get(key, "nothing")
+                    raise ValueError(f"{path}: header key {key!r} must read as "
+                                     f"{kind.__name__}, got {got}") from None
+            n, *field_values, R_out, N_s, N_theta = values
             fh.readline()  # theta gamma [dgamma d2gamma] marker
-            prof = np.array(
-                [
-                    [float(v) for v in fh.readline().split()]
-                    for _ in range(N_theta + 1)
-                ]
-            )
-            fh.readline()  # u marker
-            u = np.loadtxt(fh, ndmin=2)
+            try:  # the profile block ends at the u marker
+                prof = np.array([[float(v) for v in line.split()] for line in takewhile(
+                    lambda ln: ln.strip() != "# u", fh)]).reshape(N_theta + 1, width)
+            except ValueError:
+                raise ValueError(f"{path}: the profile block is not {N_theta + 1} rows "
+                                 f"of {width} numbers") from None
+            try:
+                u = np.loadtxt(fh, ndmin=2)
+            except ValueError as exc:
+                raise ValueError(f"{path}: u block: {exc}") from None
         _check_u(path, u, (N_s + 1, N_theta + 1))
-        if prof.shape[1] == 4:
-            body = RevolutionBody(n, *np.ascontiguousarray(prof.T))
-        else:
-            body = RevolutionBody.from_samples(n, prof[:, 0], prof[:, 1])
-        grid = AxiGrid(body, float(kv["R_out"]), N_s, N_theta)
-        return cls(
-            grid=grid,
-            u=u,
-            k=k,
-            eps=float(kv["eps"]),
-            rho_hat=float(kv["rho_hat"]),
-            cnk=float(kv["cnk"]),
-            residual_norm=float(kv["residual_norm"]),
-            admissible=float(kv["admissible"]),
-        )
+        body = (RevolutionBody(n, *np.ascontiguousarray(prof.T)) if width == 4
+                else RevolutionBody.from_samples(n, prof[:, 0], prof[:, 1]))
+        return cls(grid=AxiGrid(body, R_out, N_s, N_theta), u=u,
+                   **dict(zip(_FIELD_KEYS, field_values)))
 
 
 def admissibility_margin(field: ExteriorField):
@@ -716,19 +714,10 @@ def solve_exterior(body: RevolutionBody, spec, R_out=None, N_s=256, N_theta=None
     U_int, rn = _newton_solve(chord, U[1:-1], f_int)
 
     u = chord.full(U_int)
-    field = ExteriorField(
-        grid=grid,
-        u=u if half is None else np.hstack([u, u[:, -2::-1]]),
-        k=k,
-        eps=spec.eps,
-        rho_hat=float("nan"),
-        cnk=spec.cnk,
-        residual_norm=rn,
-        factorizations=chord.factorizations,
-        back_solves=chord.back_solves,
-        residual_evals=chord.residual_evals,
-        unknowns=U_int.size,
-    )
-    field.rho_hat = estimate_rho(field)
-    field.admissible = admissibility_margin(field)
+    field = ExteriorField(grid=grid, u=u if half is None else np.hstack([u, u[:, -2::-1]]),
+                          k=k, eps=spec.eps, rho_hat=float("nan"), cnk=spec.cnk,
+                          residual_norm=rn)
+    field.factorizations, field.back_solves, field.residual_evals, field.unknowns = (
+        chord.factorizations, chord.back_solves, chord.residual_evals, U_int.size)
+    field.rho_hat, field.admissible = estimate_rho(field), admissibility_margin(field)
     return field

@@ -6,17 +6,19 @@ it: dense second-order jets and their level-set curvatures, the radial
 jets of a ball, the sum of principal minors, the Garding cone test, the
 weight ODE residuals, the quermassintegral and Minkowski checks, the
 boundary constant formula, the equation residual of a solved field, the
-gradient of the prolate capacity potential, a sampled field whose level
-sets are ellipses, and the marching-squares contour of a level of a solved
-field.
+gradient of the prolate capacity potential, the first-order boundary
+gradient of a near-ball and its far-field exponents, a sampled field whose
+level sets are ellipses, and the marching-squares contour of a level of a
+solved field.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import log
+from math import log, sqrt
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import eval_gegenbauer
 
 from hesslab.errors import DegenerateGradient
 from hesslab.fields import TAU_GRAD, AxiJets, rhs_at_radius
@@ -311,6 +313,29 @@ def prolate_gradient(r, theta, a, b):
     xi = (d_p + d_m) / (2 * f)
     grad_xi = np.hypot((z + f) / d_p + (z - f) / d_m, rho / d_p + rho / d_m) / (2 * f)
     return grad_xi / ((xi * xi - 1.0) * np.arctanh(f / a))
+
+
+def far_field_exponent(n, k, l):
+    """beta_l > 0: the zonal mode C_l^((n-2)/2)(cos theta) r^(-beta_l) solves
+    the linearization of S_k = 0 at the radial u_0 = -r^(-alpha), alpha =
+    n/k - 2.  It is the positive root of beta (beta + 1) - c (n - 1) beta -
+    c l (l + n - 2) = 0, c = (n - k) / (k (n - 1)); so beta_0 = alpha, and
+    beta_1 = alpha + 1, a translated ball."""
+    c = (n - k) / (k * (n - 1))
+    b = 1.0 - c * (n - 1)
+    return (-b + sqrt(b * b + 4.0 * c * l * (l + n - 2))) / 2.0
+
+
+def near_ball_gradient(n, k, delta, coefficients, theta):
+    """|grad u| to first order in delta on the body gamma = 1 + delta sum_l
+    a_l C_l^lambda(cos theta), lambda = (n - 2)/2, coefficients {l: a_l},
+    where u = -1 and u -> 0 at infinity: u = u_0 + delta v with v = -alpha
+    sum_l a_l C_l^lambda r^(-beta_l) (far_field_exponent), so that on the body
+    |grad u| = alpha (1 + delta sum_l (beta_l - alpha - 1) a_l C_l^lambda)."""
+    alpha, x = n / k - 2.0, np.cos(theta)
+    return alpha * (1.0 + delta * sum(
+        (far_field_exponent(n, k, l) - alpha - 1.0) * a * eval_gegenbauer(l, (n - 2) / 2, x)
+        for l, a in coefficients.items()))
 
 
 def interior_range(field: ExteriorField):

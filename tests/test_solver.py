@@ -1,4 +1,6 @@
+import dataclasses
 import inspect
+import re
 from functools import partial
 
 import numpy as np
@@ -7,7 +9,7 @@ from math import comb, log2, sqrt
 from pathlib import Path
 from scipy.interpolate import RectBivariateSpline
 
-from hesslab import solver, surfaces
+from hesslab import cli, solver, surfaces
 from hesslab.errors import NewtonStall, PoorFit
 from hesslab.fields import rhs_at_radius
 from hesslab.monotone import F_eval, ProblemSpec, extract_levelset
@@ -21,8 +23,9 @@ from hesslab.solver import (
 )
 from hesslab.surfaces import RevolutionBody
 from oracles import (dense_jet, ellipsoidal_field, ellipsoidal_jets,
-                     equation_residual, interior_range, prolate_gradient,
-                     radial_value, to_physical)
+                     equation_residual, far_field_exponent, interior_range,
+                     near_ball_gradient, prolate_gradient, radial_value,
+                     to_physical)
 
 
 def sampled_field(radial_fn, body, k, R_out, N_s, N_theta, eps=1e-8, rho_hat=1.0):
@@ -410,6 +413,108 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=condition):
             ExteriorField.load_checkpoint(path)
 
+    HEADER_KEYS = ("n", "k", "eps", "cnk", "rho_hat", "residual_norm", "admissible",
+                   "R_out", "N_s", "N_theta")
+
+    @staticmethod
+    def _damage(lines, damage):
+        """The lines of a v2 file (N_s = 32, N_theta = 16) with the named
+        damage."""
+        header, prof = lines[0].split(), slice(2, 19)
+        if damage.startswith("no-"):
+            lines[0] = " ".join(t for t in header if not t.startswith(damage[3:] + "="))
+        elif damage == "N_s=12.5":
+            lines[0] = " ".join(damage if t.startswith("N_s=") else t for t in header)
+        elif damage == "profile-cut":
+            del lines[9]
+        elif damage == "profile-row-added":
+            lines.insert(9, lines[9])
+        elif damage == "ragged-profile":
+            lines[9] = " ".join(lines[9].split()[:3])
+        elif damage == "v2-two-columns":
+            lines[prof] = [" ".join(line.split()[:2]) for line in lines[prof]]
+        elif damage == "v1-four-columns":
+            lines[0] = lines[0].replace("v2", "v1", 1)
+        elif damage == "ragged-u":
+            lines[-5] = " ".join(lines[-5].split()[:-1])
+        return lines
+
+    LOAD_ERRORS = {
+        **{f"no-{key}": rf"header key '{key}' must read as (int|float), got nothing"
+           for key in HEADER_KEYS},
+        "N_s=12.5": r"header key 'N_s' must read as int, got 12\.5",
+        "profile-cut": r"the profile block is not 17 rows of 4 numbers",
+        "profile-row-added": r"the profile block is not 17 rows of 4 numbers",
+        "ragged-profile": r"the profile block is not 17 rows of 4 numbers",
+        "v2-two-columns": r"the profile block is not 17 rows of 4 numbers",
+        "v1-four-columns": r"the profile block is not 17 rows of 2 numbers",
+        "ragged-u": r"u block: the number of columns changed from 17 to 16 .*",
+    }
+
+    @pytest.mark.parametrize("damage", LOAD_ERRORS)
+    def test_load_error_names_the_file(self, damage, tmp_path):
+        # a malformed header, profile or u block is refused by a ValueError that
+        # names the file and the key or block, not by a KeyError or numpy's
+        # inhomogeneous-shape error that names neither
+        body = RevolutionBody.sphere(1.0, n=3)
+        field = sampled_field(lambda r: -1.0 / r, body, 1, 40.0, 32, 16)
+        path = tmp_path / "field.txt"
+        field.save_checkpoint(path)
+        lines = self._damage(path.read_text().splitlines(), damage)
+        path.write_text("\n".join(lines) + "\n")
+        names = self.LOAD_ERRORS[damage]
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {names}$"):
+            ExteriorField.load_checkpoint(path)
+
+    def test_header_keys_are_the_constructor(self, prolate_field_half, tmp_path):
+        # every value a constructor takes, but grid and u, comes back from
+        # the file bit for bit, so a field added to ExteriorField and not to
+        # the checkpoint header, or the other way round, fails here; the
+        # first set is the edge cases, in the second every value differs
+        # from its default
+        settable = [f for f in dataclasses.fields(ExteriorField) if f.init]
+        assert [f.name for f in settable[:2]] == ["grid", "u"]
+        cases = ({"k": 2, "eps": 0.0123456789, "rho_hat": 1.2345678901234567,
+                  "cnk": 0.0, "residual_norm": np.nan, "admissible": np.inf},
+                 {"k": 3, "eps": 3e-300, "rho_hat": -0.1, "cnk": 2.5,
+                  "residual_norm": 4.9e-324, "admissible": -0.0})
+        for f in settable[2:]:
+            if f.default is not dataclasses.MISSING:
+                assert any(float(c[f.name]).hex() != float(f.default).hex()
+                           for c in cases), f.name
+        grid = prolate_field_half.grid
+        for values in cases:
+            assert set(values) == {f.name for f in settable[2:]}
+            path = tmp_path / "field.txt"
+            ExteriorField(grid=grid, u=prolate_field_half.u, **values).save_checkpoint(path)
+            loaded = ExteriorField.load_checkpoint(path)
+            for key, value in values.items():
+                assert type(getattr(loaded, key)) is type(value)
+                assert float(getattr(loaded, key)).hex() == float(value).hex(), key
+            assert np.array_equal(loaded.u, prolate_field_half.u)
+            header = path.read_text().split("\n", 1)[0].split()
+            assert [t.split("=")[0] for t in header[3:]] == list(self.HEADER_KEYS)
+
+    def test_counters_are_set_by_the_solve(self, prolate_field_half, tmp_path, capsys):
+        # the counters are set by solve_exterior alone: a loaded or replaced
+        # field reads 0, and the constructor does not take them
+        counters = ("factorizations", "back_solves", "residual_evals", "unknowns")
+        assert all(getattr(prolate_field_half, c) > 0 for c in counters)
+        path = tmp_path / "field.txt"
+        prolate_field_half.save_checkpoint(path)
+        for other in (ExteriorField.load_checkpoint(path),
+                      dataclasses.replace(prolate_field_half)):
+            assert [getattr(other, c) for c in counters] == [0, 0, 0, 0]
+        grid, u = prolate_field_half.grid, prolate_field_half.u
+        for c in counters:
+            with pytest.raises(TypeError):
+                ExteriorField(grid=grid, u=u, k=1, eps=0.02, rho_hat=1.0, **{c: 1})
+        # the solve_k2 benchmark ball prints its counters as before
+        assert cli.run(["solve", "--body", "sphere", "--R", "1.0", "--n", "5", "--k", "2",
+                        "--out", str(tmp_path)]) == cli.EXIT_OK
+        assert ("factorizations=1 back_solves=5 residual_evals=5"
+                in capsys.readouterr().out.splitlines())
+
     def test_benchmark_checkpoints_load(self):
         # the five v1 files that the audit workload of hessbench reads
         paths = sorted((Path(__file__).parents[1] / "hessbench" / "checkpoints").glob("*.txt"))
@@ -778,6 +883,39 @@ class TestBicubic:
                                                 np.tile(y, xp.size), grid=False)
             ref = ref.reshape(xp.size, y.size)
             assert np.max(np.abs(got[q] - ref)) <= 1e-14 * np.max(np.abs(Zq))
+
+
+class TestNearBall:
+    """The closed-form first order of the boundary |grad u| of a near-ball,
+    the only referee of a k >= 2 solve on a body that is not a ball."""
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_translation_has_no_gain(self, n):
+        # beta_1 = alpha + 1: a translated ball keeps a constant |grad u|
+        for k in range(1, (n + 1) // 2):
+            assert far_field_exponent(n, k, 1) == pytest.approx(n / k - 1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("n, k", [(3, 1), (5, 2), (7, 3)])
+    def test_cosper_gradient_to_second_order(self, n, k):
+        # gamma = 1 + delta cos 2 theta = 1 + delta (A C_2 + B) in the
+        # Gegenbauer C_l of lambda = (n - 2)/2.  The ball solved on the same
+        # grid takes out its own h- and eps-error; what is left of |grad u|
+        # off the formula is O(delta^2) (measured at N_s = 128: 1.7-3.9e-6 at
+        # delta = 1e-3, 6.8-9.1e-6 at 2e-3), while a 1% error in the
+        # exponents' c moves the formula by ~2e-5 at delta = 1e-3
+        lam, alpha = (n - 2) / 2, n / k - 2.0
+        cos2 = {0: 1.0 / (lam + 1.0) - 1.0, 2: 1.0 / (lam * (lam + 1.0))}
+        spec = ProblemSpec(n=n, k=k, a=float(k))
+        ball = solve_exterior(RevolutionBody.sphere(1.0, n=n), spec, N_s=128)
+        remainders = []
+        for delta in (1e-3, 2e-3):
+            body = RevolutionBody.cos_perturbed(n=n, amplitude=delta, frequency=2)
+            fld = solve_exterior(body, spec, N_s=128)
+            shift = (fld._node_jets().grad_norm[0] - ball._node_jets().grad_norm[0]
+                     - (near_ball_gradient(n, k, delta, cos2, fld.grid.theta) - alpha))
+            remainders.append(np.abs(shift).max() / alpha)
+            assert remainders[-1] <= 5.0 * delta**2, (delta, remainders)
+        assert remainders[1] >= 2.0 * remainders[0], remainders
 
 
 class TestConeMargin:
