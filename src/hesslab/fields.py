@@ -24,6 +24,13 @@ __all__ = [
 TAU_GRAD = 1e-8
 
 
+def _check_order(n, k):
+    """ValueError unless 1 <= k < n/2, the orders at which the exterior
+    problem, its solutions and F(t) are defined in dimension n."""
+    if not 1 <= k or not n > 2 * k:
+        raise ValueError(f"need 1 <= k < n/2, got n={n}, k={k}")
+
+
 @dataclass(frozen=True)
 class AxiJets:
     """Second-order jets of an axisymmetric u at many points, as arrays.

@@ -14,7 +14,6 @@ volume integrals use grid quadrature plus a closed-form power-law tail.
 
 from dataclasses import dataclass
 from math import comb
-from typing import Callable
 
 import numpy as np
 
@@ -25,6 +24,8 @@ from .solver import ExteriorField
 from .surfaces import (
     RevolutionBody,
     SurfaceSampleSet,
+    _Boundary,
+    _sampled_boundary,
     _simpson_weights,
     af_sides,
     curvature_samples,
@@ -98,24 +99,6 @@ def _entry(name, sides, ok) -> LedgerEntry:
     return LedgerEntry(name, lhs, rhs, gap, ok if holds else VIOLATED, _TOL)
 
 
-@dataclass(frozen=True)
-class _Boundary:
-    """The boundary data of one (solution, body) pair.
-
-    c is the area-weighted mean of |grad u| over the curvature samples and
-    spread its relative range; integral(a, m) is int |grad u|^a H_m over
-    the boundary.  A RadialSolution has c = c_bdry, spread 0 and closed-form
-    integrals on its sphere; its samples are those of the body (by default
-    the sphere itself).
-    """
-
-    body: RevolutionBody
-    samples: SurfaceSampleSet
-    c: float
-    spread: float
-    integral: Callable
-
-
 def _boundary(solution, body, spec: ProblemSpec = None) -> _Boundary:
     if spec is not None:
         spec.check(solution)
@@ -131,12 +114,7 @@ def _boundary(solution, body, spec: ProblemSpec = None) -> _Boundary:
         return _Boundary(body, curvature_samples(body), c, 0.0, integral)
     if body is None:
         body = solution.grid.body
-    s = curvature_samples(body)
-    grad = np.asarray(solution.boundary_gradient(s.theta), dtype=float)
-    c = s.integrate(grad) / s.area
-    spread = float((grad.max() - grad.min()) / abs(c))
-    return _Boundary(body, s, c, spread,
-                     lambda a, m: s.integrate(grad**a * s.h_k(m)))
+    return _sampled_boundary(body, solution.boundary_gradient)
 
 
 def _squeeze_sides(samples: SurfaceSampleSet, k):
@@ -161,12 +139,11 @@ def _field_volume_integral(field: ExteriorField, values, decay_power):
     values are nodal samples on the (s, theta) grid; the measure is
     |S^(n-2)| (r sin theta)^(n-2) r^2 D(theta) ds dtheta.  Beyond the
     truncation radius the density is modeled as the matched pure power
-    r^(-decay_power); the tail needs decay_power > n to be integrable.
+    r^(-decay_power), whose tail converges: the one density here decays
+    as n + n/k - 2 > n, since every field has k < n/2.
     """
     g = field.grid
     n = field.n
-    if decay_power <= n:
-        raise ValueError(f"tail diverges: decay power {decay_power} <= n={n}")
     r = g.r_nodes
     sin = np.sin(g.theta)
     jac = sphere_measure(n - 2) * (r * sin) ** (n - 2) * r**2 * g.D

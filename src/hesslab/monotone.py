@@ -22,8 +22,8 @@ from math import comb
 import numpy as np
 
 from .errors import LevelOutOfRange, NewtonStall
-from .fields import AxiJets, levelset_curvature_axisym, rhs_at_radius
-from .surfaces import (RevolutionBody, _simpson_weights, curvature_samples,
+from .fields import AxiJets, _check_order, levelset_curvature_axisym, rhs_at_radius
+from .surfaces import (RevolutionBody, _sampled_boundary, _simpson_weights,
                        sphere_measure)
 
 __all__ = [
@@ -67,8 +67,7 @@ class ProblemSpec:
             raise ValueError(f"need finite a, C3, C4, eps and cnk >= 0, and eps > 0, got "
                              f"a={self.a:g}, C3={self.C3:g}, C4={self.C4:g}, "
                              f"eps={self.eps:g}, cnk={self.cnk:g}")
-        if not 1 <= self.k or not self.n > 2 * self.k:
-            raise ValueError(f"need 1 <= k < n/2, got n={self.n}, k={self.k}")
+        _check_order(self.n, self.k)
         if self.a < self.a_min - 1e-12:
             raise ValueError(f"need a >= k(n-k-1)/(n-k) = {self.a_min:g}, got {self.a}")
         # C1(t) = (-t)^(-p) (C3 + (-t) C4) with 0 < -t <= 1
@@ -265,17 +264,15 @@ def F_eval(field, t, spec: ProblemSpec) -> FResult:
 def F_boundary(field, body: RevolutionBody, spec: ProblemSpec) -> FResult:
     """F at t = -1, with its two surface integrals taken on the boundary.
 
-    Curvatures come from the body geometry; |grad u| is the field's
-    gradient on the boundary row, where u is constant, so |grad u| is the
-    one-sided U_s of ExteriorField._node_jets through the chain rule.  A
-    spec whose (n, k) is not the field's raises ValueError.
+    The ledger's boundary record (surfaces._sampled_boundary) gives both:
+    |grad u| is the field's gradient on the boundary row, where u is
+    constant, so the one-sided U_s of ExteriorField._node_jets through the
+    chain rule.  A spec whose (n, k) is not the field's raises ValueError.
     """
     spec.check(field)
-    s = curvature_samples(body)
-    gn = field.boundary_gradient(body.theta)
-    int_hk = s.integrate(s.h_k(spec.k) * gn**spec.a)
-    int_hk1 = s.integrate(s.h_k(spec.k - 1) * gn ** (spec.a + 1))
-    return _weighted(-1.0, spec, int_hk, int_hk1)
+    b = _sampled_boundary(body, field.boundary_gradient)
+    return _weighted(-1.0, spec, b.integral(spec.a, spec.k),
+                     b.integral(spec.a + 1, spec.k - 1))
 
 
 @dataclass

@@ -11,7 +11,8 @@ from math import comb
 
 import numpy as np
 
-from .monotone import ProblemSpec, sphere_measure, weights
+from .fields import _check_order
+from .monotone import ProblemSpec, _weighted, sphere_measure
 from .symfunc import sigma_split
 
 __all__ = [
@@ -30,8 +31,7 @@ class RadialSolution:
     R: float
 
     def __post_init__(self):
-        if not 1 <= self.k or not self.n > 2 * self.k:
-            raise ValueError(f"need 1 <= k < n/2, got n={self.n}, k={self.k}")
+        _check_order(self.n, self.k)
         if not np.isfinite(self.R):
             raise ValueError(f"ball radius must be finite, got {self.R}")
         if self.R <= 0:
@@ -84,9 +84,7 @@ def radial_F(sol: RadialSolution, t, spec: ProblemSpec):
     t = float(t)
     if not -1.0 <= t < 0.0:
         raise ValueError("level must lie in [-1, 0)")
-    int_hk, int_hk1 = _level_sphere_integrals(sol, t, spec.a)
-    c1, c2 = weights(t, spec)
-    return float(c1) * int_hk + float(c2) * int_hk1
+    return _weighted(t, spec, *_level_sphere_integrals(sol, t, spec.a)).F
 
 
 def exterior_skm1_grad2_integral(sol: RadialSolution):

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .errors import NewtonStall, PoorFit, StarShapeViolation
-from .fields import AxiJets, rhs_at_radius
+from .fields import AxiJets, _check_order, rhs_at_radius
 from .surfaces import RevolutionBody, _ClampedSpline, _on_axis, _spline_slopes
 
 __all__ = [
@@ -302,6 +302,7 @@ class ExteriorField:
     size of its Newton system.  solve_exterior sets them: they are not
     constructor parameters, read 0 on a sampled, loaded or replace'd field,
     and are not stored.  admissible, stored, is the admissibility_margin.
+    A k outside 1 <= k < n/2 raises ValueError (fields._check_order).
     """
 
     grid: AxiGrid
@@ -318,6 +319,7 @@ class ExteriorField:
     unknowns: int = dataclasses.field(init=False, default=0)
 
     def __post_init__(self):
+        _check_order(self.n, self.k)
         self._jets_cache = None
         self._columns_cache = None
         self._boundary_spline = None
@@ -417,8 +419,9 @@ class ExteriorField:
         """Read a field of save_checkpoint: a v2 file rebuilds the grid body
         exactly from its stored derivatives, a v1 file splines its radii.  A
         header token not one key=value or repeating a key, a _HEADER key not
-        there or not of its type, and a profile or u block not of its shape
-        (the version gives the profile's width) raise ValueError naming path."""
+        there or not of its type, a profile or u block not of its shape (the
+        version gives the profile's width), and values that the body, the
+        grid or the field refuse raise ValueError naming path."""
         with open(path) as fh:
             header = fh.readline().split()
             width = _FIELD_HEADERS.get(" ".join(header[:3]))
@@ -445,10 +448,13 @@ class ExteriorField:
             except ValueError as exc:
                 raise ValueError(f"{path}: u block: {exc}") from None
         _check_u(path, u, (N_s + 1, N_theta + 1))
-        body = (RevolutionBody(n, *np.ascontiguousarray(prof.T)) if width == 4
-                else RevolutionBody.from_samples(n, prof[:, 0], prof[:, 1]))
-        return cls(grid=AxiGrid(body, R_out, N_s, N_theta), u=u,
-                   **dict(zip(_FIELD_KEYS, field_values)))
+        try:
+            body = (RevolutionBody(n, *np.ascontiguousarray(prof.T)) if width == 4
+                    else RevolutionBody.from_samples(n, prof[:, 0], prof[:, 1]))
+            return cls(grid=AxiGrid(body, R_out, N_s, N_theta), u=u,
+                       **dict(zip(_FIELD_KEYS, field_values)))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def admissibility_margin(field: ExteriorField):

@@ -400,6 +400,29 @@ def curvature_samples(body: RevolutionBody) -> SurfaceSampleSet:
     return SurfaceSampleSet(body.n, th, kappa_m, kappa_r, x_dot_nu, area_weight)
 
 
+@dataclass(frozen=True)
+class _Boundary:
+    """The boundary data of one (solution, body) pair: c is the area-weighted
+    mean of |grad u| over the curvature samples, spread its relative range,
+    and integral(a, m) int |grad u|^a H_m over the boundary."""
+
+    body: RevolutionBody
+    samples: SurfaceSampleSet
+    c: float
+    spread: float
+    integral: Callable
+
+
+def _sampled_boundary(body: RevolutionBody, gradient) -> _Boundary:
+    """The _Boundary of body on which |grad u| is gradient(theta): one
+    curvature sample and one read of gradient at its angles."""
+    s = curvature_samples(body)
+    grad = np.asarray(gradient(s.theta), dtype=float)
+    c = s.integrate(grad) / s.area
+    spread = float((grad.max() - grad.min()) / abs(c))
+    return _Boundary(body, s, c, spread, lambda a, m: s.integrate(grad**a * s.h_k(m)))
+
+
 def _require_convex(samples: SurfaceSampleSet):
     worst = min(float(np.min(samples.kappa_m)), float(np.min(samples.kappa_r)))
     if worst <= 1e-12:

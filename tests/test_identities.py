@@ -323,6 +323,8 @@ class TestOneBoundaryEvaluation:
         if k >= 2:
             calls += [lambda: identity_lemma33(solution),
                       lambda: pohozaev_lemma34(solution)]
+        if not isinstance(solution, RadialSolution):
+            calls.append(lambda: F_boundary(solution, solution.grid.body, spec))
         return calls
 
     def _check(self, counts, solution, n, k):
@@ -337,6 +339,13 @@ class TestOneBoundaryEvaluation:
         self._check(counts, prolate_field, 3, 1)
         # the field path reads |grad u| from the field itself
         assert counts["gradient"] == 1
+
+    def test_F_boundary(self, counts, prolate_field):
+        # F(-1) reads the boundary record of the ledger: its curvature
+        # sample and its one read of |grad u|
+        F_boundary(prolate_field, prolate_field.grid.body,
+                   ProblemSpec(n=3, k=1, a=2.0))
+        assert counts == {"samples": 1, "gradient": 1}
 
     @pytest.mark.parametrize("n,k", [(5, 2), (3, 1)])
     def test_radial(self, counts, n, k):
@@ -434,6 +443,24 @@ class TestVerdictsFollowTheirDocstrings:
                      RevolutionBody.cos_perturbed(n, 0.2, 4),
                      RevolutionBody.sphere(1.0, n=n)):
             self._check(stub, body, n, k, inequality_ledger)
+
+
+@pytest.mark.parametrize("fixture", ["sphere_k2_field", "prolate_field", None])
+def test_F_boundary_integrals_are_the_ledger_record(fixture, request):
+    # F(-1) and the ledger take their two boundary integrals from one
+    # record, so they agree bit for bit on a solved field and on a stub
+    if fixture is None:
+        solution = _GradientStub(n=5, k=2)
+        body = RevolutionBody.spheroid(1.5, 1.0, n=5)
+    else:
+        solution = request.getfixturevalue(fixture)
+        body = solution.grid.body
+    n, k = solution.n, solution.k
+    for a in (float(k), float(k + 1)):
+        result = F_boundary(solution, body, ProblemSpec(n=n, k=k, a=a))
+        b = identities._boundary(solution, body)
+        assert result.int_hk.hex() == b.integral(a, k).hex()
+        assert result.int_hk1.hex() == b.integral(a + 1, k - 1).hex()
 
 
 @pytest.mark.parametrize("n,k", [(5, 1), (7, 2)])

@@ -1,10 +1,12 @@
 """Every name a hesslab module or a test module imports is used there or,
 in a hesslab module, listed in __all__; every parameter of a hesslab
 function is read, and every default of one is overridden by some call;
-every hesslab definition is reached from the CLI or the benchmark; hesslab
-leaves out the scipy subpackages whose import costs more than the few
-routines it would take from them; and it loads scipy at all only for the
-LAPACK band LU of a Newton Jacobian, never scipy.sparse."""
+every hesslab definition is reached from the CLI or the benchmark; the
+hesslab modules import each other without a cycle, and surfaces imports
+none of the modules above it; hesslab leaves out the scipy subpackages
+whose import costs more than the few routines it would take from them; and
+it loads scipy at all only for the LAPACK band LU of a Newton Jacobian,
+never scipy.sparse."""
 
 import ast
 import subprocess
@@ -253,6 +255,89 @@ def test_every_definition_is_reached():
     modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     readers = [p.read_text() for p in sorted(BENCH.glob("*.py"))]
     assert _unreached(modules, readers, entry=("cli.main",)) == []
+
+
+def _import_graph(sources):
+    """{module: the modules of sources that its import statements name},
+    for the sources {module: source} of the hesslab package: relative
+    imports (from .x import, from . import x) and absolute hesslab ones."""
+    graph = {}
+    for module, source in sources.items():
+        named = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                named.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ["hesslab" if node.level else "",
+                                              node.module]))
+                named.add(base)
+                named.update(f"{base}.{alias.name}" for alias in node.names)
+        graph[module] = {name.split(".")[1] for name in named
+                         if name.startswith("hesslab.")
+                         and name.split(".")[1] in sources} - {module}
+    return graph
+
+
+def _cycle(graph):
+    """Modules of graph (see _import_graph) that import each other in a
+    ring, the first repeated at the end, or [] if there is none."""
+    done, path = set(), []
+
+    def visit(module):
+        path.append(module)
+        for other in sorted(graph[module]):
+            if other in path:
+                return path[path.index(other):] + [other]
+            if other not in done:
+                ring = visit(other)
+                if ring:
+                    return ring
+        done.add(path.pop())
+        return []
+
+    for module in sorted(graph):
+        ring = [] if module in done else visit(module)
+        if ring:
+            return ring
+    return []
+
+
+def _imported_below(graph, module):
+    """The modules that module imports, directly or through another."""
+    seen, todo = set(), [module]
+    while todo:
+        new = graph[todo.pop()] - seen
+        seen |= new
+        todo += sorted(new)
+    return seen
+
+
+def test_import_graph_detector():
+    sources = {
+        "a": "from .b import f\nfrom . import c\nimport numpy as np\n",
+        "b": "from hesslab.c import g\nimport hesslab.d\n",
+        "c": "from hesslab import a\nfrom .a import h\n",
+        "d": "from .errors import E\n",
+    }
+    graph = _import_graph(sources)
+    assert graph == {"a": {"b", "c"}, "b": {"c", "d"}, "c": {"a"}, "d": set()}
+    assert _cycle(graph) == ["a", "b", "c", "a"]
+    assert _imported_below(graph, "d") == set()
+    assert _imported_below(graph, "b") == {"a", "b", "c", "d"}
+    graph["c"] = set()
+    assert _cycle(graph) == []
+
+
+#: The modules that surfaces, below them, must not import: the boundary
+#: record that monotone and identities share lives in surfaces.
+ABOVE_SURFACES = ("solver", "monotone", "radial", "identities")
+
+
+def test_import_layering():
+    graph = _import_graph({p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))})
+    assert _cycle(graph) == []
+    assert {"surfaces", *ABOVE_SURFACES} <= set(graph)
+    assert _imported_below(graph, "surfaces") & set(ABOVE_SURFACES) == set()
 
 
 #: scipy subpackages that hesslab must not import, directly or through

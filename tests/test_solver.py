@@ -437,6 +437,16 @@ class TestCheckpoint:
             lines[0] = lines[0].replace("v2", "v1", 1)
         elif damage == "ragged-u":
             lines[-5] = " ".join(lines[-5].split()[:-1])
+        elif damage == "gamma=-1":
+            row = lines[9].split()
+            lines[9] = " ".join([row[0], "-1", *row[2:]])
+        elif damage == "N_theta=0":
+            lines[0] = lines[0].replace("N_theta=16", "N_theta=0")
+            del lines[3:19]
+            lines[4:] = [line.split()[0] for line in lines[4:]]
+        elif damage in ("R_out=5", "k=2"):
+            key = damage.split("=")[0]
+            lines[0] = " ".join(damage if t.startswith(key + "=") else t for t in header)
         return lines
 
     LOAD_ERRORS = {
@@ -449,13 +459,18 @@ class TestCheckpoint:
         "v2-two-columns": r"the profile block is not 17 rows of 4 numbers",
         "v1-four-columns": r"the profile block is not 17 rows of 2 numbers",
         "ragged-u": r"u block: the number of columns changed from 17 to 16 .*",
+        "gamma=-1": r"profile radius must be positive everywhere",
+        "N_theta=0": r"grid counts must be >= 1: N_s=32, N_theta=0",
+        "R_out=5": r"R_out = 5\.0 below 10 \* max profile radius 1\.0, or not finite",
+        "k=2": r"need 1 <= k < n/2, got n=3, k=2",
     }
 
     @pytest.mark.parametrize("damage", LOAD_ERRORS)
     def test_load_error_names_the_file(self, damage, tmp_path):
         # a malformed header, profile or u block is refused by a ValueError that
         # names the file and the key or block, not by a KeyError or numpy's
-        # inhomogeneous-shape error that names neither
+        # inhomogeneous-shape error that names neither; a value that the body,
+        # the grid or the field refuses names the file too
         body = RevolutionBody.sphere(1.0, n=3)
         field = sampled_field(lambda r: -1.0 / r, body, 1, 40.0, 32, 16)
         path = tmp_path / "field.txt"
@@ -471,7 +486,8 @@ class TestCheckpoint:
         # the file bit for bit, so a field added to ExteriorField and not to
         # the checkpoint header, or the other way round, fails here; the
         # first set is the edge cases, in the second every value differs
-        # from its default
+        # from its default; the prolate's u is stored on its body in n = 7,
+        # where both k lie in 1 <= k < n/2
         settable = [f for f in dataclasses.fields(ExteriorField) if f.init]
         assert [f.name for f in settable[:2]] == ["grid", "u"]
         cases = ({"k": 2, "eps": 0.0123456789, "rho_hat": 1.2345678901234567,
@@ -483,6 +499,7 @@ class TestCheckpoint:
                 assert any(float(c[f.name]).hex() != float(f.default).hex()
                            for c in cases), f.name
         grid = prolate_field_half.grid
+        grid = dataclasses.replace(grid, body=dataclasses.replace(grid.body, n=7))
         for values in cases:
             assert set(values) == {f.name for f in settable[2:]}
             path = tmp_path / "field.txt"
