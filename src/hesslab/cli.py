@@ -239,7 +239,7 @@ def cmd_radial(args):
     for t in _t_grid(args):
         c1, c2 = weights(t, spec)
         Fs.append(radial_F(sol, t, spec))
-        lines.append(f"{t:.12g},{float(c1):.12g},{float(c2):.12g},"
+        lines.append(f"{t:.12g},{c1:.12g},{c2:.12g},"
                      f"{Fs[-1]:.12g},{limit:.12g}")
     path = _write(args, "radial.csv", lines)
     Fs = np.array(Fs)

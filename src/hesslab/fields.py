@@ -8,6 +8,7 @@ Hessian.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +39,7 @@ class AxiJets:
     In the frame (z, rho, x_3, ..., x_n) of each point the gradient is
     (uz, urho, 0, ..., 0) and the Hessian is block diagonal: the meridian
     block M = [[uzz, uzrho], [uzrho, urhorho]] and kappat = u_rho / rho
-    times the identity of size n - 2.
+    times the identity of size n - 2.  grad_norm is computed once.
     """
 
     n: int
@@ -56,7 +57,7 @@ class AxiJets:
     def r(self):
         return np.hypot(self.z, self.rho)
 
-    @property
+    @cached_property
     def grad_norm(self):
         return np.hypot(self.uz, self.urho)
 
@@ -84,7 +85,7 @@ def levelset_curvature_axisym(jets: AxiJets, k, sk_values):
     matrix is built.
     """
     gn = jets.grad_norm
-    if np.any(gn < TAU_GRAD):
+    if (gn < TAU_GRAD).any():
         raise DegenerateGradient(
             f"|grad u| = {float(gn.min()):.3e} < {TAU_GRAD:.1e}: critical point"
         )

@@ -112,9 +112,10 @@ def _boundary(solution, body, spec: ProblemSpec = None) -> _Boundary:
             return c**a * comb(n - 1, m) * omega * R ** (n - 1 - m)
 
         return _Boundary(body, curvature_samples(body), c, 0.0, integral)
-    if body is None:
-        body = solution.grid.body
-    return _sampled_boundary(body, solution.boundary_gradient)
+    body = body or solution.grid.body
+    s, grad, integral = _sampled_boundary(body, solution.boundary_gradient)
+    c = s.integrate(grad) / s.area
+    return _Boundary(body, s, c, float((grad.max() - grad.min()) / abs(c)), integral)
 
 
 def _squeeze_sides(samples: SurfaceSampleSet, k):

@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import LevelOutOfRange, NewtonStall
 from .fields import AxiJets, _check_order, levelset_curvature_axisym, rhs_at_radius
-from .surfaces import (RevolutionBody, _sampled_boundary, _simpson_weights,
-                       sphere_measure)
+from .surfaces import RevolutionBody, _sampled_boundary, sphere_measure
 
 __all__ = [
     "FResult",
@@ -107,8 +106,8 @@ def weights(t, spec: ProblemSpec):
     """Closed-form weight pair (C1(t), C2(t)) for t in [-1, 0):
     C1 = (-t)^(-p) (C3 + C4 (-t)) and
     C2 = -(-t)^(-q) (p / (a + 1 - k) C3 + (n - k) / (n - 2k) C4 (-t))."""
-    mt = -np.asarray(t, dtype=float)
-    if np.any((mt <= 0) | (mt > 1)):
+    mt = -np.asarray(t, dtype=float)[()]  # a scalar t stays a scalar
+    if ((mt <= 0) | (mt > 1)).any():
         raise ValueError("levels must lie in [-1, 0)")
     n, k, p, q = spec.n, spec.k, spec.p_exponent, spec.q_exponent
     c4 = spec.C4 * mt
@@ -169,8 +168,9 @@ def extract_levelset(field, t) -> LevelSetCurve:
     The jets are not checked for a critical point here; F_eval's
     curvatures are (see fields.levelset_curvature_axisym).
     """
-    u = field.u
-    lo, hi = float(np.max(u[1, :])), float(np.min(u[-1, :]))
+    if field._span is None:
+        field._span = float(np.max(field.u[1])), float(np.min(field.u[-1]))
+    lo, hi = field._span
     if not (t > lo and t < hi):
         raise LevelOutOfRange(
             f"level {t} not strictly between boundary and far-field values: "
@@ -178,8 +178,8 @@ def extract_levelset(field, t) -> LevelSetCurve:
         )
     grid = field.grid
     table = field._columns()
-    cols = np.arange(grid.N_theta + 1)
-    i = np.count_nonzero(u <= t, axis=0) - 1
+    cols, cos, sin, w_theta = grid._level_factors()
+    i = np.count_nonzero(field.u <= t, axis=0) - 1
     lower, upper = table[i, cols], table[i + 1, cols]  # [j, value or slope, q]
     # the power-basis coefficients in a = (s - s_i) / hs of each column cubic
     y0, y1 = lower[:, 0], upper[:, 0]
@@ -189,14 +189,16 @@ def extract_levelset(field, t) -> LevelSetCurve:
     c0 = c0 - t
     a = -c0 / (y1[:, 0] - y0[:, 0])
     a_lo, a_hi = np.zeros_like(a), np.ones_like(a)
+    dc3, dc2 = 3.0 * c3, 2.0 * c2  # f' = (dc3 a + dc2) a + c1
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(MAX_LEVEL_NEWTON):
             f = ((c3 * a + c2) * a + c1) * a + c0
             a_lo = np.where(f <= 0, a, a_lo)
             a_hi = np.where(f > 0, a, a_hi)
-            new = a - f / ((3.0 * c3 * a + 2.0 * c2) * a + c1)
+            new = a - f / ((dc3 * a + dc2) * a + c1)
             outside = ~((new >= a_lo) & (new <= a_hi))
-            new[outside] = 0.5 * (a_lo + a_hi)[outside]
+            if outside.any():
+                new[outside] = 0.5 * (a_lo + a_hi)[outside]
             moved = np.abs(new - a)
             a = new
             if moved.max() <= TOL_LEVEL:
@@ -211,10 +213,9 @@ def extract_levelset(field, t) -> LevelSetCurve:
     values = ((c[3] * a + c[2]) * a + c[1]) * a + c[0]
     sigma = grid.s[i] + grid.hs * a[:, 0]
     r = np.exp(grid.lngam + sigma * grid.D)
-    jets = AxiJets(field.n, r * np.cos(grid.theta), r * np.sin(grid.theta), *values.T)
+    jets = AxiJets(field.n, r * cos, r * sin, *values.T)
     arc = r * r * jets.grad_norm / (jets.z * jets.uz + jets.rho * jets.urho)
-    weight = (_simpson_weights(cols.size, grid.ht) * arc
-              * sphere_measure(field.n - 2) * jets.rho ** (field.n - 2))
+    weight = w_theta * arc * sphere_measure(field.n - 2) * jets.rho ** (field.n - 2)
     return LevelSetCurve(t=t, n=field.n, sigma=sigma, jets=jets, weight=weight)
 
 
@@ -264,15 +265,14 @@ def F_eval(field, t, spec: ProblemSpec) -> FResult:
 def F_boundary(field, body: RevolutionBody, spec: ProblemSpec) -> FResult:
     """F at t = -1, with its two surface integrals taken on the boundary.
 
-    The ledger's boundary record (surfaces._sampled_boundary) gives both:
-    |grad u| is the field's gradient on the boundary row, where u is
-    constant, so the one-sided U_s of ExteriorField._node_jets through the
+    The integral of the ledger's boundary record (surfaces._sampled_boundary)
+    gives both: |grad u| is the field's gradient on the boundary row, where u
+    is constant, so the one-sided U_s of ExteriorField._node_jets through the
     chain rule.  A spec whose (n, k) is not the field's raises ValueError.
     """
     spec.check(field)
-    b = _sampled_boundary(body, field.boundary_gradient)
-    return _weighted(-1.0, spec, b.integral(spec.a, spec.k),
-                     b.integral(spec.a + 1, spec.k - 1))
+    integral = _sampled_boundary(body, field.boundary_gradient)[2]
+    return _weighted(-1.0, spec, integral(spec.a, spec.k), integral(spec.a + 1, spec.k - 1))
 
 
 @dataclass

@@ -21,7 +21,8 @@ from numpy.linalg import LinAlgError
 
 from .errors import NewtonStall, PoorFit, StarShapeViolation
 from .fields import AxiJets, _check_order, rhs_at_radius
-from .surfaces import RevolutionBody, _ClampedSpline, _on_axis, _spline_slopes
+from .surfaces import (RevolutionBody, _ClampedSpline, _on_axis, _simpson_weights,
+                       _spline_slopes)
 
 __all__ = [
     "AxiGrid",
@@ -94,7 +95,7 @@ class AxiGrid:
         self.d2lngam = self.body.d2gamma / g - self.dlngam**2
         self.D = log(self.R_out) - self.lngam
         self._on_axis = _on_axis(self.theta)
-        self._factors = None
+        self._factors = self._levels = None
 
     @property
     def r_nodes(self):
@@ -115,6 +116,14 @@ class AxiGrid:
                              self.d2lngam * a + 2.0 * b * b, cos, sin, cot)
         return self._factors
 
+    def _level_factors(self):
+        """The column index, cos and sin theta and the Simpson weights in
+        theta of a level set over the node columns, cached."""
+        if self._levels is None:
+            self._levels = (np.arange(self.theta.size), *self._chain_factors()[7:9],
+                            _simpson_weights(self.theta.size, self.ht))
+        return self._levels
+
     def _half(self):
         """The grid cut to its columns theta in [0, pi/2] (N_theta, ht and the
         body stay the full grid's), or None unless N_theta is even and
@@ -127,7 +136,7 @@ class AxiGrid:
         half, cols = copy(self), slice(self.N_theta // 2 + 1)
         for name in ("theta", "lngam", "dlngam", "d2lngam", "D", "_on_axis"):
             setattr(half, name, getattr(self, name)[cols])
-        half._factors = None
+        half._factors = half._levels = None
         return half
 
 
@@ -189,8 +198,9 @@ def _chain(grid: AxiGrid, rows, F, u) -> AxiJets:
 
 
 def _margin(levels):
-    """min(S_1, ..., S_{k-1}) over the nodes, the cone where S_k is elliptic."""
-    return float(min((lvl.min() for lvl in levels[1:-1]), default=np.inf))
+    """min over the nodes of the S_j given (0 < j < k), the cone where S_k is
+    elliptic; inf if none."""
+    return float(min((lvl.min() for lvl in levels), default=np.inf))
 
 
 def _stencil_weights(grid: AxiGrid, rows, partials):
@@ -238,7 +248,8 @@ def _boundary_derivs(field):
         6.0 * grid.hs) * np.array([[1.0], [-1.0]])
     Ut, Utt = _theta_derivs(edge, grid.ht)
     F = [Us, np.zeros_like(Us), Ut, _theta_derivs(Us, grid.ht)[0], Utt]
-    f = rhs_at_radius(grid.r_nodes[rows], field.eps, field.n, field.cnk)
+    f = rhs_at_radius(np.exp(grid.lngam + grid.s[rows, None] * grid.D), field.eps,
+                      field.n, field.cnk)
     split = _chain(grid, rows, F, edge).split(field.k, grad=True)
     slope = _stencil_weights(grid, rows, split.grad)[1]
     ok = np.isfinite(slope) & (slope > 0)
@@ -287,15 +298,16 @@ class ExteriorField:
     """Discrete solution of the approximating equation on an AxiGrid.
 
     u holds node values including both Dirichlet rows; treat a returned
-    field as immutable.  Four post-solve caches rely on that and are never
+    field as immutable.  Five post-solve caches rely on that and are never
     invalidated: the node jets (_node_jets), the splines in s of u and of
     those jets on every theta node column (_columns, made once the column
     check of star shape has passed), the spline of the boundary |grad u|
-    (boundary_gradient) and, filled by monotone.F_eval, the weight-free
-    part of F(t) at each level, with its two integrals per exponent a.  A
-    new, reloaded or dataclasses.replace'd field starts with all four
-    empty, and with boundary_residuals empty: _node_jets sets it to the
-    max |S_k - f^eps| on the body and on the outer row.  The counters
+    (boundary_gradient) and, filled by monotone, the span of levels that
+    cross every column and the weight-free part of F(t) at each level, with
+    its two integrals per exponent a.  A new, reloaded or
+    dataclasses.replace'd field starts with all five empty, and with
+    boundary_residuals empty: _node_jets sets it to the max |S_k - f^eps|
+    on the body and on the outer row.  The counters
     factorizations, back_solves and residual_evals record the work of the
     solve_exterior call that produced the field (residual_evals counts only
     the iterates Newton tried, as the Jacobian is analytic) and unknowns the
@@ -321,7 +333,7 @@ class ExteriorField:
     def __post_init__(self):
         _check_order(self.n, self.k)
         self._jets_cache = None
-        self._columns_cache = None
+        self._columns_cache = self._span = None
         self._boundary_spline = None
         self._level_cache = {}
         self.boundary_residuals = ()
@@ -377,7 +389,8 @@ class ExteriorField:
     def boundary_gradient(self, theta):
         """|grad u| on the body boundary, interpolated onto given angles."""
         if self._boundary_spline is None:
-            gn = self._node_jets().grad_norm[0]
+            jets = self._node_jets()
+            gn = np.hypot(jets.uz[0], jets.urho[0])
             self._boundary_spline = _ClampedSpline(self.grid.theta, gn)
         return self._boundary_spline(theta)
 
@@ -459,7 +472,7 @@ class ExteriorField:
 
 def admissibility_margin(field: ExteriorField):
     """Worst min(S_1, ..., S_{k-1}) over all nodes, boundaries included; inf at k = 1."""
-    return _margin(field._node_jets().split(field.k).levels)
+    return _margin(field._node_jets().split(field.k - 1).levels[1:])
 
 
 def _shell(grid: AxiGrid):
@@ -576,7 +589,7 @@ class _ChordFactor:
                       _centered(self.full(U_int), grid.hs, grid.ht), U_int)
         levels = jets.split(self.k).levels
         res = levels[-1] - f_int
-        return jets, res, float(np.abs(res).max()), _margin(levels)
+        return jets, res, float(np.abs(res).max()), _margin(levels[1:-1])
 
     def refactor(self, jets):
         """Factor the Jacobian at the iterate whose jets are given; an exact

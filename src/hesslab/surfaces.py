@@ -413,14 +413,13 @@ class _Boundary:
     integral: Callable
 
 
-def _sampled_boundary(body: RevolutionBody, gradient) -> _Boundary:
-    """The _Boundary of body on which |grad u| is gradient(theta): one
-    curvature sample and one read of gradient at its angles."""
+def _sampled_boundary(body: RevolutionBody, gradient):
+    """(samples, grad, integral) of body on which |grad u| is gradient(theta):
+    one curvature sample, one read grad of gradient at its angles, and the
+    _Boundary's integral(a, m), all that F(-1) reads."""
     s = curvature_samples(body)
     grad = np.asarray(gradient(s.theta), dtype=float)
-    c = s.integrate(grad) / s.area
-    spread = float((grad.max() - grad.min()) / abs(c))
-    return _Boundary(body, s, c, spread, lambda a, m: s.integrate(grad**a * s.h_k(m)))
+    return s, grad, lambda a, m: s.integrate(grad**a * s.h_k(m))
 
 
 def _require_convex(samples: SurfaceSampleSet):

@@ -101,6 +101,25 @@ class TestWeights:
             assert np.all(c1 > 0)
             assert np.all(c2 < 0)
 
+    @pytest.mark.parametrize("a,C3,C4", [(1.0, 1.0, 0.0), (1.0, 0.0, 1.0),
+                                         (2.0, 1.0, 0.0), (2.0, 0.0, 1.0)])
+    def test_scalar_level_in_scalar_arithmetic(self, a, C3, C4):
+        # F_eval's weights: a scalar t gives numpy scalars, equal bit for bit
+        # to the closed form in Python floats (the same libm pow).  numpy's
+        # vectorised pow may round an array's entries otherwise, by <= 2 ulp
+        # here, so element i of weights(ts) is held to 4 ulp of the scalar
+        spec = ProblemSpec(n=3, k=1, a=a, C3=C3, C4=C4)
+        p, q = spec.p_exponent, spec.q_exponent
+        ts = np.linspace(-1.0, -0.01, 100)
+        c1s, c2s = weights(ts, spec)
+        for i, t in enumerate(ts.tolist()):
+            c1, c2 = weights(t, spec)
+            assert type(c1) is np.float64 and type(c2) is np.float64
+            mt = -t
+            assert float(c1).hex() == (mt**-p * (C3 + C4 * mt)).hex()
+            assert float(c2).hex() == (-(mt**-q) * (p / a * C3 + 2.0 * (C4 * mt))).hex()
+            np.testing.assert_array_max_ulp(np.array([c1, c2]), np.array([c1s[i], c2s[i]]), 4)
+
     def test_domain_validation(self):
         spec = ProblemSpec(n=3, k=1, a=1.0)
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from math import log2
 
 from hesslab import monotone
 from hesslab.errors import LevelOutOfRange, NewtonStall, StarShapeViolation
-from hesslab.fields import levelset_curvature_axisym, rhs_at_radius
+from hesslab.fields import AxiJets, levelset_curvature_axisym, rhs_at_radius
 from hesslab.monotone import (
     F_boundary,
     F_eval,
@@ -58,6 +58,19 @@ def test_F_eval_sums_each_exponent_once(prolate_field_half, monkeypatch):
             results.setdefault(a, set()).add((res.int_hk, res.int_hk1))
     assert CountingNumpy.sums == 4
     assert all(len(pair) == 1 for pair in results.values())
+
+
+def test_one_gradient_norm_per_cold_level(prolate_field_half, monkeypatch):
+    # |grad u| of a level's jets is taken once, for the arc element, the
+    # curvatures and the F sums of every exponent; a warm level takes none
+    norm = AxiJets.__dict__["grad_norm"]
+    taken = []
+    monkeypatch.setattr(norm, "func", lambda jets, f=norm.func: taken.append(jets) or f(jets))
+    fresh = dataclasses.replace(prolate_field_half)
+    for t in (-0.5, -0.4):
+        for a in (1.0, 2.0):
+            F_eval(fresh, t, ProblemSpec(n=3, k=1, a=a))
+    assert [jets.u.size for jets in taken] == [fresh.grid.N_theta + 1] * 2
 
 
 def test_audit_refuses_levels_out_of_t_order(prolate_field_half):
@@ -121,6 +134,40 @@ class TestExtractLevelset:
             np.testing.assert_allclose(r, ellipse_radius(t, g.theta), rtol=1e-6)
 
 
+class TestLevelNewtonSafeguard:
+    def test_bisection_keeps_sigma_in_its_cell(self):
+        # u rises by 0.8 across s = 0.5, over a third of a cell: the column
+        # spline overshoots around the jump, so Newton's first step from the
+        # linear crossing leaves the cell on every column, and unguarded
+        # Newton ends at a root of the cubic outside it (a = 1.047)
+        N_s, N_theta, t = 32, 16, -0.783
+        grid = AxiGrid(body=RevolutionBody.sphere(1.0, n=3), R_out=40.0,
+                       N_s=N_s, N_theta=N_theta)
+        col = -1.0 + 0.5 * grid.s + 0.4 * (np.tanh((grid.s - 0.5) / 0.01) + np.tanh(50.0))
+        u = np.broadcast_to(col[:, None], (N_s + 1, N_theta + 1)).copy()
+        field = ExteriorField(grid=grid, u=u, k=1, eps=0.02, rho_hat=1.0)
+        # the cubic of each column's cell in a = (s - s_i) / hs, as in
+        # extract_levelset, and its first Newton step from the linear crossing
+        i = np.count_nonzero(u <= t, axis=0) - 1
+        lo, hi = (field._columns()[i + d, np.arange(N_theta + 1), :, 0] for d in (0, 1))
+        y0, y1, d0, d1 = lo[:, 0], hi[:, 0], grid.hs * lo[:, 1], grid.hs * hi[:, 1]
+        c0, c1 = y0 - t, d0
+        c2, c3 = 3.0 * (y1 - y0) - 2.0 * d0 - d1, 2.0 * (y0 - y1) + d0 + d1
+        cubic = lambda a: ((c3 * a + c2) * a + c1) * a + c0  # noqa: E731
+        a = -c0 / (y1 - y0)
+        step = a - cubic(a) / ((3.0 * c3 * a + 2.0 * c2) * a + c1)
+        assert np.all((step < 0) | (step > 1))
+        # the cubic's root in [0, 1] by bisection to the last bit
+        a_lo, a_hi = np.zeros_like(a), np.ones_like(a)
+        for _ in range(60):
+            mid = 0.5 * (a_lo + a_hi)
+            a_lo, a_hi = np.where(cubic(mid) <= 0, mid, a_lo), np.where(cubic(mid) > 0, mid, a_hi)
+        sigma = extract_levelset(field, t).sigma
+        assert np.all((grid.s[i] <= sigma) & (sigma <= grid.s[i + 1]))
+        root = grid.s[i] + grid.hs * a_lo
+        assert np.abs(sigma - root).max() <= monotone.TOL_LEVEL * grid.hs
+
+
 def _monotone_except_column(j, N_s=32, N_theta=16):
     """A sampled n=3 field that rises in s on every theta column but j,
     where it dips between s = 0.4 and 0.6."""
@@ -142,6 +189,18 @@ class TestStarShapeOfLevelSets:
         field = _monotone_except_column(5)
         field.u[:, 5] = field.u[:, 4]
         assert extract_levelset(field, -0.5).sigma.size == 17
+
+    @pytest.mark.parametrize("t", [-0.999, -0.05])
+    def test_level_out_of_range_raises_first(self, t):
+        # the span check comes before the column check of star shape, also
+        # once that check has failed on the field
+        field = _monotone_except_column(5)
+        with pytest.raises(LevelOutOfRange):
+            extract_levelset(field, t)
+        with pytest.raises(StarShapeViolation):
+            extract_levelset(field, -0.5)
+        with pytest.raises(LevelOutOfRange):
+            extract_levelset(field, t)
 
     def test_unconverged_column_raises(self, prolate_field_half, monkeypatch):
         monkeypatch.setattr(monotone, "MAX_LEVEL_NEWTON", 1)
