@@ -164,7 +164,7 @@ def _gradient_energy_integral(solution):
     if isinstance(solution, RadialSolution):
         return exterior_skm1_grad2_integral(solution)
     n, k = solution.n, solution.k
-    jets = solution._node_jets()
+    jets = solution._node_jets
     grad2 = jets.uz ** 2 + jets.urho ** 2
     skm1 = jets.split(k - 1).levels[-1]
     # density ~ r^(-(alpha+2)(k-1)) * r^(-2(alpha+1)) = r^(-(n + n/k - 2))
@@ -264,14 +264,24 @@ def _inequalities(b: _Boundary, spec: ProblemSpec) -> list:
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Outcome of the ball certification with its supporting numbers."""
+    """Outcome of the ball certification; NaN squeeze sides where none was taken."""
 
-    verdict: str
     gradient_spread: float
     profile_deviation: float
     squeeze_lhs: float
     squeeze_rhs: float
-    squeeze_rel: float
+
+    @property
+    def squeeze_rel(self):
+        lhs, rhs = self.squeeze_lhs, self.squeeze_rhs
+        return abs(lhs - rhs) / _scale(lhs, rhs)
+
+    @property
+    def verdict(self):
+        """Not overdetermined past TAU_OVERDETERMINED, else a ball where
+        squeeze_rel <= 1e-6, else (a NaN squeeze_rel too) inconclusive."""
+        return (CERTIFIED_NOT_OVERDETERMINED if self.gradient_spread > TAU_OVERDETERMINED
+                else CERTIFIED_BALL if self.squeeze_rel <= _TOL else INCONCLUSIVE)
 
 
 CERTIFIED_BALL = "certified-ball"
@@ -315,15 +325,5 @@ def _certify(b: _Boundary, spec: ProblemSpec) -> CertificationReport:
     profile_dev = float((gam.max() - gam.min()) / b.body.mean_radius)
     # the convexity bound asserts lhs >= rhs and the overdetermined chain
     # lhs <= rhs; the squeeze checks both
-    not_overdetermined = b.spread > TAU_OVERDETERMINED
-    sides = None if not_overdetermined else _squeeze_sides(b.samples, spec.k)
-    if sides is None:
-        nan = float("nan")
-        verdict = CERTIFIED_NOT_OVERDETERMINED if not_overdetermined else INCONCLUSIVE
-        return CertificationReport(verdict, b.spread, profile_dev, nan, nan, nan)
-    lhs, rhs = sides
-    squeeze_rel = abs(lhs - rhs) / _scale(lhs, rhs)
-    verdict = CERTIFIED_BALL if squeeze_rel <= _TOL else INCONCLUSIVE
-    return CertificationReport(
-        verdict, b.spread, profile_dev, float(lhs), float(rhs), squeeze_rel
-    )
+    sides = None if b.spread > TAU_OVERDETERMINED else _squeeze_sides(b.samples, spec.k)
+    return CertificationReport(b.spread, profile_dev, *map(float, sides or (np.nan,) * 2))

@@ -146,7 +146,6 @@ class LevelSetCurve:
     nodes of the grid, with its jets and quadrature weights there."""
 
     t: float
-    n: int
     sigma: np.ndarray  # sigma(theta_j) on each theta node
     jets: AxiJets  # jets at (sigma(theta_j), theta_j)
     weight: np.ndarray  # Simpson weight * arc element * |S^(n-2)| rho^(n-2)
@@ -168,8 +167,6 @@ def extract_levelset(field, t) -> LevelSetCurve:
     The jets are not checked for a critical point here; F_eval's
     curvatures are (see fields.levelset_curvature_axisym).
     """
-    if field._span is None:
-        field._span = float(np.max(field.u[1])), float(np.min(field.u[-1]))
     lo, hi = field._span
     if not (t > lo and t < hi):
         raise LevelOutOfRange(
@@ -177,8 +174,8 @@ def extract_levelset(field, t) -> LevelSetCurve:
             f"this grid holds the levels in ({lo:.6g}, {hi:.6g})"
         )
     grid = field.grid
-    table = field._columns()
-    cols, cos, sin, w_theta = grid._level_factors()
+    table = field._columns
+    cols, cos, sin, w_theta = grid._level_factors
     i = np.count_nonzero(field.u <= t, axis=0) - 1
     lower, upper = table[i, cols], table[i + 1, cols]  # [j, value or slope, q]
     # the power-basis coefficients in a = (s - s_i) / hs of each column cubic
@@ -216,23 +213,27 @@ def extract_levelset(field, t) -> LevelSetCurve:
     jets = AxiJets(field.n, r * cos, r * sin, *values.T)
     arc = r * r * jets.grad_norm / (jets.z * jets.uz + jets.rho * jets.urho)
     weight = w_theta * arc * sphere_measure(field.n - 2) * jets.rho ** (field.n - 2)
-    return LevelSetCurve(t=t, n=field.n, sigma=sigma, jets=jets, weight=weight)
+    return LevelSetCurve(t=t, sigma=sigma, jets=jets, weight=weight)
 
 
 @dataclass
 class FResult:
+    """F(t) = C1 int_hk + C2 int_hk1: the weights at t and the two integrals."""
+
     t: float
     C1: float
     C2: float
     int_hk: float
     int_hk1: float
-    F: float
+
+    @property
+    def F(self):
+        return self.C1 * self.int_hk + self.C2 * self.int_hk1
 
 
 def _weighted(t, spec: ProblemSpec, int_hk, int_hk1) -> FResult:
-    """F = C1(t) int_hk + C2(t) int_hk1 with the weights of spec."""
-    c1, c2 = map(float, weights(t, spec))
-    return FResult(t, c1, c2, int_hk, int_hk1, c1 * int_hk + c2 * int_hk1)
+    """The FResult of int_hk and int_hk1 at t with the weights of spec."""
+    return FResult(t, *map(float, weights(t, spec)), int_hk, int_hk1)
 
 
 def F_eval(field, t, spec: ProblemSpec) -> FResult:
@@ -277,14 +278,32 @@ def F_boundary(field, body: RevolutionBody, spec: ProblemSpec) -> FResult:
 
 @dataclass
 class MonotonicityReport:
-    t: np.ndarray
-    F: np.ndarray
-    results: tuple  # the FResult of each level, in t order
-    upward_violation: float
+    """The audit of F: results holds the FResult of each level, in t order."""
+
+    results: tuple
     limit_value: float
-    limit_gap_min: float
-    spread: float
     tol_mono: float
+
+    @property
+    def t(self):
+        return np.array([r.t for r in self.results])
+
+    @property
+    def F(self):
+        return np.array([r.F for r in self.results])
+
+    @property
+    def upward_violation(self):
+        """The largest rise of F from one level to the next, 0 if none."""
+        return float(np.max(np.diff(self.F), initial=0.0))
+
+    @property
+    def limit_gap_min(self):
+        return float(np.min(self.F - self.limit_value))
+
+    @property
+    def spread(self):
+        return float(np.ptp(self.F))
 
     @property
     def non_increasing(self):
@@ -319,19 +338,5 @@ def monotonicity_audit(field, spec: ProblemSpec, tol_mono, t_grid=None):
     (two grid levels); the continuum monotonicity is exact but discrete F
     carries O(h^2) + O(eps^2) bias.
     """
-    ts = level_grid(t_grid)
-    results = tuple(F_eval(field, t, spec) for t in ts)
-    Fs = np.array([r.F for r in results])
-    diffs = np.diff(Fs)
-    upward = float(max(np.max(diffs, initial=0.0), 0.0))
-    limit = limit_bound(spec, field.rho_hat)
-    return MonotonicityReport(
-        t=ts,
-        F=Fs,
-        results=results,
-        upward_violation=upward,
-        limit_value=limit,
-        limit_gap_min=float(np.min(Fs - limit)),
-        spread=float(np.max(Fs) - np.min(Fs)),
-        tol_mono=float(tol_mono),
-    )
+    results = tuple(F_eval(field, t, spec) for t in level_grid(t_grid))
+    return MonotonicityReport(results, limit_bound(spec, field.rho_hat), float(tol_mono))

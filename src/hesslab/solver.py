@@ -10,8 +10,8 @@ on the (s, theta) grid.
 """
 
 import dataclasses
-from copy import copy
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import takewhile
 from math import log, pi
 from operator import itemgetter
@@ -44,9 +44,8 @@ _HEADER = {"n": int, "k": int, "eps": float, "cnk": float, "rho_hat": float,
            "N_s": int, "N_theta": int}
 _FIELD_KEYS = tuple(_HEADER)[1:-3]
 
-#: The six meridian jets of an AxiJets, in the order _chain computes them;
-#: S_k depends on the last four.
-_JET_KEYS = ("uz", "urho", "uzz", "uzrho", "urhorho", "kappat")
+#: The six meridian jets: the fields of AxiJets after u; S_k reads the last four.
+_JET_KEYS = tuple(f.name for f in dataclasses.fields(AxiJets))[4:]
 
 #: Residual sup-norm that a Newton solve, and the boundary rows of a
 #: field (_boundary_derivs), must reach; and Newton's step cap.
@@ -64,7 +63,7 @@ class AxiGrid:
 
     The radial map is r(s, theta) = gamma(theta) * exp(s * L(theta)) with
     L = log(R_out / gamma), so s = 0 is the body and s = 1 the truncation
-    sphere regardless of theta.  N_s or N_theta below 1 raises ValueError.
+    sphere regardless of theta.  N_s < 1 or N_theta < 2 raises ValueError.
     On an even N_theta the middle column is theta = pi/2, the mirror line
     of a body symmetric about z = 0, where _half cuts the grid.
     """
@@ -78,6 +77,8 @@ class AxiGrid:
         if min(self.N_s, self.N_theta) < 1:
             raise ValueError(f"grid counts must be >= 1: N_s={self.N_s}, "
                              f"N_theta={self.N_theta}")
+        if self.N_theta < 2:
+            raise ValueError(f"the theta quadratures need N_theta >= 2: {self.N_theta}")
         if not 10.0 * self.body.max_radius <= self.R_out < np.inf:
             raise ValueError(
                 f"R_out = {self.R_out} below 10 * max profile radius "
@@ -95,34 +96,31 @@ class AxiGrid:
         self.d2lngam = self.body.d2gamma / g - self.dlngam**2
         self.D = log(self.R_out) - self.lngam
         self._on_axis = _on_axis(self.theta)
-        self._factors = self._levels = None
 
     @property
     def r_nodes(self):
         return np.exp(self.lngam[None, :] + self.s[:, None] * self.D[None, :])
 
+    @cached_property
     def _chain_factors(self):
-        """The chain rule's factors, cached: 1/r, z and rho on the grid, and
+        """The chain rule's factors: 1/r, z and rho on the grid, and
         the theta vectors a = 1/L, b = gamma'/(gamma L), c = gamma'/(gamma L^2),
         e = (log gamma)''/L + 2 b^2, cos, sin and cot theta (0 on the
         axis).  With L = log(R_out / gamma) the radial map has s_r = a/r,
         s_theta = (s - 1) b, s_r theta = c/r and s_theta theta = (s - 1) e."""
-        if self._factors is None:
-            r, th = self.r_nodes, self.theta
-            a, b = 1.0 / self.D, self.dlngam / self.D
-            sin, cos = np.sin(th), np.cos(th)
-            cot = np.divide(cos, sin, out=np.zeros_like(sin), where=~self._on_axis)
-            self._factors = (1.0 / r, r * cos, r * sin, a, b, a * b,
-                             self.d2lngam * a + 2.0 * b * b, cos, sin, cot)
-        return self._factors
+        r, th = self.r_nodes, self.theta
+        a, b = 1.0 / self.D, self.dlngam / self.D
+        sin, cos = np.sin(th), np.cos(th)
+        cot = np.divide(cos, sin, out=np.zeros_like(sin), where=~self._on_axis)
+        return (1.0 / r, r * cos, r * sin, a, b, a * b,
+                self.d2lngam * a + 2.0 * b * b, cos, sin, cot)
 
+    @cached_property
     def _level_factors(self):
         """The column index, cos and sin theta and the Simpson weights in
-        theta of a level set over the node columns, cached."""
-        if self._levels is None:
-            self._levels = (np.arange(self.theta.size), *self._chain_factors()[7:9],
-                            _simpson_weights(self.theta.size, self.ht))
-        return self._levels
+        theta of a level set over the node columns."""
+        return (np.arange(self.theta.size), *self._chain_factors[7:9],
+                _simpson_weights(self.theta.size, self.ht))
 
     def _half(self):
         """The grid cut to its columns theta in [0, pi/2] (N_theta, ht and the
@@ -133,10 +131,9 @@ class AxiGrid:
         g = self.body.gamma
         if self.N_theta % 2 or np.abs(g - g[::-1]).max() > 4 * np.spacing(g.max()):
             return None
-        half, cols = copy(self), slice(self.N_theta // 2 + 1)
+        half, cols = dataclasses.replace(self), slice(self.N_theta // 2 + 1)
         for name in ("theta", "lngam", "dlngam", "d2lngam", "D", "_on_axis"):
             setattr(half, name, getattr(self, name)[cols])
-        half._factors = half._levels = None
         return half
 
 
@@ -177,7 +174,7 @@ def _chain(grid: AxiGrid, rows, F, u) -> AxiJets:
     (prr, prt - pt, ptt + pr), turned by theta is r^2 times the meridian
     Hessian.  kappat = u_rho / rho = (pr + cot theta pt) / r^2, and
     urhorho on the axis."""
-    ir, z, rho, a, b, c, e, cos, sin, cot = grid._chain_factors()
+    ir, z, rho, a, b, c, e, cos, sin, cot = grid._chain_factors
     ir, t = ir[rows], grid.s[rows, None] - 1.0
     Us, Uss, Ut, Ust, Utt = F
     bt = b * t  # s_theta
@@ -207,7 +204,7 @@ def _stencil_weights(grid: AxiGrid, rows, partials):
     """w_q = dS_k/dF_q on grid rows `rows`: the linearization of S_k in
     the five F_q, from the partials of AxiJets.split, by the two stages
     of _chain transposed.  On the axis kappat is urhorho."""
-    ir, _, _, a, b, c, e, cos, sin, cot = grid._chain_factors()
+    ir, _, _, a, b, c, e, cos, sin, cot = grid._chain_factors
     ir2, t = ir[rows] ** 2, grid.s[rows, None] - 1.0
     d_zz, d_zrho, d_rhorho, d_kap = partials
     on = grid._on_axis
@@ -298,16 +295,14 @@ class ExteriorField:
     """Discrete solution of the approximating equation on an AxiGrid.
 
     u holds node values including both Dirichlet rows; treat a returned
-    field as immutable.  Five post-solve caches rely on that and are never
-    invalidated: the node jets (_node_jets), the splines in s of u and of
-    those jets on every theta node column (_columns, made once the column
-    check of star shape has passed), the spline of the boundary |grad u|
-    (boundary_gradient) and, filled by monotone, the span of levels that
-    cross every column and the weight-free part of F(t) at each level, with
-    its two integrals per exponent a.  A new, reloaded or
-    dataclasses.replace'd field starts with all five empty, and with
-    boundary_residuals empty: _node_jets sets it to the max |S_k - f^eps|
-    on the body and on the outer row.  The counters
+    field as immutable.  What the post-solve pipeline derives from u is a
+    cached_property: the node jets (_node_jets, which sets boundary_residuals,
+    () before, to max |S_k - f^eps| on the body and the outer row), the
+    column splines in s of u and its jets (_columns), the boundary |grad u|
+    spline (boundary_gradient) and the span of levels that cross every
+    column (_span); F_eval keeps the weight-free part of F(t) per level in
+    _level_cache.  A new, reloaded or replace'd field has none of them yet.
+    The counters
     factorizations, back_solves and residual_evals record the work of the
     solve_exterior call that produced the field (residual_evals counts only
     the iterates Newton tried, as the Jacobian is analytic) and unknowns the
@@ -332,9 +327,6 @@ class ExteriorField:
 
     def __post_init__(self):
         _check_order(self.n, self.k)
-        self._jets_cache = None
-        self._columns_cache = self._span = None
-        self._boundary_spline = None
         self._level_cache = {}
         self.boundary_residuals = ()
 
@@ -342,19 +334,24 @@ class ExteriorField:
     def n(self):
         return self.grid.body.n
 
+    @cached_property
     def _node_jets(self):
         """The AxiJets of every grid node: the interior rows by centered
         stencils, the two Dirichlet rows by _boundary_derivs, whose U_ss
         makes S_k = f^eps hold at the boundary nodes themselves, so that
         their jets are admissible."""
-        if self._jets_cache is None:
-            grid = self.grid
-            edge, self.boundary_residuals = _boundary_derivs(self)
-            F = [np.vstack([e[0], Fq, e[1]])
-                 for e, Fq in zip(edge, _centered(self.u, grid.hs, grid.ht))]
-            self._jets_cache = _chain(grid, slice(None), F, self.u)
-        return self._jets_cache
+        grid = self.grid
+        edge, self.boundary_residuals = _boundary_derivs(self)
+        F = [np.vstack([e[0], Fq, e[1]])
+             for e, Fq in zip(edge, _centered(self.u, grid.hs, grid.ht))]
+        return _chain(grid, slice(None), F, self.u)
 
+    @cached_property
+    def _span(self):
+        """(max u on the first interior row, min u on the outer row)."""
+        return float(np.max(self.u[1])), float(np.min(self.u[-1]))
+
+    @cached_property
     def _columns(self):
         """The not-a-knot cubic splines in s of u and of the six node jets
         on every theta node column, as table[i, j, 0 or 1, q]: the value or
@@ -367,31 +364,29 @@ class ExteriorField:
         not strictly increase in s on some column: then a level set of u
         need not be a graph s = sigma(theta) over the columns.
         """
-        if self._columns_cache is None:
-            rising = np.all(np.diff(self.u, axis=0) > 0, axis=0)
-            if not rising.all():
-                j = int(np.argmin(rising))
-                raise StarShapeViolation(
-                    f"u does not strictly increase in s on theta column {j} "
-                    f"(theta = {self.grid.theta[j]:.6g}), so its level sets "
-                    "are not graphs over theta"
-                )
-            jets = self._node_jets()
-            table = np.empty(self.u.shape + (2, 1 + len(_JET_KEYS)))
-            for q, key in enumerate(("u",) + _JET_KEYS):
-                table[:, :, 0, q] = getattr(jets, key)
-            slopes = _spline_slopes(self.grid.s, np.moveaxis(table[:, :, 0], 0, -1),
-                                    clamped=False)
-            table[:, :, 1] = np.moveaxis(slopes, -1, 0)
-            self._columns_cache = table
-        return self._columns_cache
+        rising = np.all(np.diff(self.u, axis=0) > 0, axis=0)
+        if not rising.all():
+            j = int(np.argmin(rising))
+            raise StarShapeViolation(
+                f"u does not strictly increase in s on theta column {j} "
+                f"(theta = {self.grid.theta[j]:.6g}), so its level sets "
+                "are not graphs over theta"
+            )
+        table = np.empty(self.u.shape + (2, 1 + len(_JET_KEYS)))
+        for q, key in enumerate(("u",) + _JET_KEYS):
+            table[:, :, 0, q] = getattr(self._node_jets, key)
+        slopes = _spline_slopes(self.grid.s, np.moveaxis(table[:, :, 0], 0, -1),
+                                clamped=False)
+        table[:, :, 1] = np.moveaxis(slopes, -1, 0)
+        return table
+
+    @cached_property
+    def _boundary_spline(self):
+        jets = self._node_jets
+        return _ClampedSpline(self.grid.theta, np.hypot(jets.uz[0], jets.urho[0]))
 
     def boundary_gradient(self, theta):
         """|grad u| on the body boundary, interpolated onto given angles."""
-        if self._boundary_spline is None:
-            jets = self._node_jets()
-            gn = np.hypot(jets.uz[0], jets.urho[0])
-            self._boundary_spline = _ClampedSpline(self.grid.theta, gn)
         return self._boundary_spline(theta)
 
     # -- checkpoint format --------------------------------------------
@@ -472,7 +467,7 @@ class ExteriorField:
 
 def admissibility_margin(field: ExteriorField):
     """Worst min(S_1, ..., S_{k-1}) over all nodes, boundaries included; inf at k = 1."""
-    return _margin(field._node_jets().split(field.k - 1).levels[1:])
+    return _margin(field._node_jets.split(field.k - 1).levels[1:])
 
 
 def _shell(grid: AxiGrid):

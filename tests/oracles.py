@@ -298,7 +298,7 @@ def c_formula(body: RevolutionBody, k):
 def equation_residual(field: ExteriorField):
     """S_k(Hessian u) - f^eps on the interior rows (same stencil as the
     Newton solve)."""
-    Sk = field._node_jets().split(field.k).levels[-1][1:-1]
+    Sk = field._node_jets.split(field.k).levels[-1][1:-1]
     return Sk - rhs_at_radius(field.grid.r_nodes[1:-1], field.eps, field.n, field.cnk)
 
 

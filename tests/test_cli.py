@@ -546,6 +546,23 @@ class TestSolve:
         message, = json.loads(capsys.readouterr().err)["config_errors"]
         assert message.startswith("grid counts must be >= 1") and named in message
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--body", "spheroid:1.2,1"],
+        ["monotone", "--body", "spheroid:1.2,1", "--t-grid=-0.8,-0.5"],
+        ["identities", "--body", "spheroid:1.2,1"],
+        ["certify", "--body", "spheroid:1.2,1"],
+        ["report"],
+    ], ids=lambda argv: argv[0])
+    def test_one_theta_interval_exits_2(self, argv, tmp_path, capsys):
+        # the theta quadratures need 3 nodes; every subcommand that solves on
+        # such a grid is refused at solve time, not by a traceback or a verdict
+        out = [] if argv[0] == "certify" else ["--out", str(tmp_path)]
+        code = cli.run([*argv, "--n", "5", "--k", "2", "--N-s", "32", "--N-theta", "1",
+                        *out])
+        assert code == cli.EXIT_CONFIG
+        message, = json.loads(capsys.readouterr().err)["config_errors"]
+        assert message == "the theta quadratures need N_theta >= 2: 1"
+
     @pytest.mark.parametrize("grid,line", [
         (["--N-s", "32"], "newton_unknowns=279 meridian=half"),
         (["--N-s", "32", "--N-theta", "33"], "newton_unknowns=1054 meridian=full"),

@@ -3,10 +3,11 @@ in a hesslab module, listed in __all__; every parameter of a hesslab
 function is read, and every default of one is overridden by some call;
 every hesslab definition is reached from the CLI or the benchmark; the
 hesslab modules import each other without a cycle, and surfaces imports
-none of the modules above it; hesslab leaves out the scipy subpackages
-whose import costs more than the few routines it would take from them; and
-it loads scipy at all only for the LAPACK band LU of a Newton Jacobian,
-never scipy.sparse."""
+none of the modules above it; derived state is a cached_property, never a
+memo kept by hand behind a None sentinel; hesslab leaves out the scipy
+subpackages whose import costs more than the few routines it would take
+from them; and it loads scipy at all only for the LAPACK band LU of a
+Newton Jacobian, never scipy.sparse."""
 
 import ast
 import subprocess
@@ -255,6 +256,49 @@ def test_every_definition_is_reached():
     modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     readers = [p.read_text() for p in sorted(BENCH.glob("*.py"))]
     assert _unreached(modules, readers, entry=("cli.main",)) == []
+
+
+def _sentinel_memos(source):
+    """obj.attr of each `if obj.attr is None:` whose body assigns obj.attr, in
+    line order: a memo kept by hand behind a None sentinel, which
+    functools.cached_property replaces."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        test = getattr(node, "test", None)
+        if not (isinstance(node, ast.If) and isinstance(test, ast.Compare)
+                and isinstance(test.left, ast.Attribute) and len(test.ops) == 1
+                and isinstance(test.ops[0], ast.Is)
+                and isinstance(test.comparators[0], ast.Constant)
+                and test.comparators[0].value is None):
+            continue
+        memo = ast.unparse(test.left)
+        stores = {ast.unparse(t) for stmt in node.body for t in ast.walk(stmt)
+                  if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)}
+        if memo in stores:
+            found.append((node.lineno, memo))
+    return [memo for _, memo in sorted(found)]
+
+
+def test_sentinel_memo_detector():
+    source = (
+        "class A:\n"
+        "    def f(self):\n"
+        "        if self._x is None:\n            self._x = 1\n"
+        "        if self._y is None:\n            self._y, z = 2, 3\n"
+        "        return self._x\n"
+        "def g(field, chord, args):\n"
+        "    if field._span is None:\n        field._span = (0, 1)\n"
+        "    if chord.lu is None:\n        chord.refactor()\n"
+        "    if args.tol_mono is None:\n        tol = 1.0\n"
+        "    if field.u is not None:\n        field.u = 0\n"
+        "    if t is None:\n        t = 0\n"
+    )
+    assert _sentinel_memos(source) == ["self._x", "self._y", "field._span"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_sentinel_memos(path):
+    assert _sentinel_memos(path.read_text()) == []
 
 
 def _import_graph(sources):

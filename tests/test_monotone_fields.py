@@ -149,7 +149,7 @@ class TestLevelNewtonSafeguard:
         # the cubic of each column's cell in a = (s - s_i) / hs, as in
         # extract_levelset, and its first Newton step from the linear crossing
         i = np.count_nonzero(u <= t, axis=0) - 1
-        lo, hi = (field._columns()[i + d, np.arange(N_theta + 1), :, 0] for d in (0, 1))
+        lo, hi = (field._columns[i + d, np.arange(N_theta + 1), :, 0] for d in (0, 1))
         y0, y1, d0, d1 = lo[:, 0], hi[:, 0], grid.hs * lo[:, 1], grid.hs * hi[:, 1]
         c0, c1 = y0 - t, d0
         c2, c3 = 3.0 * (y1 - y0) - 2.0 * d0 - d1, 2.0 * (y0 - y1) + d0 + d1

@@ -41,6 +41,21 @@ class TestAxiGrid:
         with pytest.raises(ValueError):
             AxiGrid(body=body, R_out=5.0, N_s=32, N_theta=16)
 
+    def test_one_theta_interval_refused(self, tmp_path):
+        # the theta quadratures (composite Simpson) need 3 nodes: a grid of
+        # one theta interval is refused at construction, and a checkpoint of
+        # one by a ValueError that names the file
+        message = "the theta quadratures need N_theta >= 2: 1"
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            AxiGrid(RevolutionBody.sphere(1.0, n=3), 40.0, 32, 1)
+        path = tmp_path / "field.txt"
+        path.write_text(
+            "# exterior-field v2 n=3 k=1 eps=0.02 cnk=1 rho_hat=1 residual_norm=0 "
+            "admissible=inf R_out=40 N_s=4 N_theta=1\n# theta gamma dgamma d2gamma\n"
+            f"0 1 0 0\n{np.pi!r} 1 0 0\n# u\n" + "-0.5 -0.5\n" * 5)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}$"):
+            ExteriorField.load_checkpoint(path)
+
     def test_r_nodes_endpoints(self):
         body = RevolutionBody.spheroid(1.5, 1.0, n=3, samples=16)
         grid = AxiGrid(body=body, R_out=40.0, N_s=32, N_theta=16)
@@ -745,7 +760,7 @@ class TestMirrorHalf:
         theta = np.linspace(0.0, np.pi, 65)
         half = AxiGrid(RevolutionBody.spheroid(1.5, 1.0, n=3), 40.0, 16, 32)._half()
         assert half.theta[-1] == np.pi / 2 and not half._on_axis[-1]
-        assert abs(half._chain_factors()[-1][-1]) < 1e-15  # cot theta
+        assert abs(half._chain_factors[-1][-1]) < 1e-15  # cot theta
         for body, N_theta in [
             (RevolutionBody.sphere(1.0, n=3), 33),
             (RevolutionBody.cos_perturbed(n=3, amplitude=0.05, frequency=3), 32),
@@ -834,7 +849,7 @@ class TestGhostRows:
         assert len(fld.boundary_residuals) == 2
         assert max(fld.boundary_residuals) <= 1e-14
         f = rhs_at_radius(fld.grid.r_nodes[[0, -1]], fld.eps, fld.n, fld.cnk)
-        Sk = fld._node_jets().split(fld.k).levels[-1][[0, -1]]
+        Sk = fld._node_jets.split(fld.k).levels[-1][[0, -1]]
         assert np.abs(Sk - f).max() <= 1e-14
 
     @pytest.mark.parametrize("fixture,bound", [
@@ -844,11 +859,11 @@ class TestGhostRows:
         # n = 3, k = 1: against the exact capacity potential of the spheroid
         fld = request.getfixturevalue(fixture)
         exact = prolate_gradient(fld.grid.r_nodes[0], fld.grid.theta, 1.5, 1.0)
-        assert np.abs(fld._node_jets().grad_norm[0] - exact).max() <= bound
+        assert np.abs(fld._node_jets.grad_norm[0] - exact).max() <= bound
 
     def test_sphere_boundary_gradient(self, sphere_k1_field):
         # u = -1/r: |grad u| = 1 on the unit sphere
-        assert np.abs(sphere_k1_field._node_jets().grad_norm[0] - 1.0).max() <= 2e-5
+        assert np.abs(sphere_k1_field._node_jets.grad_norm[0] - 1.0).max() <= 2e-5
 
     def test_node_jets_record_each_row(self, prolate_field_half):
         fresh = ExteriorField(
@@ -868,7 +883,7 @@ class TestBicubic:
     column, which ExteriorField._columns holds and extract_levelset reads."""
 
     def test_node_jets_of_a_field(self, prolate_field):
-        grid, jets = prolate_field.grid, prolate_field._node_jets()
+        grid, jets = prolate_field.grid, prolate_field._node_jets
         Z = np.stack([getattr(jets, key) for key in ("u",) + solver._JET_KEYS])
         curves = [extract_levelset(prolate_field, t) for t in np.linspace(-0.9, -0.1, 9)]
         for q, (key, Zq) in enumerate(zip(("u",) + solver._JET_KEYS, Z)):
@@ -928,7 +943,7 @@ class TestNearBall:
         for delta in (1e-3, 2e-3):
             body = RevolutionBody.cos_perturbed(n=n, amplitude=delta, frequency=2)
             fld = solve_exterior(body, spec, N_s=128)
-            shift = (fld._node_jets().grad_norm[0] - ball._node_jets().grad_norm[0]
+            shift = (fld._node_jets.grad_norm[0] - ball._node_jets.grad_norm[0]
                      - (near_ball_gradient(n, k, delta, cos2, fld.grid.theta) - alpha))
             remainders.append(np.abs(shift).max() / alpha)
             assert remainders[-1] <= 5.0 * delta**2, (delta, remainders)
@@ -945,7 +960,7 @@ class TestConeMargin:
 
     def test_k2_margin_is_the_laplacian(self, sphere_k2_field):
         # S_1 is the trace of D^2 u: u_zz + u_rhorho + (n - 2) u_rho / rho
-        jets = sphere_k2_field._node_jets()
+        jets = sphere_k2_field._node_jets
         lap = jets.uzz + jets.urhorho + (sphere_k2_field.n - 2) * jets.kappat
         margin = admissibility_margin(sphere_k2_field)
         assert margin == pytest.approx(lap.min(), rel=1e-12)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +14,8 @@ from hesslab.surfaces import (
     _ClampedSpline,
     _simpson_weights,
     _solve_tridiagonal,
+    _spline_slopes,
+    af_sides,
     curvature_samples,
     sphere_measure,
 )
@@ -335,3 +339,22 @@ def test_simpson_weights_match_scipy(num_nodes):
     y = np.exp(x) * np.cos(3.0 * x)
     got = _simpson_weights(num_nodes, x[1] - x[0]) @ y
     assert got == pytest.approx(simpson(y, x=x), rel=1e-13)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: _simpson_weights(2, 0.5), "composite Simpson needs a node count >= 3"),
+    (lambda: _spline_slopes(np.arange(4.0), np.array([0.0, 1.0, np.nan, 3.0]), False),
+     "spline values must be finite"),
+    (lambda: _spline_slopes(np.arange(3.0), np.zeros(3), False),
+     "a cubic spline needs more than 3 nodes"),
+    (lambda: _spline_slopes(np.zeros(1), np.zeros(1), True),
+     "a cubic spline needs more than 1 nodes"),
+    (lambda: RevolutionBody.sphere(1.0, n=2), "ambient dimension must be >= 3"),
+    (lambda: af_sides(curvature_samples(RevolutionBody.sphere(1.0, n=5)), 1),
+     "the Aleksandrov-Fenchel inequality needs k >= 2"),
+], ids=["simpson-2-nodes", "spline-nan", "not-a-knot-3-nodes", "clamped-1-node",
+        "body-n=2", "af-k=1"])
+def test_guards_raise_value_error(call, message):
+    # each guard names what it refuses, before any arithmetic on the input
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        call()

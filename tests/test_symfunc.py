@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -342,3 +344,20 @@ class TestIdentityProperties:
         assert root[2] >= 0.5 * (root[0] + root[1]) - 1e-12
         for m in range(1, k + 1):
             assert newton_maclaurin_gap(v, m, k) >= -1e-12
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: sigma_matrix(np.eye(3), -1), "order k must be >= 0"),
+    (lambda: sigma_grad(np.eye(3), 0), "need 1 <= k <= n, got k=0, n=3"),
+    (lambda: sigma_grad(np.eye(3), 4), "need 1 <= k <= n, got k=4, n=3"),
+    (lambda: newton_maclaurin_gap(np.ones(3), 2, 1),
+     "need 1 <= m <= l <= n, got m=2, l=1, n=3"),
+    (lambda: newton_maclaurin_gap(np.ones(3), 1, 4),
+     "need 1 <= m <= l <= n, got m=1, l=4, n=3"),
+    (lambda: verify_matrix_identities(np.eye(3), 0), "need 1 <= k <= n, got k=0, n=3"),
+    (lambda: verify_matrix_identities(np.eye(3), 4), "need 1 <= k <= n, got k=4, n=3"),
+], ids=["sigma_matrix-k=-1", "sigma_grad-k=0", "sigma_grad-k=4", "gap-m>l", "gap-l>n",
+        "identities-k=0", "identities-k=4"])
+def test_order_out_of_range_raises(call, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        call()
