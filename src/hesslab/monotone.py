@@ -105,15 +105,18 @@ class ProblemSpec:
 def weights(t, spec: ProblemSpec):
     """Closed-form weight pair (C1(t), C2(t)) for t in [-1, 0):
     C1 = (-t)^(-p) (C3 + C4 (-t)) and
-    C2 = -(-t)^(-q) (p / (a + 1 - k) C3 + (n - k) / (n - 2k) C4 (-t))."""
-    mt = -np.asarray(t, dtype=float)[()]  # a scalar t stays a scalar
+    C2 = -(-t)^(-q) (p / (a + 1 - k) C3 + (n - k) / (n - 2k) C4 (-t)).
+    An array t gives the stack of the scalar results, bit for bit."""
+    mt = -np.asarray(t, dtype=float)  # a 0-d t gives a numpy scalar
     if ((mt <= 0) | (mt > 1)).any():
         raise ValueError("levels must lie in [-1, 0)")
+    if mt.ndim:  # level by level, as numpy's vectorised pow may round otherwise
+        c = np.array([weights(-m, spec) for m in mt.flat]).reshape(mt.shape + (2,))
+        return c[..., 0], c[..., 1]
     n, k, p, q = spec.n, spec.k, spec.p_exponent, spec.q_exponent
     c4 = spec.C4 * mt
-    c1 = mt**-p * (spec.C3 + c4)
-    c2 = -(mt**-q) * (p / (spec.a + 1 - k) * spec.C3 + (n - k) / (n - 2 * k) * c4)
-    return c1, c2
+    return (mt**-p * (spec.C3 + c4),
+            -(mt**-q) * (p / (spec.a + 1 - k) * spec.C3 + (n - k) / (n - 2 * k) * c4))
 
 
 def limit_bound(spec: ProblemSpec, rho):
@@ -321,8 +324,10 @@ class MonotonicityReport:
 
 def level_grid(t_grid):
     """The levels t_grid, T_GRID if None, as an array; ValueError unless
-    they lie in [-1, 0) and strictly increase."""
+    there is at least one, and they lie in [-1, 0) and strictly increase."""
     ts = np.asarray(T_GRID if t_grid is None else t_grid, dtype=float)
+    if ts.size == 0:
+        raise ValueError("need at least one level")
     if not np.all((-1.0 <= ts) & (ts < 0.0)):
         raise ValueError("levels must lie in [-1, 0)")
     if not np.all(np.diff(ts) > 0):

@@ -103,29 +103,26 @@ def sigma_matrix(A, k):
     return _scalar(sigma_all(np.linalg.eigvalsh(A), k)[..., k])
 
 
-def _grad_recursion(A, levels, k):
-    """S_k^{ij} from S_1..S_{k-1} (levels[..., m]) by the recursion
-    S_m^{ij} = S_{m-1} d_ij - S_{m-1}^{il} a_jl, seeded at S_1^{ij} = d_ij."""
-    eye = np.eye(A.shape[-1])
+def _grad_recursion(A, k):
+    """S_k^{ij} by S_m^{ij} = S_{m-1} d_ij - S_{m-1}^{il} a_jl from S_1^{ij} = d_ij,
+    each S_{m-1} read off tr(S_{m-1}^{il} a_jl) = (m - 1) S_{m-1} (Euler's
+    identity; the Faddeev-LeVerrier step), so with no eigen call."""
+    n = A.shape[-1]
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    eye = np.eye(n)
     grad = np.zeros_like(A) + eye
     for m in range(2, k + 1):
-        grad = levels[..., m - 1, None, None] * eye - grad @ A
+        ga = grad @ A
+        grad = np.trace(ga, axis1=-2, axis2=-1)[..., None, None] / (m - 1) * eye - ga
     return grad
 
 
 def sigma_grad(A, k):
     """Derivative matrix S_k^{ij}(A) = dS_k/da_ij, of a matrix or of each
-    matrix of a stack (..., n, n).
-
-    Built by the recursion S_k^{ij} = S_{k-1} d_ij - S_{k-1}^{il} a_jl
-    on S_1..S_{k-1} from one eigvalsh call.
-    """
-    A = symmetrize(A)
-    n = A.shape[-1]
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    levels = sigma_all(np.linalg.eigvalsh(A), k - 1) if k >= 2 else None
-    return _grad_recursion(A, levels, k)
+    matrix of a stack (..., n, n), by the recursion of _grad_recursion:
+    no eigen call at any k."""
+    return _grad_recursion(symmetrize(A), k)
 
 
 def newton_maclaurin_gap(v, m, l):
@@ -162,15 +159,13 @@ def verify_matrix_identities(A, k):
         sum_a S_{k-1}(lam | a) q_a q_a^T,
       * S_k^{ij} a_il a_lj  vs  S_1 S_k - (k+1) S_{k+1},
       * tr(S_k^{ij})  vs  (n-k+1) S_{k-1}.
-    One eigvalsh gives every S_m, one eigh the projectors.
+    One eigh gives every S_m and the projectors.
     """
     A = symmetrize(A)
+    grad = _grad_recursion(A, k)  # checks 1 <= k <= n
     n = A.shape[-1]
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    e = sigma_all(np.linalg.eigvalsh(A), k + 1)
-    grad = _grad_recursion(A, e, k)
     lam, Q = np.linalg.eigh(A)
+    e = sigma_all(lam, k + 1)
     # S_{k-1} of lam with entry a deleted: row a of `rest` omits index a
     rest = np.array([[b for b in range(n) if b != a] for a in range(n)], dtype=int)
     deleted = sigma_all(lam[..., rest], k - 1)[..., k - 1]

@@ -222,6 +222,19 @@ class TestMatrixSuite:
         groups = {(n, k) for n, k, *_ in self.draws(3, 200)}
         assert 0 < len(calls) <= 4 * len(groups)
 
+    def test_one_eigh_and_one_eigvalsh_per_group(self, capsys, monkeypatch):
+        # verify_matrix_identities reads every S_m and the projectors from
+        # one eigh, sigma_grad makes no eigen call, and the probe's stacked
+        # sigma_matrix makes one eigvalsh
+        calls = Counter()
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, name=name, fn=fn, **kw:
+                                calls.update([name]) or fn(*a, **kw))
+        assert cli.run(["matrix-suite", "--trials", "200", "--seed", "3"]) == cli.EXIT_OK
+        groups = len({(n, k) for n, k, *_ in self.draws(3, 200)})
+        assert calls == {"eigh": groups, "eigvalsh": groups}
+
     @pytest.mark.parametrize("trials", [50, 5000])
     def test_block_draws(self, trials, capsys, monkeypatch):
         # 13 Generator calls whatever the battery's size, and one public
@@ -344,6 +357,13 @@ class TestRadial:
         assert csv.startswith("# config=")
         assert csv.splitlines()[0].endswith(" eps=0.02")
         assert csv.splitlines()[1] == "t,C1,C2,F,limit"
+
+    def test_empty_t_grid_is_the_default_grid(self, tmp_path, capsys):
+        # an empty --t-grid means T_GRID, not a grid of no levels
+        code = cli.run(["radial", "--n", "5", "--k", "2", "--t-grid=", "--out", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        rows = (tmp_path / "radial.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[0] for row in rows] == [f"{t:.12g}" for t in monotone.T_GRID]
 
     def test_invalid_order_exits_2(self, tmp_path, capsys):
         code = cli.run([

@@ -71,6 +71,12 @@ class TestLevelGrid:
         with pytest.raises(ValueError, match="levels must strictly increase"):
             level_grid(ts)
 
+    @pytest.mark.parametrize("ts", [[], (), np.array([])])
+    def test_no_level_rejected(self, ts):
+        # np.all of no levels is true: the count is checked on its own
+        with pytest.raises(ValueError, match="^need at least one level$"):
+            level_grid(ts)
+
 
 class TestWeights:
     def test_at_minus_one(self):
@@ -119,6 +125,20 @@ class TestWeights:
             assert float(c1).hex() == (mt**-p * (C3 + C4 * mt)).hex()
             assert float(c2).hex() == (-(mt**-q) * (p / a * C3 + 2.0 * (C4 * mt))).hex()
             np.testing.assert_array_max_ulp(np.array([c1, c2]), np.array([c1s[i], c2s[i]]), 4)
+
+    @pytest.mark.parametrize("n,k,a,C3,C4", [
+        (3, 1, 1.0, 1.0, 0.0), (5, 2, 2.0, 0.4, 0.6), (7, 3, 3.0, 2.0, -0.5),
+        (9, 4, 4.0, 1.0, 1.0), (5, 2, 2.5, 0.5, 1.0)])
+    def test_array_is_the_stack_of_scalar_results(self, n, k, a, C3, C4):
+        # one scalar formula per level: the weights of a level do not depend
+        # on the shape it is passed in, bit for bit
+        spec = ProblemSpec(n=n, k=k, a=a, C3=C3, C4=C4)
+        ts = -(1.0 - np.random.default_rng(n + k).uniform(size=2000))
+        c1s, c2s = weights(ts.reshape(40, 50), spec)
+        assert c1s.shape == c2s.shape == (40, 50)
+        scalar = np.array([weights(t, spec) for t in ts.tolist()])
+        stacked = np.stack([c1s.ravel(), c2s.ravel()], axis=-1)
+        assert np.array_equal(stacked.view(np.int64), scalar.view(np.int64))
 
     def test_domain_validation(self):
         spec = ProblemSpec(n=3, k=1, a=1.0)

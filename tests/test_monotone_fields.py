@@ -73,6 +73,13 @@ def test_one_gradient_norm_per_cold_level(prolate_field_half, monkeypatch):
     assert [jets.u.size for jets in taken] == [fresh.grid.N_theta + 1] * 2
 
 
+def test_audit_refuses_no_level(prolate_field_half):
+    # a report of no levels has no gap to the limit and no spread
+    spec = ProblemSpec(n=3, k=1, a=1.0)
+    with pytest.raises(ValueError, match="^need at least one level$"):
+        monotonicity_audit(prolate_field_half, spec, 1e-6, t_grid=[])
+
+
 def test_audit_refuses_levels_out_of_t_order(prolate_field_half):
     # the report's results and its upward differences are in t order
     spec = ProblemSpec(n=3, k=1, a=1.0)

@@ -11,6 +11,7 @@ from hesslab.symfunc import (
     sigma_all,
     sigma_grad,
     sigma_matrix,
+    symmetrize,
     verify_matrix_identities,
 )
 from oracles import ConeSpec, _sigma_minors, gamma_cone_contains, sigma
@@ -114,6 +115,44 @@ class TestSigmaGrad:
                     E[i, j] = h
                     fd = (_sigma_minors(A + E, k) - _sigma_minors(A - E, k)) / (2 * h)
                     assert abs(g[i, j] - fd) < 1e-5
+
+
+class TestTraceRecursion:
+    """sigma_grad reads each S_{m-1} off tr(S_{m-1}^{il} a_jl) / (m - 1);
+    two routes that do not take that trace referee it, at every order and
+    across six decades of scale, to 1e-13 of the natural size
+    (sum |lam|)^degree."""
+
+    @pytest.mark.parametrize("scale", [-3, -2, -1, 0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_projectors_and_minors(self, n, scale):
+        rng = np.random.default_rng(100 * n + scale)
+        A = symmetrize(rng.standard_normal((8, n, n))) * 10.0**scale
+        lam, Q = np.linalg.eigh(A)
+        size = np.sum(np.abs(lam), axis=-1)
+        for k in range(1, n + 1):
+            g = sigma_grad(A, k)
+            # sum_a S_{k-1}(lam | a) q_a q_a^T, lam | a being lam without entry a
+            deleted = np.stack([sigma_all(np.delete(lam, a, axis=-1), k - 1)[:, k - 1]
+                                for a in range(n)], axis=-1)
+            proj = (Q * deleted[:, None, :]) @ np.swapaxes(Q, -1, -2)
+            assert np.all(np.max(np.abs(g - proj), axis=(-2, -1)) <= 1e-13 * size ** (k - 1))
+            # Euler's identity: sum_ij S_k^{ij} a_ij = k S_k
+            minors = np.array([_sigma_minors(a, k) for a in A])
+            assert np.all(np.abs(np.sum(g * A, axis=(-2, -1)) - k * minors)
+                          <= 1e-13 * size**k)
+
+    @pytest.mark.parametrize("batch", [(), (7,), (2, 3)])
+    def test_no_eigen_call(self, batch, monkeypatch):
+        calls = []
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, name=name, fn=fn, **kw:
+                                calls.append(name) or fn(*a, **kw))
+        A = np.random.default_rng(3).standard_normal(batch + (5, 5))
+        for k in range(1, 6):
+            assert sigma_grad(A, k).shape == batch + (5, 5)
+        assert calls == []
 
 
 class TestGammaCone:
